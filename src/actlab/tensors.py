@@ -306,20 +306,30 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
 
     Sums of Gauss tensors satisfy the tensor symmetries by construction and
     span the whole space of algebraic curvature tensors.
+
+    In rational mode each generator phi = a + a^T has integer entries in
+    [-4, 4], so every Gauss tensor entry is at most 2 * 4^2 = 32 and the sum
+    of k of them at most 32 k, far below 2^62 for any k this loop can run
+    through.  So the sum accumulates in int64 with no big-int fallback, and
+    the entries become ``Fraction`` once, at the end.
     """
     if m < 2:
         raise InvalidDimension("curvature tensors need dimension m >= 2")
     if k < 1:
         raise InvalidDimension("need at least one generator")
     rng = np.random.default_rng(seed)
+    if mode.exact:
+        total = np.zeros((m,) * 4, dtype=np.int64)
+        for _ in range(k):
+            a = rng.integers(-2, 3, size=(m, m))
+            sign = int(rng.integers(0, 2) * 2 - 1)
+            total = total + _gauss_components(a + a.T) * sign
+        comps = np.array([Fraction(v) for v in total.reshape(-1).tolist()], dtype=object)
+        return CurvatureTensor(m, comps.reshape(total.shape), mode)
     total = zeros((m,) * 4, mode)
     for _ in range(k):
-        if mode.exact:
-            a = rng.integers(-2, 3, size=(m, m))
-            phi = matrix(a + a.T, mode)
-        else:
-            a = rng.standard_normal((m, m))
-            phi = np.asarray((a + a.T) / 2.0)
+        a = rng.standard_normal((m, m))
+        phi = np.asarray((a + a.T) / 2.0)
         sign = mode.scalar(int(rng.integers(0, 2) * 2 - 1))
         total = total + _gauss_components(phi) * sign
     return CurvatureTensor(m, total, mode)

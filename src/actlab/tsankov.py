@@ -222,7 +222,8 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     m = R.m
     if R.mode.exact:
         v, s, maxv = _int_view(R)
-        if v.dtype == np.int64 and 2 * m * maxv * maxv >= _INT64_LIMIT:
+        # |t| <= 2 m maxv^2, and g * counts folds four t terms times counts <= 4
+        if v.dtype == np.int64 and 32 * m * maxv * maxv >= _INT64_LIMIT:
             v = v.astype(object)
         q = v.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
         denom = s * s
@@ -369,34 +370,34 @@ def _sample_pair(rng, m: int, exact: bool, orthogonal: bool, span: int = 4):
 def _batch_commutators(R: CurvatureTensor, xs, ys):
     """Commutator matrices for a batch of integer or float pairs.
 
-    Returns (C, scale): true commutators are C / scale.  Integer batches run
-    through int64 einsum when a worst-case bound fits, otherwise through
-    object (big-int) arithmetic.
+    Returns (C, scale): true commutators are C / scale.  Integer batches
+    contract the integer view V as one matmul of the outer products x x^T,
+    shape (p, m^2), against V reshaped to (m^2, m^2), then take the batched
+    commutator.  The arithmetic is int64 when the batch bound
+
+        2 m * (max_p |x_p|_1^2 max|V|) * (max_p |y_p|_1^2 max|V|) < 2^62
+
+    holds (|J(x)| <= |x|_1^2 max|V|, and each commutator entry is two sums
+    of m products of J entries); otherwise the same contraction runs on
+    Python ints, which never overflow.
     """
     m = R.m
     if R.mode.exact:
         v, s, maxv = _int_view(R)
-        span = max(
-            max((abs(int(e)) for x in xs for e in x), default=1),
-            max((abs(int(e)) for y in ys for e in y), default=1),
-        )
-        bound = 2 * (m**5) * (span**4) * (maxv**2)
-        if v.dtype == np.int64 and bound < _INT64_LIMIT:
-            xa = np.array([[int(e) for e in x] for x in xs], dtype=np.int64)
-            ya = np.array([[int(e) for e in y] for y in ys], dtype=np.int64)
-            jx = np.einsum("pi,pj,bija->pab", xa, xa, v)
-            jy = np.einsum("pi,pj,bija->pab", ya, ya, v)
-            c = np.matmul(jx, jy) - np.matmul(jy, jx)
-        else:
-            va = v.astype(object)
-            xa = np.array([[int(e) for e in x] for x in xs], dtype=object)
-            ya = np.array([[int(e) for e in y] for y in ys], dtype=object)
-            jx = np.einsum("pi,pj,bija->pab", xa, xa, va)
-            jy = np.einsum("pi,pj,bija->pab", ya, ya, va)
-            c = np.array(
-                [np.dot(jx[p], jy[p]) - np.dot(jy[p], jx[p]) for p in range(len(xs))], dtype=object
-            )
-        return c, s * s
+        xi = [[int(e) for e in x] for x in xs]
+        yi = [[int(e) for e in y] for y in ys]
+        jx_bound = max(sum(map(abs, x)) for x in xi) ** 2 * maxv
+        jy_bound = max(sum(map(abs, y)) for y in yi) ** 2 * maxv
+        fits = v.dtype == np.int64 and 2 * m * jx_bound * jy_bound < _INT64_LIMIT
+        dtype = np.int64 if fits else object
+        w = v.astype(dtype).transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
+
+        def jacobis(vecs):
+            a = np.array(vecs, dtype=dtype)
+            return ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
+
+        jx, jy = jacobis(xi), jacobis(yi)
+        return np.matmul(jx, jy) - np.matmul(jy, jx), s * s
     xa = np.array(xs, dtype=float)
     ya = np.array(ys, dtype=float)
     jx = np.einsum("pi,pj,bija->pab", xa, xa, R.components)
@@ -404,12 +405,10 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
     return jx @ jy - jy @ jx, None
 
 
-def _unit_norm(c_slice, x, y, scale):
-    """Sup norm of a commutator at the unit rescaling of (x, y)."""
+def _unit_norm(c_slice, x, y):
+    """Sup norm of a float commutator at the unit rescaling of (x, y)."""
     raw = max_abs(c_slice)
-    if scale is None:
-        return float(raw) / (float(np.dot(x, x)) * float(np.dot(y, y)))
-    return Fraction(int(raw), scale * int(np.dot(x, x)) * int(np.dot(y, y)))
+    return float(raw) / (float(np.dot(x, x)) * float(np.dot(y, y)))
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -418,25 +417,47 @@ def _float_threshold(R: CurvatureTensor):
 
 
 def _violation_scan(R, xs, ys, pick: str):
-    """Evaluate a batch and pick a violating pair ('first' or 'largest')."""
+    """Evaluate a batch and pick a violating pair ('first' or 'largest').
+
+    Ties in norm go to the earlier pair.  Exact norms raw / (scale |x|^2 |y|^2)
+    are compared by integer cross-multiplication; only the returned witness
+    gets its ``Fraction``.
+    """
     c, scale = _batch_commutators(R, xs, ys)
-    thr = None if R.mode.exact else _float_threshold(R)
+    if R.mode.exact:
+        raws = np.abs(c).max(axis=(1, 2))
+        best = None  # (p, raw, |x|^2 |y|^2)
+        for p in np.flatnonzero(raws).tolist():
+            raw = int(raws[p])
+            den = sum(int(e) ** 2 for e in xs[p]) * sum(int(e) ** 2 for e in ys[p])
+            if best is None or raw * best[2] > best[1] * den:
+                best = (p, raw, den)
+            if pick == "first":
+                break
+        if best is None:
+            return None
+        p, raw, den = best
+        return Witness(xs[p], ys[p], Fraction(raw, scale * den))
+    thr = _float_threshold(R)
     best = None
     for p in range(len(xs)):
         raw = max_abs(c[p])
-        violating = (raw != 0) if R.mode.exact else (float(raw) > thr)
-        if not violating:
+        if not float(raw) > thr:
             continue
         if pick == "first":
-            return Witness(xs[p], ys[p], _unit_norm(c[p], xs[p], ys[p], scale))
-        norm = _unit_norm(c[p], xs[p], ys[p], scale)
+            return Witness(xs[p], ys[p], _unit_norm(c[p], xs[p], ys[p]))
+        norm = _unit_norm(c[p], xs[p], ys[p])
         if best is None or norm > best.commutator_norm:
             best = Witness(xs[p], ys[p], norm)
     return best
 
 
 def _basis_pair_candidates(m: int, exact: bool):
-    """Small deterministic pairs tried before random sampling."""
+    """Small deterministic pairs tried before random sampling.
+
+    Every pair is orthogonal by construction: (e_a, e_b), (e_a, e_b + e_c)
+    with a not in {b, c}, and (e_a + e_b, e_a - e_b).
+    """
     if exact:
         eye = np.array(
             [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)],
@@ -468,13 +489,8 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     the sampling span if a round finds nothing; a degree-4 polynomial that
     is nonzero on the quadric cannot dodge random points indefinitely.
     """
-    cands = [
-        (x, y)
-        for x, y in _basis_pair_candidates(R.m, R.mode.exact)
-        if not orthogonal or np.dot(x, y) == 0
-    ]
+    cands = _basis_pair_candidates(R.m, R.mode.exact)
     rng = np.random.default_rng(seed)
-    best = None
     for round_no in range(64):
         span = 4 + 2 * round_no
         pool = cands if round_no == 0 else []
@@ -486,9 +502,7 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
         ys = [p[1] for p in pool]
         found = _violation_scan(R, xs, ys, pick="largest")
         if found is not None:
-            if best is None or found.commutator_norm > best.commutator_norm:
-                best = found
-            return best
+            return found
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )

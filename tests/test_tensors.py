@@ -221,6 +221,20 @@ class TestRandomAct:
         b = random_act(4, 3, seed=7)
         assert (a.components == b.components).all()
 
+    def test_matches_combine_of_forms_from_same_draws(self):
+        # oracle: replay the rng draws and sum the Gauss tensors in Fraction arithmetic
+        for m, k, seed in [(2, 1, 0), (3, 2, 4), (4, 3, 7), (5, 1, 11), (6, 3, 2), (7, 4, 19)]:
+            rng = np.random.default_rng(seed)
+            terms = []
+            for _ in range(k):
+                a = rng.integers(-2, 3, size=(m, m))
+                sign = int(rng.integers(0, 2) * 2 - 1)
+                terms.append((sign, from_form(a + a.T, RATIONAL)))
+            R = random_act(m, k, seed)
+            assert R.mode == RATIONAL
+            assert (R.components == combine(terms).components).all()
+            assert all(type(v) is Fraction for v in R.components.reshape(-1))
+
 
 class TestCombine:
     def test_cancellation(self, rtheta4):

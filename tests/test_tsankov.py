@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ from actlab import (
     random_act,
     standard_complex_structure,
     tsankov_test,
+)
+
+from actlab.tensors import _INT64_LIMIT, _int_view
+from actlab.tsankov import (
+    _basis_pair_candidates,
+    _batch_commutators,
+    _sample_pair,
+    _violation_scan,
 )
 
 from conftest import build_corpus
@@ -85,6 +94,44 @@ def divisibility_by_linear_system(coeffs, m):
     }
 
 
+def bigint_commutators(R, xs, ys):
+    """Reference for _batch_commutators: s^2 C(x, y) in Python ints, loop by loop."""
+    v, s, _ = _int_view(R)
+    V = v.tolist()
+    m = R.m
+    rng = range(m)
+
+    def jac(x):
+        x = [int(e) for e in x]
+        return [
+            [sum(x[i] * x[j] * V[b][i][j][a] for i in rng for j in rng) for b in rng] for a in rng
+        ]
+
+    out = []
+    for x, y in zip(xs, ys):
+        jx, jy = jac(x), jac(y)
+        out.append(
+            [
+                [sum(jx[a][c] * jy[c][b] - jy[a][c] * jx[c][b] for c in rng) for b in rng]
+                for a in rng
+            ]
+        )
+    return out, s * s
+
+
+def int64_bound(R, xs, ys):
+    _, _, maxv = _int_view(R)
+    jx = max(sum(abs(int(e)) for e in x) for x in xs) ** 2 * maxv
+    jy = max(sum(abs(int(e)) for e in y) for y in ys) ** 2 * maxv
+    return 2 * R.m * jx * jy
+
+
+def orthogonal_batch(m, n, span, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [_sample_pair(rng, m, True, True, span=span) for _ in range(n)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 class TestCommutator:
     def test_r0_orthogonal_pair_commutes(self):
         C = commutator(r0(4, 1), [1, 0, 0, 0], [0, 1, 0, 0])
@@ -134,6 +181,17 @@ class TestCommutatorPoly:
         for coeffs in P.entries.values():
             for (i, j, k, l), c in coeffs.items():
                 assert coeffs.get((k, l, i, j), Fraction(0)) == -c
+
+    def test_int64_bound_covers_folded_coefficients(self):
+        # folded coefficients g * counts reach 32 m maxv^2, past 2 m maxv^2 < 2^62
+        R = combine([(39960531, random_act(4, 3, seed=1))])
+        assert 2 * 4 * _int_view(R)[2] ** 2 < _INT64_LIMIT <= 32 * 4 * _int_view(R)[2] ** 2
+        P = commutator_poly(R)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x = [Fraction(int(v)) for v in rng.integers(-3, 4, size=4)]
+            y = [Fraction(int(v)) for v in rng.integers(-3, 4, size=4)]
+            assert (P.evaluate(x, y) == commutator(R, x, y)).all()
 
     def test_rtheta_vanishes_on_orthogonal_sample(self):
         P = commutator_poly(r_theta(standard_complex_structure(4), 1))
@@ -239,6 +297,47 @@ class TestFullCommutation:
         for R in build_corpus(40, seed=2024):
             v = full_commutation_test(R)
             assert v.holds == (R.max_abs() == 0)
+
+
+class TestWitnessSearchKernels:
+    def test_basis_candidates_are_orthogonal(self):
+        for m in range(2, 8):
+            for exact in (True, False):
+                pairs = _basis_pair_candidates(m, exact)
+                assert len(pairs) == m * (m - 1) + m * (m - 1) * (m - 2) // 2 + m * (m - 1) // 2
+                assert all(np.dot(x, y) == 0 for x, y in pairs)
+
+    def test_int64_kernel_near_the_bound_matches_bigint(self):
+        base = random_act(4, 3, seed=3)
+        xs, ys = orthogonal_batch(4, 12, span=4, seed=8)
+        # the largest integer scale c with c^2 * bound < 2^62, then one past it
+        c = isqrt((_INT64_LIMIT - 1) // int64_bound(base, xs, ys))
+        for scale, dtype in ((c, np.int64), (c + 1, object)):
+            R = combine([(scale, base)])
+            assert (int64_bound(R, xs, ys) < _INT64_LIMIT) == (dtype is np.int64)
+            c_batch, s2 = _batch_commutators(R, xs, ys)
+            ref, ref_s2 = bigint_commutators(R, xs, ys)
+            assert c_batch.dtype == dtype and s2 == ref_s2
+            assert c_batch.tolist() == ref
+            assert max(abs(e) for mat in ref for row in mat for e in row) > 2**50
+
+    def test_widened_span_takes_bigint_path_with_orthogonal_witness(self):
+        R = random_act(6, 3, seed=11)
+        xs, ys = orthogonal_batch(6, 16, span=4 + 2 * 63, seed=4)
+        assert int64_bound(R, xs, ys) >= _INT64_LIMIT
+        c_batch, s2 = _batch_commutators(R, xs, ys)
+        assert c_batch.dtype == object
+        assert c_batch.tolist() == bigint_commutators(R, xs, ys)[0]
+        # a copy of every pair follows the originals, so the largest norm is tied
+        w = _violation_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys], "largest")
+        assert np.dot(w.x, w.y) == 0
+        assert (commutator(R, w.x, w.y) != 0).any()
+        norms = [
+            Fraction(int(np.abs(c_batch[p]).max()), s2 * int(np.dot(x, x)) * int(np.dot(y, y)))
+            for p, (x, y) in enumerate(zip(xs, ys))
+        ]
+        assert w.commutator_norm == max(norms)
+        assert w.x is xs[norms.index(max(norms))]
 
 
 class TestTsankovTest:
