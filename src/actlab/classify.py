@@ -28,16 +28,17 @@ from .errors import (
     NotRankOne,
     UnsupportedDimension,
 )
-from .jacobi import _range_orthonormal, _rank_one_unit, jacobi, jacobi_polarized
+from .jacobi import _eigensplit_float, _range_orthonormal, _rank_one_unit, jacobi, jacobi_polarized
 from .scalars import (
     DEFAULT_TOL,
     complete_orthonormal_exact,
-    max_abs,
+    eye,
     random_rational_unit_vector,
     random_unit_vector,
     rank_with_mode,
+    zeros,
 )
-from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, r0, r_theta
+from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, combine, r0, r_theta
 from .tsankov import Witness, tsankov_test
 
 __all__ = [
@@ -120,10 +121,9 @@ def recover_complex_structure(R: CurvatureTensor):
     m = R.m
     if m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    probe = None
+    probe, basis = None, eye(m, mode)
     for p in range(m):
-        e = [mode.scalar(1 if i == p else 0) for i in range(m)]
-        j = jacobi(R, e)
+        j = jacobi(R, basis[p])
         if rank_with_mode(j, mode) == 1:
             probe, jp = p, j
             break
@@ -141,16 +141,12 @@ def recover_complex_structure(R: CurvatureTensor):
     else:
         c = t / 3.0
         coef = 2.0 / t
-    theta = np.zeros((m, m), dtype=object if mode.exact else float)
-    if mode.exact:
-        theta.fill(Fraction(0))
+    theta = zeros((m, m), mode)
     theta[:, probe] = w
     for jdx in range(m):
         if jdx == probe:
             continue
-        e_p = [mode.scalar(1 if i == probe else 0) for i in range(m)]
-        e_j = [mode.scalar(1 if i == jdx else 0) for i in range(m)]
-        theta[:, jdx] = np.dot(jacobi_polarized(R, e_p, e_j), w) * coef
+        theta[:, jdx] = np.dot(jacobi_polarized(R, basis[probe], basis[jdx]), w) * coef
     try:
         cs = ComplexStructure(theta, mode)
     except InvalidComplexStructure as exc:
@@ -160,7 +156,7 @@ def recover_complex_structure(R: CurvatureTensor):
 
 def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
     scale = R.max_abs()
-    dev = max_abs(R.components - recon.components)
+    dev = combine([(1, R), (-1, recon)]).max_abs()
     if R.mode.exact:
         return dev / scale if scale != 0 else dev
     return float(dev) / float(scale) if scale else float(dev)
@@ -190,10 +186,10 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
         c = None
         for i in range(R.m):
             for j in range(i + 1, R.m):
-                sect = R.components[i, j, j, i]
+                sect = R.values[i, j, j, i]
                 nonzero = (sect != 0) if mode.exact else (abs(sect) > mode.tol * float(R.max_abs()))
                 if nonzero:
-                    c = sect
+                    c = Fraction(int(sect), R.denominator) if mode.exact else sect
                     break
             if c is not None:
                 break
@@ -326,13 +322,11 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
         range_basis = _range_orthonormal(j, r, mode)
         complement = complete_orthonormal_exact([x, *range_basis], R.m)
         t = random_rational_unit_vector(len(complement), seed)
-        y = sum((ti * b for ti, b in zip(t, complement)), start=np.array([Fraction(0)] * R.m, dtype=object))
+        y = sum((ti * b for ti, b in zip(t, complement)), start=zeros(R.m, mode))
         return y
     xf = x.astype(float)
     xf = xf / np.linalg.norm(xf)
-    vals, vecs = np.linalg.eigh(j.astype(float))
-    scale = max(1.0, float(np.abs(vals).max()))
-    kernel = vecs[:, np.abs(vals) <= mode.tol * scale]
+    kernel = _eigensplit_float(j, mode)[2]
     rng = np.random.default_rng(seed)
     while True:
         y = kernel @ rng.standard_normal(kernel.shape[1])

@@ -11,7 +11,7 @@ losslessly.
 Subcommands: gen, validate, jacobi, tsankov, classify, osserman, report.
 Exit codes: 0 on success / property holds, 1 on computational errors or
 negative decisions, 2 on usage errors.  The environment variable ACT_TOL
-overrides the default float tolerance.
+overrides the default float tolerance; it must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     FormatError,
 )
 from .jacobi import jacobi
-from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode
+from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, zeros
 from .tensors import (
     CurvatureTensor,
     combine,
@@ -89,25 +89,17 @@ def tensor_to_doc(R: CurvatureTensor, storage: str = "sparse") -> dict:
         raise FormatError(f"unknown storage {storage!r}")
     exact = R.mode.exact
     doc = {"m": R.m, "scalar": "rational" if exact else "float", "storage": storage}
+    comps = R.components
     if storage == "dense":
-        flat = R.components.reshape(-1)
-        doc["entries"] = [format_scalar(v) if exact else float(v) for v in flat]
+        doc["entries"] = [format_scalar(v) if exact else float(v) for v in comps.reshape(-1)]
         return doc
     entries = []
-    m = R.m
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    v = R.components[i, j, k, l]
-                    if v == 0:
-                        continue
-                    images = _orbit_images(i, j, k, l)
-                    if min(images) != (i, j, k, l):
-                        continue
-                    entries.append(
-                        {"i": i, "j": j, "k": k, "l": l, "v": format_scalar(v) if exact else float(v)}
-                    )
+    for i, j, k, l in np.argwhere(R.values).tolist():  # nonzero entries in row-major order
+        images = _orbit_images(i, j, k, l)
+        if min(images) != (i, j, k, l):
+            continue
+        v = comps[i, j, k, l]
+        entries.append({"i": i, "j": j, "k": k, "l": l, "v": format_scalar(v) if exact else float(v)})
     doc["entries"] = entries
     return doc
 
@@ -170,14 +162,13 @@ def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
                 if t in acc and _values_conflict(acc[t], val, mode):
                     raise ConflictingEntry(t, f"{acc[t]} vs {val}")
                 acc[t] = val
-        comps = np.zeros((m,) * 4, dtype=object if mode.exact else float)
-        if mode.exact:
-            comps.fill(Fraction(0))
+        comps = zeros((m,) * 4, mode)
         for t, val in acc.items():
             comps[t] = val
     else:
         raise FormatError(f"unknown storage {storage!r}")
-    report = validate(comps, mode)
+    tensor = CurvatureTensor(m, comps, mode)  # clears exact denominators once
+    report = validate(tensor, mode)
     if enforce and not report.accepted:
         worst = max(
             (name for name in report.violations if name != "bianchi"),
@@ -188,19 +179,12 @@ def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
         ):
             raise ConflictingEntry(report.worst_index[worst], f"{worst} symmetry violated")
         raise BianchiViolation(report.violations["bianchi"], report.worst_index["bianchi"])
-    return CurvatureTensor(m, comps, mode), report
+    return tensor, report
 
 
 def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     """Load and validate a tensor file (the documented external format)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FormatError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.msg, line=exc.lineno) from exc
-    tensor, _ = tensor_from_doc(doc, tol, enforce=True)
+    tensor, _ = tensor_from_doc(_load_doc(path), tol, enforce=True)
     return tensor
 
 
@@ -238,14 +222,15 @@ def _cmd_gen(args, tol):
             diag = [_parse_value(p, mode) for p in args.diag.split(",")]
             if len(diag) != args.m:
                 raise FormatError(f"--diag needs {args.m} entries")
-            phi = np.zeros((args.m, args.m), dtype=object if mode.exact else float)
-            if mode.exact:
-                phi.fill(Fraction(0))
-            for i, d in enumerate(diag):
-                phi[i, i] = d
+            phi = zeros((args.m, args.m), mode)
+            np.fill_diagonal(phi, diag)
         elif args.phi:
             doc = _load_doc(args.phi)
-            rows = doc["phi"] if isinstance(doc, dict) else doc
+            rows = doc.get("phi") if isinstance(doc, dict) else doc
+            if not (isinstance(rows, list) and len(rows) == args.m) or any(
+                not isinstance(row, list) or len(row) != args.m for row in rows
+            ):
+                raise FormatError(f"--phi needs {args.m} rows of {args.m} entries")
             phi = np.array(
                 [[_parse_value(v, mode) for v in row] for row in rows],
                 dtype=object if mode.exact else float,
@@ -409,12 +394,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = DEFAULT_TOL
-    if os.environ.get("ACT_TOL"):
+    tol, raw = DEFAULT_TOL, os.environ.get("ACT_TOL")
+    if raw:
         try:
-            tol = float(os.environ["ACT_TOL"])
+            tol = float(raw)
         except ValueError:
-            print(f"error: ACT_TOL is not a number: {os.environ['ACT_TOL']!r}", file=sys.stderr)
+            tol = 0.0
+        if not 0 < tol < np.inf:
+            print(f"error: ACT_TOL is not a positive finite number: {raw!r}", file=sys.stderr)
             return 2
     try:
         return args.func(args, tol)

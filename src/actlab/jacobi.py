@@ -23,17 +23,16 @@ import numpy as np
 from .errors import DegenerateInput, PreconditionFailed, StructureViolation
 from .scalars import (
     ScalarMode,
-    _integer_rows,
     _rank_bareiss,
     complete_orthonormal_exact,
+    eye,
     fraction_sqrt,
     max_abs,
     orthocomplement_basis,
     orthonormalize_exact,
     rank_with_mode,
-    zeros,
 )
-from .tensors import _INT64_LIMIT, CurvatureTensor, _coerce_vector, _int_vector, _int_view
+from .tensors import CurvatureTensor, _coerce_vector, _contract
 
 __all__ = [
     "jacobi",
@@ -46,45 +45,22 @@ __all__ = [
 ]
 
 
-def _bilinear_contraction(R: CurvatureTensor, x, y) -> np.ndarray:
-    """B(x,y)[a][b] = sum_ij x_i y_j R[b][i][j][a], the matrix of z -> R(z,x)y.
-
-    Exact tensors contract through the cached integer-scaled view so the
-    inner loop runs in machine integers; the result is exact Fractions.
-    """
-    if not R.mode.exact:
-        return np.einsum("i,j,bija->ab", np.asarray(x, float), np.asarray(y, float), R.components)
-    v, s, maxv = _int_view(R)
-    xi, sx, mx = _int_vector(x)
-    yi, sy, my = _int_vector(y)
-    denom = s * sx * sy
-    bound = R.m * R.m * mx * my * maxv
-    if v.dtype == np.int64 and bound < _INT64_LIMIT:
-        b = np.einsum(
-            "i,j,bija->ab", np.array(xi, dtype=np.int64), np.array(yi, dtype=np.int64), v
-        )
-    else:
-        vo = v if v.dtype == object else v.astype(object)
-        b = np.einsum(
-            "i,j,bija->ab", np.array(xi, dtype=object), np.array(yi, dtype=object), vo
-        )
-    return np.array(
-        [[Fraction(int(val), denom) for val in row] for row in b.tolist()], dtype=object
-    )
+# B(x,y)[a][b] = sum_ij x_i y_j R[b][i][j][a], the matrix of z -> R(z,x)y
+BILINEAR = "i,j,bija->ab"
 
 
 def jacobi(R: CurvatureTensor, x) -> np.ndarray:
     """Matrix of the Jacobi operator J(x); symmetric, with J(x) x = 0."""
     x = _coerce_vector(x, R)
-    return _bilinear_contraction(R, x, x)
+    return _contract(BILINEAR, R, x, x)
 
 
 def jacobi_polarized(R: CurvatureTensor, x, y) -> np.ndarray:
     """Matrix of the polarized operator J(x, y); symmetric and bilinear."""
     x = _coerce_vector(x, R)
     y = _coerce_vector(y, R)
-    bxy = _bilinear_contraction(R, x, y)
-    byx = _bilinear_contraction(R, y, x)
+    bxy = _contract(BILINEAR, R, x, y)
+    byx = _contract(BILINEAR, R, y, x)
     half = Fraction(1, 2) if R.mode.exact else 0.5
     return (bxy + byx) * half
 
@@ -99,7 +75,9 @@ def jacobi_rank(R: CurvatureTensor, x, mode: ScalarMode | None = None) -> int:
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ricci form as a symmetric matrix, with rho(x,x) = trace J(x)."""
-    return np.trace(R.components, axis1=1, axis2=2)
+    if R.mode.exact:
+        return _contract("ijjl->il", R)
+    return np.trace(R.values, axis1=1, axis2=2)  # einsum may sum floats in another order
 
 
 def _unit_threshold(mode: ScalarMode, scale: float = 1.0):
@@ -140,6 +118,15 @@ def _rank_one_unit(j: np.ndarray, mode: ScalarMode) -> tuple:
     return t, w
 
 
+def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
+    """eigh split at tol * max(1, max|eigenvalue|): (eigenvalues above it,
+    their eigenvectors, the kernel eigenvectors as matrix columns)."""
+    vals, vecs = np.linalg.eigh(j.astype(float))
+    scale = max(1.0, float(np.abs(vals).max()))
+    keep = np.abs(vals) > mode.tol * scale
+    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)], vecs[:, ~keep]
+
+
 def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
     """Orthonormal basis of the range of a symmetric matrix of known rank."""
     if r == 0:
@@ -154,15 +141,12 @@ def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
             gram = np.array(
                 [[Fraction(np.dot(u, v)) for v in candidate] for u in candidate], dtype=object
             )
-            if _rank_bareiss(_integer_rows(gram)) == len(candidate):
+            if _rank_bareiss(gram) == len(candidate):
                 cols = candidate
             if len(cols) == r:
                 break
         return orthonormalize_exact(cols)
-    vals, vecs = np.linalg.eigh(j.astype(float))
-    scale = max(1.0, float(np.abs(vals).max()))
-    keep = [i for i in range(len(vals)) if abs(vals[i]) > mode.tol * scale]
-    return [vecs[:, i] for i in keep]
+    return _eigensplit_float(j, mode)[1]
 
 
 def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
@@ -253,13 +237,6 @@ def _eigenpairs_exact(jx: np.ndarray, mode: ScalarMode):
     return [lam] * r, basis
 
 
-def _eigenpairs_float(jx: np.ndarray, mode: ScalarMode):
-    vals, vecs = np.linalg.eigh(jx.astype(float))
-    scale = max(1.0, float(np.abs(vals).max()))
-    keep = [i for i in range(len(vals)) if abs(vals[i]) > mode.tol * scale]
-    return [float(vals[i]) for i in keep], [vecs[:, i] for i in keep]
-
-
 def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) -> BlockStructureReport:
     """Build the commuting-pair block frame at (x, y) and report residuals.
 
@@ -280,7 +257,7 @@ def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) ->
     if mode.exact:
         lambdas, e_basis = _eigenpairs_exact(jx, mode)
     else:
-        lambdas, e_basis = _eigenpairs_float(jx, mode)
+        lambdas, e_basis, _ = _eigensplit_float(jx, mode)
 
     f_basis = []
     for lam, e in zip(lambdas, e_basis):
@@ -289,10 +266,7 @@ def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) ->
     frame = e_basis + f_basis
     if frame:
         gram = np.array([[np.dot(u, v) for v in frame] for u in frame])
-        eye = zeros((len(frame), len(frame)), mode)
-        for i in range(len(frame)):
-            eye[i, i] = mode.scalar(1)
-        ortho_dev = max_abs(gram - eye)
+        ortho_dev = max_abs(gram - eye(len(frame), mode))
     else:
         ortho_dev = mode.zero()
 

@@ -4,6 +4,8 @@ Two scalar modes run through the whole library:
 
 * ``rational`` -- entries are :class:`fractions.Fraction` stored in
   object-dtype numpy arrays; every comparison is exact and tolerance-free.
+  Bulk exact arithmetic runs on integer numerators over one denominator,
+  from :func:`integer_array`, the one place that picks int64 or Python ints.
 * ``float`` -- entries are float64; comparisons use a relative tolerance.
 
 Eigendecompositions exist only in float mode.  Exact callers use ranks,
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -105,6 +107,37 @@ def zeros(shape, mode: ScalarMode) -> np.ndarray:
     return np.zeros(shape, dtype=float)
 
 
+def eye(m: int, mode: ScalarMode) -> np.ndarray:
+    a = zeros((m, m), mode)
+    np.fill_diagonal(a, mode.scalar(1))
+    return a
+
+
+def integer_array(values, denominator: int = 1, bound: int | None = None):
+    """Clear denominators: ``(N, d)`` with ``N / d == values / denominator``.
+
+    ``d > 0`` is reduced, the lcm of the denominators of those quotients.  ``N``
+    is int64 when ``bound`` is below 2^62, else an object array of Python
+    ints, which never overflow.  ``bound`` defaults to max|N|; callers whose
+    arithmetic on N reaches larger intermediates pass a bound on those (at
+    least max|N|).
+    """
+    a = np.asarray(values)
+    nums, common = a, 1
+    if a.dtype != np.int64:
+        flat = [Fraction(v) for v in a.ravel().tolist()]
+        common = lcm(*(v.denominator for v in flat))
+        nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
+        nums = nums.reshape(a.shape)
+    d = common * denominator
+    g = gcd(d, int(np.gcd.reduce(nums, axis=None))) if d != 1 else 1
+    if g != 1:
+        nums, d = nums // g, d // g
+    if bound is None:
+        bound = int(max_abs(nums))
+    return nums.astype(np.int64 if bound < 2**62 else object, copy=False), d
+
+
 def max_abs(a) -> Fraction | float:
     """Sup norm of an array; the zero of the ambient scalar type if empty."""
     a = np.asarray(a)
@@ -155,18 +188,9 @@ def eig_selfadjoint(a: np.ndarray, tol: float = DEFAULT_TOL):
     return w, v
 
 
-def _integer_rows(a: np.ndarray) -> list[list[int]]:
-    """Per-row denominator clearing; row scaling preserves rank."""
-    rows = []
-    for row in a:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fr)) if fr else 1
-        rows.append([int(f * scale) for f in fr])
-    return rows
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers."""
+def _rank_bareiss(a: np.ndarray) -> int:
+    """Rank of a rational matrix by fraction-free (Bareiss) elimination."""
+    rows = [integer_array(row)[0].tolist() for row in a]  # row scaling preserves rank
     n = len(rows)
     if n == 0:
         return 0
@@ -197,7 +221,7 @@ def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
     mode = mode or mode_of(a)
     require_selfadjoint(a, mode)
     if mode.exact:
-        return _rank_bareiss(_integer_rows(a))
+        return _rank_bareiss(a)
     w = np.linalg.eigvalsh(a.astype(float))
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     return int(np.count_nonzero(np.abs(w) > mode.tol * scale))
@@ -276,9 +300,7 @@ def complete_orthonormal_exact(vs: list[np.ndarray], m: int) -> list[np.ndarray]
     Returns only the m - len(vs) new vectors.
     """
     k = len(vs)
-    h = zeros((m, m), RATIONAL)
-    for i in range(m):
-        h[i, i] = Fraction(1)
+    h = eye(m, RATIONAL)
     for i, v in enumerate(vs):
         u = np.dot(h, np.array([Fraction(x) for x in v], dtype=object))
         w = u.copy()

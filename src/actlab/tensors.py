@@ -1,6 +1,6 @@
 """Algebraic curvature tensors on a finite-dimensional inner product space.
 
-A curvature tensor is stored as its dense array of components
+A curvature tensor is the dense array of components
 ``R[i][j][k][l] = R(e_i, e_j, e_k, e_l)`` in a fixed orthonormal frame, with
 the classical symmetries
 
@@ -10,16 +10,16 @@ the classical symmetries
 This module provides the constructors (constant sectional curvature, the
 form built from a skew complex structure, Gauss tensors of symmetric forms,
 seeded random sums of Gauss tensors, linear combinations), the symmetry
-validator, and the curvature operator action.  All values are immutable
-after construction and safe to share across threads.
+validator, and the curvature operator action.  Exact constructors compute
+integer numerators over one denominator directly (see ``CurvatureTensor``).
+All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from .errors import (
 from .scalars import (
     RATIONAL,
     ScalarMode,
+    eye,
     float_mode,
+    integer_array,
     is_selfadjoint,
     matrix,
     max_abs,
@@ -62,72 +64,76 @@ __all__ = [
 
 SYMMETRY_NAMES = ("pair_exchange", "antisym_12", "antisym_34", "bianchi")
 
-_INT64_LIMIT = 2**62
-
-
-def _int_view(R: "CurvatureTensor"):
-    """Integer-scaled components (V, s, max|V|) with V = s * components.
-
-    Cached on the tensor; the basis of every fast exact contraction path.
-    V is int64 when the entries fit comfortably, otherwise an object array
-    of Python ints (never overflows).
-    """
-    cached = R._cache.get("int_view")
-    if cached is not None:
-        return cached
-    flat = [Fraction(v) for v in R.components.reshape(-1)]
-    s = reduce(lcm, {f.denominator for f in flat}, 1)
-    ints = [int(f * s) for f in flat]
-    maxv = max((abs(v) for v in ints), default=0)
-    if maxv < _INT64_LIMIT:
-        v = np.array(ints, dtype=np.int64).reshape(R.components.shape)
-    else:
-        v = np.array(ints, dtype=object).reshape(R.components.shape)
-    R._cache["int_view"] = (v, s, maxv)
-    return v, s, maxv
-
-
-def _int_vector(x) -> tuple[list[int], int, int]:
-    """Clear denominators of a rational vector: (integers, scale, max abs)."""
-    fr = [Fraction(v) for v in x]
-    s = reduce(lcm, (f.denominator for f in fr), 1)
-    ints = [int(f * s) for f in fr]
-    maxa = max((abs(v) for v in ints), default=0)
-    return ints, s, max(maxa, 1)
-
 
 @dataclass(eq=False)
 class CurvatureTensor:
     """Dense rank-4 curvature tensor in an orthonormal frame.
 
+    The components are ``values / denominator``: float64 values over 1, or
+    exact integer numerators (int64, Python ints from 2^62 on) over the lcm
+    of the component denominators, as ``scalars.integer_array`` clears any
+    exact values given.  ``components`` builds the ``Fraction`` array on
+    each access, for API callers; the library works on the numerators.
+
     Treat instances as immutable: every operation returns new values.  The
-    ``_cache`` slot holds derived data (an integer-scaled view used by the
-    fast contraction paths) and never changes observable behavior.
+    ``_cache`` slot holds the expanded commutator polynomial and never
+    changes observable behavior.
     """
 
     m: int
-    components: np.ndarray
+    values: np.ndarray
     mode: ScalarMode
+    denominator: int = 1
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.mode.exact:
+            self.values, self.denominator = integer_array(self.values, self.denominator)
+
+    @property
+    def components(self) -> np.ndarray:
+        if not self.mode.exact:
+            return self.values
+        d, zero = self.denominator, Fraction(0)
+        flat = [Fraction(n, d) if n else zero for n in self.values.ravel().tolist()]
+        return np.array(flat, dtype=object).reshape(self.values.shape)
+
     def max_abs(self):
-        return max_abs(self.components)
+        top = max_abs(self.values)
+        return Fraction(int(top), self.denominator) if self.mode.exact else top
 
     def is_zero(self) -> bool:
         if self.mode.exact:
-            return self.max_abs() == 0
+            return not self.values.any()
         return float(self.max_abs()) <= self.mode.tol
 
     def to_float(self, tol: float | None = None) -> "CurvatureTensor":
         if not self.mode.exact:
             return self
-        comps = self.components.astype(float)
+        # int / int rounds correctly at any size, as float(Fraction) does
+        d = self.denominator
+        comps = np.array([n / d for n in self.values.ravel().tolist()]).reshape(self.values.shape)
         return CurvatureTensor(self.m, comps, float_mode(tol if tol is not None else self.mode.tol))
 
     def float_components(self) -> np.ndarray:
-        if self.mode.exact:
-            return self.to_float().components
-        return self.components
+        return self.to_float().values
+
+
+def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
+    """``np.einsum(subscripts, *vectors, R.components)``; exact tensors contract the
+    cleared numerators (each entry a sum of m^s products, s summed indices) into Fractions."""
+    if not R.mode.exact:
+        return np.einsum(subscripts, *(np.asarray(v, float) for v in vectors), R.values)
+    inputs, output = subscripts.split("->")
+    cleared = [integer_array(v) for v in vectors]
+    bound = R.m ** len(set(inputs) - set(output) - {","}) * max(int(max_abs(R.values)), 1)
+    for n, _ in cleared:
+        bound *= max(int(max_abs(n)), 1)
+    v, _ = integer_array(R.values, bound=bound)
+    out = np.einsum(subscripts, *(n.astype(v.dtype) for n, _ in cleared), v)
+    denom = R.denominator * prod(d for _, d in cleared)
+    flat = [Fraction(int(e), denom) for e in out.ravel().tolist()]
+    return np.array(flat, dtype=object).reshape(out.shape)
 
 
 @dataclass
@@ -147,29 +153,31 @@ class ValidationReport:
         return out
 
 
-def _as_components(raw, mode: ScalarMode) -> np.ndarray:
+def _as_tensor(raw, mode: ScalarMode) -> CurvatureTensor:
     if isinstance(raw, CurvatureTensor):
-        raw = raw.components
+        if raw.mode.exact == mode.exact:
+            return raw
+        raw = raw.float_components()  # float values for either target mode
     a = np.asarray(raw, dtype=object if mode.exact else float)
     if a.ndim != 4 or len(set(a.shape)) != 1:
         raise InvalidShape(f"expected an m^4 array, got shape {a.shape}")
     m = a.shape[0]
     if m < 2:
         raise InvalidShape("curvature tensors need dimension m >= 2")
-    if mode.exact:
-        flat = a.reshape(-1)
-        a = np.array([Fraction(v) for v in flat], dtype=object).reshape(a.shape)
-    return a
+    return CurvatureTensor(m, a, mode)
 
 
 def validate(raw, mode: ScalarMode) -> ValidationReport:
     """Check the four tensor symmetries, reporting the worst violation of each.
 
     Accepts iff every violation is exactly zero (rational mode) or at most
-    tol * max|R| (float mode).
+    tol * max|R| (float mode).  Exact deviations of at most 3 max|N| are
+    taken on the numerators.
     """
-    a = _as_components(raw, mode)
-    m = a.shape[0]
+    R = _as_tensor(raw, mode)
+    a = R.values
+    if mode.exact:
+        a, _ = integer_array(a, bound=3 * int(max_abs(a)))
     deviations = {
         "pair_exchange": a - a.transpose((2, 3, 0, 1)),
         "antisym_12": a + a.transpose((1, 0, 2, 3)),
@@ -180,7 +188,8 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
     violations, worst = {}, {}
     for name, dev in deviations.items():
         absdev = np.abs(dev)
-        violations[name] = absdev.max()
+        top = absdev.max()
+        violations[name] = Fraction(int(top), R.denominator) if mode.exact else top
         worst[name] = tuple(int(i) for i in np.unravel_index(int(absdev.argmax()), dev.shape))
     if mode.exact:
         threshold = Fraction(0)
@@ -188,7 +197,7 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
     else:
         threshold = mode.tol * max(1.0, float(max_abs(a)))
         accepted = all(float(v) <= threshold for v in violations.values())
-    return ValidationReport(m, mode, violations, worst, threshold, accepted)
+    return ValidationReport(R.m, mode, violations, worst, threshold, accepted)
 
 
 def _gauss_components(phi: np.ndarray) -> np.ndarray:
@@ -205,10 +214,11 @@ def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     if m < 2:
         raise InvalidDimension("curvature tensors need dimension m >= 2")
     c = mode.scalar(c)
-    eye = zeros((m, m), mode)
-    for i in range(m):
-        eye[i, i] = mode.scalar(1)
-    return CurvatureTensor(m, _gauss_components(eye) * c, mode)
+    g = _gauss_components(np.eye(m, dtype=np.int64 if mode.exact else float))
+    if not mode.exact:
+        return CurvatureTensor(m, g * c, mode)
+    g, _ = integer_array(g, bound=max(abs(c.numerator), 1))
+    return CurvatureTensor(m, g * c.numerator, mode, c.denominator)
 
 
 @dataclass(eq=False)
@@ -229,10 +239,7 @@ class ComplexStructure:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
         scale = max(1.0, float(max_abs(th))) if not self.mode.exact else None
         skew = max_abs(th + th.T)
-        eye = zeros((m, m), self.mode)
-        for i in range(m):
-            eye[i, i] = self.mode.scalar(1)
-        square = max_abs(np.dot(th, th) + eye)
+        square = max_abs(np.dot(th, th) + eye(m, self.mode))
         if self.mode.exact:
             ok = skew == 0 and square == 0
         else:
@@ -280,12 +287,18 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     R_Theta(x,y)z = <Th y, z> Th x - <Th x, z> Th y - 2 <Th x, y> Th z, so in
     components R[i][j][k][l] = c * (Th_kj Th_li - Th_ki Th_lj - 2 Th_ji Th_lk).
     Its Jacobi operator at unit x is the rank-one map 3c <., Th x> Th x.
+    Exact numerators come from the cleared Th = T / t, over denominator t^2.
     """
     mode = cs.mode
     c = mode.scalar(c)
-    o = np.multiply.outer(cs.theta, cs.theta)
-    comps = (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * c
-    return CurvatureTensor(cs.m, comps, mode)
+    th, scale, den = cs.theta, c, 1
+    if mode.exact:  # each bracket is at most 4 max|T|^2
+        th, t = integer_array(cs.theta)
+        th, _ = integer_array(th, bound=4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+        scale, den = c.numerator, c.denominator * t * t
+    o = np.multiply.outer(th, th)
+    comps = (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * scale
+    return CurvatureTensor(cs.m, comps, mode, den)
 
 
 def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:
@@ -298,7 +311,11 @@ def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:
         raise InvalidShape(f"expected a square matrix, got shape {p.shape}")
     if not is_selfadjoint(p, mode):
         raise InvalidOperator("the form must be symmetric")
-    return CurvatureTensor(p.shape[0], _gauss_components(p), mode)
+    if not mode.exact:
+        return CurvatureTensor(p.shape[0], _gauss_components(p), mode)
+    n, s = integer_array(p)
+    n, _ = integer_array(n, bound=2 * int(max_abs(n)) ** 2)
+    return CurvatureTensor(p.shape[0], _gauss_components(n), mode, s * s)
 
 
 def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
@@ -310,8 +327,8 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
     In rational mode each generator phi = a + a^T has integer entries in
     [-4, 4], so every Gauss tensor entry is at most 2 * 4^2 = 32 and the sum
     of k of them at most 32 k, far below 2^62 for any k this loop can run
-    through.  So the sum accumulates in int64 with no big-int fallback, and
-    the entries become ``Fraction`` once, at the end.
+    through.  So the sum accumulates in int64 with no big-int fallback and
+    is the tensor's numerator array, over denominator 1.
     """
     if m < 2:
         raise InvalidDimension("curvature tensors need dimension m >= 2")
@@ -324,8 +341,7 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
             a = rng.integers(-2, 3, size=(m, m))
             sign = int(rng.integers(0, 2) * 2 - 1)
             total = total + _gauss_components(a + a.T) * sign
-        comps = np.array([Fraction(v) for v in total.reshape(-1).tolist()], dtype=object)
-        return CurvatureTensor(m, comps.reshape(total.shape), mode)
+        return CurvatureTensor(m, total, mode)
     total = zeros((m,) * 4, mode)
     for _ in range(k):
         a = rng.standard_normal((m, m))
@@ -343,17 +359,27 @@ def _check_same_frame(tensors, what="tensors"):
 
 
 def combine(terms) -> CurvatureTensor:
-    """Componentwise linear combination sum_i c_i * R_i."""
+    """Componentwise linear combination sum_i c_i * R_i.
+
+    Exact terms become f_i N_i over d = lcm(den(c_i / d_i)), bounded by sum |f_i| max|N_i|.
+    """
     terms = list(terms)
     if not terms:
         raise IncompatibleTensors("need at least one term")
     tensors = [t for _, t in terms]
     _check_same_frame(tensors)
-    mode = tensors[0].mode
-    total = zeros((tensors[0].m,) * 4, mode)
-    for c, t in terms:
-        total = total + t.components * mode.scalar(c)
-    return CurvatureTensor(tensors[0].m, total, mode)
+    mode, m = tensors[0].mode, tensors[0].m
+    if not mode.exact:
+        total = zeros((m,) * 4, mode)
+        for c, t in terms:
+            total = total + t.values * mode.scalar(c)
+        return CurvatureTensor(m, total, mode)
+    scales = [mode.scalar(c) / t.denominator for c, t in terms]
+    d = lcm(*(s.denominator for s in scales))
+    factors = [s.numerator * (d // s.denominator) for s in scales]
+    bound = sum(max(abs(f), 1) * max(int(max_abs(t.values)), 1) for f, t in zip(factors, tensors))
+    total = sum(integer_array(t.values, bound=bound)[0] * f for f, t in zip(factors, tensors))
+    return CurvatureTensor(m, total, mode, d)
 
 
 def _coerce_vector(x, tensor: CurvatureTensor) -> np.ndarray:
@@ -366,23 +392,29 @@ def _coerce_vector(x, tensor: CurvatureTensor) -> np.ndarray:
 def apply(R: CurvatureTensor, x, y, z) -> np.ndarray:
     """Curvature operator action: the vector dual to w -> R(x,y,z,w)."""
     x, y, z = (_coerce_vector(v, R) for v in (x, y, z))
-    return np.einsum("i,j,k,ijka->a", x, y, z, R.components)
+    return _contract("i,j,k,ijka->a", R, x, y, z)
 
 
 def rotate(R: CurvatureTensor, q) -> CurvatureTensor:
     """Pull the tensor back along an orthogonal change of frame.
 
     Returns R' with R'(x,y,z,w) = R(q^T x, q^T y, q^T z, q^T w); conjugating
-    the structure of r_theta by q produces exactly this rotation.
+    the structure of r_theta by q produces exactly this rotation.  Exact
+    numerators take four factors of at most m max|Q| from q = Q / t.
     """
     q = matrix(q, R.mode)
     if q.shape != (R.m, R.m):
         raise IncompatibleTensors("rotation matrix does not match the tensor dimension")
-    comps = R.components
+    comps, denominator = R.values, 1
+    if R.mode.exact:
+        q, t = integer_array(q)
+        bound = max(int(max_abs(comps)), 1) * (R.m * max(int(max_abs(q)), 1)) ** 4
+        comps, _ = integer_array(comps, bound=bound)
+        q, denominator = q.astype(comps.dtype), R.denominator * t**4
     for axis in range(4):
         comps = np.tensordot(q, comps, axes=([1], [axis]))
         comps = np.moveaxis(comps, 0, axis)
-    return CurvatureTensor(R.m, comps, R.mode)
+    return CurvatureTensor(R.m, comps, R.mode, denominator)
 
 
 def from_metric_components(raw, gram, tol: float = 1e-9) -> CurvatureTensor:

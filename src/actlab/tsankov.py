@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial
 from .jacobi import jacobi
-from .scalars import ScalarMode, max_abs, vector
-from .tensors import _INT64_LIMIT, CurvatureTensor, _coerce_vector, _int_view
+from .scalars import FLOAT, RATIONAL, ScalarMode, eye, integer_array, max_abs, vector, zeros
+from .tensors import CurvatureTensor, _coerce_vector
 
 __all__ = [
     "Witness",
@@ -156,9 +156,7 @@ class BiQuadraticMatrixPoly:
     def evaluate(self, x, y) -> np.ndarray:
         x = vector(x, self.mode)
         y = vector(y, self.mode)
-        out = np.zeros((self.m, self.m), dtype=object if self.mode.exact else float)
-        if self.mode.exact:
-            out.fill(Fraction(0))
+        out = zeros((self.m, self.m), self.mode)
         for (a, b), coeffs in self.entries.items():
             val = self.mode.zero()
             for (i, j, k, l), c in coeffs.items():
@@ -179,9 +177,7 @@ class BilinearMatrixPoly:
     def evaluate(self, x, y) -> np.ndarray:
         x = vector(x, self.mode)
         y = vector(y, self.mode)
-        out = np.zeros((self.m, self.m), dtype=object if self.mode.exact else float)
-        if self.mode.exact:
-            out.fill(Fraction(0))
+        out = zeros((self.m, self.m), self.mode)
         for (a, b), coeffs in self.entries.items():
             val = self.mode.zero()
             for (p, q), c in coeffs.items():
@@ -221,14 +217,13 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
         return cached
     m = R.m
     if R.mode.exact:
-        v, s, maxv = _int_view(R)
+        maxv = int(max_abs(R.values))
         # |t| <= 2 m maxv^2, and g * counts folds four t terms times counts <= 4
-        if v.dtype == np.int64 and 32 * m * maxv * maxv >= _INT64_LIMIT:
-            v = v.astype(object)
+        v, _ = integer_array(R.values, bound=32 * m * maxv * maxv)
         q = v.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
-        denom = s * s
+        denom = R.denominator**2
     else:
-        q = R.components.transpose((3, 0, 1, 2))
+        q = R.values.transpose((3, 0, 1, 2))
         denom = None
     t = np.einsum("acij,cbkl->abijkl", q, q) - np.einsum("ackl,cbij->abijkl", q, q)
 
@@ -371,7 +366,7 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
     """Commutator matrices for a batch of integer or float pairs.
 
     Returns (C, scale): true commutators are C / scale.  Integer batches
-    contract the integer view V as one matmul of the outer products x x^T,
+    contract the numerators V as one matmul of the outer products x x^T,
     shape (p, m^2), against V reshaped to (m^2, m^2), then take the batched
     commutator.  The arithmetic is int64 when the batch bound
 
@@ -383,25 +378,24 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
     """
     m = R.m
     if R.mode.exact:
-        v, s, maxv = _int_view(R)
+        maxv = int(max_abs(R.values))
         xi = [[int(e) for e in x] for x in xs]
         yi = [[int(e) for e in y] for y in ys]
         jx_bound = max(sum(map(abs, x)) for x in xi) ** 2 * maxv
         jy_bound = max(sum(map(abs, y)) for y in yi) ** 2 * maxv
-        fits = v.dtype == np.int64 and 2 * m * jx_bound * jy_bound < _INT64_LIMIT
-        dtype = np.int64 if fits else object
-        w = v.astype(dtype).transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
+        v, _ = integer_array(R.values, bound=2 * m * jx_bound * jy_bound)
+        w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
 
         def jacobis(vecs):
-            a = np.array(vecs, dtype=dtype)
+            a = np.array(vecs, dtype=v.dtype)
             return ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
 
         jx, jy = jacobis(xi), jacobis(yi)
-        return np.matmul(jx, jy) - np.matmul(jy, jx), s * s
+        return np.matmul(jx, jy) - np.matmul(jy, jx), R.denominator**2
     xa = np.array(xs, dtype=float)
     ya = np.array(ys, dtype=float)
-    jx = np.einsum("pi,pj,bija->pab", xa, xa, R.components)
-    jy = np.einsum("pi,pj,bija->pab", ya, ya, R.components)
+    jx = np.einsum("pi,pj,bija->pab", xa, xa, R.values)
+    jy = np.einsum("pi,pj,bija->pab", ya, ya, R.values)
     return jx @ jy - jy @ jx, None
 
 
@@ -458,26 +452,20 @@ def _basis_pair_candidates(m: int, exact: bool):
     Every pair is orthogonal by construction: (e_a, e_b), (e_a, e_b + e_c)
     with a not in {b, c}, and (e_a + e_b, e_a - e_b).
     """
-    if exact:
-        eye = np.array(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)],
-            dtype=object,
-        )
-    else:
-        eye = np.eye(m, dtype=float)
+    e = eye(m, RATIONAL if exact else FLOAT)
     pairs = []
     for a in range(m):
         for b in range(m):
             if a != b:
-                pairs.append((eye[a], eye[b]))
+                pairs.append((e[a], e[b]))
     for a in range(m):
         for b in range(m):
             for cidx in range(b + 1, m):
                 if a != b and a != cidx:
-                    pairs.append((eye[a], eye[b] + eye[cidx]))
+                    pairs.append((e[a], e[b] + e[cidx]))
     for a in range(m):
         for b in range(a + 1, m):
-            pairs.append((eye[a] + eye[b], eye[a] - eye[b]))
+            pairs.append((e[a] + e[b], e[a] - e[b]))
     return pairs
 
 

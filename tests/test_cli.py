@@ -217,6 +217,22 @@ class TestCliCommands:
         capsys.readouterr()
         assert code == 1  # distinct diagonal: not commutation-closed
 
+    def test_gauss_generator_phi_file_without_phi_key(self, tmp_path, capsys):
+        phi = tmp_path / "phi.json"
+        phi.write_text("{}")
+        out = str(tmp_path / "t.json")
+        assert main(["gen", "--type", "gauss", "--m", "3", "--phi", str(phi), "-o", out]) == 1
+        assert capsys.readouterr().err.startswith("error: FormatError: ")
+
+    def test_gauss_generator_phi_rows_not_lists(self, tmp_path, capsys):
+        out = str(tmp_path / "t.json")
+        bad = ([1, 2], {"phi": 5}, {"phi": [["1", "0"], ["0"]]}, [["1", "x"], ["0", "1"]], [["1"]])
+        for rows in bad:
+            phi = tmp_path / "phi.json"
+            phi.write_text(json.dumps(rows))
+            assert main(["gen", "--type", "gauss", "--m", "2", "--phi", str(phi), "-o", out]) == 1
+            assert capsys.readouterr().err.startswith("error: FormatError: ")
+
     def test_zero_tensor_classifies_with_exit_zero(self, tmp_path, capsys):
         out = str(tmp_path / "z.json")
         assert main(["gen", "--type", "combo", "--m", "4", "--c", "0", "--c2", "0", "-o", out]) == 0
@@ -276,6 +292,8 @@ class TestCliCommands:
         monkeypatch.setenv("ACT_TOL", "1e-12")
         assert main(["validate", path]) == 1
         capsys.readouterr()
-        monkeypatch.setenv("ACT_TOL", "not-a-number")
-        assert main(["validate", path]) == 2
-        capsys.readouterr()
+        for bad in ("not-a-number", "0", "-1", "nan", "inf"):
+            monkeypatch.setenv("ACT_TOL", bad)
+            assert main(["validate", path]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ACT_TOL ")

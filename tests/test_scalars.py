@@ -20,7 +20,12 @@ from actlab import (
     rank_with_mode,
     standard_complex_structure,
 )
-from actlab.scalars import complete_orthonormal_exact, fraction_sqrt, orthonormalize_exact
+from actlab.scalars import (
+    complete_orthonormal_exact,
+    fraction_sqrt,
+    integer_array,
+    orthonormalize_exact,
+)
 
 
 def frac_matrix(rows):
@@ -184,3 +189,21 @@ class TestExactHelpers:
         for a in range(4):
             for b in range(4):
                 assert np.dot(frame[a], frame[b]) == (1 if a == b else 0)
+
+
+class TestIntegerArray:
+    def test_clears_and_reduces(self):
+        n, d = integer_array([Fraction(1, 6), Fraction(-2, 3), 2])
+        assert n.dtype == np.int64 and n.tolist() == [1, -4, 12] and d == 6
+        n, d = integer_array(np.array([4, 6, -8]), denominator=10)
+        assert n.tolist() == [2, 3, -4] and d == 5
+        n, d = integer_array(np.zeros((2, 2), dtype=np.int64), denominator=7)
+        assert n.tolist() == [[0, 0], [0, 0]] and d == 1
+        n, d = integer_array([0.5, -0.25])
+        assert n.tolist() == [2, -1] and d == 4
+
+    def test_int64_below_the_bound_python_ints_from_it(self):
+        assert integer_array([2**62 - 1])[0].dtype == np.int64
+        big, _ = integer_array([2**62, -3])
+        assert big.dtype == object and all(type(v) is int for v in big)
+        assert integer_array([3], bound=2**62)[0].dtype == object

@@ -1,6 +1,7 @@
 """Constructors, the symmetry validator, and the curvature operator action."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
-from actlab.tensors import ComplexStructure
+from actlab.tensors import ComplexStructure, CurvatureTensor
 
 from conftest import random_fraction
 
@@ -324,3 +325,119 @@ class TestConstructorValidation:
             report = validate(R.components, RATIONAL)
             assert report.accepted
             assert all(v == 0 for v in report.violations.values())
+
+
+def rational_rotation(m):
+    """The 3/5, 4/5 rotation in the (e_1, e_2) plane, identity elsewhere.
+
+    The plane straddles two planes of the standard complex structure, so
+    conjugating by it gives a structure with denominators.
+    """
+    q = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    q[1][1], q[1][2], q[2][1], q[2][2] = (Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+    return np.array(q, dtype=object)
+
+
+def reference(m, entry):
+    """Entry-by-entry Fraction array from a component formula."""
+    out = np.empty((m,) * 4, dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = Fraction(entry(*idx))
+    return out
+
+
+def assert_reduced_exact(R, ref):
+    """components match the reference, and values / denominator is reduced."""
+    comps = R.components
+    assert all(type(v) is Fraction for v in comps.reshape(-1))
+    assert (comps == ref).all()
+    assert R.denominator > 0 and gcd(R.denominator, *R.values.reshape(-1).tolist()) == 1
+    assert R.denominator == lcm(*(v.denominator for v in comps.reshape(-1)))
+
+
+class TestExactStorage:
+    def test_r0_against_formula(self):
+        for m, c in [(3, Fraction(5, 3)), (4, Fraction(-7, 2)), (5, 0), (4, 6)]:
+            d = lambda a, b: int(a == b)  # noqa: E731
+            ref = reference(m, lambda i, j, k, l: c * (d(j, k) * d(i, l) - d(i, k) * d(j, l)))
+            assert_reduced_exact(r0(m, c), ref)
+
+    def test_r_theta_on_conjugated_structure_against_formula(self):
+        cs = conjugate_structure(standard_complex_structure(4), rational_rotation(4))
+        th, c = cs.theta, Fraction(-3, 7)
+        assert any(v.denominator == 5 for v in th.reshape(-1))
+        ref = reference(
+            4,
+            lambda i, j, k, l: c
+            * (th[k, j] * th[l, i] - th[k, i] * th[l, j] - 2 * th[j, i] * th[l, k]),
+        )
+        assert_reduced_exact(r_theta(cs, c), ref)
+
+    def test_from_form_rational_phi_against_formula(self):
+        phi = np.array(
+            [[Fraction(1, 2), Fraction(2, 3), 0], [Fraction(2, 3), -3, Fraction(1, 6)], [0, Fraction(1, 6), 5]],
+            dtype=object,
+        )
+        ref = reference(3, lambda i, j, k, l: phi[i, l] * phi[j, k] - phi[i, k] * phi[j, l])
+        assert_reduced_exact(from_form(phi, RATIONAL), ref)
+
+    def test_random_act_against_replayed_draws(self):
+        m, k, seed = 4, 3, 9
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(k):
+            a = rng.integers(-2, 3, size=(m, m))
+            terms.append((int(rng.integers(0, 2) * 2 - 1), a + a.T))
+        ref = reference(
+            m,
+            lambda i, j, k, l: sum(
+                s * (int(p[i, l]) * int(p[j, k]) - int(p[i, k]) * int(p[j, l])) for s, p in terms
+            ),
+        )
+        R = random_act(m, k, seed)
+        assert R.values.dtype == np.int64
+        assert_reduced_exact(R, ref)
+
+    def test_combine_rational_coefficients_against_formula(self, rtheta4):
+        a, b = Fraction(3, 4), Fraction(-5, 6)
+        R0, RT = r0(4, Fraction(2, 3)).components, rtheta4.components
+        ref = reference(4, lambda *idx: a * R0[idx] + b * RT[idx])
+        assert_reduced_exact(combine([(a, r0(4, Fraction(2, 3))), (b, rtheta4)]), ref)
+
+    def test_rotate_rational_orthogonal_against_formula(self):
+        q = rational_rotation(4)
+        R = combine([(Fraction(1, 3), r0(4, 1)), (2, random_act(4, 2, seed=5))])
+        comps = R.components
+        rng = range(4)
+        ref = reference(
+            4,
+            lambda i, j, k, l: sum(
+                q[i, a] * q[j, b] * q[k, c] * q[l, d] * comps[a, b, c, d]
+                for a in rng
+                for b in rng
+                for c in rng
+                for d in rng
+                if comps[a, b, c, d] != 0
+            ),
+        )
+        assert_reduced_exact(rotate(R, q), ref)
+
+    def test_entries_past_2_62_store_python_ints(self):
+        R = combine([(2**62 + 1, r0(3, 1))])
+        assert R.values.dtype == object
+        assert all(type(v) is int for v in R.values.reshape(-1))
+        assert R.max_abs() == 2**62 + 1
+        assert combine([(2**62 - 1, r0(3, 1))]).values.dtype == np.int64
+
+    def test_to_float_rounds_as_float_of_fraction(self):
+        # numerators past 2^53 over denominator 3, as int64 and as Python ints;
+        # rounding a numerator to float before dividing would round twice
+        rng = np.random.default_rng(6)
+        for scale, dtype in ((1, np.int64), (2**9, object)):
+            nums = [int(v) * scale + 1 for v in rng.integers(2**53, 2**61, size=256)]
+            R = CurvatureTensor(4, np.array(nums, dtype=object).reshape((4,) * 4), RATIONAL, 3)
+            assert R.denominator == 3 and R.values.dtype == dtype
+            got = R.to_float().components.reshape(-1)
+            assert got.dtype == float and got.tolist() == [float(v) for v in R.components.reshape(-1)]
+        R = combine([(Fraction(1, 7), random_act(4, 3, seed=2))])
+        assert R.to_float().components.reshape(-1).tolist() == [float(v) for v in R.components.reshape(-1)]

@@ -23,7 +23,6 @@ from actlab import (
     tsankov_test,
 )
 
-from actlab.tensors import _INT64_LIMIT, _int_view
 from actlab.tsankov import (
     _basis_pair_candidates,
     _batch_commutators,
@@ -32,6 +31,12 @@ from actlab.tsankov import (
 )
 
 from conftest import build_corpus
+
+_INT64_LIMIT = 2**62  # integer kernels stay in int64 below this bound
+
+
+def max_numerator(R):
+    return int(np.abs(R.values).max())
 
 
 def frac_vec(entries):
@@ -96,8 +101,7 @@ def divisibility_by_linear_system(coeffs, m):
 
 def bigint_commutators(R, xs, ys):
     """Reference for _batch_commutators: s^2 C(x, y) in Python ints, loop by loop."""
-    v, s, _ = _int_view(R)
-    V = v.tolist()
+    V, s = R.values.tolist(), R.denominator
     m = R.m
     rng = range(m)
 
@@ -120,7 +124,7 @@ def bigint_commutators(R, xs, ys):
 
 
 def int64_bound(R, xs, ys):
-    _, _, maxv = _int_view(R)
+    maxv = max_numerator(R)
     jx = max(sum(abs(int(e)) for e in x) for x in xs) ** 2 * maxv
     jy = max(sum(abs(int(e)) for e in y) for y in ys) ** 2 * maxv
     return 2 * R.m * jx * jy
@@ -185,7 +189,7 @@ class TestCommutatorPoly:
     def test_int64_bound_covers_folded_coefficients(self):
         # folded coefficients g * counts reach 32 m maxv^2, past 2 m maxv^2 < 2^62
         R = combine([(39960531, random_act(4, 3, seed=1))])
-        assert 2 * 4 * _int_view(R)[2] ** 2 < _INT64_LIMIT <= 32 * 4 * _int_view(R)[2] ** 2
+        assert 2 * 4 * max_numerator(R) ** 2 < _INT64_LIMIT <= 32 * 4 * max_numerator(R) ** 2
         P = commutator_poly(R)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -399,6 +403,7 @@ class TestTsankovTest:
                 (Fraction(1, 2**68), r_theta(standard_complex_structure(4), 1)),
             ]
         )
+        assert R.values.dtype == object and all(type(v) is int for v in R.values.reshape(-1))
         ve = tsankov_test(R, "exact")
         vs = tsankov_test(R, "sampled", n_samples=30, seed=2)
         assert not ve.holds and not vs.holds
