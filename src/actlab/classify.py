@@ -33,6 +33,9 @@ from .scalars import (
     DEFAULT_TOL,
     complete_orthonormal_exact,
     eye,
+    float_mode,
+    max_abs,
+    negligible,
     random_rational_unit_vector,
     random_unit_vector,
     rank_with_mode,
@@ -183,12 +186,11 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     ranks = [rank_with_mode(jacobi(R, x), mode) for x in _probe_vectors(R, seed, RANK_PROBES)]
     top = max(ranks)
     if top == R.m - 1:
-        c = None
+        c, scale = None, R.max_abs()
         for i in range(R.m):
             for j in range(i + 1, R.m):
                 sect = R.values[i, j, j, i]
-                nonzero = (sect != 0) if mode.exact else (abs(sect) > mode.tol * float(R.max_abs()))
-                if nonzero:
+                if not negligible(sect, mode, scale):
                     c = Fraction(int(sect), R.denominator) if mode.exact else sect
                     break
             if c is not None:
@@ -198,7 +200,7 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
                 "maximal Jacobi rank with no nonzero sectional value"
             )
         residual = _relative_residual(R, r0(R.m, c, mode))
-        if (residual != 0) if mode.exact else (float(residual) > mode.tol):
+        if not negligible(residual, mode):
             raise ClassificationInconsistency(
                 f"commutation holds but constant-curvature reconstruction fails (residual {residual})"
             )
@@ -211,7 +213,7 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
                 f"commutation holds with rank-one Jacobi but recovery failed: {exc}"
             ) from exc
         residual = _relative_residual(R, r_theta(cs, c))
-        if (residual != 0) if mode.exact else (float(residual) > mode.tol):
+        if not negligible(residual, mode):
             raise ClassificationInconsistency(
                 f"commutation holds but complex-form reconstruction fails (residual {residual})"
             )
@@ -245,8 +247,8 @@ def osserman_check(
             reference = spec
         else:
             max_dev = max(max_dev, float(np.abs(spec - reference).max()))
-    threshold = tol * max(1.0, float(np.abs(reference).max()))
-    return OssermanReport(max_dev <= threshold, tuple(float(v) for v in reference), max_dev, n_samples)
+    ok = negligible(max_dev, float_mode(tol), max_abs(reference))
+    return OssermanReport(bool(ok), tuple(float(v) for v in reference), max_dev, n_samples)
 
 
 def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> StructureReport:
@@ -290,12 +292,10 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
                 checks.append(lam != 0 and not np.any(np.dot(j, j) - j * lam))
             else:
                 vals = np.linalg.eigvalsh(j)
-                scale = max(1.0, float(np.abs(vals).max()))
+                scale = max_abs(vals)
                 lam = vals[int(np.abs(vals).argmax())]
-                ok = all(
-                    abs(v) <= mode.tol * scale or abs(v - lam) <= mode.tol * scale for v in vals
-                )
-                checks.append(ok)
+                ok = negligible(vals, mode, scale) | negligible(vals - lam, mode, scale)
+                checks.append(bool(ok.all()))
         two_eigenvalue_ok = all(checks)
     return StructureReport(
         n_samples, ranks, w_dims, spectra, dict(Counter(ranks)), holds, two_eigenvalue_ok

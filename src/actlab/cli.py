@@ -8,6 +8,9 @@ the tensor symmetries and rejects conflicting values.  Dense entries are a
 flat row-major array of length m^4.  Rational values survive a round trip
 losslessly.
 
+Files may declare at most ``MAX_M`` = 32 dimensions, checked before anything
+is allocated, and every value must be finite.
+
 Subcommands: gen, validate, jacobi, tsankov, classify, osserman, report.
 Exit codes: 0 on success / property holds, 1 on computational errors or
 negative decisions, 2 on usage errors.  The environment variable ACT_TOL
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +36,7 @@ from .errors import (
     FormatError,
 )
 from .jacobi import jacobi
-from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, zeros
+from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, negligible, zeros
 from .tensors import (
     CurvatureTensor,
     combine,
@@ -46,6 +50,8 @@ from .tensors import (
 from .tsankov import tsankov_test
 
 __all__ = ["save_tensor", "load_tensor", "main", "console_main"]
+
+MAX_M = 32  # largest dimension a tensor file may declare
 
 
 def format_scalar(v) -> str:
@@ -61,9 +67,11 @@ def format_vector(vec) -> str:
 
 
 def _parse_value(raw, mode: ScalarMode):
+    if isinstance(raw, float) and not math.isfinite(raw):  # JSON NaN, Infinity, 1e400
+        raise FormatError(f"value {raw!r} is not finite")
     try:
         return mode.scalar(raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"cannot parse value {raw!r}: {exc}") from exc
 
 
@@ -111,9 +119,7 @@ def save_tensor(R: CurvatureTensor, path, storage: str = "sparse"):
 
 
 def _values_conflict(a, b, mode: ScalarMode) -> bool:
-    if mode.exact:
-        return a != b
-    return abs(a - b) > mode.tol * max(1.0, abs(a), abs(b))
+    return not negligible(a - b, mode, max(abs(a), abs(b)))
 
 
 def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
@@ -129,8 +135,8 @@ def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
     m = doc["m"]
-    if not isinstance(m, int) or m < 2:
-        raise FormatError("m must be an integer >= 2")
+    if not isinstance(m, int) or not 2 <= m <= MAX_M:
+        raise FormatError(f"m must be an integer between 2 and {MAX_M}")
     if doc["scalar"] not in ("rational", "float"):
         raise FormatError(f"unknown scalar kind {doc['scalar']!r}")
     mode = RATIONAL if doc["scalar"] == "rational" else float_mode(tol)
@@ -174,9 +180,7 @@ def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
             (name for name in report.violations if name != "bianchi"),
             key=lambda name: report.violations[name],
         )
-        if (report.violations[worst] != 0) if mode.exact else (
-            float(report.violations[worst]) > report.threshold
-        ):
+        if not negligible(report.violations[worst], mode, tensor.max_abs()):
             raise ConflictingEntry(report.worst_index[worst], f"{worst} symmetry violated")
         raise BianchiViolation(report.violations["bianchi"], report.worst_index["bianchi"])
     return tensor, report

@@ -28,6 +28,7 @@ from .scalars import (
     eye,
     fraction_sqrt,
     max_abs,
+    negligible,
     orthocomplement_basis,
     orthonormalize_exact,
     rank_with_mode,
@@ -80,10 +81,6 @@ def ricci(R: CurvatureTensor) -> np.ndarray:
     return np.trace(R.values, axis1=1, axis2=2)  # einsum may sum floats in another order
 
 
-def _unit_threshold(mode: ScalarMode, scale: float = 1.0):
-    return 0 if mode.exact else mode.tol * max(1.0, scale)
-
-
 def _rank_one_unit(j: np.ndarray, mode: ScalarMode) -> tuple:
     """Decompose a rank-one symmetric matrix as t * w w^T with unit w.
 
@@ -119,11 +116,10 @@ def _rank_one_unit(j: np.ndarray, mode: ScalarMode) -> tuple:
 
 
 def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
-    """eigh split at tol * max(1, max|eigenvalue|): (eigenvalues above it,
-    their eigenvectors, the kernel eigenvectors as matrix columns)."""
+    """eigh split at tol * max|eigenvalue|: (eigenvalues above it, their
+    eigenvectors, the kernel eigenvectors as matrix columns)."""
     vals, vecs = np.linalg.eigh(j.astype(float))
-    scale = max(1.0, float(np.abs(vals).max()))
-    keep = np.abs(vals) > mode.tol * scale
+    keep = ~negligible(vals, mode, max_abs(vals))
     return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)], vecs[:, ~keep]
 
 
@@ -204,17 +200,15 @@ class BlockStructureReport:
 
 
 def _precheck_pair(R, x, y, mode):
-    scale = float(R.max_abs()) if not mode.exact else 1.0
-    thr = _unit_threshold(mode)
-    if abs(np.dot(x, x) - 1) > thr:
+    if not negligible(np.dot(x, x) - 1, mode):
         raise PreconditionFailed("x unit", f"<x,x> = {np.dot(x, x)}")
-    if abs(np.dot(y, y) - 1) > thr:
+    if not negligible(np.dot(y, y) - 1, mode):
         raise PreconditionFailed("y unit", f"<y,y> = {np.dot(y, y)}")
-    if abs(np.dot(x, y)) > thr:
+    if not negligible(np.dot(x, y), mode):
         raise PreconditionFailed("x orthogonal to y", f"<x,y> = {np.dot(x, y)}")
     jx = jacobi(R, x)
     kdev = max_abs(np.dot(jx, y))
-    if (kdev != 0) if mode.exact else (float(kdev) > mode.tol * max(1.0, scale)):
+    if not negligible(kdev, mode, R.max_abs()):
         raise PreconditionFailed("J(x) y = 0", f"|J(x) y| = {kdev}")
     return jx
 
@@ -252,7 +246,6 @@ def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) ->
     jx = _precheck_pair(R, x, y, mode)
     jy = jacobi(R, y)
     jxy = jacobi_polarized(R, x, y)
-    m = R.m
 
     if mode.exact:
         lambdas, e_basis = _eigenpairs_exact(jx, mode)
@@ -270,21 +263,11 @@ def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) ->
     else:
         ortho_dev = mode.zero()
 
-    if mode.exact:
-        if frame and ortho_dev != 0:
-            raise StructureViolation(
-                "the e/f frame is not orthonormal; the input is not Jacobi-Tsankov"
-            )
-        g_basis = complete_orthonormal_exact(frame, m)
-    else:
-        if frame and float(ortho_dev) > 100 * mode.tol:
-            raise StructureViolation(
-                "the e/f frame is not orthonormal; the input is not Jacobi-Tsankov"
-            )
-        if frame:
-            g_basis = orthocomplement_basis(frame, mode)
-        else:
-            g_basis = [np.eye(m)[:, i] for i in range(m)]
+    if not negligible(ortho_dev, mode):
+        raise StructureViolation(
+            "the e/f frame is not orthonormal; the input is not Jacobi-Tsankov"
+        )
+    g_basis = orthocomplement_basis(frame, mode) if frame else list(eye(R.m, mode))
 
     residuals = {
         "jy_x": max_abs(np.dot(jy, x)),

@@ -6,7 +6,12 @@ Two scalar modes run through the whole library:
   object-dtype numpy arrays; every comparison is exact and tolerance-free.
   Bulk exact arithmetic runs on integer numerators over one denominator,
   from :func:`integer_array`, the one place that picks int64 or Python ints.
-* ``float`` -- entries are float64; comparisons use a relative tolerance.
+* ``float`` -- entries are float64, and every comparison follows one rule,
+  owned by :func:`negligible`: a quantity counts as zero when
+  ``|value| <= tol * scale``, where ``scale`` is the size of the quantity
+  tested, of the same degree in the tensor.  Scaling the input by any
+  factor scales both sides, so no float verdict depends on that factor.
+  A test with no reference scale (is this tensor zero?) is exact.
 
 Eigendecompositions exist only in float mode.  Exact callers use ranks,
 kernels, and fraction-free elimination instead, which is all the decision
@@ -32,6 +37,7 @@ __all__ = [
     "matrix",
     "zeros",
     "max_abs",
+    "negligible",
     "fraction_sqrt",
     "is_selfadjoint",
     "require_selfadjoint",
@@ -146,6 +152,19 @@ def max_abs(a) -> Fraction | float:
     return np.abs(a).max()
 
 
+def negligible(value, mode: ScalarMode, scale=1):
+    """The one zero test: ``value == 0`` in rational mode, else ``|value| <= tol * scale``.
+
+    ``scale`` is the size of the quantity tested (|R| for tensor identities,
+    |R|^2 for commutators, the largest eigenvalue or entry of a matrix, 1 for
+    dimensionless quantities), so the verdict does not change when the data
+    is scaled.  Works elementwise on arrays.
+    """
+    if mode.exact:
+        return value == 0
+    return abs(value) <= mode.tol * scale
+
+
 def fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
@@ -160,9 +179,7 @@ def fraction_sqrt(q: Fraction) -> Fraction | None:
 def is_selfadjoint(a: np.ndarray, mode: ScalarMode | None = None) -> bool:
     mode = mode or mode_of(a)
     dev = max_abs(a - a.T)
-    if mode.exact:
-        return dev == 0
-    return dev <= mode.tol * max(1.0, float(max_abs(a)))
+    return dev == 0 or negligible(dev, mode, max_abs(a))  # an exact zero needs no scale
 
 
 def require_selfadjoint(a: np.ndarray, mode: ScalarMode | None = None, what: str = "operator"):
@@ -223,8 +240,7 @@ def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
     if mode.exact:
         return _rank_bareiss(a)
     w = np.linalg.eigvalsh(a.astype(float))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return int(np.count_nonzero(np.abs(w) > mode.tol * scale))
+    return int(np.count_nonzero(~negligible(w, mode, max_abs(w))))
 
 
 def random_unit_vector(m: int, seed: int) -> np.ndarray:
@@ -333,8 +349,7 @@ def orthocomplement_basis(vs: list[np.ndarray], mode: ScalarMode | None = None) 
         return complete_orthonormal_exact(ortho, m)
     a = np.column_stack([np.asarray(v, dtype=float) for v in vs])
     q, r = np.linalg.qr(a, mode="complete")
-    scale = max(1.0, float(np.abs(a).max()))
-    diag = np.abs(np.diag(r[: len(vs), : len(vs)]))
-    if diag.size < len(vs) or np.any(diag <= mode.tol * scale):
+    diag = np.diag(r[: len(vs), : len(vs)])
+    if diag.size < len(vs) or np.any(negligible(diag, mode, max_abs(a))):
         raise DegenerateInput("vectors are numerically dependent")
     return [q[:, j].copy() for j in range(len(vs), m)]

@@ -40,6 +40,7 @@ from .scalars import (
     matrix,
     max_abs,
     mode_of,
+    negligible,
     vector,
     zeros,
 )
@@ -103,9 +104,8 @@ class CurvatureTensor:
         return Fraction(int(top), self.denominator) if self.mode.exact else top
 
     def is_zero(self) -> bool:
-        if self.mode.exact:
-            return not self.values.any()
-        return float(self.max_abs()) <= self.mode.tol
+        """Exactly zero in both modes: the zero test has no scale to compare against."""
+        return not self.values.any()
 
     def to_float(self, tol: float | None = None) -> "CurvatureTensor":
         if not self.mode.exact:
@@ -170,9 +170,9 @@ def _as_tensor(raw, mode: ScalarMode) -> CurvatureTensor:
 def validate(raw, mode: ScalarMode) -> ValidationReport:
     """Check the four tensor symmetries, reporting the worst violation of each.
 
-    Accepts iff every violation is exactly zero (rational mode) or at most
-    tol * max|R| (float mode).  Exact deviations of at most 3 max|N| are
-    taken on the numerators.
+    Accepts iff every violation is ``negligible`` at scale max|R|: exactly
+    zero in rational mode, at most tol * max|R| in float mode.  Exact
+    deviations of at most 3 max|N| are taken on the numerators.
     """
     R = _as_tensor(raw, mode)
     a = R.values
@@ -191,12 +191,9 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
         top = absdev.max()
         violations[name] = Fraction(int(top), R.denominator) if mode.exact else top
         worst[name] = tuple(int(i) for i in np.unravel_index(int(absdev.argmax()), dev.shape))
-    if mode.exact:
-        threshold = Fraction(0)
-        accepted = all(v == 0 for v in violations.values())
-    else:
-        threshold = mode.tol * max(1.0, float(max_abs(a)))
-        accepted = all(float(v) <= threshold for v in violations.values())
+    scale = R.max_abs()
+    threshold = Fraction(0) if mode.exact else mode.tol * float(scale)
+    accepted = all(negligible(v, mode, scale) for v in violations.values())
     return ValidationReport(R.m, mode, violations, worst, threshold, accepted)
 
 
@@ -237,14 +234,10 @@ class ComplexStructure:
         m = th.shape[0]
         if m % 2:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
-        scale = max(1.0, float(max_abs(th))) if not self.mode.exact else None
+        # theta^2 = -I fixes the scale of theta, so both deviations compare at scale 1
         skew = max_abs(th + th.T)
         square = max_abs(np.dot(th, th) + eye(m, self.mode))
-        if self.mode.exact:
-            ok = skew == 0 and square == 0
-        else:
-            ok = float(skew) <= self.mode.tol * scale and float(square) <= self.mode.tol * scale
-        if not ok:
+        if not (negligible(skew, self.mode) and negligible(square, self.mode)):
             raise InvalidComplexStructure(
                 f"theta violates its invariants (skew deviation {skew}, square deviation {square})"
             )
@@ -429,7 +422,7 @@ def from_metric_components(raw, gram, tol: float = 1e-9) -> CurvatureTensor:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 4 or len(set(a.shape)) != 1 or g.shape != (a.shape[0],) * 2:
         raise InvalidShape("need an m^4 component array and an m x m Gram matrix")
-    if not np.allclose(g, g.T, atol=tol * max(1.0, np.abs(g).max())):
+    if not is_selfadjoint(g, float_mode(tol)):
         raise InvalidOperator("the Gram matrix must be symmetric")
     try:
         chol = np.linalg.cholesky(g)

@@ -148,10 +148,11 @@ class BiQuadraticMatrixPoly:
         return max(vals)
 
     def is_zero(self, zero_tol=None) -> bool:
-        if self.mode.exact:
+        """Every coefficient is zero; a float caller may pass an absolute
+        ``zero_tol`` to accept |c| <= zero_tol instead (rational mode ignores it)."""
+        if self.mode.exact or zero_tol is None:
             return all(c == 0 for coeffs in self.entries.values() for c in coeffs.values())
-        zt = self.mode.tol if zero_tol is None else zero_tol
-        return float(self.max_coeff()) <= zt
+        return self.max_coeff() <= zero_tol
 
     def evaluate(self, x, y) -> np.ndarray:
         x = vector(x, self.mode)
@@ -305,8 +306,8 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
     """The bidegree-(1,1) quotient L with P = (sum_i x_i y_i) * L, or None.
 
     The zero polynomial is divisible (zero quotient).  In float mode
-    coefficients below ``zero_tol`` (default tol * max(1, max|coeff|))
-    are treated as zero.
+    coefficients of at most ``zero_tol`` (default tol * max|coeff|, the
+    ``negligible`` rule at the polynomial's own scale) count as zero.
     """
     for (a, b), coeffs in P.entries.items():
         if not 0 <= a < b < P.m:
@@ -315,7 +316,7 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
     if P.mode.exact:
         is_zero = lambda c: c == 0  # noqa: E731
     else:
-        zt = zero_tol if zero_tol is not None else P.mode.tol * max(1.0, float(P.max_coeff()))
+        zt = zero_tol if zero_tol is not None else P.mode.tol * float(P.max_coeff())
         is_zero = lambda c: abs(c) <= zt  # noqa: E731
     quotients = {}
     for pos, coeffs in P.entries.items():
@@ -406,8 +407,12 @@ def _unit_norm(c_slice, x, y):
 
 
 def _float_threshold(R: CurvatureTensor):
+    """tol |R|^2 in float mode, None in rational mode: the one threshold of the
+    certificate and the witness search, since commutators are quadratic in R."""
+    if R.mode.exact:
+        return None
     scale = float(R.max_abs())
-    return R.mode.tol * max(1.0, scale * scale)
+    return R.mode.tol * (scale * scale)
 
 
 def _violation_scan(R, xs, ys, pick: str):
@@ -509,8 +514,7 @@ def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 
     not be orthogonal).
     """
     poly = commutator_poly(R)
-    zt = None if R.mode.exact else _float_threshold(R)
-    if poly.is_zero(zt):
+    if poly.is_zero(_float_threshold(R)):
         return TsankovVerdict(True, None, "CoefficientExpansion")
     witness = _search_witness(R, seed, n_samples, orthogonal=False)
     return TsankovVerdict(False, witness, "CoefficientExpansion")
@@ -529,7 +533,7 @@ def tsankov_test(
     method = method.lower()
     if method in ("exact", "exactdivisibility"):
         poly = commutator_poly(R)
-        quotient = divisible_by_pairing(poly)
+        quotient = divisible_by_pairing(poly, _float_threshold(R))
         if quotient is not None:
             return TsankovVerdict(True, None, "ExactDivisibility")
         witness = _search_witness(R, seed, n_samples, orthogonal=True)

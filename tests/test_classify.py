@@ -56,6 +56,12 @@ class TestClassify:
         assert res.tag == "NotTsankov"
         assert np.dot(res.witness.x, res.witness.y) == 0
         assert res.witness.commutator_norm > 0
+        # the verdict must not depend on scale (1e-5 to 1e-8 once raised
+        # ClassificationInconsistency)
+        for lam in (1.0, 1e-5, 1e-6, 1e-8):
+            res = classify(combine([(lam, mix4.to_float())]))
+            assert res.tag == "NotTsankov"
+            assert abs(np.dot(res.witness.x, res.witness.y)) <= 1e-12
 
     def test_zero(self):
         res = classify(combine([(0, r0(4, 1))]))
@@ -76,6 +82,11 @@ class TestClassify:
                 res = classify(combine([(t, R)]))
                 assert res.tag == tag
                 assert res.c == t * c0
+            # float copies keep their tag at any scale; 1e-12 used to read as Zero
+            for lam in (1e-12, 1e-8, 1e8):
+                res = classify(combine([(lam, R.to_float())]))
+                assert res.tag == tag
+                assert abs(res.c - lam * float(c0)) <= 1e-9 * abs(lam * float(c0))
 
     def test_roundtrip_completeness_on_corpus(self, corpus200):
         # every commutation-closed nonzero tensor lands in one of the two

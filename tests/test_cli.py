@@ -18,6 +18,7 @@ from actlab import (
     save_tensor,
     standard_complex_structure,
 )
+from actlab import cli
 from actlab.cli import main, tensor_from_doc, tensor_to_doc
 
 
@@ -94,6 +95,34 @@ class TestFileFormat:
             load_tensor(write_doc(tmp_path, {"m": 1, "scalar": "rational", "storage": "sparse", "entries": []}))
         with pytest.raises(FormatError):
             load_tensor(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, tmp_path, storage, bad):
+        # json writes these as the non-standard tokens NaN and Infinity
+        doc = tensor_to_doc(r0(3, 1).to_float(), storage)
+        if storage == "dense":
+            doc["entries"][5] = bad
+        else:
+            doc["entries"][0]["v"] = bad
+        with pytest.raises(FormatError, match="not finite"):
+            load_tensor(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_dimension_capped_before_allocating(self, tmp_path, storage, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(cli, "zeros", refuse)
+        doc = {"m": 33, "scalar": "rational", "storage": storage, "entries": []}
+        with pytest.raises(FormatError, match="between 2 and 32"):
+            load_tensor(write_doc(tmp_path, doc))
+        if storage == "sparse":  # the cap admits m = 32, which reaches the allocation
+            with pytest.raises(Allocated):
+                load_tensor(write_doc(tmp_path, dict(doc, m=32)))
 
     @pytest.mark.parametrize("storage", ["sparse", "dense"])
     def test_rational_roundtrip_lossless(self, tmp_path, storage):

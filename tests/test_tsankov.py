@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from actlab import (
+    FLOAT,
     RATIONAL,
     InvalidPolynomial,
     BiQuadraticMatrixPoly,
@@ -225,6 +226,11 @@ class TestDivisibility:
         assert L is not None
         assert L.entries == {(0, 1): {(0, 0): Fraction(1)}}
         assert L.multiply_pairing().entries == P.entries
+        # float copies divide at any scale: the default threshold is tol * max|coeff|
+        for lam in (1.0, 1e-12):
+            scaled = {(0, 1): {mono: lam * float(c) for mono, c in entries[(0, 1)].items()}}
+            Lf = divisible_by_pairing(BiQuadraticMatrixPoly.from_entries(m, FLOAT, scaled))
+            assert Lf.entries == {(0, 1): {(0, 0): lam}}
 
     def test_pure_monomial_not_in_ideal(self):
         # P = x1^2 y2^2
@@ -232,6 +238,11 @@ class TestDivisibility:
             3, RATIONAL, {(0, 1): {(0, 0, 1, 1): Fraction(1)}}
         )
         assert divisible_by_pairing(P) is None
+        # a tiny float coefficient is neither divisible nor zero by default
+        for c in (1.0, 1e-12):
+            Pf = BiQuadraticMatrixPoly.from_entries(3, FLOAT, {(0, 1): {(0, 0, 1, 1): c}})
+            assert divisible_by_pairing(Pf) is None
+            assert not Pf.is_zero()
 
     def test_mix_entry_not_divisible(self, mix4):
         P = commutator_poly(mix4)
@@ -388,9 +399,14 @@ class TestTsankovTest:
     def test_float_mode_decisions(self, mix4):
         assert tsankov_test(r0(4, 1.5).to_float(), "exact").holds
         assert tsankov_test(r_theta(standard_complex_structure(4), 2).to_float(), "exact").holds
-        fv = tsankov_test(mix4.to_float(), "exact")
-        assert not fv.holds
-        assert abs(np.dot(fv.witness.x, fv.witness.y)) <= 1e-12
+        # the verdict must not depend on scale (1e-5 once raised
+        # ClassificationInconsistency, 1e-6 and 1e-8 once held)
+        for lam in (1.0, 1e-5, 1e-6, 1e-8):
+            R = combine([(lam, mix4.to_float())])
+            for method in ("exact", "sampled"):
+                fv = tsankov_test(R, method)
+                assert not fv.holds
+                assert abs(np.dot(fv.witness.x, fv.witness.y)) <= 1e-12
 
     def test_huge_entries_take_bigint_path(self):
         # entries beyond int64 force the object-array fallbacks end to end
