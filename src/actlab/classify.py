@@ -5,7 +5,9 @@ multiple of the constant-sectional-curvature tensor, or a multiple of the
 complex-structure tensor.  ``classify`` turns that trichotomy into an
 algorithm with constructive recovery of the curvature scale c and, in the
 complex case, of the structure Theta (canonicalized up to its inherent sign
-ambiguity), verified by an exact reconstruction residual.
+ambiguity), verified by a reconstruction residual.  The fits and the
+decision they share live in ``tsankov``; ``recover_complex_structure`` lives
+in ``jacobi`` and is re-exported here.
 
 ``osserman_check`` and ``structure_report`` are the spectral diagnostics:
 constancy of the Jacobi spectrum over the unit sphere, rank histograms, and
@@ -21,28 +23,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ClassificationInconsistency,
-    DegenerateInput,
-    InvalidComplexStructure,
-    NotRankOne,
-    UnsupportedDimension,
-)
-from .jacobi import _eigensplit_float, _range_orthonormal, _rank_one_unit, jacobi, jacobi_polarized
+from .errors import ClassificationInconsistency, DegenerateInput, UnsupportedDimension
+from .jacobi import _eigensplit_float, _range_orthonormal, jacobi, recover_complex_structure
 from .scalars import (
     DEFAULT_TOL,
     complete_orthonormal_exact,
-    eye,
     float_mode,
     max_abs,
     negligible,
     random_rational_unit_vector,
-    random_unit_vector,
     rank_with_mode,
     zeros,
 )
-from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, combine, r0, r_theta
-from .tsankov import Witness, tsankov_test
+from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector
+from .tsankov import Witness, _decide, _fit, tsankov_test
 
 __all__ = [
     "Classification",
@@ -54,8 +48,6 @@ __all__ = [
     "structure_report",
     "find_commuting_partner",
 ]
-
-RANK_PROBES = 8
 
 
 @dataclass
@@ -97,130 +89,31 @@ class StructureReport:
     two_eigenvalue_ok: bool | None
 
 
-def _probe_vectors(R: CurvatureTensor, seed: int, count: int):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        if R.mode.exact:
-            x = rng.integers(-5, 6, size=R.m)
-            if np.any(x):
-                out.append(x.astype(object))
-        else:
-            out.append(random_unit_vector(R.m, int(rng.integers(0, 2**32))))
-    return out
-
-
-def recover_complex_structure(R: CurvatureTensor):
-    """Extract (c, Theta) from a rank-one-Jacobi commutation-closed tensor.
-
-    At a basis vector e with rank-one J(e) = 3c w w^T, the unit factor w is
-    Theta e up to sign; the remaining columns follow from the polarized
-    operator, Theta e_j = (2 / 3c) J(e, e_j) w, because <Theta e, Theta e_j>
-    = <e, e_j> = 0 kills the second polarization term.  The overall sign of
-    Theta is not determined (the tensor is even in Theta); it is fixed by
-    making the first nonzero coordinate of w positive.
-    """
-    mode = R.mode
-    m = R.m
-    if m % 2:
-        raise UnsupportedDimension("complex structures exist only in even dimensions")
-    probe, basis = None, eye(m, mode)
-    for p in range(m):
-        j = jacobi(R, basis[p])
-        if rank_with_mode(j, mode) == 1:
-            probe, jp = p, j
-            break
-    if probe is None:
-        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
-    try:
-        t, w = _rank_one_unit(jp, mode)
-    except DegenerateInput as exc:
-        raise ClassificationInconsistency(
-            f"rank-one factor of J(e_{probe}) has no exact representation: {exc}"
-        ) from exc
-    if mode.exact:
-        c = Fraction(t, 3)
-        coef = Fraction(2) / Fraction(t)
-    else:
-        c = t / 3.0
-        coef = 2.0 / t
-    theta = zeros((m, m), mode)
-    theta[:, probe] = w
-    for jdx in range(m):
-        if jdx == probe:
-            continue
-        theta[:, jdx] = np.dot(jacobi_polarized(R, basis[probe], basis[jdx]), w) * coef
-    try:
-        cs = ComplexStructure(theta, mode)
-    except InvalidComplexStructure as exc:
-        raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
-    return c, cs
-
-
-def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
-    scale = R.max_abs()
-    dev = combine([(1, R), (-1, recon)]).max_abs()
-    if R.mode.exact:
-        return dev / scale if scale != 0 else dev
-    return float(dev) / float(scale) if scale else float(dev)
-
-
 def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     """Decide Zero / ConstantCurvature / ComplexForm / NotTsankov.
 
-    Steps: (i) zero test; (ii) exact orthogonal-commutation decision, failure
-    returns the witness; (iii) Jacobi rank probing at up to 8 seeded points,
-    taking the maximum (maximal rank holds off a measure-zero set, and the
-    final reconstruction residual certifies the answer regardless of probe
-    luck); (iv) rank m-1 recovers c from one sectional value, rank 1 recovers
-    (c, Theta); both verify by reconstruction.
+    Steps: (i) zero test; (ii) the orthogonal-commutation decision of
+    ``tsankov_test(R, "exact")``, whose failure returns the witness; (iii)
+    the fit that decides: c R0 with c from one sectional value, else
+    (c, Theta) from ``recover_complex_structure``, each checked by its
+    reconstruction residual.  In rational mode the decision itself tries
+    the exact fit before any polynomial expansion and returns it on
+    success; when the expansion had to decide instead, the fit's own
+    ``ClassificationInconsistency`` is raised.
     """
     if R.m < 3:
         raise UnsupportedDimension("classification needs dimension m >= 3")
-    mode = R.mode
     if R.is_zero():
-        return Classification("Zero", residual=mode.zero())
-    verdict = tsankov_test(R, "exact", seed=seed)
+        return Classification("Zero", residual=R.mode.zero())
+    verdict, fit = _decide(R, seed, 200, orthogonal=True)
     if not verdict.holds:
         return Classification("NotTsankov", witness=verdict.witness)
-    ranks = [rank_with_mode(jacobi(R, x), mode) for x in _probe_vectors(R, seed, RANK_PROBES)]
-    top = max(ranks)
-    if top == R.m - 1:
-        c, scale = None, R.max_abs()
-        for i in range(R.m):
-            for j in range(i + 1, R.m):
-                sect = R.values[i, j, j, i]
-                if not negligible(sect, mode, scale):
-                    c = Fraction(int(sect), R.denominator) if mode.exact else sect
-                    break
-            if c is not None:
-                break
-        if c is None:
-            raise ClassificationInconsistency(
-                "maximal Jacobi rank with no nonzero sectional value"
-            )
-        residual = _relative_residual(R, r0(R.m, c, mode))
-        if not negligible(residual, mode):
-            raise ClassificationInconsistency(
-                f"commutation holds but constant-curvature reconstruction fails (residual {residual})"
-            )
+    if isinstance(fit, ClassificationInconsistency):
+        raise fit
+    c, cs, residual = fit if fit is not None else _fit(R)
+    if cs is None:
         return Classification("ConstantCurvature", c=c, residual=residual)
-    if top == 1:
-        try:
-            c, cs = recover_complex_structure(R)
-        except (UnsupportedDimension, NotRankOne) as exc:
-            raise ClassificationInconsistency(
-                f"commutation holds with rank-one Jacobi but recovery failed: {exc}"
-            ) from exc
-        residual = _relative_residual(R, r_theta(cs, c))
-        if not negligible(residual, mode):
-            raise ClassificationInconsistency(
-                f"commutation holds but complex-form reconstruction fails (residual {residual})"
-            )
-        return Classification("ComplexForm", c=c, theta=cs, residual=residual)
-    raise ClassificationInconsistency(
-        f"commutation holds but the probed Jacobi rank {top} is neither 1 nor m-1"
-    )
+    return Classification("ComplexForm", c=c, theta=cs, residual=residual)
 
 
 def osserman_check(

@@ -11,6 +11,9 @@ operators force on an orthogonal pair with ``J(x)y = 0``: both operators
 vanish on each other's kernel directions and become the same block ``A`` in
 complementary slots, with the polarized operator equal to ``A/2`` off the
 diagonal.
+
+``recover_complex_structure`` reads (c, Theta) off a tensor whose Jacobi
+operators have rank one, from one rank-one J(e) and the polarized operator.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInput, PreconditionFailed, StructureViolation
+from .errors import (
+    ClassificationInconsistency,
+    DegenerateInput,
+    InvalidComplexStructure,
+    NotRankOne,
+    PreconditionFailed,
+    StructureViolation,
+    UnsupportedDimension,
+)
 from .scalars import (
     ScalarMode,
     _rank_bareiss,
@@ -32,8 +43,9 @@ from .scalars import (
     orthocomplement_basis,
     orthonormalize_exact,
     rank_with_mode,
+    zeros,
 )
-from .tensors import CurvatureTensor, _coerce_vector, _contract
+from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, _contract
 
 __all__ = [
     "jacobi",
@@ -41,6 +53,7 @@ __all__ = [
     "jacobi_rank",
     "w_space",
     "ricci",
+    "recover_complex_structure",
     "block_structure",
     "BlockStructureReport",
 ]
@@ -113,6 +126,53 @@ def _rank_one_unit(j: np.ndarray, mode: ScalarMode) -> tuple:
     if first is not None and w[first] < 0:
         w = -w
     return t, w
+
+
+def recover_complex_structure(R: CurvatureTensor):
+    """Extract (c, Theta) from a rank-one-Jacobi commutation-closed tensor.
+
+    At a basis vector e with rank-one J(e) = 3c w w^T, the unit factor w is
+    Theta e up to sign; the remaining columns follow from the polarized
+    operator, Theta e_j = (2 / 3c) J(e, e_j) w, because <Theta e, Theta e_j>
+    = <e, e_j> = 0 kills the second polarization term.  The overall sign of
+    Theta is not determined (the tensor is even in Theta); it is fixed by
+    making the first nonzero coordinate of w positive.
+    """
+    mode = R.mode
+    m = R.m
+    if m % 2:
+        raise UnsupportedDimension("complex structures exist only in even dimensions")
+    probe, basis = None, eye(m, mode)
+    for p in range(m):
+        j = jacobi(R, basis[p])
+        if rank_with_mode(j, mode) == 1:
+            probe, jp = p, j
+            break
+    if probe is None:
+        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
+    try:
+        t, w = _rank_one_unit(jp, mode)
+    except DegenerateInput as exc:
+        raise ClassificationInconsistency(
+            f"rank-one factor of J(e_{probe}) has no exact representation: {exc}"
+        ) from exc
+    if mode.exact:
+        c = Fraction(t, 3)
+        coef = Fraction(2) / Fraction(t)
+    else:
+        c = t / 3.0
+        coef = 2.0 / t
+    theta = zeros((m, m), mode)
+    theta[:, probe] = w
+    for jdx in range(m):
+        if jdx == probe:
+            continue
+        theta[:, jdx] = np.dot(jacobi_polarized(R, basis[probe], basis[jdx]), w) * coef
+    try:
+        cs = ComplexStructure(theta, mode)
+    except InvalidComplexStructure as exc:
+        raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
+    return c, cs
 
 
 def _eigensplit_float(j: np.ndarray, mode: ScalarMode):

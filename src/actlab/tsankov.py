@@ -2,23 +2,39 @@
 
 The field of commutators ``C(x,y) = J(x)J(y) - J(y)J(x)`` is a matrix of
 bihomogeneous polynomials of bidegree (2,2) in (x,y).  Two decisions are
-implemented on top of it:
+implemented on it:
 
-* ``full_commutation_test`` -- does C vanish identically?  Equivalent to
-  checking that every polynomial coefficient is zero; only the zero tensor
-  passes.
-* ``tsankov_test`` -- does C vanish whenever x is orthogonal to y?  The
-  zero set of the pairing form q(x,y) = sum_i x_i y_i is an irreducible
-  quadric with dense real points, so a bidegree-(2,2) polynomial vanishes
-  on it iff q divides the polynomial.  Divisibility by q is decided exactly
-  by reducing each entry to its normal form modulo q (single-divisor
-  polynomial division in a lexicographic order with leading term x0*y0):
-  the remainder is zero iff the entry lies in the ideal, and the division
-  produces the bidegree-(1,1) quotient.  In rational arithmetic this is a
-  decision procedure, not a heuristic.
+* ``full_commutation_test`` -- does C vanish identically?  Only the zero
+  tensor passes.
+* ``tsankov_test`` -- does C vanish whenever x is orthogonal to y?
 
-A seeded sampling mode cross-checks the divisibility decision and supplies
-witness pairs for failures.
+In rational mode each decision takes the cheapest certificate that settles
+it, and every certificate is rigorous on its own (``_decide``):
+
+1. the zero tensor holds;
+2. a nonzero exact commutator at one of a few seeded pairs (exactly
+   orthogonal for ``tsankov_test``) proves failure, and the reported
+   witness then comes from the seeded witness search;
+3. for ``tsankov_test``, an exact equality R = c R0 or R = c R_Theta
+   (``_fit``) proves that C vanishes on orthogonal pairs, since both
+   families do;
+4. otherwise the commutator polynomial is expanded.  Full commutation
+   holds iff every coefficient is zero.  Orthogonal commutation holds iff
+   the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
+   set of q is an irreducible quadric with dense real points, so a
+   bidegree-(2,2) polynomial vanishes on it iff q divides it.  Divisibility
+   is decided by reducing each entry to its normal form modulo q
+   (single-divisor division in a lexicographic order with leading term
+   x0*y0); the remainder is zero iff the entry lies in the ideal, and the
+   division produces the bidegree-(1,1) quotient.
+
+No verdict rests on the classification theorem.  The theorem only
+predicts that the accepts left to step 4 are the tensors c R_Theta whose
+Theta is irrational.  Float mode always decides by step 4, at the
+threshold ``tol |R|^2``.
+
+A seeded sampling mode cross-checks the decision and supplies witness
+pairs for failures.
 """
 
 from __future__ import annotations
@@ -30,10 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial
-from .jacobi import jacobi
-from .scalars import FLOAT, RATIONAL, ScalarMode, eye, integer_array, max_abs, vector, zeros
-from .tensors import CurvatureTensor, _coerce_vector
+from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
+from .jacobi import jacobi, recover_complex_structure
+from .scalars import ScalarMode, integer_array, max_abs, negligible, vector, zeros
+from .tensors import CurvatureTensor, _coerce_vector, combine, r0, r_theta
 
 __all__ = [
     "Witness",
@@ -334,21 +350,20 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
 
 
 def _sample_pair(rng, m: int, exact: bool, orthogonal: bool, span: int = 4):
-    """One deterministic (x, y) pair, orthogonal exactly when requested."""
+    """One deterministic (x, y) pair, orthogonal exactly when requested.
+
+    Exact pairs are int64 arrays with entries of at most 2 m span^3.
+    """
     if exact:
         while True:
             x = rng.integers(-span, span + 1, size=m)
-            if np.any(x):
+            if x.any():
                 break
         while True:
             v = rng.integers(-span, span + 1, size=m)
-            if orthogonal:
-                y = int(x @ x) * v - int(v @ x) * x
-            else:
-                y = v
-            if np.any(y):
-                break
-        return x.astype(object), y.astype(object)
+            y = int(x @ x) * v - int(v @ x) * x if orthogonal else v
+            if y.any():
+                return x, y
     while True:
         x = rng.standard_normal(m)
         nx = np.linalg.norm(x)
@@ -375,23 +390,22 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
 
     holds (|J(x)| <= |x|_1^2 max|V|, and each commutator entry is two sums
     of m products of J entries); otherwise the same contraction runs on
-    Python ints, which never overflow.
+    Python ints, which never overflow.  The bound is taken in Python ints
+    from the int64 maxima of |x|_1 and |y|_1, whose squares can pass 2^63.
     """
     m = R.m
     if R.mode.exact:
         maxv = int(max_abs(R.values))
-        xi = [[int(e) for e in x] for x in xs]
-        yi = [[int(e) for e in y] for y in ys]
-        jx_bound = max(sum(map(abs, x)) for x in xi) ** 2 * maxv
-        jy_bound = max(sum(map(abs, y)) for y in yi) ** 2 * maxv
-        v, _ = integer_array(R.values, bound=2 * m * jx_bound * jy_bound)
+        xa, ya = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        l1x, l1y = (int(np.abs(a).sum(axis=1).max()) for a in (xa, ya))
+        v, _ = integer_array(R.values, bound=2 * m * (l1x * l1x * maxv) * (l1y * l1y * maxv))
         w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
 
-        def jacobis(vecs):
-            a = np.array(vecs, dtype=v.dtype)
+        def jacobis(a):
+            a = a.astype(v.dtype)
             return ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
 
-        jx, jy = jacobis(xi), jacobis(yi)
+        jx, jy = jacobis(xa), jacobis(ya)
         return np.matmul(jx, jy) - np.matmul(jy, jx), R.denominator**2
     xa = np.array(xs, dtype=float)
     ya = np.array(ys, dtype=float)
@@ -428,7 +442,7 @@ def _violation_scan(R, xs, ys, pick: str):
         best = None  # (p, raw, |x|^2 |y|^2)
         for p in np.flatnonzero(raws).tolist():
             raw = int(raws[p])
-            den = sum(int(e) ** 2 for e in xs[p]) * sum(int(e) ** 2 for e in ys[p])
+            den = sum(e * e for e in xs[p].tolist()) * sum(e * e for e in ys[p].tolist())
             if best is None or raw * best[2] > best[1] * den:
                 best = (p, raw, den)
             if pick == "first":
@@ -451,13 +465,16 @@ def _violation_scan(R, xs, ys, pick: str):
     return best
 
 
+@lru_cache(maxsize=None)
 def _basis_pair_candidates(m: int, exact: bool):
-    """Small deterministic pairs tried before random sampling.
+    """Small deterministic pairs tried before random sampling, built once per m.
 
     Every pair is orthogonal by construction: (e_a, e_b), (e_a, e_b + e_c)
-    with a not in {b, c}, and (e_a + e_b, e_a - e_b).
+    with a not in {b, c}, and (e_a + e_b, e_a - e_b).  Entries are int64
+    when ``exact``, else float64; the arrays are read-only, since every
+    search shares them.
     """
-    e = eye(m, RATIONAL if exact else FLOAT)
+    e = np.eye(m, dtype=np.int64 if exact else float)
     pairs = []
     for a in range(m):
         for b in range(m):
@@ -471,7 +488,20 @@ def _basis_pair_candidates(m: int, exact: bool):
     for a in range(m):
         for b in range(a + 1, m):
             pairs.append((e[a] + e[b], e[a] - e[b]))
-    return pairs
+    for pair in pairs:
+        for v in pair:
+            v.flags.writeable = False
+    return tuple(pairs)
+
+
+def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
+    """The witness with the coordinate types callers get: mode scalars for a
+    basis candidate, Python ints for an exact random sample."""
+    if basis:
+        return Witness(vector(w.x.tolist(), mode), vector(w.y.tolist(), mode), w.commutator_norm)
+    if mode.exact:
+        return Witness(w.x.astype(object), w.y.astype(object), w.commutator_norm)
+    return w
 
 
 def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
@@ -486,8 +516,8 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     rng = np.random.default_rng(seed)
     for round_no in range(64):
         span = 4 + 2 * round_no
-        pool = cands if round_no == 0 else []
-        pool = pool + [
+        pool = list(cands) if round_no == 0 else []
+        pool += [
             _sample_pair(rng, R.m, R.mode.exact, orthogonal, span=span)
             for _ in range(max(n_samples, 16))
         ]
@@ -495,29 +525,126 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
         ys = [p[1] for p in pool]
         found = _violation_scan(R, xs, ys, pick="largest")
         if found is not None:
-            return found
+            basis = round_no == 0 and any(found.x is x for x, _ in cands)
+            return _typed_witness(found, R.mode, basis)
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )
 
 
 # ---------------------------------------------------------------------------
+# reconstruction
+# ---------------------------------------------------------------------------
+
+
+def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
+    """|R - recon| / |R| in sup norms (|recon| when R is zero)."""
+    if R.mode.exact and R.denominator == recon.denominator and np.array_equal(R.values, recon.values):
+        return Fraction(0)  # both are reduced, so equal tensors store equal numerators
+    scale = R.max_abs()
+    dev = combine([(1, R), (-1, recon)]).max_abs()
+    if R.mode.exact:
+        return dev / scale if scale != 0 else dev
+    return float(dev) / float(scale) if scale else float(dev)
+
+
+def _fit(R: CurvatureTensor):
+    """Rebuild R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
+
+    c R0 takes c from the first sectional value R(e_i, e_j, e_j, e_i), i < j,
+    that is not negligible at |R|; c R_Theta takes (c, Theta) from
+    ``recover_complex_structure``.  A fit counts when its relative residual
+    is negligible.  In rational mode that is exact equality, which proves
+    that R commutes on orthogonal pairs, as c R0 and c R_Theta do.  Raises
+    ``ClassificationInconsistency`` when neither fit rebuilds R.
+    """
+    mode, m = R.mode, R.m
+    ii, jj = np.triu_indices(m, 1)
+    sect = R.values[ii, jj, jj, ii]
+    nonzero = np.flatnonzero(~negligible(sect, mode, R.max_abs()))
+    residual = None
+    if nonzero.size:
+        s = sect[nonzero[0]]
+        c = Fraction(int(s), R.denominator) if mode.exact else s
+        residual = _relative_residual(R, r0(m, c, mode))
+        if negligible(residual, mode):
+            return c, None, residual
+    if m % 2:
+        raise ClassificationInconsistency(
+            "commutation holds but constant-curvature reconstruction fails "
+            + ("(no nonzero sectional value)" if residual is None else f"(residual {residual})")
+        )
+    try:
+        c, cs = recover_complex_structure(R)
+    except NotRankOne as exc:
+        raise ClassificationInconsistency(
+            f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
+        ) from exc
+    residual = _relative_residual(R, r_theta(cs, c))
+    if not negligible(residual, mode):
+        raise ClassificationInconsistency(
+            f"commutation holds but complex-form reconstruction fails (residual {residual})"
+        )
+    return c, cs, residual
+
+
+# ---------------------------------------------------------------------------
 # the two decision procedures
 # ---------------------------------------------------------------------------
+
+SCREEN_PAIRS = 8
+SCREEN_SEED = 0x5C12EE7  # the screen's own stream, apart from the witness search's
+
+
+def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
+    """The verdict on orthogonal (or all) pairs, and the fit behind an exact accept.
+
+    Rational mode tries its certificates cheapest first, and each one is
+    rigorous on its own: the zero tensor holds; a nonzero commutator at one
+    of ``SCREEN_PAIRS`` seeded pairs (exactly orthogonal when
+    ``orthogonal``) proves failure; an exact fit by ``_fit`` proves that
+    commutation on orthogonal pairs holds.  Only when all three are silent
+    is the commutator polynomial expanded and divided, as float mode always
+    does.  Every failure reports ``_search_witness``, so the witness does
+    not depend on which certificate decided.
+
+    Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s result when it decided,
+    the ``ClassificationInconsistency`` it raised when it could not, and
+    None when it did not run.
+    """
+    method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
+    fit = None
+    if R.mode.exact:
+        if R.is_zero():
+            return TsankovVerdict(True, None, method), None
+        rng = np.random.default_rng(SCREEN_SEED)
+        pairs = [_sample_pair(rng, R.m, True, orthogonal) for _ in range(SCREEN_PAIRS)]
+        comm, _ = _batch_commutators(R, [x for x, _ in pairs], [y for _, y in pairs])
+        if comm.any():
+            return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
+        if orthogonal:
+            try:
+                return TsankovVerdict(True, None, method), _fit(R)
+            except ClassificationInconsistency as exc:
+                fit = exc
+    poly = commutator_poly(R)
+    if orthogonal:
+        holds = divisible_by_pairing(poly, _float_threshold(R)) is not None
+    else:
+        holds = poly.is_zero(_float_threshold(R))
+    witness = None if holds else _search_witness(R, seed, n_samples, orthogonal)
+    return TsankovVerdict(holds, witness, method), fit
 
 
 def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> TsankovVerdict:
     """Does J(x) commute with J(y) for ALL pairs?  Only the zero tensor passes.
 
-    Decided by coefficient expansion of the commutator polynomial; failures
+    Decided by the zero test and a seeded screen of pairs in rational mode,
+    else by coefficient expansion of the commutator polynomial; failures
     carry a witness pair of maximal sampled commutator norm (the pair need
     not be orthogonal).
     """
-    poly = commutator_poly(R)
-    if poly.is_zero(_float_threshold(R)):
-        return TsankovVerdict(True, None, "CoefficientExpansion")
-    witness = _search_witness(R, seed, n_samples, orthogonal=False)
-    return TsankovVerdict(False, witness, "CoefficientExpansion")
+    return _decide(R, seed, n_samples, orthogonal=False)[0]
 
 
 def tsankov_test(
@@ -525,19 +652,16 @@ def tsankov_test(
 ) -> TsankovVerdict:
     """Does J(x) commute with J(y) whenever x is orthogonal to y?
 
-    ``method="exact"`` decides by divisibility of the commutator polynomial
-    by the pairing form (a true decision procedure in rational mode);
+    ``method="exact"`` is a true decision procedure in rational mode: a
+    seeded screen of orthogonal pairs or an exact reconstruction as c R0 or
+    c R_Theta decides when it can, else divisibility of the commutator
+    polynomial by the pairing form (the float mode certificate).
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
     violator.  Witnesses are exactly orthogonal in rational mode.
     """
     method = method.lower()
     if method in ("exact", "exactdivisibility"):
-        poly = commutator_poly(R)
-        quotient = divisible_by_pairing(poly, _float_threshold(R))
-        if quotient is not None:
-            return TsankovVerdict(True, None, "ExactDivisibility")
-        witness = _search_witness(R, seed, n_samples, orthogonal=True)
-        return TsankovVerdict(False, witness, "ExactDivisibility")
+        return _decide(R, seed, n_samples, orthogonal=True)[0]
     if method != "sampled":
         raise DegenerateInput(f"unknown method {method!r}; use 'exact' or 'sampled'")
     if n_samples < 1:
@@ -547,4 +671,6 @@ def tsankov_test(
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     witness = _violation_scan(R, xs, ys, pick="first")
+    if witness is not None:
+        witness = _typed_witness(witness, R.mode, basis=False)
     return TsankovVerdict(witness is None, witness, "Sampled")

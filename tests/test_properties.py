@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from actlab import (
     classify,
     combine,
+    commutator_poly,
     conjugate_structure,
+    divisible_by_pairing,
     from_form,
     load_tensor,
     r0,
@@ -96,6 +98,17 @@ def test_exact_verdicts_invariant_under_signed_permutations(R, seed):
     a, b = classify(R), classify(P)
     assert (b.tag, b.c) == (a.tag, a.c)
     assert verdicts(P) == verdicts(R)
+
+
+@PROPERTY
+@given(rational_tensors())
+def test_exact_triage_matches_divisibility_and_fits_rebuild(R):
+    holds = tsankov_test(R, "exact").holds
+    assert holds == (divisible_by_pairing(commutator_poly(R)) is not None)
+    if holds and not R.is_zero():
+        res = classify(R)
+        rebuilt = r0(R.m, res.c) if res.theta is None else r_theta(res.theta, res.c)
+        assert (rebuilt.components == R.components).all() and res.residual == 0
 
 
 @PROPERTY

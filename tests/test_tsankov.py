@@ -10,23 +10,31 @@ import pytest
 from actlab import (
     FLOAT,
     RATIONAL,
+    ClassificationInconsistency,
+    CurvatureTensor,
     InvalidPolynomial,
     BiQuadraticMatrixPoly,
+    classify,
     combine,
     commutator,
     commutator_poly,
+    conjugate_structure,
     divisible_by_pairing,
     full_commutation_test,
     r0,
     r_theta,
     random_act,
+    random_signed_permutation,
     standard_complex_structure,
     tsankov_test,
+    validate,
 )
 
+from actlab import tsankov
 from actlab.tsankov import (
     _basis_pair_candidates,
     _batch_commutators,
+    _decide,
     _sample_pair,
     _violation_scan,
 )
@@ -426,3 +434,109 @@ class TestTsankovTest:
         assert np.dot(ve.witness.x, ve.witness.y) == 0
         res = classify(combine([(huge, r_theta(standard_complex_structure(4), 1))]))
         assert res.tag == "ComplexForm" and res.c == huge and res.residual == 0
+
+
+def count_expansions(monkeypatch):
+    """Route actlab.tsankov.commutator_poly through a wrapper; returns its call list."""
+    calls, real = [], tsankov.commutator_poly
+    monkeypatch.setattr(tsankov, "commutator_poly", lambda R: calls.append(R) or real(R))
+    return calls
+
+
+def refuse_expansion(monkeypatch):
+    def refuse(R):
+        raise AssertionError("the commutator polynomial was expanded")
+
+    monkeypatch.setattr(tsankov, "commutator_poly", refuse)
+
+
+def quaternion_tensor():
+    """R_Theta for Theta = (L_i + L_j) / sqrt 2 on R^4, L the quaternion left-multiplications.
+
+    S = L_i + L_j is an integer skew matrix with S^2 = -2I, and R_Theta is
+    quadratic in Theta, so R_Theta = R_S / 2 with R_S from the r_theta
+    formula R[i][j][k][l] = S_kj S_li - S_ki S_lj - 2 S_ji S_lk.  The tensor
+    is rational and commutes on orthogonal pairs, but Theta is irrational.
+    """
+    L_i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    L_j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    S = L_i + L_j
+    assert (S @ S == -2 * np.eye(4, dtype=int)).all()
+    comps = (
+        np.einsum("kj,li->ijkl", S, S)
+        - np.einsum("ki,lj->ijkl", S, S)
+        - 2 * np.einsum("ji,lk->ijkl", S, S)
+    )
+    return CurvatureTensor(4, comps, RATIONAL, 2)
+
+
+class TestTriage:
+    def test_verdicts_match_divisibility_on_corpus(self, corpus200, monkeypatch):
+        calls = count_expansions(monkeypatch)
+        decided = [_decide(R, 0, 200, orthogonal=True) for R in corpus200]
+        assert not calls  # the zero test, the screen or a fit settled every tensor
+        monkeypatch.undo()
+        fits = 0
+        for R, (verdict, fit) in zip(corpus200, decided):
+            assert verdict.holds == (divisible_by_pairing(commutator_poly(R)) is not None)
+            if fit is not None:
+                c, cs, residual = fit
+                rebuilt = r0(R.m, c) if cs is None else r_theta(cs, c)
+                assert (rebuilt.components == R.components).all() and residual == 0
+                fits += 1
+        assert fits == sum(v.holds for v, _ in decided) - sum(R.is_zero() for R in corpus200)
+
+    def test_full_commutation_screen_matches_expansion_on_corpus(self, corpus200, monkeypatch):
+        calls = count_expansions(monkeypatch)
+        verdicts = [full_commutation_test(R).holds for R in corpus200]
+        assert not calls
+        monkeypatch.undo()
+        assert verdicts == [commutator_poly(R).is_zero() for R in corpus200]
+
+    def test_irrational_structure_falls_back_to_expansion(self, monkeypatch):
+        R = quaternion_tensor()
+        assert validate(R, RATIONAL).accepted
+        calls = count_expansions(monkeypatch)
+        v = tsankov_test(R, "exact")
+        assert v.holds and v.method == "ExactDivisibility" and len(calls) == 1
+        with pytest.raises(
+            ClassificationInconsistency,
+            match=r"^rank-one factor of J\(e_0\) has no exact representation: ",
+        ):
+            classify(R)
+        # Theta = S / sqrt 2 exists in float mode
+        res = classify(R.to_float())
+        assert res.tag == "ComplexForm" and abs(res.c - 1) <= 1e-12
+
+    def test_large_accepts_without_expansion(self, monkeypatch):
+        refuse_expansion(monkeypatch)
+        c = Fraction(-7, 3)
+        res = classify(r0(32, c))
+        assert (res.tag, res.c, res.residual) == ("ConstantCurvature", c, 0)
+        cs = conjugate_structure(standard_complex_structure(32), random_signed_permutation(32, 5))
+        res = classify(r_theta(cs, c))
+        assert (res.tag, res.c, res.residual) == ("ComplexForm", c, 0)
+        th = res.theta.theta
+        assert (th == cs.theta).all() or (th == -cs.theta).all()
+
+    def test_rejects_keep_the_search_witness(self, monkeypatch):
+        # the witnesses, coordinate types and norms the expansion path reported
+        refuse_expansion(monkeypatch)
+        e = lambda *ones: [Fraction(int(i in ones)) for i in range(12)]  # noqa: E731
+        pinned = {
+            0: (e(11), e(2, 4), Fraction(4480), Fraction),
+            1: (
+                [4, -1, 1, -1, -1, -1, 1, -2, -3, 2, 4, 0],
+                [47, -218, 163, -53, -163, -108, 163, 59, 116, 161, -228, 110],
+                Fraction(1094068917, 250855),
+                int,
+            ),
+        }
+        for seed, (x, y, norm, kind) in pinned.items():
+            v = tsankov_test(random_act(12, 3, seed), "exact")
+            assert not v.holds and v.method == "ExactDivisibility"
+            w = v.witness
+            assert w.x.dtype == object and w.y.dtype == object
+            assert all(type(t) is kind for t in [*w.x, *w.y])
+            assert (w.x.tolist(), w.y.tolist(), w.commutator_norm) == (x, y, norm)
+            assert type(w.commutator_norm) is Fraction
