@@ -5,7 +5,8 @@ Two scalar modes run through the whole library:
 * ``rational`` -- entries are :class:`fractions.Fraction` stored in
   object-dtype numpy arrays; every comparison is exact and tolerance-free.
   Bulk exact arithmetic runs on integer numerators over one denominator,
-  from :func:`integer_array`, the one place that picks int64 or Python ints.
+  from :func:`integer_array`.  :func:`exact_dtype` is the one place that
+  picks exact float64, int64 or Python ints for a bound.
 * ``float`` -- entries are float64, and every comparison follows one rule,
   owned by :func:`negligible`: a quantity counts as zero when
   ``|value| <= tol * scale``, where ``scale`` is the size of the quantity
@@ -119,12 +120,25 @@ def eye(m: int, mode: ScalarMode) -> np.ndarray:
     return a
 
 
+def exact_dtype(bound: int) -> np.dtype:
+    """The fastest dtype whose arithmetic is exact on integers of magnitude
+    at most ``bound``, a bound on every intermediate of the computation.
+
+    float64 below 2^53, where every integer is a float, so sums and products
+    of that size are exact in any order (a BLAS matmul included); int64
+    below 2^62; else object, for Python ints, which never overflow.
+    """
+    if bound < 2**53:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64 if bound < 2**62 else object)
+
+
 def integer_array(values, denominator: int = 1, bound: int | None = None):
     """Clear denominators: ``(N, d)`` with ``N / d == values / denominator``.
 
     ``d > 0`` is reduced, the lcm of the denominators of those quotients.  ``N``
-    is int64 when ``bound`` is below 2^62, else an object array of Python
-    ints, which never overflow.  ``bound`` defaults to max|N|; callers whose
+    is int64 when ``exact_dtype(bound)`` is a machine type, else an object
+    array of Python ints.  ``bound`` defaults to max|N|; callers whose
     arithmetic on N reaches larger intermediates pass a bound on those (at
     least max|N|).
     """
@@ -141,7 +155,7 @@ def integer_array(values, denominator: int = 1, bound: int | None = None):
         nums, d = nums // g, d // g
     if bound is None:
         bound = int(max_abs(nums))
-    return nums.astype(np.int64 if bound < 2**62 else object, copy=False), d
+    return nums.astype(object if exact_dtype(bound) == object else np.int64, copy=False), d
 
 
 def max_abs(a) -> Fraction | float:

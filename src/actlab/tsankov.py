@@ -34,7 +34,12 @@ Theta is irrational.  Float mode always decides by step 4, at the
 threshold ``tol |R|^2``.
 
 A seeded sampling mode cross-checks the decision and supplies witness
-pairs for failures.
+pairs for failures.  Pairs are drawn a batch at a time, with one generator
+call for all rows, and evaluated in slices of bounded size.  Exact
+commutators run on the fastest tier their batch bound allows: a float64
+BLAS matmul while every intermediate stays below 2^53, then int64, then
+Python ints (``_batch_commutators``); every tier gives the same integers,
+so no witness depends on the tier.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
-from .scalars import ScalarMode, integer_array, max_abs, negligible, vector, zeros
+from .scalars import ScalarMode, exact_dtype, integer_array, max_abs, negligible, vector, zeros
 from .tensors import CurvatureTensor, _coerce_vector, combine, r0, r_theta
 
 __all__ = [
@@ -349,33 +354,62 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
 # ---------------------------------------------------------------------------
 
 
-def _sample_pair(rng, m: int, exact: bool, orthogonal: bool, span: int = 4):
-    """One deterministic (x, y) pair, orthogonal exactly when requested.
+def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int = 4):
+    """n deterministic (x, y) pairs as two (n, m) arrays, orthogonal exactly when requested.
 
-    Exact pairs are int64 arrays with entries of at most 2 m span^3.
+    One pair takes rows from ``rng`` by one rule: draw x until it is
+    nonzero, then draw v until y is nonzero, where y is v, or v projected
+    off x when ``orthogonal``.  Exact pairs are int64 with
+    y = <x,x> v - <v,x> x, so their entries are at most 2 m span^3; float
+    pairs are unit vectors.  All 2n rows come from one generator call,
+    which yields the same stream as 2n one-row calls.  Exact pairs are then
+    formed at once; if a row is rejected, or in float mode, the rule walks
+    the drawn rows and draws any further row singly.  So the pairs, and the
+    generator state after the call, are those of n pairs drawn one by one.
     """
     if exact:
-        while True:
-            x = rng.integers(-span, span + 1, size=m)
-            if x.any():
-                break
-        while True:
-            v = rng.integers(-span, span + 1, size=m)
+        draw = lambda *count: rng.integers(-span, span + 1, size=(*count, m))  # noqa: E731
+    else:
+        draw = lambda *count: rng.standard_normal((*count, m))  # noqa: E731
+    rows = draw(2 * n)
+    if exact:
+        xs, ys = rows[0::2], rows[1::2]
+        if orthogonal:
+            dot = lambda a, b: (a * b).sum(axis=1, keepdims=True)  # noqa: E731
+            ys = dot(xs, xs) * ys - dot(ys, xs) * xs
+        if xs.any(axis=1).all() and ys.any(axis=1).all():
+            return xs, ys
+
+        def keep_x(x):
+            return x if x.any() else None
+
+        def keep_y(x, v):
             y = int(x @ x) * v - int(v @ x) * x if orthogonal else v
-            if y.any():
-                return x, y
-    while True:
-        x = rng.standard_normal(m)
-        nx = np.linalg.norm(x)
-        if nx > 1e-8:
-            x = x / nx
-            break
-    while True:
-        v = rng.standard_normal(m)
-        y = v - (v @ x) * x if orthogonal else v
-        ny = np.linalg.norm(y)
-        if ny > 1e-8:
-            return x, y / ny
+            return y if y.any() else None
+    else:
+
+        def keep_x(v):  # v scaled to unit length, unless it is too short
+            nv = np.linalg.norm(v)
+            return v / nv if nv > 1e-8 else None
+
+        def keep_y(x, v):
+            return keep_x(v - (v @ x) * x if orthogonal else v)
+
+    pending = iter(rows)
+
+    def accepted(keep):
+        while True:
+            row = next(pending, None)
+            kept = keep(draw() if row is None else row)
+            if kept is not None:
+                return kept
+
+    xs, ys = [], []
+    for _ in range(n):
+        x = accepted(keep_x)
+        xs.append(x)
+        ys.append(accepted(lambda v: keep_y(x, v)))
+    return np.array(xs), np.array(ys)
 
 
 def _batch_commutators(R: CurvatureTensor, xs, ys):
@@ -384,40 +418,47 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
     Returns (C, scale): true commutators are C / scale.  Integer batches
     contract the numerators V as one matmul of the outer products x x^T,
     shape (p, m^2), against V reshaped to (m^2, m^2), then take the batched
-    commutator.  The arithmetic is int64 when the batch bound
+    commutator.  |J(x)| <= |x|_1^2 max|V| =: b(x), and each commutator entry
+    is two sums of m products of J entries, so with
 
-        2 m * (max_p |x_p|_1^2 max|V|) * (max_p |y_p|_1^2 max|V|) < 2^62
+        bJ = max_p max(b(x_p), b(y_p))   and   bC = 2 m max_p b(x_p) max_p b(y_p)
 
-    holds (|J(x)| <= |x|_1^2 max|V|, and each commutator entry is two sums
-    of m products of J entries); otherwise the same contraction runs on
-    Python ints, which never overflow.  The bound is taken in Python ints
-    from the int64 maxima of |x|_1 and |y|_1, whose squares can pass 2^63.
+    every partial sum of the contraction is at most bJ and every one of
+    the commutator at most bC.  ``scalars.exact_dtype`` takes each stage
+    to the fastest exact tier for its bound: a float64 BLAS matmul below
+    2^53, where every intermediate is an integer that float64 holds, so
+    the result is exact in any summation order and with any number of BLAS
+    threads; int64 below 2^62; Python ints past that.  The bounds are taken
+    in Python ints, since their squares can pass 2^63.  C comes back as
+    int64, or as Python ints past 2^62.  Float batches contract R with
+    ``einsum``.
     """
     m = R.m
     if R.mode.exact:
-        maxv = int(max_abs(R.values))
-        xa, ya = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-        l1x, l1y = (int(np.abs(a).sum(axis=1).max()) for a in (xa, ya))
-        v, _ = integer_array(R.values, bound=2 * m * (l1x * l1x * maxv) * (l1y * l1y * maxv))
+        xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        # b(x) with |x|_1 and max|V| raised to at least 1, so that it also
+        # bounds max|V| and every outer product x_i x_j
+        maxv = max(int(max_abs(R.values)), 1)
+        bx, by = (max(int(np.abs(a).sum(axis=1).max()), 1) ** 2 * maxv for a in (xa, ya))
+        jdt, cdt = exact_dtype(max(bx, by)), exact_dtype(2 * m * bx * by)
+        v, _ = integer_array(R.values, bound=max(bx, by))
         w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
+        w = w.astype(jdt, copy=False)
 
         def jacobis(a):
-            a = a.astype(v.dtype)
-            return ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
+            a = a.astype(jdt, copy=False)
+            j = ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
+            # float64 J passes through int64 on its way to Python ints
+            return j if jdt == cdt else j.astype(np.int64, copy=False).astype(cdt, copy=False)
 
         jx, jy = jacobis(xa), jacobis(ya)
-        return np.matmul(jx, jy) - np.matmul(jy, jx), R.denominator**2
+        c = np.matmul(jx, jy) - np.matmul(jy, jx)
+        return c.astype(object if cdt == object else np.int64, copy=False), R.denominator**2
     xa = np.array(xs, dtype=float)
     ya = np.array(ys, dtype=float)
     jx = np.einsum("pi,pj,bija->pab", xa, xa, R.values)
     jy = np.einsum("pi,pj,bija->pab", ya, ya, R.values)
     return jx @ jy - jy @ jx, None
-
-
-def _unit_norm(c_slice, x, y):
-    """Sup norm of a float commutator at the unit rescaling of (x, y)."""
-    raw = max_abs(c_slice)
-    return float(raw) / (float(np.dot(x, x)) * float(np.dot(y, y)))
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -429,40 +470,63 @@ def _float_threshold(R: CurvatureTensor):
     return R.mode.tol * (scale * scale)
 
 
-def _violation_scan(R, xs, ys, pick: str):
-    """Evaluate a batch and pick a violating pair ('first' or 'largest').
+SLICE_ENTRIES = 2**21  # the scan evaluates at most this many / m^2 pairs at once
 
-    Ties in norm go to the earlier pair.  Exact norms raw / (scale |x|^2 |y|^2)
-    are compared by integer cross-multiplication; only the returned witness
-    gets its ``Fraction``.
+
+def _squared_norms(a):
+    """<a_p, a_p> of each integer row, as Python ints.
+
+    The int64 row sums are exact while m max|a|^2 < 2^62.  That holds for
+    every sampled pair through m = 61, since entries are at most
+    2 m span^3 with span <= 130 (``_search_witness``'s widest); past that
+    bound the sums run on Python ints.
     """
-    c, scale = _batch_commutators(R, xs, ys)
-    if R.mode.exact:
+    bound = a.shape[1] * int(np.abs(a).max()) ** 2
+    a = a.astype(object) if exact_dtype(bound) == object else a
+    return (a * a).sum(axis=1).tolist()
+
+
+def _violation_scan(R, xs, ys, pick: str):
+    """Evaluate pairs and pick a violating one ('first' or 'largest').
+
+    Returns ``(p, Witness(xs[p], ys[p], norm))`` for the chosen index p, or
+    None.  Pairs are evaluated in slices of at most ``SLICE_ENTRIES / m^2``,
+    so memory does not grow with the number of pairs.  Ties in norm go to
+    the earlier pair, across slices too.  Each pair's raw sup norm comes
+    from one reduction per slice.  Exact norms raw / (scale |x|^2 |y|^2)
+    are compared by integer cross-multiplication; only the returned witness
+    gets its ``Fraction``.  Float pairs count when raw exceeds
+    ``_float_threshold``.
+    """
+    xa, ya = np.asarray(xs), np.asarray(ys)
+    exact = R.mode.exact
+    if exact:
+        sqx, sqy = _squared_norms(xa), _squared_norms(ya)
+    thr = _float_threshold(R)
+    step = max(1, SLICE_ENTRIES // (R.m * R.m))
+    best = None  # (p, raw, |x|^2 |y|^2) when exact, (p, norm) in float mode
+    for start in range(0, len(xa), step):
+        c, scale = _batch_commutators(R, xa[start : start + step], ya[start : start + step])
         raws = np.abs(c).max(axis=(1, 2))
-        best = None  # (p, raw, |x|^2 |y|^2)
-        for p in np.flatnonzero(raws).tolist():
-            raw = int(raws[p])
-            den = sum(e * e for e in xs[p].tolist()) * sum(e * e for e in ys[p].tolist())
-            if best is None or raw * best[2] > best[1] * den:
-                best = (p, raw, den)
+        hits = np.flatnonzero(raws if exact else raws > thr)
+        for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
+            if exact:
+                den = sqx[p] * sqy[p]
+                if best is None or raw * best[2] > best[1] * den:
+                    best = (p, raw, den)
+            else:
+                norm = raw / (float(np.dot(xs[p], xs[p])) * float(np.dot(ys[p], ys[p])))
+                if best is None or norm > best[1]:
+                    best = (p, norm)
             if pick == "first":
                 break
-        if best is None:
-            return None
-        p, raw, den = best
-        return Witness(xs[p], ys[p], Fraction(raw, scale * den))
-    thr = _float_threshold(R)
-    best = None
-    for p in range(len(xs)):
-        raw = max_abs(c[p])
-        if not float(raw) > thr:
-            continue
-        if pick == "first":
-            return Witness(xs[p], ys[p], _unit_norm(c[p], xs[p], ys[p]))
-        norm = _unit_norm(c[p], xs[p], ys[p])
-        if best is None or norm > best.commutator_norm:
-            best = Witness(xs[p], ys[p], norm)
-    return best
+        if best is not None and pick == "first":
+            break
+    if best is None:
+        return None
+    p = best[0]
+    norm = Fraction(best[1], scale * best[2]) if exact else best[1]
+    return p, Witness(xs[p], ys[p], norm)
 
 
 @lru_cache(maxsize=None)
@@ -470,9 +534,9 @@ def _basis_pair_candidates(m: int, exact: bool):
     """Small deterministic pairs tried before random sampling, built once per m.
 
     Every pair is orthogonal by construction: (e_a, e_b), (e_a, e_b + e_c)
-    with a not in {b, c}, and (e_a + e_b, e_a - e_b).  Entries are int64
-    when ``exact``, else float64; the arrays are read-only, since every
-    search shares them.
+    with a not in {b, c}, and (e_a + e_b, e_a - e_b).  Returns one array of
+    shape (pairs, 2, m), x then y: int64 when ``exact``, else float64, and
+    read-only, since every search shares it.
     """
     e = np.eye(m, dtype=np.int64 if exact else float)
     pairs = []
@@ -488,20 +552,19 @@ def _basis_pair_candidates(m: int, exact: bool):
     for a in range(m):
         for b in range(a + 1, m):
             pairs.append((e[a] + e[b], e[a] - e[b]))
-    for pair in pairs:
-        for v in pair:
-            v.flags.writeable = False
-    return tuple(pairs)
+    out = np.array(pairs)
+    out.flags.writeable = False
+    return out
 
 
 def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
     """The witness with the coordinate types callers get: mode scalars for a
-    basis candidate, Python ints for an exact random sample."""
+    basis candidate, Python ints for an exact random sample, and float64
+    arrays of their own for a float sample."""
     if basis:
         return Witness(vector(w.x.tolist(), mode), vector(w.y.tolist(), mode), w.commutator_norm)
-    if mode.exact:
-        return Witness(w.x.astype(object), w.y.astype(object), w.commutator_norm)
-    return w
+    kind = object if mode.exact else float
+    return Witness(w.x.astype(kind), w.y.astype(kind), w.commutator_norm)
 
 
 def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
@@ -515,18 +578,15 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     cands = _basis_pair_candidates(R.m, R.mode.exact)
     rng = np.random.default_rng(seed)
     for round_no in range(64):
-        span = 4 + 2 * round_no
-        pool = list(cands) if round_no == 0 else []
-        pool += [
-            _sample_pair(rng, R.m, R.mode.exact, orthogonal, span=span)
-            for _ in range(max(n_samples, 16))
-        ]
-        xs = [p[0] for p in pool]
-        ys = [p[1] for p in pool]
+        xs, ys = _sample_pairs(
+            rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no
+        )
+        if round_no == 0:
+            xs, ys = np.concatenate([cands[:, 0], xs]), np.concatenate([cands[:, 1], ys])
         found = _violation_scan(R, xs, ys, pick="largest")
         if found is not None:
-            basis = round_no == 0 and any(found.x is x for x, _ in cands)
-            return _typed_witness(found, R.mode, basis)
+            p, w = found
+            return _typed_witness(w, R.mode, basis=round_no == 0 and p < len(cands))
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )
@@ -618,8 +678,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         if R.is_zero():
             return TsankovVerdict(True, None, method), None
         rng = np.random.default_rng(SCREEN_SEED)
-        pairs = [_sample_pair(rng, R.m, True, orthogonal) for _ in range(SCREEN_PAIRS)]
-        comm, _ = _batch_commutators(R, [x for x, _ in pairs], [y for _, y in pairs])
+        comm, _ = _batch_commutators(R, *_sample_pairs(rng, R.m, SCREEN_PAIRS, True, orthogonal))
         if comm.any():
             return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
         if orthogonal:
@@ -667,10 +726,7 @@ def tsankov_test(
     if n_samples < 1:
         raise DegenerateInput("sampled mode needs n_samples >= 1")
     rng = np.random.default_rng(seed)
-    pairs = [_sample_pair(rng, R.m, R.mode.exact, orthogonal=True) for _ in range(n_samples)]
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    witness = _violation_scan(R, xs, ys, pick="first")
-    if witness is not None:
-        witness = _typed_witness(witness, R.mode, basis=False)
+    xs, ys = _sample_pairs(rng, R.m, n_samples, R.mode.exact, orthogonal=True)
+    found = _violation_scan(R, xs, ys, pick="first")
+    witness = None if found is None else _typed_witness(found[1], R.mode, basis=False)
     return TsankovVerdict(witness is None, witness, "Sampled")

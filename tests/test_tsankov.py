@@ -35,13 +35,14 @@ from actlab.tsankov import (
     _basis_pair_candidates,
     _batch_commutators,
     _decide,
-    _sample_pair,
+    _sample_pairs,
     _violation_scan,
 )
 
 from conftest import build_corpus
 
 _INT64_LIMIT = 2**62  # integer kernels stay in int64 below this bound
+_FLOAT64_LIMIT = 2**53  # and in exact float64 below this one
 
 
 def max_numerator(R):
@@ -139,10 +140,40 @@ def int64_bound(R, xs, ys):
     return 2 * R.m * jx * jy
 
 
+def jacobi_bound(R, xs, ys):
+    """max |x|_1^2 max|V| over the batch: bounds every partial sum of J(x)."""
+    return max(sum(abs(int(e)) for e in v) for v in [*xs, *ys]) ** 2 * max_numerator(R)
+
+
+def sample_pair_reference(rng, m, exact, orthogonal, span=4):
+    """Reference for _sample_pairs: one (x, y) pair, drawn row by row."""
+    if exact:
+        while True:
+            x = rng.integers(-span, span + 1, size=m)
+            if x.any():
+                break
+        while True:
+            v = rng.integers(-span, span + 1, size=m)
+            y = int(x @ x) * v - int(v @ x) * x if orthogonal else v
+            if y.any():
+                return x, y
+    while True:
+        x = rng.standard_normal(m)
+        nx = np.linalg.norm(x)
+        if nx > 1e-8:
+            x = x / nx
+            break
+    while True:
+        v = rng.standard_normal(m)
+        y = v - (v @ x) * x if orthogonal else v
+        ny = np.linalg.norm(y)
+        if ny > 1e-8:
+            return x, y / ny
+
+
 def orthogonal_batch(m, n, span, seed):
-    rng = np.random.default_rng(seed)
-    pairs = [_sample_pair(rng, m, True, True, span=span) for _ in range(n)]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    xs, ys = _sample_pairs(np.random.default_rng(seed), m, n, True, True, span=span)
+    return list(xs), list(ys)
 
 
 class TestCommutator:
@@ -344,6 +375,61 @@ class TestWitnessSearchKernels:
             assert c_batch.tolist() == ref
             assert max(abs(e) for mat in ref for row in mat for e in row) > 2**50
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_sample_pairs_match_the_one_pair_rule(self, exact, orthogonal):
+        for m in range(2, 9):
+            for span in (4, 130):
+                for seed in range(6):
+                    batch, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    xs, ys = _sample_pairs(batch, m, 8, exact, orthogonal, span=span)
+                    pairs = [sample_pair_reference(ref, m, exact, orthogonal, span) for _ in range(8)]
+                    assert xs.dtype == ys.dtype == (np.int64 if exact else float)
+                    assert xs.tobytes() == np.array([x for x, _ in pairs]).tobytes()
+                    assert ys.tobytes() == np.array([y for _, y in pairs]).tobytes()
+                    assert batch.integers(2**62) == ref.integers(2**62)
+
+    def test_sample_pairs_walk_past_rejected_rows(self):
+        # at m=2 a row v parallel to x gives y = 0; each seed draws such a row,
+        # and the last two also draw x = 0
+        for seed, x_rejected in ((3, False), (8, False), (10, False), (1, True), (5, True)):
+            rows = np.random.default_rng(seed).integers(-4, 5, size=(16, 2))
+            x, v = rows[0::2], rows[1::2]
+            y = (x * x).sum(axis=1, keepdims=True) * v - (v * x).sum(axis=1, keepdims=True) * x
+            assert x.any(axis=1).all() != x_rejected and not y.any(axis=1).all()
+            batch, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            xs, ys = _sample_pairs(batch, 2, 8, True, True)
+            pairs = [sample_pair_reference(ref, 2, True, True) for _ in range(8)]
+            assert xs.tolist() == [x.tolist() for x, _ in pairs]
+            assert ys.tolist() == [y.tolist() for _, y in pairs]
+            assert (ys != 0).any(axis=1).all() and ((xs * ys).sum(axis=1) == 0).all()
+            assert batch.integers(2**62) == ref.integers(2**62)
+
+    def test_float64_tier_near_the_bound_matches_bigint(self, monkeypatch):
+        base = random_act(4, 3, seed=3)
+        pairs = _basis_pair_candidates(4, True)  # |J(x)| reaches the J-bound on these
+        xs, ys = list(pairs[:, 0]), list(pairs[:, 1])
+        tiers = []
+
+        def spy(bound):
+            tiers.append(tsankov_exact_dtype(bound))
+            return tiers[-1]
+
+        tsankov_exact_dtype = tsankov.exact_dtype
+        monkeypatch.setattr(tsankov, "exact_dtype", spy)
+        # the largest integer scale c with J-bound < 2^53, then one past it
+        c = (_FLOAT64_LIMIT - 1) // jacobi_bound(base, xs, ys)
+        for scale, jacobi_tier in ((c, np.float64), (c + 1, np.int64)):
+            R = combine([(scale, base)])
+            assert (jacobi_bound(R, xs, ys) < _FLOAT64_LIMIT) == (jacobi_tier is np.float64)
+            tiers.clear()
+            c_batch, s2 = _batch_commutators(R, xs, ys)
+            ref, ref_s2 = bigint_commutators(R, xs, ys)
+            assert tiers == [np.dtype(jacobi_tier), np.dtype(object)]
+            assert c_batch.dtype == object and s2 == ref_s2
+            assert c_batch.tolist() == ref
+            assert max(abs(e) for mat in ref for row in mat for e in row) > 2**100
+
     def test_widened_span_takes_bigint_path_with_orthogonal_witness(self):
         R = random_act(6, 3, seed=11)
         xs, ys = orthogonal_batch(6, 16, span=4 + 2 * 63, seed=4)
@@ -352,7 +438,7 @@ class TestWitnessSearchKernels:
         assert c_batch.dtype == object
         assert c_batch.tolist() == bigint_commutators(R, xs, ys)[0]
         # a copy of every pair follows the originals, so the largest norm is tied
-        w = _violation_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys], "largest")
+        best, w = _violation_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys], "largest")
         assert np.dot(w.x, w.y) == 0
         assert (commutator(R, w.x, w.y) != 0).any()
         norms = [
@@ -360,7 +446,21 @@ class TestWitnessSearchKernels:
             for p, (x, y) in enumerate(zip(xs, ys))
         ]
         assert w.commutator_norm == max(norms)
-        assert w.x is xs[norms.index(max(norms))]
+        assert best == norms.index(max(norms)) and w.x is xs[best]
+
+    def test_sliced_scan_matches_one_slice(self, monkeypatch):
+        # three pairs per slice, and a tied copy of every pair in a later slice
+        base = random_act(6, 3, seed=11)
+        for R in (base, base.to_float()):
+            xs, ys = _sample_pairs(np.random.default_rng(4), 6, 16, R.mode.exact, True)
+            xs, ys = np.concatenate([xs, xs]), np.concatenate([ys, ys])
+            for pick in ("first", "largest"):
+                whole = _violation_scan(R, xs, ys, pick)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tsankov, "SLICE_ENTRIES", 3 * 6 * 6)
+                    sliced = _violation_scan(R, xs, ys, pick)
+                assert sliced[0] == whole[0] < 16
+                assert sliced[1].commutator_norm == whole[1].commutator_norm
 
 
 class TestTsankovTest:
@@ -540,3 +640,17 @@ class TestTriage:
             assert all(type(t) is kind for t in [*w.x, *w.y])
             assert (w.x.tolist(), w.y.tolist(), w.commutator_norm) == (x, y, norm)
             assert type(w.commutator_norm) is Fraction
+
+    def test_large_reject_keeps_the_search_witness(self, monkeypatch):
+        # m=20: round 0's 4,190 pairs contract on the float64 tier
+        refuse_expansion(monkeypatch)
+        v = tsankov_test(random_act(20, 3, 0), "exact")
+        assert not v.holds and v.method == "ExactDivisibility"
+        w = v.witness
+        assert all(type(t) is int for t in [*w.x, *w.y])
+        assert w.x.tolist() == [1, 3, -2, 3, 0, -3, -1, -4, 2, 4, -3, 4, 1, -2, 2, -2, 0, 2, -4, 3]
+        assert w.y.tolist() == [
+            -576, -232, -208, 176, -136, 640, 304, 536, 72, -128,
+            -312, 280, 376, -208, 480, -480, 136, -608, -144, 312,
+        ]
+        assert w.commutator_norm == Fraction(28847393, 3848)
