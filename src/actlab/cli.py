@@ -295,8 +295,8 @@ def _cmd_classify(args, tol):
     if result.c is not None:
         print(f"c={format_scalar(result.c)}")
     if result.theta is not None:
-        for i in range(result.theta.m):
-            print(f"theta_row_{i}={format_vector(result.theta.theta[i, :])}")
+        for i, row in enumerate(result.theta.theta):
+            print(f"theta_row_{i}={format_vector(row)}")
     if result.residual is not None:
         print(f"residual={format_scalar(result.residual)}")
     if result.witness is not None:

@@ -13,7 +13,8 @@ complementary slots, with the polarized operator equal to ``A/2`` off the
 diagonal.
 
 ``recover_complex_structure`` reads (c, Theta) off a tensor whose Jacobi
-operators have rank one, from one rank-one J(e) and the polarized operator.
+operators have rank one, from one rank-one J(e) and the polarized operator;
+exact tensors read both as slices of their integer numerators.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ from .scalars import (
     _rank_bareiss,
     complete_orthonormal_exact,
     eye,
+    fraction_array,
     fraction_sqrt,
+    integer_array,
     max_abs,
     negligible,
     orthocomplement_basis,
     orthonormalize_exact,
     rank_with_mode,
+    require_selfadjoint,
     zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, _contract
@@ -94,38 +98,103 @@ def ricci(R: CurvatureTensor) -> np.ndarray:
     return np.trace(R.values, axis1=1, axis2=2)  # einsum may sum floats in another order
 
 
-def _rank_one_unit(j: np.ndarray, mode: ScalarMode) -> tuple:
-    """Decompose a rank-one symmetric matrix as t * w w^T with unit w.
+def _rank_one_unit(n: np.ndarray) -> tuple:
+    """Split a symmetric integer matrix of rank one as n = s w w^T with unit w = W / e.
 
-    The sign of w is canonicalized: its first nonzero coordinate is positive.
-    In exact mode the unit factor must be rational, which holds exactly when
-    the matrix is lam * (Th x)(Th x)^T for rational Th and unit rational x.
+    Returns ``(s, W, e)``: s = trace n, W an integer vector whose first
+    nonzero coordinate is positive (this canonicalizes the sign of w), and
+    e > 0 coprime to W.  With p the index of the largest n[p,p] / s,
+    w = n[:, p] / (s sqrt(n[p,p] / s)), and w w^T == n / s is checked as
+    s W W^T == e^2 n.  The root is rational exactly when n / s is
+    (Th x)(Th x)^T for rational Th and unit rational x; DegenerateInput is
+    raised when it is not, when the trace is zero, or when the check fails.
     """
-    m = j.shape[0]
-    if mode.exact:
-        t = Fraction(np.trace(j))
-        if t == 0:
-            raise DegenerateInput("rank-one symmetric matrices have nonzero trace")
-        proj = j * (Fraction(1) / t)
-        diag = [Fraction(proj[i, i]) for i in range(m)]
-        p = max(range(m), key=lambda i: diag[i])
-        root = fraction_sqrt(diag[p])
-        if root is None or root == 0:
-            raise DegenerateInput(
-                "the rank-one factor is irrational; no exact representation exists"
-            )
-        w = proj[:, p] * (Fraction(1) / root)
-        if np.any(np.dot(w.reshape(-1, 1), w.reshape(1, -1)) - proj):
-            raise DegenerateInput("matrix is not exactly rank one")
+    s = int(np.trace(n))
+    if s == 0:
+        raise DegenerateInput("rank-one symmetric matrices have nonzero trace")
+    sign = 1 if s > 0 else -1
+    diag = [sign * int(v) for v in np.diagonal(n).tolist()]
+    p = max(range(len(diag)), key=diag.__getitem__)
+    root = fraction_sqrt(Fraction(int(n[p, p]), s))
+    if root is None or root == 0:
+        raise DegenerateInput("the rank-one factor is irrational; no exact representation exists")
+    w, e = integer_array(n[:, p].astype(object) * (sign * root.denominator), abs(s) * root.numerator)
+    if w[np.flatnonzero(w)[0]] < 0:
+        w = -w
+    bound = max(int(max_abs(w)) ** 2 * abs(s), int(max_abs(n)) * e * e)
+    wb, _ = integer_array(w, bound=bound)
+    nb, _ = integer_array(n, bound=bound)
+    if np.any(np.outer(wb, wb) * s - nb * (e * e)):
+        raise DegenerateInput("matrix is not exactly rank one")
+    return s, w, e
+
+
+def _is_rank_one(n: np.ndarray) -> bool:
+    """rank n == 1 for an integer matrix: n is nonzero, and at its first
+    nonzero entry (r, c), n[r,c] n == n[:, c] n[r, :], with entries at most max|n|^2."""
+    nonzero = np.flatnonzero(n)
+    if nonzero.size == 0:
+        return False
+    r, c = divmod(int(nonzero[0]), n.shape[1])
+    n, _ = integer_array(n, bound=int(max_abs(n)) ** 2)
+    return not np.any(n * n[r, c] - np.outer(n[:, c], n[r, :]))
+
+
+def _recover_exact(R: CurvatureTensor):
+    """(c, Theta numerators, their denominator) from the numerators V over d.
+
+    J(e_p) is the slice V[b,p,p,a] over d.  At the first p where it has rank
+    one, J(e_p) = (s / d) w w^T by ``_rank_one_unit`` with w = W / e, so
+    c = s / 3d, and column q != p of Theta is (2d / s) J(e_p, e_q) w
+    = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e): one integer contraction
+    for all q, with entries at most 2 m max|V| max|W|.
+    """
+    m, v = R.m, R.values
+    for p in range(m):
+        n = v[:, p, p, :].T
+        require_selfadjoint(n, R.mode)
+        if _is_rank_one(n):
+            break
     else:
-        vals, vecs = np.linalg.eigh(j.astype(float))
-        p = int(np.abs(vals).argmax())
-        t = float(vals[p])
-        w = vecs[:, p]
-    first = next((i for i in range(m) if (w[i] != 0 if mode.exact else abs(w[i]) > 1e-12)), None)
+        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
+    try:
+        s, w, e = _rank_one_unit(n)
+    except DegenerateInput as exc:
+        raise ClassificationInconsistency(
+            f"rank-one factor of J(e_{p}) has no exact representation: {exc}"
+        ) from exc
+    bound = 2 * m * max(int(max_abs(v)), 1) * int(max_abs(w))
+    v, _ = integer_array(v, bound=bound)
+    w, _ = integer_array(w, bound=bound)
+    cols = np.tensordot(w, v[:, p, :, :] + v[:, :, p, :], axes=(0, 0)).T
+    cols[:, p] = w * s
+    sign = 1 if s > 0 else -1
+    return Fraction(s, 3 * R.denominator), cols * sign, abs(s) * e
+
+
+def _recover_float(R: CurvatureTensor):
+    """(c, Theta, 1) from float Jacobi operators, the eigenvector of J(e_p) for w."""
+    mode, m = R.mode, R.m
+    basis = eye(m, mode)
+    for p in range(m):
+        j = jacobi(R, basis[p])
+        if rank_with_mode(j, mode) == 1:
+            break
+    else:
+        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
+    vals, vecs = np.linalg.eigh(j.astype(float))
+    top = int(np.abs(vals).argmax())
+    t, w = float(vals[top]), vecs[:, top]
+    first = next((i for i in range(m) if abs(w[i]) > 1e-12), None)
     if first is not None and w[first] < 0:
         w = -w
-    return t, w
+    coef = 2.0 / t
+    theta = zeros((m, m), mode)
+    theta[:, p] = w
+    for q in range(m):
+        if q != p:
+            theta[:, q] = np.dot(jacobi_polarized(R, basis[p], basis[q]), w) * coef
+    return t / 3.0, theta, 1
 
 
 def recover_complex_structure(R: CurvatureTensor):
@@ -137,39 +206,18 @@ def recover_complex_structure(R: CurvatureTensor):
     = <e, e_j> = 0 kills the second polarization term.  The overall sign of
     Theta is not determined (the tensor is even in Theta); it is fixed by
     making the first nonzero coordinate of w positive.
+
+    Exact tensors never leave their integer numerators V: J(e_p) is the
+    slice V[:, p, p, :], the rank-one test, the rational root and the sign
+    rule run on integers (``_rank_one_unit``), and every polarized column
+    is one contraction of V[:, p, :, :] + V[:, :, p, :] with the numerators
+    of w.  Float tensors take w from an eigendecomposition.
     """
-    mode = R.mode
-    m = R.m
-    if m % 2:
+    if R.m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    probe, basis = None, eye(m, mode)
-    for p in range(m):
-        j = jacobi(R, basis[p])
-        if rank_with_mode(j, mode) == 1:
-            probe, jp = p, j
-            break
-    if probe is None:
-        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
+    c, theta, denominator = (_recover_exact if R.mode.exact else _recover_float)(R)
     try:
-        t, w = _rank_one_unit(jp, mode)
-    except DegenerateInput as exc:
-        raise ClassificationInconsistency(
-            f"rank-one factor of J(e_{probe}) has no exact representation: {exc}"
-        ) from exc
-    if mode.exact:
-        c = Fraction(t, 3)
-        coef = Fraction(2) / Fraction(t)
-    else:
-        c = t / 3.0
-        coef = 2.0 / t
-    theta = zeros((m, m), mode)
-    theta[:, probe] = w
-    for jdx in range(m):
-        if jdx == probe:
-            continue
-        theta[:, jdx] = np.dot(jacobi_polarized(R, basis[probe], basis[jdx]), w) * coef
-    try:
-        cs = ComplexStructure(theta, mode)
+        cs = ComplexStructure(theta, R.mode, denominator)
     except InvalidComplexStructure as exc:
         raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
     return c, cs
@@ -189,8 +237,8 @@ def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
         return []
     if mode.exact:
         if r == 1:
-            _, w = _rank_one_unit(j, mode)
-            return [w]
+            _, w, e = _rank_one_unit(integer_array(j)[0])
+            return [fraction_array(w, e)]
         cols = []
         for c in range(j.shape[0]):
             candidate = cols + [j[:, c]]

@@ -158,6 +158,13 @@ def integer_array(values, denominator: int = 1, bound: int | None = None):
     return nums.astype(object if exact_dtype(bound) == object else np.int64, copy=False), d
 
 
+def fraction_array(values, denominator: int) -> np.ndarray:
+    """The ``Fraction`` object array ``values / denominator`` of integer numerators."""
+    zero = Fraction(0)
+    flat = [Fraction(n, denominator) if n else zero for n in np.asarray(values).ravel().tolist()]
+    return np.array(flat, dtype=object).reshape(np.shape(values))
+
+
 def max_abs(a) -> Fraction | float:
     """Sup norm of an array; the zero of the ambient scalar type if empty."""
     a = np.asarray(a)

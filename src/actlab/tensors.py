@@ -10,9 +10,11 @@ the classical symmetries
 This module provides the constructors (constant sectional curvature, the
 form built from a skew complex structure, Gauss tensors of symmetric forms,
 seeded random sums of Gauss tensors, linear combinations), the symmetry
-validator, and the curvature operator action.  Exact constructors compute
-integer numerators over one denominator directly (see ``CurvatureTensor``).
-All values are immutable after construction and safe to share across threads.
+validator, and the curvature operator action.  Exact tensors and exact
+complex structures store integer numerators over one denominator, and their
+constructors, builders and validators compute on those numerators directly
+(see ``CurvatureTensor`` and ``ComplexStructure``).  All values are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (
 from .scalars import (
     RATIONAL,
     ScalarMode,
-    eye,
     float_mode,
+    fraction_array,
     integer_array,
     is_selfadjoint,
     matrix,
@@ -93,11 +95,7 @@ class CurvatureTensor:
 
     @property
     def components(self) -> np.ndarray:
-        if not self.mode.exact:
-            return self.values
-        d, zero = self.denominator, Fraction(0)
-        flat = [Fraction(n, d) if n else zero for n in self.values.ravel().tolist()]
-        return np.array(flat, dtype=object).reshape(self.values.shape)
+        return fraction_array(self.values, self.denominator) if self.mode.exact else self.values
 
     def max_abs(self):
         top = max_abs(self.values)
@@ -110,9 +108,13 @@ class CurvatureTensor:
     def to_float(self, tol: float | None = None) -> "CurvatureTensor":
         if not self.mode.exact:
             return self
-        # int / int rounds correctly at any size, as float(Fraction) does
-        d = self.denominator
-        comps = np.array([n / d for n in self.values.ravel().tolist()]).reshape(self.values.shape)
+        # Below 2^53 both operands are exact doubles and IEEE division rounds
+        # correctly; past it int / int does, as float(Fraction) does.
+        d, v = self.denominator, self.values
+        if d < 2**53 and int(max_abs(v)) < 2**53:
+            comps = v.astype(float) / d
+        else:
+            comps = np.array([n / d for n in v.ravel().tolist()]).reshape(v.shape)
         return CurvatureTensor(self.m, comps, float_mode(tol if tol is not None else self.mode.tol))
 
     def float_components(self) -> np.ndarray:
@@ -131,9 +133,7 @@ def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
         bound *= max(int(max_abs(n)), 1)
     v, _ = integer_array(R.values, bound=bound)
     out = np.einsum(subscripts, *(n.astype(v.dtype) for n, _ in cleared), v)
-    denom = R.denominator * prod(d for _, d in cleared)
-    flat = [Fraction(int(e), denom) for e in out.ravel().tolist()]
-    return np.array(flat, dtype=object).reshape(out.shape)
+    return fraction_array(out, R.denominator * prod(d for _, d in cleared))
 
 
 @dataclass
@@ -218,42 +218,60 @@ def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     return CurvatureTensor(m, g * c.numerator, mode, c.denominator)
 
 
-@dataclass(eq=False)
 class ComplexStructure:
-    """A skew endomorphism with theta^2 = -identity (exists iff m is even)."""
+    """A skew endomorphism with theta^2 = -identity (exists iff m is even).
 
-    theta: np.ndarray
-    mode: ScalarMode | None = None
+    Stored as ``CurvatureTensor`` is: theta is ``values / denominator``,
+    float64 values over 1, or exact integer numerators T (int64, Python ints
+    from 2^62 on) over the reduced lcm t of the entry denominators, as
+    ``scalars.integer_array`` clears the exact values given.  ``theta``
+    builds the ``Fraction`` matrix on each access, for API callers; the
+    library works on T.  The mode defaults to the one the dtype of
+    ``theta`` implies.  Exact structures are validated on the numerators:
+    T + T^T = 0 and T T + t^2 I = 0.
+    """
 
-    def __post_init__(self):
-        if self.mode is None:
-            self.mode = mode_of(np.asarray(self.theta))
-        th = matrix(self.theta, self.mode)
+    def __init__(self, theta, mode: ScalarMode | None = None, denominator: int = 1):
+        self.mode = mode if mode is not None else mode_of(np.asarray(theta))
+        if self.mode.exact:
+            th, t = integer_array(theta, denominator)
+        else:
+            th, t = matrix(theta, self.mode), 1
         if th.ndim != 2 or th.shape[0] != th.shape[1]:
             raise InvalidComplexStructure(f"theta must be square, got shape {th.shape}")
         m = th.shape[0]
         if m % 2:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
         # theta^2 = -I fixes the scale of theta, so both deviations compare at scale 1
-        skew = max_abs(th + th.T)
-        square = max_abs(np.dot(th, th) + eye(m, self.mode))
+        if self.mode.exact:
+            n, _ = integer_array(th, bound=m * int(max_abs(th)) ** 2 + t * t)
+            skew = Fraction(int(max_abs(n + n.T)), t)
+            square = Fraction(int(max_abs(np.dot(n, n) + np.eye(m, dtype=n.dtype) * (t * t))), t * t)
+        else:
+            skew = max_abs(th + th.T)
+            square = max_abs(np.dot(th, th) + np.eye(m))
         if not (negligible(skew, self.mode) and negligible(square, self.mode)):
             raise InvalidComplexStructure(
                 f"theta violates its invariants (skew deviation {skew}, square deviation {square})"
             )
-        self.theta = th
-        self.m = m
+        self.values, self.denominator, self.m = th, t, m
+
+    @property
+    def theta(self) -> np.ndarray:
+        return fraction_array(self.values, self.denominator) if self.mode.exact else self.values
+
+    def __repr__(self):
+        return f"ComplexStructure(theta={self.theta!r}, mode={self.mode!r})"
 
 
 def standard_complex_structure(m: int, mode: ScalarMode = RATIONAL) -> ComplexStructure:
     """Block-diagonal structure sending e1 -> e2, e2 -> -e1, e3 -> e4, ..."""
     if m % 2:
         raise InvalidComplexStructure("complex structures exist only in even dimensions")
-    th = zeros((m, m), mode)
-    one = mode.scalar(1)
-    for t in range(m // 2):
-        th[2 * t, 2 * t + 1] = -one
-        th[2 * t + 1, 2 * t] = one
+    th = np.zeros((m, m), dtype=np.int64 if mode.exact else float)
+    even = np.arange(0, m, 2)
+    th[even, even + 1] = -1
+    th[even + 1, even] = 1
     return ComplexStructure(th, mode)
 
 
@@ -269,9 +287,19 @@ def random_signed_permutation(m: int, seed: int, mode: ScalarMode = RATIONAL) ->
 
 
 def conjugate_structure(cs: ComplexStructure, q: np.ndarray) -> ComplexStructure:
-    """The structure q theta q^T for orthogonal q."""
-    q = matrix(q, cs.mode)
-    return ComplexStructure(np.dot(np.dot(q, cs.theta), q.T), cs.mode)
+    """The structure q theta q^T for orthogonal q.
+
+    Exact q = Q / s conjugates the numerators, Q T Q^T over s^2 t, whose
+    entries are at most m^2 max|Q|^2 max|T|.
+    """
+    if not cs.mode.exact:
+        q = matrix(q, cs.mode)
+        return ComplexStructure(np.dot(np.dot(q, cs.values), q.T), cs.mode)
+    q, s = integer_array(q)
+    bound = cs.m**2 * max(int(max_abs(q)), 1) ** 2 * max(int(max_abs(cs.values)), 1)
+    q, _ = integer_array(q, bound=bound)
+    th, _ = integer_array(cs.values, bound=bound)
+    return ComplexStructure(np.dot(np.dot(q, th), q.T), cs.mode, s * s * cs.denominator)
 
 
 def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
@@ -280,15 +308,14 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     R_Theta(x,y)z = <Th y, z> Th x - <Th x, z> Th y - 2 <Th x, y> Th z, so in
     components R[i][j][k][l] = c * (Th_kj Th_li - Th_ki Th_lj - 2 Th_ji Th_lk).
     Its Jacobi operator at unit x is the rank-one map 3c <., Th x> Th x.
-    Exact numerators come from the cleared Th = T / t, over denominator t^2.
+    Exact numerators come from the stored Th = T / t, over denominator t^2.
     """
     mode = cs.mode
     c = mode.scalar(c)
-    th, scale, den = cs.theta, c, 1
+    th, scale, den = cs.values, c, 1
     if mode.exact:  # each bracket is at most 4 max|T|^2
-        th, t = integer_array(cs.theta)
         th, _ = integer_array(th, bound=4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
-        scale, den = c.numerator, c.denominator * t * t
+        scale, den = c.numerator, c.denominator * cs.denominator**2
     o = np.multiply.outer(th, th)
     comps = (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * scale
     return CurvatureTensor(cs.m, comps, mode, den)

@@ -45,6 +45,7 @@ so no witness depends on the tier.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -389,7 +390,7 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     else:
 
         def keep_x(v):  # v scaled to unit length, unless it is too short
-            nv = np.linalg.norm(v)
+            nv = math.sqrt(v @ v)  # np.linalg.norm's own formula for a real vector
             return v / nv if nv > 1e-8 else None
 
         def keep_y(x, v):

@@ -41,6 +41,32 @@ def random_fraction(rng, lo=1, hi=12, den=6, signed=True):
     return Fraction(num, d)
 
 
+def cayley_rotation(m, seed, span=2):
+    """The rational rotation (I - S)(I + S)^-1 of a seeded skew S.
+
+    S has entries a / b with |a| <= span and b in 1..3.  I + S is invertible
+    for every real skew S, and its Cayley transform is orthogonal, with
+    denominators that are not trivial.  The inverse comes from exact
+    Gauss-Jordan elimination on Fractions.
+    """
+    rng = np.random.default_rng(seed)
+    s = np.full((m, m), Fraction(0), dtype=object)
+    for i in range(m):
+        for j in range(i + 1, m):
+            v = Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4)))
+            s[i, j], s[j, i] = v, -v
+    eye = np.array([[Fraction(int(i == j)) for j in range(m)] for i in range(m)], dtype=object)
+    a = np.concatenate([eye + s, eye], axis=1)
+    for c in range(m):
+        piv = next(r for r in range(c, m) if a[r, c] != 0)
+        a[[c, piv]] = a[[piv, c]]
+        a[c] = a[c] / a[c, c]
+        for r in range(m):
+            if r != c and a[r, c] != 0:
+                a[r] = a[r] - a[r, c] * a[c]
+    return np.dot(eye - s, a[:, m:])
+
+
 def build_corpus(n=200, ms=(3, 4, 5, 6), seed=1234):
     """Deterministic list of tensors from every constructor family."""
     rng = np.random.default_rng(seed)

@@ -11,6 +11,7 @@ from actlab import (
     ConflictingEntry,
     FormatError,
     combine,
+    conjugate_structure,
     load_tensor,
     r0,
     r_theta,
@@ -20,6 +21,8 @@ from actlab import (
 )
 from actlab import cli
 from actlab.cli import main, tensor_from_doc, tensor_to_doc
+
+from conftest import cayley_rotation
 
 
 def write_doc(tmp_path, doc, name="t.json"):
@@ -301,6 +304,34 @@ class TestCliCommands:
         main(["report", out, "--samples", "6", "--seed", "3"])
         r2 = capsys.readouterr().out
         assert r1 == r2
+
+    def test_classify_output_pinned_on_cayley_rotated_rtheta(self, tmp_path, capsys):
+        # exact c R_Theta whose Theta has denominators, from a Cayley rotation
+        cs = conjugate_structure(standard_complex_structure(8), cayley_rotation(8, 4))
+        path = str(tmp_path / "rt8.json")
+        save_tensor(r_theta(cs, Fraction(-7, 3)), path)
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "tag=ComplexForm",
+            "c=-7/3",
+            "theta_row_0=0,-497977/857486,173085/857486,494607/857486,-145786/428743,"
+            "-268139/857486,112926/428743,34586/428743",
+            "theta_row_1=497977/857486,0,268857/857486,62145/857486,-47017/857486,"
+            "166076/428743,-11984/61249,260034/428743",
+            "theta_row_2=-173085/857486,-268857/857486,0,109960/428743,102013/122498,"
+            "238015/857486,51930/428743,42752/428743",
+            "theta_row_3=-494607/857486,-62145/857486,-109960/428743,0,-349351/857486,"
+            "487855/857486,38650/428743,134532/428743",
+            "theta_row_4=145786/428743,47017/857486,-102013/122498,349351/857486,0,"
+            "-6949/857486,-63034/428743,5998/428743",
+            "theta_row_5=268139/857486,-166076/428743,-238015/857486,-487855/857486,"
+            "6949/857486,0,250412/428743,43394/428743",
+            "theta_row_6=-112926/428743,11984/61249,-51930/428743,-38650/428743,"
+            "63034/428743,-250412/428743,0,305223/428743",
+            "theta_row_7=-34586/428743,-260034/428743,-42752/428743,-134532/428743,"
+            "-5998/428743,-43394/428743,-305223/428743,0",
+            "residual=0",
+        ]
 
     def test_act_tol_env(self, tmp_path, capsys, monkeypatch):
         # a float tensor with a tiny symmetry defect passes under a loose
