@@ -173,7 +173,7 @@ def _recover_exact(R: CurvatureTensor):
 
 
 def _recover_float(R: CurvatureTensor):
-    """(c, Theta, 1) from float Jacobi operators, the eigenvector of J(e_p) for w."""
+    """(c, Theta) from float Jacobi operators, the eigenvector of J(e_p) for w."""
     mode, m = R.mode, R.m
     basis = eye(m, mode)
     for p in range(m):
@@ -194,7 +194,7 @@ def _recover_float(R: CurvatureTensor):
     for q in range(m):
         if q != p:
             theta[:, q] = np.dot(jacobi_polarized(R, basis[p], basis[q]), w) * coef
-    return t / 3.0, theta, 1
+    return t / 3.0, theta
 
 
 def recover_complex_structure(R: CurvatureTensor):
@@ -215,9 +215,10 @@ def recover_complex_structure(R: CurvatureTensor):
     """
     if R.m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    c, theta, denominator = (_recover_exact if R.mode.exact else _recover_float)(R)
+    # only the exact branch returns a denominator for its numerators
+    c, theta, *denominator = (_recover_exact if R.mode.exact else _recover_float)(R)
     try:
-        cs = ComplexStructure(theta, R.mode, denominator)
+        cs = ComplexStructure(theta, R.mode, *denominator)
     except InvalidComplexStructure as exc:
         raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
     return c, cs

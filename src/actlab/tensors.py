@@ -108,13 +108,9 @@ class CurvatureTensor:
     def to_float(self, tol: float | None = None) -> "CurvatureTensor":
         if not self.mode.exact:
             return self
-        # Below 2^53 both operands are exact doubles and IEEE division rounds
-        # correctly; past it int / int does, as float(Fraction) does.
-        d, v = self.denominator, self.values
-        if d < 2**53 and int(max_abs(v)) < 2**53:
-            comps = v.astype(float) / d
-        else:
-            comps = np.array([n / d for n in v.ravel().tolist()]).reshape(v.shape)
+        # int / int rounds correctly at any size, as float(Fraction) does
+        d = self.denominator
+        comps = np.array([n / d for n in self.values.ravel().tolist()]).reshape(self.values.shape)
         return CurvatureTensor(self.m, comps, float_mode(tol if tol is not None else self.mode.tol))
 
     def float_components(self) -> np.ndarray:
@@ -227,14 +223,17 @@ class ComplexStructure:
     ``scalars.integer_array`` clears the exact values given.  ``theta``
     builds the ``Fraction`` matrix on each access, for API callers; the
     library works on T.  The mode defaults to the one the dtype of
-    ``theta`` implies.  Exact structures are validated on the numerators:
-    T + T^T = 0 and T T + t^2 I = 0.
+    ``theta`` implies; a float structure takes no denominator.  Exact
+    structures are validated on the numerators: T + T^T = 0 and
+    T T + t^2 I = 0.
     """
 
     def __init__(self, theta, mode: ScalarMode | None = None, denominator: int = 1):
         self.mode = mode if mode is not None else mode_of(np.asarray(theta))
         if self.mode.exact:
             th, t = integer_array(theta, denominator)
+        elif denominator != 1:
+            raise InvalidComplexStructure(f"float complex structures take no denominator, got {denominator}")
         else:
             th, t = matrix(theta, self.mode), 1
         if th.ndim != 2 or th.shape[0] != th.shape[1]:

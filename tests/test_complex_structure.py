@@ -7,6 +7,7 @@ Theta entries with the same element types, and the same error classes and
 messages.
 """
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -33,7 +34,7 @@ from actlab import (
     standard_complex_structure,
 )
 from actlab.errors import DegenerateInput
-from actlab.scalars import eye, fraction_sqrt, matrix, max_abs, rank_with_mode, zeros
+from actlab.scalars import eye, float_mode, fraction_sqrt, matrix, max_abs, rank_with_mode, zeros
 from actlab.tensors import ComplexStructure
 
 from conftest import cayley_rotation
@@ -141,6 +142,13 @@ def assert_same_theta(cs, ref):
     assert cs.denominator == lcm(*(v.denominator for v in ref.reshape(-1)))
 
 
+def theta_digest(c, theta):
+    """A short sha256 of c and every Theta entry, each with its type."""
+    items = [c, *theta.reshape(-1)]
+    text = ";".join(f"{type(v).__name__}:{v.numerator}/{v.denominator}" for v in items)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def outcome(fn, *args):
     """A result, or the class and message of the error raised."""
     try:
@@ -198,6 +206,13 @@ class TestNumerators:
         flt = ComplexStructure(np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert flt.mode.kind == "float" and flt.theta.dtype == float and flt.denominator == 1
 
+    def test_float_structure_rejects_a_denominator(self):
+        th = np.array([[0, -3], [3, 0]], dtype=np.int64)
+        assert outcome(ComplexStructure, th, float_mode(), 3) == (
+            InvalidComplexStructure,
+            "float complex structures take no denominator, got 3",
+        )
+
     def test_python_int_numerators_past_2_62(self):
         # a rotation by the Pythagorean triple (u^2 - v^2, 2uv, u^2 + v^2) in
         # the (e_1, e_2) plane, which straddles two planes of the structure
@@ -228,7 +243,8 @@ class TestAgainstReference:
             scales = CS
             if k >= 2 and m > 10:
                 # Cayley denominators pass 2^62 here, and each Fraction reference
-                # recovery takes seconds: one case covers that path
+                # recovery takes seconds: one case runs it, and m = 14, 16 are
+                # checked against its stored output below
                 if (m, k) != (12, 2):
                     continue
                 scales = CS[1:2]
@@ -238,6 +254,22 @@ class TestAgainstReference:
                 ref_c, ref_th = recover_complex_structure_reference(R)
                 assert got_c == ref_c == c and type(got_c) is Fraction
                 assert_same_theta(got, ref_th)
+
+    @pytest.mark.parametrize(
+        "m, digest, denominator",
+        [(14, "78a0bf9d97ee0a58", 186300563129641), (16, "604b6f1d43cb6cf9", 26423777583595145)],
+    )
+    def test_cayley_recovery_matches_stored_reference(self, m, digest, denominator):
+        # c and Theta as recover_complex_structure_reference gave them (2-4 s
+        # each), for the first Cayley rotation of rotations(m) and c = -7/3;
+        # the tensor numerators pass 2^62, so recovery runs on Python ints
+        cs = conjugate_structure(standard_complex_structure(m), cayley_rotation(m, m, span=1))
+        R = r_theta(cs, CS[1])
+        assert R.values.dtype == object
+        c, got = recover_complex_structure(R)
+        assert c == CS[1] and type(c) is Fraction
+        assert all(type(v) is Fraction for v in got.theta.reshape(-1))
+        assert (theta_digest(c, got.theta), got.denominator) == (digest, denominator)
 
     @pytest.mark.parametrize(
         "theta",

@@ -441,25 +441,3 @@ class TestExactStorage:
             assert got.dtype == float and got.tolist() == [float(v) for v in R.components.reshape(-1)]
         R = combine([(Fraction(1, 7), random_act(4, 3, seed=2))])
         assert R.to_float().components.reshape(-1).tolist() == [float(v) for v in R.components.reshape(-1)]
-
-    @pytest.mark.parametrize(
-        "top, d",
-        [
-            (2**53 - 1, 3),
-            (2**53 - 1, 2**53 - 1),  # both operands at the largest exact double
-            (2**53, 3),  # numerators past the bound
-            (2**53 + 1, 7),
-            (2**60 + 1, 2**53 - 3),
-            (2**40, 2**53),  # denominator past the bound
-            (2**53 - 1, 2**53 + 1),
-        ],
-    )
-    def test_to_float_matches_the_per_entry_division(self, top, d):
-        # values / d runs in float64 only while max|N| and d are exact doubles
-        rng = np.random.default_rng(top % 1000 + d % 1000)
-        nums = [top, -top, 1, *(int(v) for v in rng.integers(-top, top, size=253, endpoint=True))]
-        R = CurvatureTensor(4, np.array(nums, dtype=np.int64).reshape((4,) * 4), RATIONAL, d)
-        assert R.denominator == d and R.max_abs() == Fraction(top, d)
-        old = np.array([n / d for n in R.values.ravel().tolist()]).reshape(R.values.shape)
-        got = R.to_float().values
-        assert got.dtype == old.dtype and got.tobytes() == old.tobytes()
