@@ -22,11 +22,14 @@ it, and every certificate is rigorous on its own (``_decide``):
    holds iff every coefficient is zero.  Orthogonal commutation holds iff
    the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
    set of q is an irreducible quadric with dense real points, so a
-   bidegree-(2,2) polynomial vanishes on it iff q divides it.  Divisibility
-   is decided by reducing each entry to its normal form modulo q
-   (single-divisor division in a lexicographic order with leading term
-   x0*y0); the remainder is zero iff the entry lies in the ideal, and the
-   division produces the bidegree-(1,1) quotient.
+   bidegree-(2,2) polynomial vanishes on it iff q divides it.  In a
+   lexicographic order with leading term x0*y0 the remainder of division
+   by q has no x0*y0 term, so the only possible bidegree-(1,1) quotient is
+   read off the coefficients, and multiplying it back by q decides
+   (``divisible_by_pairing``).
+
+Both polynomial classes store one coefficient array over one denominator,
+as ``CurvatureTensor`` does, and build their ``entries`` dicts on access.
 
 No verdict rests on the classification theorem.  The theorem only
 predicts that the accepts left to step 4 are the tensors c R_Theta whose
@@ -44,7 +47,6 @@ so no witness depends on the tier.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
-from .scalars import ScalarMode, exact_dtype, integer_array, max_abs, negligible, vector, zeros
+from .scalars import ScalarMode, exact_dtype, fraction_array, integer_array, max_abs, negligible, vector, zeros
 from .tensors import CurvatureTensor, _coerce_vector, combine, r0, r_theta
 
 __all__ = [
@@ -101,127 +103,157 @@ def commutator(R: CurvatureTensor, x, y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# canonical monomial bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _canonical_monomials(m: int):
-    monos = [
-        (i, j, k, l)
-        for i in range(m)
-        for j in range(i, m)
-        for k in range(m)
-        for l in range(k, m)
-    ]
-    idx = np.array(monos, dtype=np.intp)
-    counts = np.array(
-        [(2 if i < j else 1) * (2 if k < l else 1) for (i, j, k, l) in monos], dtype=np.int64
-    )
-    return monos, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3], counts
-
-
-# ---------------------------------------------------------------------------
 # polynomial containers
 # ---------------------------------------------------------------------------
 
 
-def _check_canonical_keys(m, coeffs):
-    for key in coeffs:
-        if len(key) != 4:
-            raise InvalidPolynomial(f"monomial key {key} is malformed")
-        i, j, k, l = key
-        if not (0 <= i <= j < m and 0 <= k <= l < m):
-            raise InvalidPolynomial(f"monomial key {key} is not canonical for m={m}")
+def _positions(m: int) -> list:
+    """The matrix positions (a, b), a < b, in slot order."""
+    return list(zip(*(t.tolist() for t in np.triu_indices(m, 1))))
 
 
-@dataclass
-class BiQuadraticMatrixPoly:
-    """Matrix-valued bidegree-(2,2) polynomial, antisymmetric in the matrix slot.
+@dataclass(eq=False)
+class _MatrixPoly:
+    """Coefficients ``values / denominator`` of an antisymmetric matrix of polynomials.
 
-    ``entries[(a, b)]`` with a < b maps canonical monomials (i, j, k, l)
-    (i <= j, k <= l, standing for x_i x_j y_k y_l) to coefficients; the
-    lower triangle is the negative and the diagonal is zero.
+    ``values[slot, r, c]`` is the coefficient at the matrix position (a, b)
+    of the slot, in ``np.triu_indices(m, 1)`` order, of the monomial in x
+    with index tuple ``rows[r]`` times the one in y with ``rows[c]``; the
+    lower triangle is the negative and the diagonal is zero.  Values are
+    float64 over 1, or exact integer numerators (int64, Python ints from
+    2^62 on) over one denominator, which need not be reduced.  ``entries``
+    builds the dict view on each access, as ``CurvatureTensor.components``
+    does.
     """
 
     m: int
     mode: ScalarMode
-    entries: dict
+    values: np.ndarray
+    denominator: int = 1
+
+    def __post_init__(self):
+        n = len(self._rows(self.m))
+        if np.shape(self.values) != (self.m * (self.m - 1) // 2, n, n):
+            raise InvalidPolynomial(f"values of shape {np.shape(self.values)} do not fit m={self.m}")
 
     @classmethod
-    def from_entries(cls, m: int, mode: ScalarMode, entries: dict) -> "BiQuadraticMatrixPoly":
+    def from_entries(cls, m: int, mode: ScalarMode, entries: dict):
+        """Build from ``{(a, b): {key: coeff}}`` with a < b (see ``entries``)."""
+        rows = {tuple(row): r for r, row in enumerate(cls._rows(m).tolist())}
+        slots = {pos: k for k, pos in enumerate(_positions(m))}
+        values = zeros((len(slots), len(rows), len(rows)), mode)
+        d = cls.degree
         for (a, b), coeffs in entries.items():
             if not 0 <= a < b < m:
                 raise InvalidPolynomial(f"matrix position {(a, b)} must satisfy a < b")
-            _check_canonical_keys(m, coeffs)
-        return cls(m, mode, {pos: dict(coeffs) for pos, coeffs in entries.items()})
+            for key, c in coeffs.items():
+                if len(key) != 2 * d:
+                    raise InvalidPolynomial(f"monomial key {key} is malformed")
+                r, s = rows.get(tuple(key[:d])), rows.get(tuple(key[d:]))
+                if r is None or s is None:
+                    raise InvalidPolynomial(f"monomial key {key} is not canonical for m={m}")
+                values[slots[(a, b)], r, s] = mode.scalar(c)
+        return cls(m, mode, *integer_array(values)) if mode.exact else cls(m, mode, values)
+
+    @property
+    def entries(self) -> dict:
+        """``{(a, b): {key: coeff}}`` over a < b, nonzero coefficients only."""
+        return self._view(self.values, _positions(self.m))
+
+    def _view(self, values, positions) -> dict:
+        # one pass over the nonzeros; their slots come out sorted, so each slot is one run
+        flat = np.flatnonzero(values)
+        slots, r, c = np.unravel_index(flat, values.shape)
+        rows = self._rows(self.m)
+        keys = list(map(tuple, np.concatenate([rows[r], rows[c]], axis=1).tolist()))
+        coeffs = values.reshape(-1)[flat].tolist()
+        if self.mode.exact:
+            coeffs = [Fraction(n, self.denominator) for n in coeffs]
+        cuts = np.searchsorted(slots, np.arange(len(positions) + 1)).tolist()
+        return {
+            pos: dict(zip(keys[lo:hi], coeffs[lo:hi]))
+            for pos, lo, hi in zip(positions, cuts, cuts[1:])
+            if lo < hi
+        }
 
     def entry(self, a: int, b: int) -> dict:
         if a == b:
             return {}
-        if a < b:
-            return self.entries.get((a, b), {})
-        return {mono: -c for mono, c in self.entries.get((b, a), {}).items()}
+        pos = (min(a, b), max(a, b))
+        k = _positions(self.m).index(pos)
+        coeffs = self._view(self.values[k : k + 1], [pos]).get(pos, {})
+        return coeffs if a < b else {key: -c for key, c in coeffs.items()}
 
     def max_coeff(self):
-        vals = [abs(c) for coeffs in self.entries.values() for c in coeffs.values()]
-        if not vals:
-            return Fraction(0) if self.mode.exact else 0.0
-        return max(vals)
+        top = max_abs(self.values)
+        return Fraction(int(top), self.denominator) if self.mode.exact else float(top)
 
     def is_zero(self, zero_tol=None) -> bool:
         """Every coefficient is zero; a float caller may pass an absolute
         ``zero_tol`` to accept |c| <= zero_tol instead (rational mode ignores it)."""
         if self.mode.exact or zero_tol is None:
-            return all(c == 0 for coeffs in self.entries.values() for c in coeffs.values())
+            return not self.values.any()
         return self.max_coeff() <= zero_tol
 
     def evaluate(self, x, y) -> np.ndarray:
-        x = vector(x, self.mode)
-        y = vector(y, self.mode)
+        rows = self._rows(self.m)
+        x = vector(x, self.mode)[rows].prod(axis=1)  # the monomials in x, and in y
+        y = vector(y, self.mode)[rows].prod(axis=1)
+        if self.mode.exact:  # on integers, in Python ints: x = nx / dx, y = ny / dy
+            (nx, dx), (ny, dy) = integer_array(x), integer_array(y)
+            vals = (self.values @ ny.astype(object)) @ nx.astype(object)
+            vals = fraction_array(vals, self.denominator * dx * dy)
+        else:
+            vals = (self.values @ y) @ x
         out = zeros((self.m, self.m), self.mode)
-        for (a, b), coeffs in self.entries.items():
-            val = self.mode.zero()
-            for (i, j, k, l), c in coeffs.items():
-                val += c * x[i] * x[j] * y[k] * y[l]
-            out[a, b] = val
-            out[b, a] = -val
+        a, b = np.triu_indices(self.m, 1)
+        out[a, b], out[b, a] = vals, -vals
         return out
 
 
-@dataclass
-class BilinearMatrixPoly:
-    """Matrix-valued bidegree-(1,1) polynomial (the quotient by the pairing form)."""
+class BiQuadraticMatrixPoly(_MatrixPoly):
+    """Matrix-valued bidegree-(2,2) polynomial, antisymmetric in the matrix slot.
 
-    m: int
-    mode: ScalarMode
-    entries: dict  # (a, b) with a < b -> {(p, q): coeff} for x_p y_q
+    ``values[slot, I, K]`` is the coefficient of x_i x_j y_k y_l, for the
+    canonical pairs I = (i, j) and K = (k, l) (i <= j, k <= l) in
+    ``np.triu_indices(m)`` order.  ``entries[(a, b)]`` with a < b maps
+    canonical monomials (i, j, k, l) to coefficients.
+    """
 
-    def evaluate(self, x, y) -> np.ndarray:
-        x = vector(x, self.mode)
-        y = vector(y, self.mode)
-        out = zeros((self.m, self.m), self.mode)
-        for (a, b), coeffs in self.entries.items():
-            val = self.mode.zero()
-            for (p, q), c in coeffs.items():
-                val += c * x[p] * y[q]
-            out[a, b] = val
-            out[b, a] = -val
-        return out
+    degree = 2
+
+    @staticmethod
+    def _rows(m):
+        return np.stack(np.triu_indices(m), axis=1)
+
+
+class BilinearMatrixPoly(_MatrixPoly):
+    """Matrix-valued bidegree-(1,1) polynomial (the quotient by the pairing form).
+
+    ``values[slot, p, q]`` is the coefficient of x_p y_q, and
+    ``entries[(a, b)]`` with a < b maps (p, q) to it.
+    """
+
+    degree = 1
+
+    @staticmethod
+    def _rows(m):
+        return np.arange(m)[:, None]
 
     def multiply_pairing(self) -> BiQuadraticMatrixPoly:
-        """(sum_t x_t y_t) * L, folded to canonical monomials."""
-        out = {}
-        for pos, coeffs in self.entries.items():
-            acc = {}
-            for (p, q), c in coeffs.items():
-                for t in range(self.m):
-                    mono = (min(p, t), max(p, t), min(q, t), max(q, t))
-                    acc[mono] = acc.get(mono, self.mode.zero()) + c
-            acc = {mono: c for mono, c in acc.items() if c != 0}
-            if acc:
-                out[pos] = acc
-        return BiQuadraticMatrixPoly(self.m, self.mode, out)
+        """(sum_t x_t y_t) * L on canonical monomials."""
+        m, L = self.m, self.values
+        if self.mode.exact and exact_dtype(2 * int(max_abs(L))) == object:
+            L = L.astype(object)  # at most two terms meet per monomial
+        ii, jj = np.triu_indices(m)
+        n = len(ii)
+        pair = np.empty((m, m), dtype=np.intp)  # pair[i, j]: the position of {i, j} among the n pairs
+        pair[ii, jj] = pair[jj, ii] = np.arange(n)
+        out = np.zeros((len(L), n * n), dtype=L.dtype)
+        # x_t y_t x_p y_q is the monomial with pairs {p, t} and {q, t}
+        p, q, t = np.indices((m, m, m)).reshape(3, -1)
+        np.add.at(out, (slice(None), pair[p, t] * n + pair[q, t]), L[:, p, q])
+        return BiQuadraticMatrixPoly(m, self.mode, out.reshape(len(L), n, n), self.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -232,51 +264,40 @@ class BilinearMatrixPoly:
 def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     """Expand C(x,y) = J(x)J(y) - J(y)J(x) into canonical coefficients.
 
-    Evaluating the result at any concrete (x, y) reproduces
-    ``commutator(R, x, y)``, exactly so in rational mode.
+    With s[a, c, I] the x^I coefficient of J(x)[a, c] (R[c,i,j,a] +
+    R[c,j,i,a] for i < j, R[c,i,i,a] on the diagonal), slot (a, b) is
+    T[I, K] - T[K, I] for T = sum_c s[a, c, I] s[c, b, K]: one matmul per
+    row a.  Exact numerators N give coefficients of magnitude at most
+    8 m max|N|^2 over d^2, and ``scalars.exact_dtype`` of that bound picks
+    the tier: an exact float64 GEMM, int64, or Python ints.  Evaluating the
+    result at any concrete (x, y) reproduces ``commutator(R, x, y)``,
+    exactly so in rational mode.
     """
     cached = R._cache.get("commutator_poly")
     if cached is not None:
         return cached
     m = R.m
+    ii, jj = np.triu_indices(m)
+    q = R.values.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
+    s = q[:, :, ii, jj]
+    off = ii < jj
+    s[:, :, off] += q[:, :, jj[off], ii[off]]
     if R.mode.exact:
         maxv = int(max_abs(R.values))
-        # |t| <= 2 m maxv^2, and g * counts folds four t terms times counts <= 4
-        v, _ = integer_array(R.values, bound=32 * m * maxv * maxv)
-        q = v.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
-        denom = R.denominator**2
+        tier = exact_dtype(8 * m * maxv * maxv)
+        s = s.astype(tier, copy=False)
+        store = object if tier == object else np.int64
     else:
-        q = R.values.transpose((3, 0, 1, 2))
-        denom = None
-    t = np.einsum("acij,cbkl->abijkl", q, q) - np.einsum("ackl,cbij->abijkl", q, q)
-
-    monos, ii, jj, kk, ll, counts = _canonical_monomials(m)
-    flat = t.reshape(m * m, m, m, m, m)
-    g = (
-        flat[:, ii, jj, kk, ll]
-        + flat[:, jj, ii, kk, ll]
-        + flat[:, ii, jj, ll, kk]
-        + flat[:, jj, ii, ll, kk]
-    )
-    if denom is not None:
-        vals_all = (g * counts) // 4
-    else:
-        vals_all = g * counts / 4.0
-    entries = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            vals = vals_all[a * m + b]
-            if denom is not None:
-                coeffs = {
-                    mono: Fraction(int(val), denom)
-                    for mono, val in zip(monos, vals.tolist())
-                    if val
-                }
-            else:
-                coeffs = {mono: float(val) for mono, val in zip(monos, vals) if val != 0.0}
-            if coeffs:
-                entries[(a, b)] = coeffs
-    poly = BiQuadraticMatrixPoly(m, R.mode, entries)
+        store = np.float64
+    n = len(ii)
+    rhs = s.reshape(m, m * n)  # rhs[c, (b, K)] = s[c, b, K]
+    out = np.empty((m * (m - 1) // 2, n, n), dtype=store)
+    start = 0
+    for a in range(m - 1):
+        t = (s[a].T @ rhs[:, (a + 1) * n :]).reshape(n, m - a - 1, n).transpose(1, 0, 2)
+        out[start : start + m - a - 1] = t - t.transpose(0, 2, 1)
+        start += m - a - 1
+    poly = BiQuadraticMatrixPoly(m, R.mode, out, R.denominator**2)
     R._cache["commutator_poly"] = poly
     return poly
 
@@ -286,68 +307,36 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
 # ---------------------------------------------------------------------------
 
 
-def _divide_entry(coeffs: dict, m: int, is_zero) -> dict | None:
-    """Quotient of one bidegree-(2,2) entry by the pairing form, or None.
-
-    Normal-form division: monomials are processed in ascending canonical
-    tuple order, which is descending lexicographic monomial order with the
-    x-block ordered before the y-block.  The pairing form's leading term is
-    then x0*y0, every reduction step only introduces strictly later
-    monomials, and a leading term without both x0 and y0 certifies that the
-    entry is not in the ideal.
-    """
-    work = {key: c for key, c in coeffs.items() if not is_zero(c)}
-    heap = sorted(work)
-    quotient: dict = {}
-    seen = set()
-    while heap:
-        key = heapq.heappop(heap)
-        if key in seen:
-            continue
-        seen.add(key)
-        c = work.get(key)
-        if c is None or is_zero(c):
-            continue
-        i, j, k, l = key
-        if i != 0 or k != 0:
-            return None
-        p, q = j, l
-        quotient[(p, q)] = quotient.get((p, q), 0) + c
-        for tt in range(m):
-            mono = (min(p, tt), max(p, tt), min(q, tt), max(q, tt))
-            prev = work.get(mono)
-            if prev is None:
-                work[mono] = -c
-                heapq.heappush(heap, mono)
-            else:
-                work[mono] = prev - c
-    return {key: c for key, c in quotient.items() if not is_zero(c)}
-
-
 def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMatrixPoly | None:
     """The bidegree-(1,1) quotient L with P = (sum_i x_i y_i) * L, or None.
 
-    The zero polynomial is divisible (zero quotient).  In float mode
-    coefficients of at most ``zero_tol`` (default tol * max|coeff|, the
-    ``negligible`` rule at the polynomial's own scale) count as zero.
+    In the lexicographic order with leading term x0 y0, the remainder of
+    division by q = sum_i x_i y_i has no x0 y0 term, so if q divides P the
+    quotient is read off P: L[p, q] = P[(0,p),(0,q)], less P[(0,0),(0,0)]
+    when p = q > 0.  P is divisible iff q L == P, which multiplying back
+    proves.  The zero polynomial is divisible (zero quotient).  In float
+    mode coefficients of at most ``zero_tol`` (default tol * max|coeff|,
+    the ``negligible`` rule at the polynomial's own scale) count as zero in
+    P, in L and in P - q L.
     """
-    for (a, b), coeffs in P.entries.items():
-        if not 0 <= a < b < P.m:
-            raise InvalidPolynomial(f"matrix position {(a, b)} must satisfy a < b")
-        _check_canonical_keys(P.m, coeffs)
+    m, v = P.m, P.values
     if P.mode.exact:
-        is_zero = lambda c: c == 0  # noqa: E731
+        if exact_dtype(5 * int(max_abs(v))) == object:
+            v = v.astype(object)  # |L| <= 2 max|P| and |q L| <= 2 max|L|
+        small = lambda a: a == 0  # noqa: E731
     else:
-        zt = zero_tol if zero_tol is not None else P.mode.tol * float(P.max_coeff())
-        is_zero = lambda c: abs(c) <= zt  # noqa: E731
-    quotients = {}
-    for pos, coeffs in P.entries.items():
-        q = _divide_entry(coeffs, P.m, is_zero)
-        if q is None:
-            return None
-        if q:
-            quotients[pos] = q
-    return BilinearMatrixPoly(P.m, P.mode, quotients)
+        zt = zero_tol if zero_tol is not None else P.mode.tol * P.max_coeff()
+        small = lambda a: np.abs(a) <= zt  # noqa: E731
+        v = np.where(small(v), 0.0, v)
+    L = v[:, :m, :m].copy()  # the pairs (0, p) come first in canonical order
+    diag = np.arange(1, m)
+    L[:, diag, diag] -= v[:, :1, 0]
+    if not P.mode.exact:
+        L[small(L)] = 0.0
+    quotient = BilinearMatrixPoly(m, P.mode, L, P.denominator)
+    if not small(v - quotient.multiply_pairing().values).all():
+        return None
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +613,9 @@ def _fit(R: CurvatureTensor):
     sect = R.values[ii, jj, jj, ii]
     nonzero = np.flatnonzero(~negligible(sect, mode, R.max_abs()))
     residual = None
-    if nonzero.size:
+    # an exact c R0 has equal sectional numerators; for even m, where c R_Theta
+    # is left to try and reports its own residual, skip a fit that cannot hold
+    if nonzero.size and not (mode.exact and m % 2 == 0 and (sect != sect[nonzero[0]]).any()):
         s = sect[nonzero[0]]
         c = Fraction(int(s), R.denominator) if mode.exact else s
         residual = _relative_residual(R, r0(m, c, mode))

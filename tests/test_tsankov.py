@@ -227,7 +227,8 @@ class TestCommutatorPoly:
                 assert coeffs.get((k, l, i, j), Fraction(0)) == -c
 
     def test_int64_bound_covers_folded_coefficients(self):
-        # folded coefficients g * counts reach 32 m maxv^2, past 2 m maxv^2 < 2^62
+        # an int64 guard on 2 m maxv^2 alone once let this expansion overflow;
+        # its coefficients reach 8 m maxv^2, past 2^62, so it must run on Python ints
         R = combine([(39960531, random_act(4, 3, seed=1))])
         assert 2 * 4 * max_numerator(R) ** 2 < _INT64_LIMIT <= 32 * 4 * max_numerator(R) ** 2
         P = commutator_poly(R)
