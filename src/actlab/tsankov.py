@@ -165,7 +165,7 @@ class _MatrixPoly:
         flat = np.flatnonzero(values)
         slots, r, c = np.unravel_index(flat, values.shape)
         rows = self._rows(self.m)
-        keys = list(map(tuple, np.concatenate([rows[r], rows[c]], axis=1).tolist()))
+        keys = list(zip(*np.concatenate([rows[r].T, rows[c].T]).tolist()))
         coeffs = values.reshape(-1)[flat].tolist()
         if self.mode.exact:
             coeffs = [Fraction(n, self.denominator) for n in coeffs]
