@@ -118,7 +118,7 @@ class _MatrixPoly:
 
     ``values[slot, r, c]`` is the coefficient at the matrix position (a, b)
     of the slot, in ``np.triu_indices(m, 1)`` order, of the monomial in x
-    with index tuple ``rows[r]`` times the one in y with ``rows[c]``; the
+    with index tuple ``_rows(m)[r]`` times the one in y with ``_rows(m)[c]``; the
     lower triangle is the negative and the diagonal is zero.  Values are
     float64 over 1, or exact integer numerators (int64, Python ints from
     2^62 on) over one denominator, which need not be reduced.  ``entries``
