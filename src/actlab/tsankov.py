@@ -602,7 +602,8 @@ def _fit(R: CurvatureTensor):
     """Rebuild R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
 
     c R0 takes c from the first sectional value R(e_i, e_j, e_j, e_i), i < j,
-    that is not negligible at |R|; c R_Theta takes (c, Theta) from
+    that is not negligible at |R|, and is not tried on an exact tensor of
+    even m whose sectional values differ; c R_Theta takes (c, Theta) from
     ``recover_complex_structure``.  A fit counts when its relative residual
     is negligible.  In rational mode that is exact equality, which proves
     that R commutes on orthogonal pairs, as c R0 and c R_Theta do.  Raises
@@ -613,8 +614,8 @@ def _fit(R: CurvatureTensor):
     sect = R.values[ii, jj, jj, ii]
     nonzero = np.flatnonzero(~negligible(sect, mode, R.max_abs()))
     residual = None
-    # an exact c R0 has equal sectional numerators; for even m, where c R_Theta
-    # is left to try and reports its own residual, skip a fit that cannot hold
+    # an exact c R0 has equal sectional numerators; odd m keeps the attempt,
+    # since its error message reports the c R0 residual
     if nonzero.size and not (mode.exact and m % 2 == 0 and (sect != sect[nonzero[0]]).any()):
         s = sect[nonzero[0]]
         c = Fraction(int(s), R.denominator) if mode.exact else s
