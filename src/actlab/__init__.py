@@ -83,6 +83,7 @@ from .tsankov import (
     full_commutation_test,
     tsankov_test,
 )
-from .cli import load_tensor, save_tensor
+from .io import load_tensor, save_tensor
+from . import cli  # loaded with the package: bench/tracing.py wraps functions in actlab.cli
 
 __version__ = "0.1.0"

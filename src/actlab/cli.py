@@ -1,27 +1,16 @@
-"""Command-line surface and the tensor file format.
-
-Files are JSON with keys ``m``, ``scalar`` ("rational" | "float"),
-``storage`` ("sparse" | "dense"), and ``entries``.  Sparse entries are
-objects ``{"i":, "j":, "k":, "l":, "v":}`` with 0-based indices and values
-as decimal or "p/q" strings; the loader completes each entry's orbit under
-the tensor symmetries and rejects conflicting values.  Dense entries are a
-flat row-major array of length m^4.  Rational values survive a round trip
-losslessly.
-
-Files may declare at most ``MAX_M`` = 32 dimensions, checked before anything
-is allocated, and every value must be finite.
+"""The ``actlab`` command.
 
 Subcommands: gen, validate, jacobi, tsankov, classify, osserman, report.
-Exit codes: 0 on success / property holds, 1 on computational errors or
-negative decisions, 2 on usage errors.  The environment variable ACT_TOL
-overrides the default float tolerance; it must be a positive finite number.
+Each reads or writes tensor files through :mod:`actlab.io`, which owns the
+file format, and prints ``key=value`` lines.  Exit codes: 0 on success /
+property holds, 1 on computational errors or negative decisions, 2 on
+usage errors.  The environment variable ACT_TOL overrides the default float
+tolerance; it must be a positive finite number.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -29,29 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import classify, osserman_check, structure_report
-from .errors import (
-    ActError,
-    BianchiViolation,
-    ConflictingEntry,
-    FormatError,
-)
+from .errors import ActError, FormatError
+from .io import _load_doc, _parse_value, load_tensor, save_tensor, tensor_from_doc
 from .jacobi import jacobi
-from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, negligible, zeros
-from .tensors import (
-    CurvatureTensor,
-    combine,
-    from_form,
-    r0,
-    r_theta,
-    random_act,
-    standard_complex_structure,
-    validate,
-)
+from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, zeros
+from .tensors import combine, from_form, r0, r_theta, random_act, standard_complex_structure
 from .tsankov import tsankov_test
 
 __all__ = ["save_tensor", "load_tensor", "main", "console_main"]
-
-MAX_M = 32  # largest dimension a tensor file may declare
 
 
 def format_scalar(v) -> str:
@@ -64,147 +38,6 @@ def format_scalar(v) -> str:
 
 def format_vector(vec) -> str:
     return ",".join(format_scalar(v) for v in vec)
-
-
-def _parse_value(raw, mode: ScalarMode):
-    if isinstance(raw, float) and not math.isfinite(raw):  # JSON NaN, Infinity, 1e400
-        raise FormatError(f"value {raw!r} is not finite")
-    try:
-        return mode.scalar(raw)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise FormatError(f"cannot parse value {raw!r}: {exc}") from exc
-
-
-def _orbit_images(i, j, k, l):
-    """Signed orbit of an index tuple under the tensor symmetries.
-
-    Returns a map tuple -> sign, or None when the orbit is self-conflicting
-    (the symmetries force the value to be zero, e.g. repeated antisymmetric
-    indices).
-    """
-    images: dict = {}
-    for t1, s1 in (((i, j, k, l), 1), ((j, i, k, l), -1)):
-        for t2, s2 in ((t1, s1), ((t1[0], t1[1], t1[3], t1[2]), -s1)):
-            for t3, s3 in ((t2, s2), ((t2[2], t2[3], t2[0], t2[1]), s2)):
-                if t3 in images and images[t3] != s3:
-                    return None
-                images[t3] = s3
-    return images
-
-
-def tensor_to_doc(R: CurvatureTensor, storage: str = "sparse") -> dict:
-    if storage not in ("sparse", "dense"):
-        raise FormatError(f"unknown storage {storage!r}")
-    exact = R.mode.exact
-    doc = {"m": R.m, "scalar": "rational" if exact else "float", "storage": storage}
-    comps = R.components
-    if storage == "dense":
-        doc["entries"] = [format_scalar(v) if exact else float(v) for v in comps.reshape(-1)]
-        return doc
-    entries = []
-    for i, j, k, l in np.argwhere(R.values).tolist():  # nonzero entries in row-major order
-        images = _orbit_images(i, j, k, l)
-        if min(images) != (i, j, k, l):
-            continue
-        v = comps[i, j, k, l]
-        entries.append({"i": i, "j": j, "k": k, "l": l, "v": format_scalar(v) if exact else float(v)})
-    doc["entries"] = entries
-    return doc
-
-
-def save_tensor(R: CurvatureTensor, path, storage: str = "sparse"):
-    with open(path, "w") as fh:
-        json.dump(tensor_to_doc(R, storage), fh, indent=1)
-        fh.write("\n")
-
-
-def _values_conflict(a, b, mode: ScalarMode) -> bool:
-    return not negligible(a - b, mode, max(abs(a), abs(b)))
-
-
-def tensor_from_doc(doc: dict, tol: float = DEFAULT_TOL, enforce: bool = True):
-    """Build a tensor from a parsed file; returns (tensor, validation report).
-
-    With ``enforce`` the documented loader errors are raised: symmetry
-    conflicts as ConflictingEntry, Bianchi failures as BianchiViolation.
-    Without it the report carries the verdict (used by the validate command).
-    """
-    if not isinstance(doc, dict):
-        raise FormatError("top-level JSON value must be an object")
-    for key in ("m", "scalar", "storage", "entries"):
-        if key not in doc:
-            raise FormatError(f"missing key {key!r}")
-    m = doc["m"]
-    if not isinstance(m, int) or not 2 <= m <= MAX_M:
-        raise FormatError(f"m must be an integer between 2 and {MAX_M}")
-    if doc["scalar"] not in ("rational", "float"):
-        raise FormatError(f"unknown scalar kind {doc['scalar']!r}")
-    mode = RATIONAL if doc["scalar"] == "rational" else float_mode(tol)
-    storage = doc["storage"]
-    entries = doc["entries"]
-    if storage == "dense":
-        if not isinstance(entries, list) or len(entries) != m**4:
-            raise FormatError(f"dense storage needs exactly m^4 = {m**4} entries")
-        flat = [_parse_value(v, mode) for v in entries]
-        comps = np.array(flat, dtype=object if mode.exact else float).reshape((m,) * 4)
-    elif storage == "sparse":
-        if not isinstance(entries, list):
-            raise FormatError("sparse storage needs a list of entries")
-        acc: dict = {}
-        for n, ent in enumerate(entries):
-            if not isinstance(ent, dict) or not all(key in ent for key in "ijklv"):
-                raise FormatError(f"entry {n} must be an object with keys i, j, k, l, v")
-            idx = tuple(ent[key] for key in "ijkl")
-            if not all(isinstance(t, int) and 0 <= t < m for t in idx):
-                raise FormatError(f"entry {n} has indices out of range for m={m}")
-            v = _parse_value(ent["v"], mode)
-            images = _orbit_images(*idx)
-            if images is None:
-                if v != 0:
-                    raise ConflictingEntry(idx, "the symmetries force this entry to be zero")
-                images = {idx: 1}
-            for t, sgn in images.items():
-                val = sgn * v
-                if t in acc and _values_conflict(acc[t], val, mode):
-                    raise ConflictingEntry(t, f"{acc[t]} vs {val}")
-                acc[t] = val
-        comps = zeros((m,) * 4, mode)
-        for t, val in acc.items():
-            comps[t] = val
-    else:
-        raise FormatError(f"unknown storage {storage!r}")
-    tensor = CurvatureTensor(m, comps, mode)  # clears exact denominators once
-    report = validate(tensor, mode)
-    if enforce and not report.accepted:
-        worst = max(
-            (name for name in report.violations if name != "bianchi"),
-            key=lambda name: report.violations[name],
-        )
-        if not negligible(report.violations[worst], mode, tensor.max_abs()):
-            raise ConflictingEntry(report.worst_index[worst], f"{worst} symmetry violated")
-        raise BianchiViolation(report.violations["bianchi"], report.worst_index["bianchi"])
-    return tensor, report
-
-
-def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
-    """Load and validate a tensor file (the documented external format)."""
-    tensor, _ = tensor_from_doc(_load_doc(path), tol, enforce=True)
-    return tensor
-
-
-def _load_doc(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FormatError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.msg, line=exc.lineno) from exc
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 
 def _parse_vector_arg(raw: str, mode: ScalarMode, m: int):

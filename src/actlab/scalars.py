@@ -145,7 +145,7 @@ def integer_array(values, denominator: int = 1, bound: int | None = None):
     a = np.asarray(values)
     nums, common = a, 1
     if a.dtype != np.int64:
-        flat = [Fraction(v) for v in a.ravel().tolist()]
+        flat = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in a.ravel().tolist()]
         common = lcm(*(v.denominator for v in flat))
         nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
         nums = nums.reshape(a.shape)

@@ -19,8 +19,9 @@ from actlab import (
     save_tensor,
     standard_complex_structure,
 )
-from actlab import cli
-from actlab.cli import main, tensor_from_doc, tensor_to_doc
+from actlab import io
+from actlab.cli import main
+from actlab.io import tensor_from_doc, tensor_to_doc
 
 from conftest import cayley_rotation
 
@@ -119,7 +120,7 @@ class TestFileFormat:
         def refuse(*args, **kwargs):
             raise Allocated
 
-        monkeypatch.setattr(cli, "zeros", refuse)
+        monkeypatch.setattr(io, "_place", refuse)
         doc = {"m": 33, "scalar": "rational", "storage": storage, "entries": []}
         with pytest.raises(FormatError, match="between 2 and 32"):
             load_tensor(write_doc(tmp_path, doc))
