@@ -29,10 +29,13 @@ __all__ = ["save_tensor", "load_tensor", "main", "console_main"]
 
 
 def format_scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    try:
+        if isinstance(v, Fraction):
+            return str(v)
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+    except ValueError as exc:  # a computed value can pass Python's integer-digit limit
+        raise FormatError(f"cannot print value: {exc}") from exc
     return repr(float(v))
 
 

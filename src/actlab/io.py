@@ -9,8 +9,10 @@ writes (i, j, k, l) with ``i < j``, ``k < l`` and ``(i, j) <= (k, l)``, one
 per orbit, skipping entries the symmetries force to zero.  Dense entries are
 a flat row-major array of length m^4.  Values are decimal or "p/q" strings
 (rational, lossless) or JSON numbers (float): finite, not booleans, with a
-decimal exponent of at most ``MAX_EXPONENT`` in magnitude.  Both directions
-work on integer numerators, cleared from the parsed values only.
+decimal exponent of at most ``MAX_EXPONENT`` in magnitude; a rational
+value's numerator and denominator have at most ``MAX_EXPONENT`` digits, so
+that every loaded value prints.  Both directions work on integer numerators,
+cleared from the parsed values only.
 """
 
 from __future__ import annotations
@@ -41,9 +43,16 @@ def _parse_value(raw, mode: ScalarMode):
     if exponent and int(exponent[1].replace("_", "")[:5]) > MAX_EXPONENT:  # any 5 digits exceed it
         raise FormatError(f"value {raw!r} has a decimal exponent beyond {MAX_EXPONENT}")
     try:
-        return mode.scalar(raw)
+        value = mode.scalar(raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"cannot parse value {raw!r}: {exc}") from exc
+    if mode.exact:
+        # 10^MAX_EXPONENT, the least integer Python cannot print by default, is
+        # above 2^(3 MAX_EXPONENT), so only longer values pay for the power
+        big = max(abs(value.numerator), value.denominator)
+        if big.bit_length() > 3 * MAX_EXPONENT and big >= 10**MAX_EXPONENT:
+            raise FormatError(f"value {raw!r} has a numerator or denominator of more than {MAX_EXPONENT} digits")
+    return value
 
 
 def _orbit_images(i, j, k, l, m):
@@ -66,7 +75,10 @@ def _format_values(R: CurvatureTensor, nums: np.ndarray) -> list:
     if not R.mode.exact:
         return nums.tolist()
     d = R.denominator
-    return [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}" for n in nums.tolist()]
+    try:
+        return [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}" for n in nums.tolist()]
+    except ValueError as exc:  # a computed tensor can pass Python's integer-digit limit
+        raise FormatError(f"cannot write value: {exc}") from exc
 
 
 def tensor_to_doc(R: CurvatureTensor, storage: str = "sparse") -> dict:
@@ -85,8 +97,9 @@ def tensor_to_doc(R: CurvatureTensor, storage: str = "sparse") -> dict:
 
 
 def save_tensor(R: CurvatureTensor, path, storage: str = "sparse"):
+    doc = tensor_to_doc(R, storage)  # before the file opens, so a value that cannot be written leaves none
     with open(path, "w") as fh:
-        json.dump(tensor_to_doc(R, storage), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 

@@ -38,16 +38,21 @@ threshold ``tol |R|^2``.
 
 A seeded sampling mode cross-checks the decision and supplies witness
 pairs for failures.  Pairs are drawn a batch at a time, with one generator
-call for all rows, and evaluated in slices of bounded size.  Exact
-commutators run on the fastest tier their batch bound allows: a float64
-BLAS matmul while every intermediate stays below 2^53, then int64, then
-Python ints (``_batch_commutators``); every tier gives the same integers,
-so no witness depends on the tier.
+call for all rows, and formed as whole arrays in both modes.  They are
+evaluated in slices of bounded size, each contracted as one matmul of the
+outer products x x^T against R (``_batch_commutators``), and each slice
+picks its violator with array operations.  Exact commutators run on the
+fastest tier their batch bound allows: a float64 BLAS matmul while every
+intermediate stays below 2^53, then int64, then Python ints; every tier
+gives the same integers, so no exact witness depends on the tier.  Float
+commutators take the same matmul in float64, so float witness norms may
+move in their low bits with the BLAS summation order; the expansion, not
+the search, decides float ``tsankov_test(R, "exact")`` and
+``full_commutation_test``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -351,47 +356,47 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     nonzero, then draw v until y is nonzero, where y is v, or v projected
     off x when ``orthogonal``.  Exact pairs are int64 with
     y = <x,x> v - <v,x> x, so their entries are at most 2 m span^3; float
-    pairs are unit vectors.  All 2n rows come from one generator call,
-    which yields the same stream as 2n one-row calls.  Exact pairs are then
-    formed at once; if a row is rejected, or in float mode, the rule walks
-    the drawn rows and draws any further row singly.  So the pairs, and the
-    generator state after the call, are those of n pairs drawn one by one.
+    pairs are unit vectors, and a float row counts as zero when its norm is
+    at most 1e-8.  All 2n rows come from one generator call, which yields
+    the same stream as 2n one-row calls, and the n pairs are formed from
+    them as whole arrays.  Only if a row is rejected does the rule walk the
+    drawn rows one at a time, drawing any further row singly.  So the pairs,
+    and the generator state after the call, are those of n pairs drawn one
+    by one (float pairs up to rounding, since array sums may add in another
+    order).
     """
+    dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
     if exact:
         draw = lambda *count: rng.integers(-span, span + 1, size=(*count, m))  # noqa: E731
+
+        def keep_x(a):  # rows as drawn, and which of them are nonzero
+            return a, a.any(axis=-1)
+
+        def keep_y(x, v):
+            return keep_x(dot(x, x) * v - dot(v, x) * x if orthogonal else v)
     else:
         draw = lambda *count: rng.standard_normal((*count, m))  # noqa: E731
+
+        def keep_x(a):  # rows scaled to unit length, and which of them are long enough
+            norm = np.sqrt(dot(a, a))
+            long = norm > 1e-8
+            return a / np.where(long, norm, 1.0), long[..., 0]
+
+        def keep_y(x, v):
+            return keep_x(v - dot(v, x) * x if orthogonal else v)
+
     rows = draw(2 * n)
-    if exact:
-        xs, ys = rows[0::2], rows[1::2]
-        if orthogonal:
-            dot = lambda a, b: (a * b).sum(axis=1, keepdims=True)  # noqa: E731
-            ys = dot(xs, xs) * ys - dot(ys, xs) * xs
-        if xs.any(axis=1).all() and ys.any(axis=1).all():
-            return xs, ys
-
-        def keep_x(x):
-            return x if x.any() else None
-
-        def keep_y(x, v):
-            y = int(x @ x) * v - int(v @ x) * x if orthogonal else v
-            return y if y.any() else None
-    else:
-
-        def keep_x(v):  # v scaled to unit length, unless it is too short
-            nv = math.sqrt(v @ v)  # np.linalg.norm's own formula for a real vector
-            return v / nv if nv > 1e-8 else None
-
-        def keep_y(x, v):
-            return keep_x(v - (v @ x) * x if orthogonal else v)
-
+    xs, kx = keep_x(rows[0::2])
+    ys, ky = keep_y(xs, rows[1::2])
+    if kx.all() and ky.all():
+        return xs, ys
     pending = iter(rows)
 
     def accepted(keep):
         while True:
             row = next(pending, None)
-            kept = keep(draw() if row is None else row)
-            if kept is not None:
+            kept, ok = keep(draw() if row is None else row)
+            if ok:
                 return kept
 
     xs, ys = [], []
@@ -420,8 +425,9 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
     the result is exact in any summation order and with any number of BLAS
     threads; int64 below 2^62; Python ints past that.  The bounds are taken
     in Python ints, since their squares can pass 2^63.  C comes back as
-    int64, or as Python ints past 2^62.  Float batches contract R with
-    ``einsum``.
+    int64, or as Python ints past 2^62.  Float batches take the same
+    contraction in float64 on the float components, with scale None; their
+    low bits depend on the BLAS summation order.
     """
     m = R.m
     if R.mode.exact:
@@ -432,23 +438,25 @@ def _batch_commutators(R: CurvatureTensor, xs, ys):
         bx, by = (max(int(np.abs(a).sum(axis=1).max()), 1) ** 2 * maxv for a in (xa, ya))
         jdt, cdt = exact_dtype(max(bx, by)), exact_dtype(2 * m * bx * by)
         v, _ = integer_array(R.values, bound=max(bx, by))
-        w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
-        w = w.astype(jdt, copy=False)
+        scale = R.denominator**2
+    else:
+        xa, ya = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        jdt = cdt = np.dtype(np.float64)
+        v, scale = R.values, None
+    w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
+    w = w.astype(jdt, copy=False)
 
-        def jacobis(a):
-            a = a.astype(jdt, copy=False)
-            j = ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
-            # float64 J passes through int64 on its way to Python ints
-            return j if jdt == cdt else j.astype(np.int64, copy=False).astype(cdt, copy=False)
+    def jacobis(a):
+        a = a.astype(jdt, copy=False)
+        j = ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
+        # exact float64 J passes through int64 on its way to Python ints
+        return j if jdt == cdt else j.astype(np.int64, copy=False).astype(cdt, copy=False)
 
-        jx, jy = jacobis(xa), jacobis(ya)
-        c = np.matmul(jx, jy) - np.matmul(jy, jx)
-        return c.astype(object if cdt == object else np.int64, copy=False), R.denominator**2
-    xa = np.array(xs, dtype=float)
-    ya = np.array(ys, dtype=float)
-    jx = np.einsum("pi,pj,bija->pab", xa, xa, R.values)
-    jy = np.einsum("pi,pj,bija->pab", ya, ya, R.values)
-    return jx @ jy - jy @ jx, None
+    jx, jy = jacobis(xa), jacobis(ya)
+    c = np.matmul(jx, jy) - np.matmul(jy, jx)
+    if R.mode.exact and cdt == np.float64:
+        c = c.astype(np.int64)  # exact commutators come back as integers
+    return c, scale
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -486,7 +494,8 @@ def _violation_scan(R, xs, ys, pick: str):
     from one reduction per slice.  Exact norms raw / (scale |x|^2 |y|^2)
     are compared by integer cross-multiplication; only the returned witness
     gets its ``Fraction``.  Float pairs count when raw exceeds
-    ``_float_threshold``.
+    ``_float_threshold``; a slice's hits get their norms raw / (|x|^2 |y|^2)
+    as arrays, and its pick is the first hit or the first argmax.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
     exact = R.mode.exact
@@ -499,17 +508,19 @@ def _violation_scan(R, xs, ys, pick: str):
         c, scale = _batch_commutators(R, xa[start : start + step], ya[start : start + step])
         raws = np.abs(c).max(axis=(1, 2))
         hits = np.flatnonzero(raws if exact else raws > thr)
-        for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
-            if exact:
+        if exact:
+            for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
                 den = sqx[p] * sqy[p]
                 if best is None or raw * best[2] > best[1] * den:
                     best = (p, raw, den)
-            else:
-                norm = raw / (float(np.dot(xs[p], xs[p])) * float(np.dot(ys[p], ys[p])))
-                if best is None or norm > best[1]:
-                    best = (p, norm)
-            if pick == "first":
-                break
+                if pick == "first":
+                    break
+        elif hits.size:
+            x, y = xa[hits + start], ya[hits + start]
+            norms = raws[hits] / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
+            k = 0 if pick == "first" else int(np.argmax(norms))
+            if best is None or norms[k] > best[1]:
+                best = (int(hits[k]) + start, float(norms[k]))
         if best is not None and pick == "first":
             break
     if best is None:

@@ -196,6 +196,16 @@ class TestCliCommands:
         assert Fraction(norm) >= Fraction(3, 2)
         assert any(l.startswith("witness_x=") for l in text.splitlines())
 
+    @pytest.mark.parametrize("command", ["tsankov", "classify"])
+    def test_output_past_digit_limit_is_a_format_error(self, tmp_path, capsys, command):
+        # every entry loads (about 2200 digits), but the witness norm is
+        # quadratic in R and passes Python's 4300-digit limit
+        out = str(tmp_path / "t.json")
+        save_tensor(combine([(10**2200, random_act(4, 2, seed=1))]), out)
+        assert main([command, out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         main(["gen", "--type", "random", "--m", "3", "--seed", "5", "-o", out])

@@ -305,8 +305,22 @@ class TestHostileValues:
 
     def test_decimal_exponent_at_limit_loads(self, tmp_path):
         path = tmp_path / "t.json"
-        path.write_text(json.dumps(sparse(3, (0, 1, 1, 0, "1e-4300"))))
-        assert load_tensor(str(path)).denominator == 10**4300
+        path.write_text(json.dumps(sparse(3, (0, 1, 1, 0, "1e-4299"))))
+        assert load_tensor(str(path)).denominator == 10**4299
+
+    @pytest.mark.parametrize("v", ["1e4300", "1e-4300", "-12345e4296"])
+    def test_value_past_digit_limit(self, tmp_path, capsys, v):
+        # inside the exponent limit, but 4301 digits long, so it could not be printed
+        validate_error(tmp_path, capsys, one_entry(v))
+        assert main(["gen", "--type", "r0", "--m", "3", f"--c={v}", "-o", str(tmp_path / "g.json")]) == 1
+        assert "error: FormatError: " in capsys.readouterr().err
+
+    def test_computed_value_past_digit_limit_fails_to_save(self, tmp_path, capsys):
+        # c has 4300 digits, and the entries of c R_Theta reach 2c
+        out = tmp_path / "g.json"
+        assert main(["gen", "--type", "rtheta", "--m", "4", "--c=9e4299", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: FormatError: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("ent", [(False, True, True, False, True), (0, 1, 1, 0, True)])
     def test_booleans(self, tmp_path, capsys, ent):

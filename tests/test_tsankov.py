@@ -176,6 +176,27 @@ def orthogonal_batch(m, n, span, seed):
     return list(xs), list(ys)
 
 
+def float_scan_reference(R, xs, ys, pick):
+    """Reference for the float _violation_scan: ``(p, norm)`` or None, one hit at a time,
+    on the same slices, with the norm from two ``np.dot`` calls per hit."""
+    thr = tsankov._float_threshold(R)
+    step = max(1, tsankov.SLICE_ENTRIES // (R.m * R.m))
+    best = None
+    for start in range(0, len(xs), step):
+        c, _ = _batch_commutators(R, xs[start : start + step], ys[start : start + step])
+        raws = np.abs(c).max(axis=(1, 2))
+        hits = np.flatnonzero(raws > thr)
+        for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
+            norm = raw / (float(np.dot(xs[p], xs[p])) * float(np.dot(ys[p], ys[p])))
+            if best is None or norm > best[1]:
+                best = (p, norm)
+            if pick == "first":
+                break
+        if best is not None and pick == "first":
+            break
+    return best
+
+
 class TestCommutator:
     def test_r0_orthogonal_pair_commutes(self):
         C = commutator(r0(4, 1), [1, 0, 0, 0], [0, 1, 0, 0])
@@ -379,15 +400,27 @@ class TestWitnessSearchKernels:
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("orthogonal", [True, False])
     def test_sample_pairs_match_the_one_pair_rule(self, exact, orthogonal):
+        # exact pairs are the rule's own bytes; float pairs are normalised and
+        # projected as whole arrays, so they agree with it up to rounding
+        eps = np.finfo(float).eps
         for m in range(2, 9):
             for span in (4, 130):
                 for seed in range(6):
                     batch, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                     xs, ys = _sample_pairs(batch, m, 8, exact, orthogonal, span=span)
                     pairs = [sample_pair_reference(ref, m, exact, orthogonal, span) for _ in range(8)]
+                    rx, ry = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
                     assert xs.dtype == ys.dtype == (np.int64 if exact else float)
-                    assert xs.tobytes() == np.array([x for x, _ in pairs]).tobytes()
-                    assert ys.tobytes() == np.array([y for _, y in pairs]).tobytes()
+                    if exact:
+                        assert xs.tobytes() == rx.tobytes()
+                        assert ys.tobytes() == ry.tobytes()
+                    else:
+                        assert np.abs(xs - rx).max() <= 8 * eps and np.abs(ys - ry).max() <= 8 * eps
+                        norms = np.sqrt(np.concatenate([(xs * xs).sum(axis=1), (ys * ys).sum(axis=1)]))
+                        assert np.abs(norms - 1).max() <= 4 * eps
+                        if orthogonal:
+                            # the rule itself reaches about 100 ulps where v is nearly parallel to x
+                            assert np.abs((xs * ys).sum(axis=1)).max() <= 512 * eps
                     assert batch.integers(2**62) == ref.integers(2**62)
 
     def test_sample_pairs_walk_past_rejected_rows(self):
@@ -462,6 +495,64 @@ class TestWitnessSearchKernels:
                     sliced = _violation_scan(R, xs, ys, pick)
                 assert sliced[0] == whole[0] < 16
                 assert sliced[1].commutator_norm == whole[1].commutator_norm
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_float_batch_matches_the_dense_commutator(self, m):
+        # a priori bound: each J entry sums m^2 products and each commutator
+        # entry 2m products of J entries, with |x_i x_j| <= |x|^2 throughout
+        eps = np.finfo(float).eps
+        base = random_act(m, 3, seed=m).to_float()
+        xs, ys = _sample_pairs(np.random.default_rng(m), m, 6, False, True)
+        cands = _basis_pair_candidates(m, False)[:: m + 1]
+        xs, ys = np.concatenate([xs, cands[:, 0]]), np.concatenate([ys, cands[:, 1]])
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            R = combine([(scale, base)])
+            c, s2 = _batch_commutators(R, xs, ys)
+            assert s2 is None and c.dtype == float and c.shape == (len(xs), m, m)
+            size = float(R.max_abs()) ** 2
+            for p, (x, y) in enumerate(zip(xs, ys)):
+                bound = 8 * m**5 * eps * size * float(x @ x) * float(y @ y)
+                assert np.abs(c[p] - commutator(R, x, y)).max() <= bound
+                assert np.abs(c[p]).max() > 1e-6 * size * float(x @ x) * float(y @ y)
+
+    def test_float_scan_matches_the_one_pair_loop(self, monkeypatch):
+        # five pairs a slice; commuting pairs (x, x) push the first hit past a
+        # slice boundary, and the loop's pick recurs as the last pair of one
+        # slice and the first of the next
+        for m, seed in ((3, 1), (5, 2), (6, 11), (8, 4)):
+            monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 5 * m * m)
+            base = random_act(m, 3, seed=seed).to_float()
+            xs, ys = _sample_pairs(np.random.default_rng(seed), m, 12, False, True)
+            for scale in (1e-8, 1.0, 1e8):
+                R = combine([(scale, base)])
+                for pick in ("first", "largest"):
+                    q, _ = float_scan_reference(R, xs, ys, pick)
+                    best = (xs[q : q + 1], ys[q : q + 1])
+                    parts = [(xs[:6], xs[:6]), (xs[:3], ys[:3]), best, best, (xs, ys)]
+                    px, py = (np.concatenate(side) for side in zip(*parts))
+                    ref = float_scan_reference(R, px, py, pick)
+                    got, w = _violation_scan(R, px, py, pick)
+                    assert got == ref[0] and (got == 6 if pick == "first" else got >= 6)
+                    assert np.array_equal(w.x, px[got]) and np.array_equal(w.y, py[got])
+                    assert abs(w.commutator_norm - ref[1]) <= 4 * np.finfo(float).eps * ref[1]
+
+    def test_float_scan_ties_go_to_the_earlier_pair_across_slices(self, monkeypatch):
+        # integer floats scaled by powers of two keep every sum exact, so copies
+        # of a pair tie exactly; the exact scan picks the index it must match
+        for m in (4, 5, 7):
+            monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 7 * m * m)
+            base = random_act(m, 2, seed=m)
+            cands = _basis_pair_candidates(m, True)
+            xs, ys = np.concatenate([cands[:, 0]] * 2), np.concatenate([cands[:, 1]] * 2)
+            fx, fy = xs.astype(float), ys.astype(float)
+            for pick in ("first", "largest"):
+                p, w = _violation_scan(base, xs, ys, pick)
+                assert p < len(cands)
+                for k in (-27, 0, 27):
+                    R = combine([(2.0**k, base.to_float())])
+                    q, v = _violation_scan(R, fx, fy, pick)
+                    assert q == p == float_scan_reference(R, fx, fy, pick)[0]
+                    assert v.commutator_norm == float(w.commutator_norm) * 4.0**k
 
 
 class TestTsankovTest:
