@@ -36,7 +36,7 @@ from .scalars import (
     zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector
-from .tsankov import Witness, _decide, _fit, tsankov_test
+from .tsankov import Witness, _decide, tsankov_test
 
 __all__ = [
     "Classification",
@@ -96,9 +96,9 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     ``tsankov_test(R, "exact")``, whose failure returns the witness; (iii)
     the fit that decides: c R0 with c from one sectional value, else
     (c, Theta) from ``recover_complex_structure``, each checked by its
-    reconstruction residual.  In rational mode the decision itself tries
-    the exact fit before any polynomial expansion and returns it on
-    success; when the expansion had to decide instead, the fit's own
+    reconstruction residual.  In both modes the decision itself tries the
+    fit before any polynomial expansion and returns it on success; when
+    the expansion had to decide instead, the fit's own
     ``ClassificationInconsistency`` is raised.
     """
     if R.m < 3:
@@ -110,7 +110,7 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
         return Classification("NotTsankov", witness=verdict.witness)
     if isinstance(fit, ClassificationInconsistency):
         raise fit
-    c, cs, residual = fit if fit is not None else _fit(R)
+    c, cs, residual = fit
     if cs is None:
         return Classification("ConstantCurvature", c=c, residual=residual)
     return Classification("ComplexForm", c=c, theta=cs, residual=residual)

@@ -4,8 +4,10 @@ Subcommands: gen, validate, jacobi, tsankov, classify, osserman, report.
 Each reads or writes tensor files through :mod:`actlab.io`, which owns the
 file format, and prints ``key=value`` lines.  Exit codes: 0 on success /
 property holds, 1 on computational errors or negative decisions, 2 on
-usage errors.  The environment variable ACT_TOL overrides the default float
-tolerance; it must be a positive finite number.
+usage errors.  A command's lines reach stdout only once it returns, so a
+command that fails prints none.  The environment variable ACT_TOL overrides
+the default float tolerance; it must be a positive finite number.  Run as
+``actlab`` or ``python -m actlab.cli``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -243,12 +247,20 @@ def main(argv=None) -> int:
         if not 0 < tol < np.inf:
             print(f"error: ACT_TOL is not a positive finite number: {raw!r}", file=sys.stderr)
             return 2
+    out = StringIO()  # a command that fails part way prints no key=value lines
     try:
-        return args.func(args, tol)
+        with redirect_stdout(out):
+            code = args.func(args, tol)
     except ActError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def console_main():  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -47,7 +47,6 @@ from .scalars import (
     orthonormalize_exact,
     rank_with_mode,
     require_selfadjoint,
-    zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector, _contract
 
@@ -98,34 +97,38 @@ def ricci(R: CurvatureTensor) -> np.ndarray:
     return np.trace(R.values, axis1=1, axis2=2)  # einsum may sum floats in another order
 
 
-def _rank_one_unit(n: np.ndarray) -> tuple:
-    """Split a symmetric integer matrix of rank one as n = s w w^T with unit w = W / e.
+def _rank_one_unit(n: np.ndarray, mode: ScalarMode) -> tuple:
+    """Split a symmetric matrix of rank one as n = s w w^T with unit w = W / e.
 
-    Returns ``(s, W, e)``: s = trace n, W an integer vector whose first
-    nonzero coordinate is positive (this canonicalizes the sign of w), and
-    e > 0 coprime to W.  With p the index of the largest n[p,p] / s,
-    w = n[:, p] / (s sqrt(n[p,p] / s)), and w w^T == n / s is checked as
+    Returns ``(s, W, e)``: s = trace n, and W a vector whose first
+    coordinate that is not ``negligible`` (at scale 1, as w is a unit
+    vector) is positive, which canonicalizes the sign of w.  With k the
+    index of the largest n[k,k] / s, w = n[:, k] / sqrt(s n[k,k]).  A float
+    matrix gives that quotient as W, over e = 1.  An integer matrix gives
+    integer W over e > 0 coprime to W, and w w^T == n / s is checked as
     s W W^T == e^2 n.  The root is rational exactly when n / s is
     (Th x)(Th x)^T for rational Th and unit rational x; DegenerateInput is
     raised when it is not, when the trace is zero, or when the check fails.
     """
-    s = int(np.trace(n))
+    s = int(np.trace(n)) if mode.exact else float(np.trace(n))
     if s == 0:
         raise DegenerateInput("rank-one symmetric matrices have nonzero trace")
     sign = 1 if s > 0 else -1
-    diag = [sign * int(v) for v in np.diagonal(n).tolist()]
-    p = max(range(len(diag)), key=diag.__getitem__)
-    root = fraction_sqrt(Fraction(int(n[p, p]), s))
-    if root is None or root == 0:
-        raise DegenerateInput("the rank-one factor is irrational; no exact representation exists")
-    w, e = integer_array(n[:, p].astype(object) * (sign * root.denominator), abs(s) * root.numerator)
-    if w[np.flatnonzero(w)[0]] < 0:
-        w = -w
-    bound = max(int(max_abs(w)) ** 2 * abs(s), int(max_abs(n)) * e * e)
-    wb, _ = integer_array(w, bound=bound)
-    nb, _ = integer_array(n, bound=bound)
-    if np.any(np.outer(wb, wb) * s - nb * (e * e)):
-        raise DegenerateInput("matrix is not exactly rank one")
+    k = int(np.argmax(np.diagonal(n) * sign))
+    if mode.exact:
+        root = fraction_sqrt(Fraction(int(n[k, k]), s))
+        if root is None or root == 0:
+            raise DegenerateInput("the rank-one factor is irrational; no exact representation exists")
+        w, e = integer_array(n[:, k].astype(object) * (sign * root.denominator), abs(s) * root.numerator)
+        bound = max(int(max_abs(w)) ** 2 * abs(s), int(max_abs(n)) * e * e)
+        wb, _ = integer_array(w, bound=bound)
+        nb, _ = integer_array(n, bound=bound)
+        if np.any(np.outer(wb, wb) * s - nb * (e * e)):
+            raise DegenerateInput("matrix is not exactly rank one")
+    else:
+        w, e = n[:, k] / np.sqrt(s * n[k, k]), 1
+    if w[np.flatnonzero(~negligible(w, mode))[0]] < 0:
+        w = 0 - w  # not -w, which turns float zeros into -0.0 and prints them so
     return s, w, e
 
 
@@ -140,61 +143,39 @@ def _is_rank_one(n: np.ndarray) -> bool:
     return not np.any(n * n[r, c] - np.outer(n[:, c], n[r, :]))
 
 
-def _recover_exact(R: CurvatureTensor):
+def _recover(R: CurvatureTensor):
     """(c, Theta numerators, their denominator) from the numerators V over d.
 
     J(e_p) is the slice V[b,p,p,a] over d.  At the first p where it has rank
     one, J(e_p) = (s / d) w w^T by ``_rank_one_unit`` with w = W / e, so
     c = s / 3d, and column q != p of Theta is (2d / s) J(e_p, e_q) w
-    = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e): one integer contraction
-    for all q, with entries at most 2 m max|V| max|W|.
+    = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e): one contraction for all
+    q, with integer entries at most 2 m max|V| max|W| in rational mode.
+    Float tensors are V over d = 1; their rank test is ``rank_with_mode``.
     """
-    m, v = R.m, R.values
+    m, v, mode = R.m, R.values, R.mode
     for p in range(m):
         n = v[:, p, p, :].T
-        require_selfadjoint(n, R.mode)
-        if _is_rank_one(n):
+        require_selfadjoint(n, mode)
+        if (_is_rank_one(n) if mode.exact else rank_with_mode(n, mode) == 1):
             break
     else:
         raise NotRankOne("no basis vector has a rank-one Jacobi operator")
     try:
-        s, w, e = _rank_one_unit(n)
+        s, w, e = _rank_one_unit(n, mode)
     except DegenerateInput as exc:
         raise ClassificationInconsistency(
             f"rank-one factor of J(e_{p}) has no exact representation: {exc}"
         ) from exc
-    bound = 2 * m * max(int(max_abs(v)), 1) * int(max_abs(w))
-    v, _ = integer_array(v, bound=bound)
-    w, _ = integer_array(w, bound=bound)
+    if mode.exact:
+        bound = 2 * m * max(int(max_abs(v)), 1) * int(max_abs(w))
+        v, _ = integer_array(v, bound=bound)
+        w, _ = integer_array(w, bound=bound)
     cols = np.tensordot(w, v[:, p, :, :] + v[:, :, p, :], axes=(0, 0)).T
     cols[:, p] = w * s
     sign = 1 if s > 0 else -1
-    return Fraction(s, 3 * R.denominator), cols * sign, abs(s) * e
-
-
-def _recover_float(R: CurvatureTensor):
-    """(c, Theta) from float Jacobi operators, the eigenvector of J(e_p) for w."""
-    mode, m = R.mode, R.m
-    basis = eye(m, mode)
-    for p in range(m):
-        j = jacobi(R, basis[p])
-        if rank_with_mode(j, mode) == 1:
-            break
-    else:
-        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
-    vals, vecs = np.linalg.eigh(j.astype(float))
-    top = int(np.abs(vals).argmax())
-    t, w = float(vals[top]), vecs[:, top]
-    first = next((i for i in range(m) if abs(w[i]) > 1e-12), None)
-    if first is not None and w[first] < 0:
-        w = -w
-    coef = 2.0 / t
-    theta = zeros((m, m), mode)
-    theta[:, p] = w
-    for q in range(m):
-        if q != p:
-            theta[:, q] = np.dot(jacobi_polarized(R, basis[p], basis[q]), w) * coef
-    return t / 3.0, theta
+    c = Fraction(s, 3 * R.denominator) if mode.exact else s / 3
+    return c, cols * sign, abs(s) * e
 
 
 def recover_complex_structure(R: CurvatureTensor):
@@ -205,20 +186,22 @@ def recover_complex_structure(R: CurvatureTensor):
     operator, Theta e_j = (2 / 3c) J(e, e_j) w, because <Theta e, Theta e_j>
     = <e, e_j> = 0 kills the second polarization term.  The overall sign of
     Theta is not determined (the tensor is even in Theta); it is fixed by
-    making the first nonzero coordinate of w positive.
+    making the first coordinate of w that is not ``negligible`` positive.
 
     Exact tensors never leave their integer numerators V: J(e_p) is the
     slice V[:, p, p, :], the rank-one test, the rational root and the sign
     rule run on integers (``_rank_one_unit``), and every polarized column
     is one contraction of V[:, p, :, :] + V[:, :, p, :] with the numerators
-    of w.  Float tensors take w from an eigendecomposition.
+    of w.  Float tensors take the same slices and contraction; only their
+    rank test (``rank_with_mode``) and the root in w differ.
     """
     if R.m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    # only the exact branch returns a denominator for its numerators
-    c, theta, *denominator = (_recover_exact if R.mode.exact else _recover_float)(R)
+    c, theta, denominator = _recover(R)
+    if not R.mode.exact:  # float structures take no denominator
+        theta, denominator = theta / denominator, 1
     try:
-        cs = ComplexStructure(theta, R.mode, *denominator)
+        cs = ComplexStructure(theta, R.mode, denominator)
     except InvalidComplexStructure as exc:
         raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
     return c, cs
@@ -238,7 +221,7 @@ def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
         return []
     if mode.exact:
         if r == 1:
-            _, w, e = _rank_one_unit(integer_array(j)[0])
+            _, w, e = _rank_one_unit(integer_array(j)[0], mode)
             return [fraction_array(w, e)]
         cols = []
         for c in range(j.shape[0]):

@@ -19,7 +19,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -78,16 +78,13 @@ class CurvatureTensor:
     exact values given.  ``components`` builds the ``Fraction`` array on
     each access, for API callers; the library works on the numerators.
 
-    Treat instances as immutable: every operation returns new values.  The
-    ``_cache`` slot holds the expanded commutator polynomial and never
-    changes observable behavior.
+    Treat instances as immutable: every operation returns new values.
     """
 
     m: int
     values: np.ndarray
     mode: ScalarMode
     denominator: int = 1
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode.exact:

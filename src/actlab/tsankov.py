@@ -8,16 +8,17 @@ implemented on it:
   tensor passes.
 * ``tsankov_test`` -- does C vanish whenever x is orthogonal to y?
 
-In rational mode each decision takes the cheapest certificate that settles
-it, and every certificate is rigorous on its own (``_decide``):
+Each decision takes the cheapest certificate that settles it, in both
+scalar modes (``_decide``):
 
 1. the zero tensor holds;
-2. a nonzero exact commutator at one of a few seeded pairs (exactly
-   orthogonal for ``tsankov_test``) proves failure, and the reported
-   witness then comes from the seeded witness search;
-3. for ``tsankov_test``, an exact equality R = c R0 or R = c R_Theta
-   (``_fit``) proves that C vanishes on orthogonal pairs, since both
-   families do;
+2. a commutator at one of a few seeded pairs (exactly orthogonal for
+   rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
+   float mode, proves failure, and the reported witness then comes from
+   the seeded witness search;
+3. for ``tsankov_test``, an equality R = c R0 or R = c R_Theta
+   (``_fit``; exact in rational mode, within ``tol |R|`` in float mode)
+   proves that C vanishes on orthogonal pairs, since both families do;
 4. otherwise the commutator polynomial is expanded.  Full commutation
    holds iff every coefficient is zero.  Orthogonal commutation holds iff
    the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
@@ -33,8 +34,9 @@ as ``CurvatureTensor`` does, and build their ``entries`` dicts on access.
 
 No verdict rests on the classification theorem.  The theorem only
 predicts that the accepts left to step 4 are the tensors c R_Theta whose
-Theta is irrational.  Float mode always decides by step 4, at the
-threshold ``tol |R|^2``.
+Theta is irrational (rational mode) or whose fit misses the tolerance
+(float mode).  Float steps 2 and 4 compare at the one threshold
+``tol |R|^2``.
 
 A seeded sampling mode cross-checks the decision and supplies witness
 pairs for failures.  Pairs are drawn a batch at a time, with one generator
@@ -46,8 +48,8 @@ fastest tier their batch bound allows: a float64 BLAS matmul while every
 intermediate stays below 2^53, then int64, then Python ints; every tier
 gives the same integers, so no exact witness depends on the tier.  Float
 commutators take the same matmul in float64, so float witness norms may
-move in their low bits with the BLAS summation order; the expansion, not
-the search, decides float ``tsankov_test(R, "exact")`` and
+move in their low bits with the BLAS summation order; the certificates
+above, not the search, decide float ``tsankov_test(R, "exact")`` and
 ``full_commutation_test``.
 """
 
@@ -278,9 +280,6 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     result at any concrete (x, y) reproduces ``commutator(R, x, y)``,
     exactly so in rational mode.
     """
-    cached = R._cache.get("commutator_poly")
-    if cached is not None:
-        return cached
     m = R.m
     ii, jj = np.triu_indices(m)
     q = R.values.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
@@ -302,9 +301,7 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
         t = (s[a].T @ rhs[:, (a + 1) * n :]).reshape(n, m - a - 1, n).transpose(1, 0, 2)
         out[start : start + m - a - 1] = t - t.transpose(0, 2, 1)
         start += m - a - 1
-    poly = BiQuadraticMatrixPoly(m, R.mode, out, R.denominator**2)
-    R._cache["commutator_poly"] = poly
-    return poly
+    return BiQuadraticMatrixPoly(m, R.mode, out, R.denominator**2)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +488,15 @@ def _violation_scan(R, xs, ys, pick: str):
     None.  Pairs are evaluated in slices of at most ``SLICE_ENTRIES / m^2``,
     so memory does not grow with the number of pairs.  Ties in norm go to
     the earlier pair, across slices too.  Each pair's raw sup norm comes
-    from one reduction per slice.  Exact norms raw / (scale |x|^2 |y|^2)
-    are compared by integer cross-multiplication; only the returned witness
-    gets its ``Fraction``.  Float pairs count when raw exceeds
-    ``_float_threshold``; a slice's hits get their norms raw / (|x|^2 |y|^2)
-    as arrays, and its pick is the first hit or the first argmax.
+    from one reduction per slice, and only the hits get their |x|^2 |y|^2.
+    Exact norms raw / (scale |x|^2 |y|^2) are compared by integer
+    cross-multiplication; only the returned witness gets its ``Fraction``.
+    Float pairs count when raw exceeds ``_float_threshold``; a slice's hits
+    get their norms raw / (|x|^2 |y|^2) as arrays, and its pick is the
+    first hit or the first argmax.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
     exact = R.mode.exact
-    if exact:
-        sqx, sqy = _squared_norms(xa), _squared_norms(ya)
     thr = _float_threshold(R)
     step = max(1, SLICE_ENTRIES // (R.m * R.m))
     best = None  # (p, raw, |x|^2 |y|^2) when exact, (p, norm) in float mode
@@ -508,20 +504,22 @@ def _violation_scan(R, xs, ys, pick: str):
         c, scale = _batch_commutators(R, xa[start : start + step], ya[start : start + step])
         raws = np.abs(c).max(axis=(1, 2))
         hits = np.flatnonzero(raws if exact else raws > thr)
+        if not hits.size:
+            continue
+        x, y = xa[hits + start], ya[hits + start]
         if exact:
-            for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
-                den = sqx[p] * sqy[p]
+            dens = [a * b for a, b in zip(_squared_norms(x), _squared_norms(y))]
+            for p, raw, den in zip((hits + start).tolist(), raws[hits].tolist(), dens):
                 if best is None or raw * best[2] > best[1] * den:
                     best = (p, raw, den)
                 if pick == "first":
                     break
-        elif hits.size:
-            x, y = xa[hits + start], ya[hits + start]
+        else:
             norms = raws[hits] / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
             k = 0 if pick == "first" else int(np.argmax(norms))
             if best is None or norms[k] > best[1]:
                 best = (int(hits[k]) + start, float(norms[k]))
-        if best is not None and pick == "first":
+        if pick == "first":
             break
     if best is None:
         return None
@@ -613,8 +611,9 @@ def _fit(R: CurvatureTensor):
     """Rebuild R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
 
     c R0 takes c from the first sectional value R(e_i, e_j, e_j, e_i), i < j,
-    that is not negligible at |R|, and is not tried on an exact tensor of
-    even m whose sectional values differ; c R_Theta takes (c, Theta) from
+    that is not negligible at |R|, and is not tried in even m when another
+    sectional value differs from c by more than negligible at |R|, since it
+    cannot fit then; c R_Theta takes (c, Theta) from
     ``recover_complex_structure``.  A fit counts when its relative residual
     is negligible.  In rational mode that is exact equality, which proves
     that R commutes on orthogonal pairs, as c R0 and c R_Theta do.  Raises
@@ -623,11 +622,12 @@ def _fit(R: CurvatureTensor):
     mode, m = R.mode, R.m
     ii, jj = np.triu_indices(m, 1)
     sect = R.values[ii, jj, jj, ii]
-    nonzero = np.flatnonzero(~negligible(sect, mode, R.max_abs()))
+    scale = R.max_abs()
+    nonzero = np.flatnonzero(~negligible(sect, mode, scale))
     residual = None
-    # an exact c R0 has equal sectional numerators; odd m keeps the attempt,
-    # since its error message reports the c R0 residual
-    if nonzero.size and not (mode.exact and m % 2 == 0 and (sect != sect[nonzero[0]]).any()):
+    # the c R0 residual is at least max|sect - c| / |R|; odd m keeps the
+    # attempt, since its error message reports that residual
+    if nonzero.size and not (m % 2 == 0 and (~negligible(sect - sect[nonzero[0]], mode, scale)).any()):
         s = sect[nonzero[0]]
         c = Fraction(int(s), R.denominator) if mode.exact else s
         residual = _relative_residual(R, r0(m, c, mode))
@@ -661,35 +661,34 @@ SCREEN_SEED = 0x5C12EE7  # the screen's own stream, apart from the witness searc
 
 
 def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
-    """The verdict on orthogonal (or all) pairs, and the fit behind an exact accept.
+    """The verdict on orthogonal (or all) pairs, and the fit behind an accept.
 
-    Rational mode tries its certificates cheapest first, and each one is
-    rigorous on its own: the zero tensor holds; a nonzero commutator at one
-    of ``SCREEN_PAIRS`` seeded pairs (exactly orthogonal when
-    ``orthogonal``) proves failure; an exact fit by ``_fit`` proves that
-    commutation on orthogonal pairs holds.  Only when all three are silent
-    is the commutator polynomial expanded and divided, as float mode always
-    does.  Every failure reports ``_search_witness``, so the witness does
-    not depend on which certificate decided.
+    Both modes try the certificates cheapest first: the zero tensor holds;
+    a commutator above ``_float_threshold`` (nonzero in rational mode) at
+    one of ``SCREEN_PAIRS`` seeded pairs (exactly orthogonal when
+    ``orthogonal`` in rational mode) proves failure; a fit by ``_fit``
+    proves that commutation on orthogonal pairs holds.  Only when all three
+    are silent is the commutator polynomial expanded and divided.  Every
+    failure reports ``_search_witness``, so the witness does not depend on
+    which certificate decided.
 
     Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s result when it decided,
     the ``ClassificationInconsistency`` it raised when it could not, and
     None when it did not run.
     """
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
+    if R.is_zero():
+        return TsankovVerdict(True, None, method), None
+    rng = np.random.default_rng(SCREEN_SEED)
+    pairs = _sample_pairs(rng, R.m, SCREEN_PAIRS, R.mode.exact, orthogonal)
+    if _violation_scan(R, *pairs, pick="first") is not None:
+        return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
     fit = None
-    if R.mode.exact:
-        if R.is_zero():
-            return TsankovVerdict(True, None, method), None
-        rng = np.random.default_rng(SCREEN_SEED)
-        comm, _ = _batch_commutators(R, *_sample_pairs(rng, R.m, SCREEN_PAIRS, True, orthogonal))
-        if comm.any():
-            return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
-        if orthogonal:
-            try:
-                return TsankovVerdict(True, None, method), _fit(R)
-            except ClassificationInconsistency as exc:
-                fit = exc
+    if orthogonal:
+        try:
+            return TsankovVerdict(True, None, method), _fit(R)
+        except ClassificationInconsistency as exc:
+            fit = exc
     poly = commutator_poly(R)
     if orthogonal:
         holds = divisible_by_pairing(poly, _float_threshold(R)) is not None
@@ -702,10 +701,10 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> TsankovVerdict:
     """Does J(x) commute with J(y) for ALL pairs?  Only the zero tensor passes.
 
-    Decided by the zero test and a seeded screen of pairs in rational mode,
-    else by coefficient expansion of the commutator polynomial; failures
-    carry a witness pair of maximal sampled commutator norm (the pair need
-    not be orthogonal).
+    Decided by the zero test and a seeded screen of pairs, else by
+    coefficient expansion of the commutator polynomial, in both modes;
+    failures carry a witness pair of maximal sampled commutator norm (the
+    pair need not be orthogonal).
     """
     return _decide(R, seed, n_samples, orthogonal=False)[0]
 
@@ -715,10 +714,11 @@ def tsankov_test(
 ) -> TsankovVerdict:
     """Does J(x) commute with J(y) whenever x is orthogonal to y?
 
-    ``method="exact"`` is a true decision procedure in rational mode: a
-    seeded screen of orthogonal pairs or an exact reconstruction as c R0 or
-    c R_Theta decides when it can, else divisibility of the commutator
-    polynomial by the pairing form (the float mode certificate).
+    ``method="exact"`` runs ``_decide``'s ladder in both modes: a seeded
+    screen of orthogonal pairs or a reconstruction as c R0 or c R_Theta
+    decides when it can, else divisibility of the commutator polynomial by
+    the pairing form.  It is a true decision procedure in rational mode;
+    float mode compares at ``tol |R|^2`` and ``tol |R|``.
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
     violator.  Witnesses are exactly orthogonal in rational mode.
     """

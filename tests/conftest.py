@@ -7,6 +7,7 @@ import pytest
 
 from actlab import (
     RATIONAL,
+    CurvatureTensor,
     combine,
     conjugate_structure,
     from_form,
@@ -65,6 +66,26 @@ def cayley_rotation(m, seed, span=2):
             if r != c and a[r, c] != 0:
                 a[r] = a[r] - a[r, c] * a[c]
     return np.dot(eye - s, a[:, m:])
+
+
+def quaternion_tensor():
+    """R_Theta for Theta = (L_i + L_j) / sqrt 2 on R^4, L the quaternion left-multiplications.
+
+    S = L_i + L_j is an integer skew matrix with S^2 = -2I, and R_Theta is
+    quadratic in Theta, so R_Theta = R_S / 2 with R_S from the r_theta
+    formula R[i][j][k][l] = S_kj S_li - S_ki S_lj - 2 S_ji S_lk.  The tensor
+    is rational and commutes on orthogonal pairs, but Theta is irrational.
+    """
+    L_i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    L_j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    S = L_i + L_j
+    assert (S @ S == -2 * np.eye(4, dtype=int)).all()
+    comps = (
+        np.einsum("kj,li->ijkl", S, S)
+        - np.einsum("ki,lj->ijkl", S, S)
+        - 2 * np.einsum("ji,lk->ijkl", S, S)
+    )
+    return CurvatureTensor(4, comps, RATIONAL, 2)
 
 
 def build_corpus(n=200, ms=(3, 4, 5, 6), seed=1234):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from actlab import (
+    FLOAT,
     RATIONAL,
     NotRankOne,
     UnsupportedDimension,
@@ -26,7 +27,7 @@ from actlab import (
     tsankov_test,
 )
 
-from conftest import random_fraction
+from conftest import quaternion_tensor, random_fraction
 
 
 def diag_form(entries):
@@ -157,6 +158,19 @@ class TestRecover:
         c, cs = recover_complex_structure(R)
         assert abs(c - 2) <= 1e-12
         assert np.abs(np.asarray(cs.theta, dtype=float) - np.asarray(std4.theta, dtype=float)).max() <= 1e-12
+        # densely rotated structures with c < 0, and Theta = S / sqrt 2 of the quaternion tensor
+        cases = []
+        for m in (6, 8):
+            q = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))[0]
+            cases.append((r_theta(conjugate_structure(standard_complex_structure(m, FLOAT), q), -1.5), -1.5))
+        cases.append((quaternion_tensor().to_float(), 1.0))
+        for R, want in cases:
+            c, cs = recover_complex_structure(R)
+            assert abs(c - want) <= 1e-12
+            rebuilt = r_theta(cs, c)
+            assert np.abs(rebuilt.values - R.values).max() <= 1e-12 * np.abs(R.values).max()
+            w = cs.theta[:, 0]  # Theta e_0, since every J(e_p) has rank one
+            assert w[np.abs(w) > 1e-9][0] > 0
 
 
 class TestOsserman:

@@ -1,7 +1,11 @@
 """Tensor file format (orbit completion, roundtrips) and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +207,9 @@ class TestCliCommands:
         out = str(tmp_path / "t.json")
         save_tensor(combine([(10**2200, random_act(4, 2, seed=1))]), out)
         assert main([command, out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
+        assert captured.out == ""  # no key=value lines before the failing value
 
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
@@ -285,6 +290,18 @@ class TestCliCommands:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        import actlab
+
+        src = str(Path(actlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "actlab.cli", "validate", "missing.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert any(line.startswith("error: FormatError: ") for line in proc.stderr.splitlines())
 
     def test_error_exit_code_and_name(self, tmp_path, capsys):
         doc = {

@@ -17,7 +17,6 @@ import pytest
 from actlab import (
     RATIONAL,
     ClassificationInconsistency,
-    CurvatureTensor,
     InvalidComplexStructure,
     NotRankOne,
     UnsupportedDimension,
@@ -37,7 +36,7 @@ from actlab.errors import DegenerateInput
 from actlab.scalars import eye, float_mode, fraction_sqrt, matrix, max_abs, rank_with_mode, zeros
 from actlab.tensors import ComplexStructure
 
-from conftest import cayley_rotation
+from conftest import cayley_rotation, quaternion_tensor
 
 F = Fraction
 
@@ -155,19 +154,6 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the class is part of the comparison
         return type(exc), str(exc)
-
-
-def quaternion_tensor():
-    """Rational c R_Theta whose Theta = (L_i + L_j) / sqrt 2 is irrational."""
-    L_i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    L_j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-    S = L_i + L_j
-    comps = (
-        np.einsum("kj,li->ijkl", S, S)
-        - np.einsum("ki,lj->ijkl", S, S)
-        - 2 * np.einsum("ji,lk->ijkl", S, S)
-    )
-    return CurvatureTensor(4, comps, RATIONAL, 2)
 
 
 def rotations(m):
