@@ -19,18 +19,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, UnsupportedDimension
-from .jacobi import _eigensplit_float, _range_orthonormal, jacobi, recover_complex_structure
+from .jacobi import _projector_scale, _range_orthonormal, jacobi, recover_complex_structure
 from .scalars import (
-    DEFAULT_TOL,
-    complete_orthonormal_exact,
-    float_mode,
+    _eigensplit_float,
     max_abs,
     negligible,
+    orthocomplement_basis,
     random_rational_unit_vector,
     rank_with_mode,
     zeros,
@@ -116,31 +114,27 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     return Classification("ComplexForm", c=c, theta=cs, residual=residual)
 
 
-def osserman_check(
-    R: CurvatureTensor, n_samples: int = 200, seed: int = 0, tol: float | None = None
-) -> OssermanReport:
+def osserman_check(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> OssermanReport:
     """Is the sorted Jacobi spectrum the same at every sampled unit vector?
 
-    Spectra are computed in floating point (exact tensors are cast first).
+    Spectra are computed in floating point, on ``jacobi(R.to_float(), x)``,
+    and the largest deviation is ``negligible`` at ``R.to_float().mode``.
     """
     if n_samples < 2:
         raise DegenerateInput("need at least two samples to compare spectra")
-    if tol is None:
-        tol = R.mode.tol if not R.mode.exact else DEFAULT_TOL
-    comps = R.float_components()
+    F = R.to_float()
     rng = np.random.default_rng(seed)
     reference = None
     max_dev = 0.0
     for _ in range(n_samples):
         x = rng.standard_normal(R.m)
         x /= np.linalg.norm(x)
-        j = np.einsum("i,j,bija->ab", x, x, comps)
-        spec = np.linalg.eigvalsh(j)
+        spec = np.linalg.eigvalsh(jacobi(F, x))
         if reference is None:
             reference = spec
         else:
             max_dev = max(max_dev, float(np.abs(spec - reference).max()))
-    ok = negligible(max_dev, float_mode(tol), max_abs(reference))
+    ok = negligible(max_dev, F.mode, max_abs(reference))
     return OssermanReport(bool(ok), tuple(float(v) for v in reference), max_dev, n_samples)
 
 
@@ -154,7 +148,6 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
     if n_samples < 1:
         raise DegenerateInput("need at least one sample")
     mode = R.mode
-    comps = R.float_components()
     rng = np.random.default_rng(seed)
     ranks, w_dims, spectra = [], [], []
     xs = []
@@ -164,27 +157,23 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
         else:
             x = rng.standard_normal(R.m)
             xs.append(x / np.linalg.norm(x))
-    exact_jacobis = []
-    for x in xs:
-        j = jacobi(R, x)
-        exact_jacobis.append(j)
+    jacobis = [jacobi(R, x) for x in xs]
+    for j in jacobis:
         r = rank_with_mode(j, mode)
         ranks.append(r)
         w_dims.append(1 + r)
-        jf = j.astype(float) if mode.exact else j
-        spectra.append(tuple(float(v) for v in np.linalg.eigvalsh(jf)))
+        spectra.append(tuple(float(v) for v in np.linalg.eigvalsh(j.astype(float))))
     holds = tsankov_test(R, "exact", seed=seed).holds
     two_eigenvalue_ok = None
     if holds and not R.is_zero() and max(ranks) < R.m - 1:
         checks = []
-        for j, r in zip(exact_jacobis, ranks):
+        for j, r, spectrum in zip(jacobis, ranks, spectra):
             if r == 0:
                 checks.append(True)
             elif mode.exact:
-                lam = Fraction(np.trace(j)) / r
-                checks.append(lam != 0 and not np.any(np.dot(j, j) - j * lam))
+                checks.append(_projector_scale(j, r) is not None)
             else:
-                vals = np.linalg.eigvalsh(j)
+                vals = np.array(spectrum)
                 scale = max_abs(vals)
                 lam = vals[int(np.abs(vals).argmax())]
                 ok = negligible(vals, mode, scale) | negligible(vals - lam, mode, scale)
@@ -199,9 +188,10 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
     """A unit y with <x, y> = 0 and J(x) y = 0, sampled deterministically.
 
     The solution space is ker J(x) intersected with x-perp (x itself always
-    lies in the kernel).  In rational mode the basis of that space comes
-    from reflection-completing [x, orthonormal range basis], which keeps
-    every vector rational, and y is a random rational-unit combination.
+    lies in the kernel).  In rational mode its basis is
+    ``orthocomplement_basis([x, orthonormal range basis])``, which keeps
+    every vector rational, and y is a random rational-unit combination.  In
+    float mode the rank and kernel come from one ``_eigensplit_float``.
     """
     x = _coerce_vector(x, R)
     mode = R.mode
@@ -212,11 +202,9 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
     if mode.exact:
         if np.dot(x, x) != 1:
             raise DegenerateInput("exact partner construction needs a unit x")
-        range_basis = _range_orthonormal(j, r, mode)
-        complement = complete_orthonormal_exact([x, *range_basis], R.m)
+        complement = orthocomplement_basis([x, *_range_orthonormal(j, r, mode)], mode)
         t = random_rational_unit_vector(len(complement), seed)
-        y = sum((ti * b for ti, b in zip(t, complement)), start=zeros(R.m, mode))
-        return y
+        return sum((ti * b for ti, b in zip(t, complement)), start=zeros(R.m, mode))
     xf = x.astype(float)
     xf = xf / np.linalg.norm(xf)
     kernel = _eigensplit_float(j, mode)[2]

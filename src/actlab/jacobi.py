@@ -35,8 +35,8 @@ from .errors import (
 )
 from .scalars import (
     ScalarMode,
-    _rank_bareiss,
-    complete_orthonormal_exact,
+    _eigensplit_float,
+    _pivot_columns,
     eye,
     fraction_array,
     fraction_sqrt,
@@ -82,12 +82,12 @@ def jacobi_polarized(R: CurvatureTensor, x, y) -> np.ndarray:
     return (bxy + byx) * half
 
 
-def jacobi_rank(R: CurvatureTensor, x, mode: ScalarMode | None = None) -> int:
+def jacobi_rank(R: CurvatureTensor, x) -> int:
     """rank J(x); always at most m - 1 because x lies in the kernel."""
     x = _coerce_vector(x, R)
     if max_abs(x) == 0:
         raise DegenerateInput("rank of J(x) needs a nonzero x")
-    return rank_with_mode(jacobi(R, x), mode or R.mode)
+    return rank_with_mode(jacobi(R, x), R.mode)
 
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
@@ -207,33 +207,17 @@ def recover_complex_structure(R: CurvatureTensor):
     return c, cs
 
 
-def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
-    """eigh split at tol * max|eigenvalue|: (eigenvalues above it, their
-    eigenvectors, the kernel eigenvectors as matrix columns)."""
-    vals, vecs = np.linalg.eigh(j.astype(float))
-    keep = ~negligible(vals, mode, max_abs(vals))
-    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)], vecs[:, ~keep]
-
-
 def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
-    """Orthonormal basis of the range of a symmetric matrix of known rank."""
+    """Orthonormal basis of the range of a symmetric matrix of rank r: the
+    eigenvectors ``_eigensplit_float`` keeps (float), ``_rank_one_unit``'s
+    factor (exact, r = 1), else exact Gram-Schmidt on ``_pivot_columns``."""
     if r == 0:
         return []
     if mode.exact:
         if r == 1:
             _, w, e = _rank_one_unit(integer_array(j)[0], mode)
             return [fraction_array(w, e)]
-        cols = []
-        for c in range(j.shape[0]):
-            candidate = cols + [j[:, c]]
-            gram = np.array(
-                [[Fraction(np.dot(u, v)) for v in candidate] for u in candidate], dtype=object
-            )
-            if _rank_bareiss(gram) == len(candidate):
-                cols = candidate
-            if len(cols) == r:
-                break
-        return orthonormalize_exact(cols)
+        return orthonormalize_exact([j[:, c] for c in _pivot_columns(j)])
     return _eigensplit_float(j, mode)[1]
 
 
@@ -259,11 +243,7 @@ def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
     r = rank_with_mode(j, mode)
     if r == R.m - 1:
         # range = x^perp, so the whole space; complete x to a full frame
-        if mode.exact:
-            rest = complete_orthonormal_exact([xhat], R.m)
-        else:
-            rest = orthocomplement_basis([xhat], mode)
-        return [xhat, *rest]
+        return [xhat, *orthocomplement_basis([xhat], mode)]
     return [xhat, *_range_orthonormal(j, r, mode)]
 
 
@@ -292,6 +272,9 @@ class BlockStructureReport:
 
 
 def _precheck_pair(R, x, y, mode):
+    """Check the pair's preconditions; return J(x), its nonzero eigenvalues and
+    their orthonormal eigenvectors.  Float J(x) y = 0 is judged at J(x)'s
+    largest eigenvalue, the scale of the split whose kernel holds y."""
     if not negligible(np.dot(x, x) - 1, mode):
         raise PreconditionFailed("x unit", f"<x,x> = {np.dot(x, x)}")
     if not negligible(np.dot(y, y) - 1, mode):
@@ -299,10 +282,23 @@ def _precheck_pair(R, x, y, mode):
     if not negligible(np.dot(x, y), mode):
         raise PreconditionFailed("x orthogonal to y", f"<x,y> = {np.dot(x, y)}")
     jx = jacobi(R, x)
+    if not mode.exact:
+        lambdas, e_basis, _ = _eigensplit_float(jx, mode)
     kdev = max_abs(np.dot(jx, y))
-    if not negligible(kdev, mode, R.max_abs()):
+    if not negligible(kdev, mode, 1 if mode.exact else max_abs(lambdas)):
         raise PreconditionFailed("J(x) y = 0", f"|J(x) y| = {kdev}")
-    return jx
+    if mode.exact:
+        lambdas, e_basis = _eigenpairs_exact(jx, mode)
+    return jx, lambdas, e_basis
+
+
+def _projector_scale(j: np.ndarray, r: int):
+    """lam = trace j / r if the exact j of rank r > 0 is lam != 0 times an
+    orthogonal projection (j^2 == lam j), else None."""
+    lam = Fraction(np.trace(j)) / r
+    if lam == 0 or np.any(np.dot(j, j) - j * lam):
+        return None
+    return lam
 
 
 def _eigenpairs_exact(jx: np.ndarray, mode: ScalarMode):
@@ -310,8 +306,8 @@ def _eigenpairs_exact(jx: np.ndarray, mode: ScalarMode):
     r = rank_with_mode(jx, mode)
     if r == 0:
         return [], []
-    lam = Fraction(np.trace(jx)) / r
-    if lam == 0 or np.any(np.dot(jx, jx) - jx * lam):
+    lam = _projector_scale(jx, r)
+    if lam is None:
         raise StructureViolation(
             "J(x) is not a scaled orthogonal projection; the input is not "
             "Jacobi-Tsankov or needs float mode"
@@ -323,7 +319,7 @@ def _eigenpairs_exact(jx: np.ndarray, mode: ScalarMode):
     return [lam] * r, basis
 
 
-def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) -> BlockStructureReport:
+def block_structure(R: CurvatureTensor, x, y) -> BlockStructureReport:
     """Build the commuting-pair block frame at (x, y) and report residuals.
 
     Preconditions: x, y unit, orthogonal, and J(x) y = 0.  The residuals
@@ -332,17 +328,12 @@ def block_structure(R: CurvatureTensor, x, y, mode: ScalarMode | None = None) ->
     constructed frame.  All residuals vanish exactly on rank-one
     Jacobi-Tsankov tensors.
     """
-    mode = mode or R.mode
+    mode = R.mode
     x = _coerce_vector(x, R)
     y = _coerce_vector(y, R)
-    jx = _precheck_pair(R, x, y, mode)
+    jx, lambdas, e_basis = _precheck_pair(R, x, y, mode)
     jy = jacobi(R, y)
     jxy = jacobi_polarized(R, x, y)
-
-    if mode.exact:
-        lambdas, e_basis = _eigenpairs_exact(jx, mode)
-    else:
-        lambdas, e_basis, _ = _eigensplit_float(jx, mode)
 
     f_basis = []
     for lam, e in zip(lambdas, e_basis):

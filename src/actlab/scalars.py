@@ -210,7 +210,7 @@ def require_selfadjoint(a: np.ndarray, mode: ScalarMode | None = None, what: str
         raise InvalidOperator(f"{what} is not symmetric")
 
 
-def eig_selfadjoint(a: np.ndarray, tol: float = DEFAULT_TOL):
+def eig_selfadjoint(a: np.ndarray):
     """Eigendecomposition of a symmetric float matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -221,21 +221,31 @@ def eig_selfadjoint(a: np.ndarray, tol: float = DEFAULT_TOL):
     if a.dtype == object:
         raise InvalidOperator("eig_selfadjoint is float-only; rational callers use ranks/kernels")
     a = a.astype(float)
-    require_selfadjoint(a, float_mode(tol))
+    require_selfadjoint(a, FLOAT)
     w, v = np.linalg.eigh(a)
     return w, v
 
 
-def _rank_bareiss(a: np.ndarray) -> int:
-    """Rank of a rational matrix by fraction-free (Bareiss) elimination."""
-    rows = [integer_array(row)[0].tolist() for row in a]  # row scaling preserves rank
+def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
+    """The float eigen-split, eigh at tol * max|eigenvalue|: (eigenvalues above
+    it, their eigenvectors, the kernel eigenvectors as matrix columns)."""
+    vals, vecs = np.linalg.eigh(j.astype(float))
+    keep = ~negligible(vals, mode, max_abs(vals))
+    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)], vecs[:, ~keep]
+
+
+def _pivot_columns(a: np.ndarray) -> list[int]:
+    """Pivot columns of a rational matrix by fraction-free (Bareiss) elimination:
+    the columns independent of those before them; their count is the rank."""
+    rows = [integer_array(row)[0].tolist() for row in a]  # row scaling keeps column dependencies
     n = len(rows)
     if n == 0:
-        return 0
+        return []
     ncols = len(rows[0])
     prev = 1
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r == n:
             break
         piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
@@ -249,19 +259,20 @@ def _rank_bareiss(a: np.ndarray) -> int:
             for k in range(c, ncols):
                 ri[k] = (ri[k] * p - ric * rr[k]) // prev
         prev = p
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
-    """Rank of a symmetric matrix: exact elimination or thresholded spectrum."""
+    """Rank of a symmetric matrix: the number of ``_pivot_columns`` (exact) or
+    of eigenvalues that ``_eigensplit_float`` keeps (float), so a float rank
+    and a basis built from it come from one decomposition."""
     a = np.asarray(a)
     mode = mode or mode_of(a)
     require_selfadjoint(a, mode)
     if mode.exact:
-        return _rank_bareiss(a)
-    w = np.linalg.eigvalsh(a.astype(float))
-    return int(np.count_nonzero(~negligible(w, mode, max_abs(w))))
+        return len(_pivot_columns(a))
+    return len(_eigensplit_float(a, mode)[0])
 
 
 def random_unit_vector(m: int, seed: int) -> np.ndarray:

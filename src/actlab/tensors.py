@@ -102,13 +102,13 @@ class CurvatureTensor:
         """Exactly zero in both modes: the zero test has no scale to compare against."""
         return not self.values.any()
 
-    def to_float(self, tol: float | None = None) -> "CurvatureTensor":
+    def to_float(self) -> "CurvatureTensor":
         if not self.mode.exact:
             return self
         # int / int rounds correctly at any size, as float(Fraction) does
         d = self.denominator
         comps = np.array([n / d for n in self.values.ravel().tolist()]).reshape(self.values.shape)
-        return CurvatureTensor(self.m, comps, float_mode(tol if tol is not None else self.mode.tol))
+        return CurvatureTensor(self.m, comps, float_mode(self.mode.tol))
 
     def float_components(self) -> np.ndarray:
         return self.to_float().values

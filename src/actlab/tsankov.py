@@ -487,8 +487,13 @@ def _violation_scan(R, xs, ys, pick: str):
     Returns ``(p, Witness(xs[p], ys[p], norm))`` for the chosen index p, or
     None.  Pairs are evaluated in slices of at most ``SLICE_ENTRIES / m^2``,
     so memory does not grow with the number of pairs.  Ties in norm go to
-    the earlier pair, across slices too.  Each pair's raw sup norm comes
-    from one reduction per slice, and only the hits get their |x|^2 |y|^2.
+    the earlier pair, across slices too, exactly in rational mode.  Float
+    ties are decided on computed norms, and BLAS may round one pair
+    differently at another position in its slice (numpy takes gemv for a
+    one-row slice), so earliest-wins is exact in float mode only on
+    integer-valued data, where every sum is exact.  Each pair's raw sup
+    norm comes from one reduction per slice, and only the hits get their
+    |x|^2 |y|^2.
     Exact norms raw / (scale |x|^2 |y|^2) are compared by integer
     cross-multiplication; only the returned witness gets its ``Fraction``.
     Float pairs count when raw exceeds ``_float_threshold``; a slice's hits

@@ -8,26 +8,34 @@ import pytest
 from actlab import (
     FLOAT,
     RATIONAL,
+    DegenerateInput,
     NotRankOne,
+    OssermanReport,
+    StructureViolation,
     UnsupportedDimension,
+    block_structure,
     classify,
     combine,
     conjugate_structure,
     find_commuting_partner,
     from_form,
     jacobi,
+    jacobi_rank,
     osserman_check,
     r0,
     r_theta,
     random_act,
     random_signed_permutation,
     recover_complex_structure,
+    rotate,
     standard_complex_structure,
     structure_report,
     tsankov_test,
+    w_space,
 )
+from actlab.scalars import DEFAULT_TOL, float_mode, max_abs, negligible
 
-from conftest import quaternion_tensor, random_fraction
+from conftest import build_corpus, quaternion_tensor, random_fraction
 
 
 def diag_form(entries):
@@ -194,6 +202,35 @@ class TestOsserman:
         rep = osserman_check(R, n_samples=100, seed=2)
         assert not rep.is_osserman
 
+    @staticmethod
+    def reference_osserman(R, n_samples, seed):
+        """The check as it was written with its own contraction: an einsum on
+        the float components, at the tensor's tolerance or DEFAULT_TOL."""
+        tol = R.mode.tol if not R.mode.exact else DEFAULT_TOL
+        comps = R.float_components()
+        rng = np.random.default_rng(seed)
+        reference = None
+        max_dev = 0.0
+        for _ in range(n_samples):
+            x = rng.standard_normal(R.m)
+            x /= np.linalg.norm(x)
+            spec = np.linalg.eigvalsh(np.einsum("i,j,bija->ab", x, x, comps))
+            if reference is None:
+                reference = spec
+            else:
+                max_dev = max(max_dev, float(np.abs(spec - reference).max()))
+        ok = negligible(max_dev, float_mode(tol), max_abs(reference))
+        return OssermanReport(bool(ok), tuple(float(v) for v in reference), max_dev, n_samples)
+
+    def test_matches_the_einsum_reference(self, std4):
+        tensors = build_corpus(24, seed=31) + [r_theta(std4, 2), quaternion_tensor()]
+        tensors += [R.to_float() for R in tensors]
+        tensors.append(combine([(1e-7, random_act(5, 3, seed=2).to_float())]))
+        for k, R in enumerate(tensors):
+            got = osserman_check(R, n_samples=12, seed=k)
+            want = self.reference_osserman(R, 12, k)
+            assert repr(got) == repr(want), k  # field by field, to the bit
+
 
 class TestStructureReport:
     def test_r0_concentrated_at_full_rank(self):
@@ -257,6 +294,31 @@ class TestCommutingPartner:
         assert abs(y @ y - 1) <= 1e-12
         assert abs(x @ y) <= 1e-12
         assert np.abs(jacobi(R, x) @ y).max() <= 1e-9
+
+    def test_threshold_family_shares_one_split(self):
+        """An eigenvalue of J(x) at tol * max|eigenvalue|, where rounding decides
+        the split: the rank, the W-space and the partner must all agree on it."""
+        partners = degenerate = 0
+        for seed in range(400):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+            R = rotate(from_form(np.diag([1.0, 1.0, 1e-9])), q)
+            x = q[:, 0]
+            basis = w_space(R, x)
+            assert len(basis) == 1 + jacobi_rank(R, basis[0]), seed
+            try:
+                y = find_commuting_partner(R, x, seed=seed)
+            except DegenerateInput:
+                degenerate += 1
+                continue
+            partners += 1
+            j = jacobi(R, x)
+            assert abs(y @ y - 1) <= 1e-12 and abs(x @ y) <= 1e-12, seed
+            assert np.abs(j @ y).max() <= 1e-9 * np.abs(np.linalg.eigvalsh(j)).max(), seed
+            try:
+                block_structure(R, x, y)
+            except StructureViolation:
+                pass  # the pair is accepted; the verdict is that R is not Jacobi-Tsankov
+        assert partners and degenerate
 
     def test_no_partner_for_r0(self):
         from actlab import DegenerateInput

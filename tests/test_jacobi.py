@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from actlab import (
+    RATIONAL,
     DegenerateInput,
     PreconditionFailed,
     block_structure,
     combine,
     find_commuting_partner,
+    from_form,
     jacobi,
     jacobi_polarized,
     jacobi_rank,
@@ -22,6 +24,8 @@ from actlab import (
     standard_complex_structure,
     w_space,
 )
+from actlab.jacobi import _range_orthonormal
+from actlab.scalars import _pivot_columns, orthonormalize_exact, rank_with_mode
 
 from conftest import build_corpus
 
@@ -172,6 +176,80 @@ class TestWSpace:
             except DegenerateInput:
                 continue  # irrational frame; exact mode declines
             assert len(basis) == 1 + jacobi_rank(R, x)
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination on Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def greedy_range_columns(j, r) -> list:
+    """The reference rule for the range columns of a rank-r matrix: column c
+    joins when the Gram matrix of the chosen columns and c has full rank."""
+    cols = []
+    for c in range(j.shape[0]):
+        candidate = cols + [c]
+        gram = [[np.dot(j[:, u], j[:, v]) for v in candidate] for u in candidate]
+        if fraction_rank(gram) == len(candidate):
+            cols = candidate
+        if len(cols) == r:
+            break
+    return cols
+
+
+def outcome(f):
+    try:
+        return [v.tolist() for v in f()]
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+class TestRangeBasis:
+    def test_pivot_columns_match_the_greedy_gram_rule(self):
+        """Exact J(x) of every rank 2 .. m - 2 at m 4-8, from Gauss tensors of
+        low-rank rational forms and their sums with r_theta."""
+        rng = np.random.default_rng(0)
+        covered, rational = set(), 0
+        for m in range(4, 9):
+            std = r_theta(standard_complex_structure(m), Fraction(1, 2)) if m % 2 == 0 else None
+            for k in range(1, m):
+                for variant in ("plain", "dependent", "diagonal"):
+                    if variant == "diagonal":  # J(e_0) is diagonal, so its frame is rational
+                        phi = np.diag([Fraction(int(v)) for v in rng.integers(-3, 4, size=m)])
+                    else:
+                        b = rng.integers(-2, 3, size=(m, k))
+                        if variant == "dependent":  # a zero row and a repeated row of J(x)
+                            b[rng.integers(0, m)] = 0
+                            b[rng.integers(1, m)] = b[0]
+                        phi = np.array([[Fraction(int(v)) for v in row] for row in b @ b.T])
+                    g = from_form(phi, RATIONAL)
+                    for R in [g] + ([combine([(1, g), (1, std)])] if std else []):
+                        x = random_rational_unit_vector(m, k)
+                        if variant == "diagonal":
+                            x = frac_vec([1] + [0] * (m - 1))
+                        j = jacobi(R, x)
+                        r = rank_with_mode(j)
+                        if not 2 <= r <= m - 2:
+                            continue
+                        covered.add((m, r))
+                        greedy = greedy_range_columns(j, r)
+                        assert _pivot_columns(j) == greedy
+                        want = outcome(lambda: orthonormalize_exact([j[:, c] for c in greedy]))
+                        assert outcome(lambda: _range_orthonormal(j, r, RATIONAL)) == want
+                        rational += not isinstance(want, str)
+        assert covered == {(m, r) for m in range(4, 9) for r in range(2, m - 1)}
+        assert rational
 
 
 class TestRicci:
