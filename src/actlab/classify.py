@@ -31,6 +31,7 @@ from .scalars import (
     orthocomplement_basis,
     random_rational_unit_vector,
     rank_with_mode,
+    require_selfadjoint,
     zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector
@@ -138,6 +139,14 @@ def osserman_check(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> O
     return OssermanReport(bool(ok), tuple(float(v) for v in reference), max_dev, n_samples)
 
 
+def _float_split(j: np.ndarray, mode):
+    """Float ``rank_with_mode`` of j with the one split it counts: (rank,
+    eigenvalues, kernel eigenvectors as matrix columns)."""
+    require_selfadjoint(j, mode)
+    vals, vecs, keep = _eigensplit_float(j, mode)
+    return int(np.count_nonzero(keep)), vals, vecs[:, ~keep]
+
+
 def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> StructureReport:
     """Rank histogram, spectra, and W(x) dimensions over sampled unit vectors.
 
@@ -159,10 +168,13 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
             xs.append(x / np.linalg.norm(x))
     jacobis = [jacobi(R, x) for x in xs]
     for j in jacobis:
-        r = rank_with_mode(j, mode)
+        if mode.exact:
+            r, vals = rank_with_mode(j, mode), np.linalg.eigvalsh(j.astype(float))
+        else:  # the rank and the spectrum of one split
+            r, vals, _ = _float_split(j, mode)
         ranks.append(r)
         w_dims.append(1 + r)
-        spectra.append(tuple(float(v) for v in np.linalg.eigvalsh(j.astype(float))))
+        spectra.append(tuple(float(v) for v in vals))
     holds = tsankov_test(R, "exact", seed=seed).holds
     two_eigenvalue_ok = None
     if holds and not R.is_zero() and max(ranks) < R.m - 1:
@@ -191,12 +203,15 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
     lies in the kernel).  In rational mode its basis is
     ``orthocomplement_basis([x, orthonormal range basis])``, which keeps
     every vector rational, and y is a random rational-unit combination.  In
-    float mode the rank and kernel come from one ``_eigensplit_float``.
+    float mode the rank and kernel come from one ``_float_split``.
     """
     x = _coerce_vector(x, R)
     mode = R.mode
     j = jacobi(R, x)
-    r = rank_with_mode(j, mode)
+    if mode.exact:
+        r = rank_with_mode(j, mode)
+    else:
+        r, _, kernel = _float_split(j, mode)
     if r >= R.m - 1:
         raise DegenerateInput("J(x) has no kernel beyond x; no commuting partner exists")
     if mode.exact:
@@ -207,7 +222,6 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
         return sum((ti * b for ti, b in zip(t, complement)), start=zeros(R.m, mode))
     xf = x.astype(float)
     xf = xf / np.linalg.norm(xf)
-    kernel = _eigensplit_float(j, mode)[2]
     rng = np.random.default_rng(seed)
     while True:
         y = kernel @ rng.standard_normal(kernel.shape[1])

@@ -218,7 +218,13 @@ def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
             _, w, e = _rank_one_unit(integer_array(j)[0], mode)
             return [fraction_array(w, e)]
         return orthonormalize_exact([j[:, c] for c in _pivot_columns(j)])
-    return _eigensplit_float(j, mode)[1]
+    return _eigenpairs_float(j, mode)[1]
+
+
+def _eigenpairs_float(j: np.ndarray, mode: ScalarMode):
+    """The eigenvalues ``_eigensplit_float`` keeps, as floats, and their eigenvectors."""
+    vals, vecs, keep = _eigensplit_float(j, mode)
+    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)]
 
 
 def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
@@ -283,7 +289,7 @@ def _precheck_pair(R, x, y, mode):
         raise PreconditionFailed("x orthogonal to y", f"<x,y> = {np.dot(x, y)}")
     jx = jacobi(R, x)
     if not mode.exact:
-        lambdas, e_basis, _ = _eigensplit_float(jx, mode)
+        lambdas, e_basis = _eigenpairs_float(jx, mode)
     kdev = max_abs(np.dot(jx, y))
     if not negligible(kdev, mode, 1 if mode.exact else max_abs(lambdas)):
         raise PreconditionFailed("J(x) y = 0", f"|J(x) y| = {kdev}")

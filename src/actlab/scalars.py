@@ -227,11 +227,11 @@ def eig_selfadjoint(a: np.ndarray):
 
 
 def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
-    """The float eigen-split, eigh at tol * max|eigenvalue|: (eigenvalues above
-    it, their eigenvectors, the kernel eigenvectors as matrix columns)."""
+    """The float eigen-split: ``(eigenvalues, eigenvectors as matrix columns,
+    keep)`` from one eigh, where ``keep`` marks the eigenvalues above
+    tol * max|eigenvalue|; the rest span the kernel."""
     vals, vecs = np.linalg.eigh(j.astype(float))
-    keep = ~negligible(vals, mode, max_abs(vals))
-    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)], vecs[:, ~keep]
+    return vals, vecs, ~negligible(vals, mode, max_abs(vals))
 
 
 def _pivot_columns(a: np.ndarray) -> list[int]:
@@ -272,7 +272,7 @@ def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
     require_selfadjoint(a, mode)
     if mode.exact:
         return len(_pivot_columns(a))
-    return len(_eigensplit_float(a, mode)[0])
+    return int(np.count_nonzero(_eigensplit_float(a, mode)[2]))
 
 
 def random_unit_vector(m: int, seed: int) -> np.ndarray:

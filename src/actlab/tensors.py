@@ -325,11 +325,15 @@ def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:
     p = matrix(raw, mode)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise InvalidShape(f"expected a square matrix, got shape {p.shape}")
-    if not is_selfadjoint(p, mode):
+    if mode.exact:  # symmetric iff its integer numerators are
+        n, s = integer_array(p)
+        symmetric = np.array_equal(n, n.T)
+    else:
+        symmetric = is_selfadjoint(p, mode)
+    if not symmetric:
         raise InvalidOperator("the form must be symmetric")
     if not mode.exact:
         return CurvatureTensor(p.shape[0], _gauss_components(p), mode)
-    n, s = integer_array(p)
     n, _ = integer_array(n, bound=2 * int(max_abs(n)) ** 2)
     return CurvatureTensor(p.shape[0], _gauss_components(n), mode, s * s)
 

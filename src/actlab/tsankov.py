@@ -354,17 +354,21 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     off x when ``orthogonal``.  Exact pairs are int64 with
     y = <x,x> v - <v,x> x, so their entries are at most 2 m span^3; float
     pairs are unit vectors, and a float row counts as zero when its norm is
-    at most 1e-8.  All 2n rows come from one generator call, which yields
-    the same stream as 2n one-row calls, and the n pairs are formed from
-    them as whole arrays.  Only if a row is rejected does the rule walk the
-    drawn rows one at a time, drawing any further row singly.  So the pairs,
-    and the generator state after the call, are those of n pairs drawn one
-    by one (float pairs up to rounding, since array sums may add in another
-    order).
+    at most 1e-8.
+
+    One k-row generator call yields the same stream as k one-row calls, so
+    the rows are drawn in blocks and the pairs formed as whole arrays.  The
+    pairs before the first rejected row are kept.  A rejected x row is
+    skipped; for a rejected y row, ``keep_y`` runs on all later rows at once
+    and the first it accepts completes the pair.  Pairing then resumes on the
+    rows after it.  A block is only ever as long as the fewest rows the rule
+    still reads (two per missing pair, one less while x waits for its y), so
+    the pairs, and the generator state after the call, are those of n pairs
+    drawn one row at a time.
     """
     dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
     if exact:
-        draw = lambda *count: rng.integers(-span, span + 1, size=(*count, m))  # noqa: E731
+        draw = lambda count: rng.integers(-span, span + 1, size=(count, m))  # noqa: E731
 
         def keep_x(a):  # rows as drawn, and which of them are nonzero
             return a, a.any(axis=-1)
@@ -372,7 +376,7 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
         def keep_y(x, v):
             return keep_x(dot(x, x) * v - dot(v, x) * x if orthogonal else v)
     else:
-        draw = lambda *count: rng.standard_normal((*count, m))  # noqa: E731
+        draw = lambda count: rng.standard_normal((count, m))  # noqa: E731
 
         def keep_x(a):  # rows scaled to unit length, and which of them are long enough
             norm = np.sqrt(dot(a, a))
@@ -382,26 +386,31 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
         def keep_y(x, v):
             return keep_x(v - dot(v, x) * x if orthogonal else v)
 
-    rows = draw(2 * n)
-    xs, kx = keep_x(rows[0::2])
-    ys, ky = keep_y(xs, rows[1::2])
-    if kx.all() and ky.all():
-        return xs, ys
-    pending = iter(rows)
-
-    def accepted(keep):
-        while True:
-            row = next(pending, None)
-            kept, ok = keep(draw() if row is None else row)
-            if ok:
-                return kept
-
-    xs, ys = [], []
-    for _ in range(n):
-        x = accepted(keep_x)
-        xs.append(x)
-        ys.append(accepted(lambda v: keep_y(x, v)))
-    return np.array(xs), np.array(ys)
+    rows, xs, ys = draw(2 * n), [], []
+    while True:
+        if len(rows) < 2 * n:  # the rule reads at least two rows for each missing pair
+            rows = np.concatenate([rows, draw(2 * n - len(rows))])
+        px, kx = keep_x(rows[0::2])
+        py, ky = keep_y(px, rows[1::2])
+        ok = kx & ky
+        bad = n if ok.all() else int(ok.argmin())
+        xs.append(px[:bad])
+        ys.append(py[:bad])
+        n -= bad
+        if not n:
+            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (px, py)
+        if not kx[bad]:  # skip the rejected x row
+            rows = rows[2 * bad + 1 :]
+            continue
+        x, rows = px[bad], rows[2 * bad + 2 :]
+        y, ky = keep_y(x, rows)
+        while not ky.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
+            rows = draw(2 * n - 1)
+            y, ky = keep_y(x, rows)
+        at = int(ky.argmax())
+        xs.append(x[None])
+        ys.append(y[at : at + 1])
+        rows, n = rows[at + 1 :], n - 1
 
 
 def _batch_commutators(R: CurvatureTensor, xs, ys):

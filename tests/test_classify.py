@@ -254,6 +254,23 @@ class TestStructureReport:
         assert rep.two_eigenvalue_ok is None
 
 
+    def test_float_ranks_count_the_reported_spectrum(self):
+        # J(x) = c1 (I - x x^T) + (1 - c1) (Theta x)(Theta x)^T for unit x: the
+        # eigenvalue c1 sits at tol * max|eigenvalue| up to rounding, so only
+        # one decomposition gives a rank and a spectrum that agree
+        m, c1 = 4, DEFAULT_TOL * (1 + 1e-8)
+        A, B = r0(m, 1).to_float(), r_theta(standard_complex_structure(m), 1).to_float()
+        R = combine([(c1, A), ((1 - c1) / 3, B)])
+        ranks = set()
+        for seed in range(5):
+            rep = structure_report(R, n_samples=20, seed=seed)
+            for r, spectrum in zip(rep.ranks, rep.spectra):
+                vals = np.array(spectrum)
+                assert r == np.count_nonzero(~negligible(vals, R.mode, max_abs(vals))), seed
+                ranks.add(r)
+        assert ranks == {1, 2, 3}
+
+
 class TestSimilarSpectraInWSpace:
     def test_jacobi_spectrum_constant_over_w_space(self, std4):
         # for unit w inside span{x} + range J(x), the operator J(w) has the
@@ -294,6 +311,16 @@ class TestCommutingPartner:
         assert abs(y @ y - 1) <= 1e-12
         assert abs(x @ y) <= 1e-12
         assert np.abs(jacobi(R, x) @ y).max() <= 1e-9
+
+    def test_float_partner_decomposes_j_once(self, std4, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        R = r_theta(std4, 2).to_float()
+        x = np.array([0.6, 0.8, 0, 0])
+        y = find_commuting_partner(R, x, seed=1)
+        assert len(calls) == 1
+        assert abs(x @ y) <= 1e-12 and np.abs(jacobi(R, x) @ y).max() <= 1e-9
 
     def test_threshold_family_shares_one_split(self):
         """An eigenvalue of J(x) at tol * max|eigenvalue|, where rounding decides

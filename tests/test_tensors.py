@@ -11,6 +11,7 @@ from actlab import (
     RATIONAL,
     IncompatibleTensors,
     InvalidComplexStructure,
+    InvalidOperator,
     InvalidShape,
     apply,
     combine,
@@ -380,6 +381,25 @@ class TestExactStorage:
         )
         ref = reference(3, lambda i, j, k, l: phi[i, l] * phi[j, k] - phi[i, k] * phi[j, l])
         assert_reduced_exact(from_form(phi, RATIONAL), ref)
+
+    def test_from_form_checks_symmetry_on_numerators(self):
+        # phi[0, 1] = 1/2 and phi[1, 0] = 1/3 share the numerator 1
+        phi = np.array(
+            [
+                [1, Fraction(1, 2), 0],
+                [Fraction(1, 3), Fraction(5, 4), Fraction(1, 6)],
+                [0, Fraction(1, 6), Fraction(-2, 7)],
+            ],
+            dtype=object,
+        )
+        for form in (phi, phi.T):
+            with pytest.raises(InvalidOperator, match="the form must be symmetric"):
+                from_form(form, RATIONAL)
+        phi[1, 0] = Fraction(3, 6)
+        ref = reference(3, lambda i, j, k, l: phi[i, l] * phi[j, k] - phi[i, k] * phi[j, l])
+        R = from_form(phi, RATIONAL)
+        assert_reduced_exact(R, ref)
+        assert R.values.dtype == np.int64 and R.denominator == 252
 
     def test_random_act_against_replayed_draws(self):
         m, k, seed = 4, 3, 9

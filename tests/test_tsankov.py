@@ -171,6 +171,35 @@ def sample_pair_reference(rng, m, exact, orthogonal, span=4):
             return x, y / ny
 
 
+class RowCounter:
+    """A seeded Generator that counts the rows drawn through ``integers``."""
+
+    def __init__(self, seed):
+        self.rng, self.rows = np.random.default_rng(seed), 0
+
+    def integers(self, low, high, size):
+        self.rows += int(np.prod(size)) // np.atleast_1d(size)[-1]  # size is m, (m,) or (k, m)
+        return self.rng.integers(low, high, size=size)
+
+
+class PlannedRows:
+    """``standard_normal`` rows taken from a plan, then from a seeded generator
+    one row at a time, so one k-row call reads the same rows as k one-row calls."""
+
+    def __init__(self, plan, seed):
+        self.plan, self.fill, self.read = plan, np.random.default_rng(seed), 0
+
+    def standard_normal(self, size):
+        shape = tuple(np.atleast_1d(size))
+        m = shape[-1]
+        rows = []
+        for _ in range(shape[0] if len(shape) == 2 else 1):
+            planned = self.read < len(self.plan)
+            rows.append(self.plan[self.read] if planned else self.fill.standard_normal(m))
+            self.read += 1
+        return np.array(rows).reshape(shape)
+
+
 def orthogonal_batch(m, n, span, seed):
     xs, ys = _sample_pairs(np.random.default_rng(seed), m, n, True, True, span=span)
     return list(xs), list(ys)
@@ -438,6 +467,76 @@ class TestWitnessSearchKernels:
             assert ys.tolist() == [y.tolist() for _, y in pairs]
             assert (ys != 0).any(axis=1).all() and ((xs * ys).sum(axis=1) == 0).all()
             assert batch.integers(2**62) == ref.integers(2**62)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_one_block_draw_is_the_stream_of_one_row_draws(self, m):
+        # _sample_pairs draws its rows in blocks and replays the one-row rule on
+        # them; odd m leaves half a 64-bit word buffered between integer draws
+        for seed in range(3):
+            for span in (1, 4, 130):
+                block, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                rows = block.integers(-span, span + 1, size=(7, m))
+                assert rows.dtype == np.int64
+                one_by_one = [single.integers(-span, span + 1, size=m) for _ in range(7)]
+                assert rows.tobytes() == np.array(one_by_one).tobytes()
+                assert block.bit_generator.state == single.bit_generator.state
+            block, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = block.standard_normal((7, m))
+            one_by_one = [single.standard_normal(m) for _ in range(7)]
+            assert rows.tobytes() == np.array(one_by_one).tobytes()
+            assert block.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_sample_pairs_resume_after_rejected_rows(self, orthogonal):
+        # at m 2-3 and span 1-2 zero rows, and for orthogonal pairs rows v
+        # parallel to x, are common, so most calls reject rows and read past
+        # their first block of 2n rows
+        rejecting = several = 0
+        for m in (2, 3):
+            for span in (1, 2):
+                for n in (1, 2, 5, 31, 200):
+                    for seed in range(4):
+                        batch, ref = RowCounter(seed), RowCounter(seed)
+                        xs, ys = _sample_pairs(batch, m, n, True, orthogonal, span=span)
+                        pairs = [sample_pair_reference(ref, m, True, orthogonal, span) for _ in range(n)]
+                        assert xs.dtype == ys.dtype == np.int64
+                        assert xs.tobytes() == np.array([x for x, _ in pairs]).tobytes()
+                        assert ys.tobytes() == np.array([y for _, y in pairs]).tobytes()
+                        assert batch.rows == ref.rows
+                        assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
+                        rejecting += ref.rows > 2 * n
+                        several += ref.rows > 2 * n + 2
+        assert rejecting >= 40 and several >= 20  # of 80 calls
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_sample_pairs_reject_planned_float_rows(self, m, orthogonal):
+        # real float draws essentially never reject, so plan the rows: before
+        # each x some zero rows, and between x and v some zero rows, and rows
+        # parallel to x when the pairs are orthogonal
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(m)
+        for trial in range(6):
+            n = (1, 2, 3, 8, 8, 20)[trial]
+            plan, used = [], []
+            for _ in range(n):
+                plan += [np.zeros(m)] * int(rng.integers(0, 3))
+                x = rng.standard_normal(m)
+                plan.append(x)
+                for _ in range(int(rng.integers(0, 4))):
+                    parallel = orthogonal and rng.random() < 0.6
+                    plan.append(x * rng.uniform(0.5, 3) * rng.choice([-1, 1]) if parallel else np.zeros(m))
+                plan.append(rng.standard_normal(m))
+                used.append((x, plan[-1]))
+            batch, ref = PlannedRows(plan, trial), PlannedRows(plan, trial)
+            xs, ys = _sample_pairs(batch, m, n, False, orthogonal)
+            pairs = [sample_pair_reference(ref, m, False, orthogonal) for _ in range(n)]
+            assert batch.read == ref.read == len(plan)
+            rx, ry = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+            assert np.abs(xs - rx).max() <= 8 * eps and np.abs(ys - ry).max() <= 8 * eps
+            for (x, v), px in zip(used, xs):
+                assert np.abs(px - x / np.linalg.norm(x)).max() <= 8 * eps
+            assert len(plan) > 2 * n or trial == 0
 
     def test_float64_tier_near_the_bound_matches_bigint(self, monkeypatch):
         base = random_act(4, 3, seed=3)
