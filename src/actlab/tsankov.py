@@ -40,17 +40,19 @@ Theta is irrational (rational mode) or whose fit misses the tolerance
 
 A seeded sampling mode cross-checks the decision and supplies witness
 pairs for failures.  Pairs are drawn a batch at a time, with one generator
-call for all rows, and formed as whole arrays in both modes.  They are
-evaluated in slices of bounded size, each contracted as one matmul of the
-outer products x x^T against R (``_batch_commutators``), and each slice
-picks its violator with array operations.  Exact commutators run on the
-fastest tier their batch bound allows: a float64 BLAS matmul while every
-intermediate stays below 2^53, then int64, then Python ints; every tier
-gives the same integers, so no exact witness depends on the tier.  Float
-commutators take the same matmul in float64, so float witness norms may
-move in their low bits with the BLAS summation order; the certificates
-above, not the search, decide float ``tsankov_test(R, "exact")`` and
-``full_commutation_test``.
+call for all rows, and formed as whole arrays in both modes.  A scan
+contracts on the symmetric half of J (``_Contraction``): the products
+x_i x_j, i <= j, times an n x n table of coefficients, n = m(m+1)/2, built
+once per scan, then mirrored to the full J; each commutator is P - P^T
+with P = J(x) J(y).  Pairs are evaluated in slices of bounded size, and
+each slice picks its violator with array operations.  Exact commutators
+run on the fastest tier their batch bounds allow: J on a float64 BLAS
+matmul while max(bJ, 2 max|V|) < 2^53 and P while bC < 2^53, then int64,
+then Python ints; every tier gives the same integers, so no exact witness
+depends on the tier.  Float commutators take the same matmuls in float64,
+so float witness norms may move in their low bits with the BLAS summation
+order; the certificates above, not the search, decide float
+``tsankov_test(R, "exact")`` and ``full_commutation_test``.
 """
 
 from __future__ import annotations
@@ -360,11 +362,15 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     the rows are drawn in blocks and the pairs formed as whole arrays.  The
     pairs before the first rejected row are kept.  A rejected x row is
     skipped; for a rejected y row, ``keep_y`` runs on all later rows at once
-    and the first it accepts completes the pair.  Pairing then resumes on the
-    rows after it.  A block is only ever as long as the fewest rows the rule
-    still reads (two per missing pair, one less while x waits for its y), so
-    the pairs, and the generator state after the call, are those of n pairs
-    drawn one row at a time.
+    for that x, and the first it accepts completes the pair.  Pairing then
+    resumes on the rows after it.  A skipped row or a waiting x can change the
+    parity of the rows that serve as x, so each block keeps, for each parity,
+    ``keep_x`` of those rows and ``keep_y`` of each with the row after it,
+    computed for every row of that parity the first time a run starts on it;
+    a resumed run indexes them.  A block is only ever as long as the fewest
+    rows the rule still reads (two per missing pair, one less while x waits
+    for its y), so the pairs, and the generator state after the call, are
+    those of n pairs drawn one row at a time.
     """
     dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
     if exact:
@@ -386,83 +392,152 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
         def keep_y(x, v):
             return keep_x(v - dot(v, x) * x if orthogonal else v)
 
-    rows, xs, ys = draw(2 * n), [], []
+    xs, ys = [], []
+    rows, at, tables = draw(2 * n), 0, {}
     while True:
-        if len(rows) < 2 * n:  # the rule reads at least two rows for each missing pair
-            rows = np.concatenate([rows, draw(2 * n - len(rows))])
-        px, kx = keep_x(rows[0::2])
-        py, ky = keep_y(px, rows[1::2])
-        ok = kx & ky
-        bad = n if ok.all() else int(ok.argmin())
-        xs.append(px[:bad])
-        ys.append(py[:bad])
-        n -= bad
+        q, t = at % 2, at // 2
+        if q not in tables:  # the rows of parity q as x, each with the row after it as y
+            px, kx = keep_x(rows[q::2])
+            v = rows[q + 1 :: 2]
+            py, ky = keep_y(px[: len(v)], v)
+            tables[q] = px, kx, py, kx[: len(v)] & ky
+        px, kx, py, ok = tables[q]
+        run = ok[t : t + n]  # the pairs from row ``at`` on whose rows lie in the block
+        bad = len(run) if run.all() else int(run.argmin())
+        xs.append(px[t : t + bad])
+        ys.append(py[t : t + bad])
+        n, at = n - bad, at + 2 * bad
         if not n:
-            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (px, py)
-        if not kx[bad]:  # skip the rejected x row
-            rows = rows[2 * bad + 1 :]
+            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (xs[0], ys[0])
+        if bad == len(run):  # at most one row is left: top the block up
+            rows, at, tables = np.concatenate([rows[at:], draw(2 * n - len(rows) + at)]), 0, {}
             continue
-        x, rows = px[bad], rows[2 * bad + 2 :]
-        y, ky = keep_y(x, rows)
-        while not ky.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
-            rows = draw(2 * n - 1)
-            y, ky = keep_y(x, rows)
-        at = int(ky.argmax())
+        if not kx[t + bad]:  # skip the rejected x row
+            at += 1
+            continue
+        x = px[t + bad]
+        y, kw = keep_y(x, rows[at + 2 :])
+        at += 2
+        while not kw.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
+            rows, at, tables = draw(2 * n - 1), 0, {}
+            y, kw = keep_y(x, rows)
+        j = int(kw.argmax())
         xs.append(x[None])
-        ys.append(y[at : at + 1])
-        rows, n = rows[at + 1 :], n - 1
+        ys.append(y[j : j + 1])
+        n, at = n - 1, at + j + 1
+
+
+@lru_cache(maxsize=None)
+def _half_table_index(m: int):
+    """Where the half table of J sits in the flat numerators, built once per m.
+
+    Rows are the pairs I = (i, j), i <= j: the m diagonal pairs (i, i), then
+    the pairs i < j in ``np.triu_indices(m, 1)`` order; ``(ri, rj)`` lists
+    them.  Columns are the pairs A = (a, b), a <= b, in
+    ``np.triu_indices(m)`` order.  The table is s[I, A] = V[b,i,i,a] on the
+    diagonal rows and V[b,i,j,a] + V[b,j,i,a] on the others, the x_i x_j
+    coefficient of J(x)[a, b] that ``commutator_poly`` builds.  It is
+    gathered from ``V.reshape(-1)`` as ``flat[first]``, with ``flat[second]``
+    added to the rows from m on.  ``full[a, b]`` is the column of {a, b},
+    which mirrors a half J to the full one.  Returns
+    ``(ri, rj, first, second, full)``, all read-only.
+    """
+    ci, cj = np.triu_indices(m)
+    oi, oj = np.triu_indices(m, 1)
+    ri, rj = np.concatenate([np.arange(m), oi]), np.concatenate([np.arange(m), oj])
+    # V[b, i, j, a] lies at ((b m + i) m + j) m + a in the flat numerators
+    first = ((cj * m + ri[:, None]) * m + rj[:, None]) * m + ci
+    second = ((cj * m + oj[:, None]) * m + oi[:, None]) * m + ci
+    full = np.empty((m, m), dtype=np.intp)
+    full[ci, cj] = full[cj, ci] = np.arange(len(ci))
+    out = (ri, rj, first, second, full)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+class _Contraction:
+    """The per-tensor half of ``_batch_commutators``, for a batch of pairs.
+
+    Everything that depends on the tensor and not on the rows is done once,
+    here: the half table s of ``_half_table_index``, ``scale`` (true
+    commutators are C / scale; None in float mode) and, for exact tensors,
+    the tiers.  ``jacobis`` then contracts the products x_i x_j, i <= j,
+    shape (p, n), against s, shape (n, n), and mirrors the half J to the
+    full one, so that J is exactly symmetric in both modes; ``commutators``
+    takes C = P - P^T with P = J(x) J(y), which is J(x) J(y) - J(y) J(x)
+    since both factors are symmetric.  Both take any rows of the batch.
+
+    Exact tiers rest on these bounds, over the whole batch.  With
+    b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
+
+    * every product x_i x_j is at most |x|_1^2 <= b(x);
+    * every table entry is at most 2 max|V|;
+    * every partial sum of J(x)[a, b] = sum_{i<=j} s[I, A] x_i x_j is at most
+      sum_{i<=j} |s[I, A]| |x_i x_j| <= sum_{i,j} max|V| |x_i| |x_j| = b(x),
+      since the two terms of an off-diagonal entry take the two ordered
+      products x_i x_j and x_j x_i;
+    * every partial sum of an entry of P, a sum of m products of J entries,
+      is at most m max_p b(x_p) max_p b(y_p), and an entry of C is the
+      difference of two such sums.
+
+    So J runs on ``exact_dtype(max(bJ, 2 max|V|))`` with
+    bJ = max_p max(b(x_p), b(y_p)), and P and C on ``exact_dtype(bC)``
+    with bC = 2 m max_p b(x_p) max_p b(y_p).  The bounds are taken in Python
+    ints, since their squares can pass 2^63.  Float tensors take the same
+    contraction in float64.
+    """
+
+    def __init__(self, R: CurvatureTensor, xs, ys):
+        self.exact = R.mode.exact
+        self.ri, self.rj, first, second, self.full = _half_table_index(R.m)
+        flat = R.values.reshape(-1)
+        s = flat[first]
+        s[R.m :] += flat[second]  # below 2^63 even in int64: V is int64 only below 2^62
+        if self.exact:
+            xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+            maxv = max(int(max_abs(R.values)), 1)
+            bx, by = (max(int(np.abs(a).sum(axis=1).max(initial=0)), 1) ** 2 * maxv for a in (xa, ya))
+            self.jdt, self.cdt = exact_dtype(max(bx, by, 2 * maxv)), exact_dtype(2 * R.m * bx * by)
+            self.scale = R.denominator**2
+        else:
+            self.jdt = self.cdt = np.dtype(np.float64)
+            self.scale = None
+        self.s = s.astype(self.jdt, copy=False)
+
+    def jacobis(self, a):
+        """J(a_p) of each row: the numerators over ``R.denominator`` when exact."""
+        a = a.astype(self.jdt, copy=False)
+        half = (a[:, self.ri] * a[:, self.rj]) @ self.s
+        if self.jdt != self.cdt:  # exact float64 J passes through int64 on its way to Python ints
+            half = half.astype(np.int64).astype(self.cdt)
+        return half[:, self.full]
+
+    def commutators(self, x, y):
+        """C for the pairs (x_p, y_p); exact ones as integers."""
+        p = np.matmul(self.jacobis(x), self.jacobis(y))
+        c = p - p.transpose(0, 2, 1)
+        return c.astype(np.int64) if self.exact and self.cdt == np.float64 else c
 
 
 def _batch_commutators(R: CurvatureTensor, xs, ys):
-    """Commutator matrices for a batch of integer or float pairs.
+    """Commutator matrices ``(C, scale)`` for a batch of integer or float pairs.
 
-    Returns (C, scale): true commutators are C / scale.  Integer batches
-    contract the numerators V as one matmul of the outer products x x^T,
-    shape (p, m^2), against V reshaped to (m^2, m^2), then take the batched
-    commutator.  |J(x)| <= |x|_1^2 max|V| =: b(x), and each commutator entry
-    is two sums of m products of J entries, so with
-
-        bJ = max_p max(b(x_p), b(y_p))   and   bC = 2 m max_p b(x_p) max_p b(y_p)
-
-    every partial sum of the contraction is at most bJ and every one of
-    the commutator at most bC.  ``scalars.exact_dtype`` takes each stage
-    to the fastest exact tier for its bound: a float64 BLAS matmul below
-    2^53, where every intermediate is an integer that float64 holds, so
-    the result is exact in any summation order and with any number of BLAS
-    threads; int64 below 2^62; Python ints past that.  The bounds are taken
-    in Python ints, since their squares can pass 2^63.  C comes back as
-    int64, or as Python ints past 2^62.  Float batches take the same
-    contraction in float64 on the float components, with scale None; their
-    low bits depend on the BLAS summation order.
+    True commutators are C / scale.  The batch runs through one
+    ``_Contraction``: a contraction on the symmetric half of J, whose
+    intermediates stay below max(bJ, 2 max|V|), and C = P - P^T with
+    P = J(x) J(y), whose stay below bC (both bounds are proved there).
+    ``scalars.exact_dtype`` takes each stage to the fastest exact tier for
+    its bound: a float64 BLAS matmul below 2^53, where every intermediate is
+    an integer that float64 holds, so the result is exact in any summation
+    order and with any number of BLAS threads; int64 below 2^62; Python ints
+    past that.  C comes back as int64, or as Python ints past 2^62.  Float
+    batches take the same contraction in float64 on the float components,
+    with scale None; their low bits depend on the BLAS summation order.
     """
-    m = R.m
-    if R.mode.exact:
-        xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-        # b(x) with |x|_1 and max|V| raised to at least 1, so that it also
-        # bounds max|V| and every outer product x_i x_j
-        maxv = max(int(max_abs(R.values)), 1)
-        bx, by = (max(int(np.abs(a).sum(axis=1).max()), 1) ** 2 * maxv for a in (xa, ya))
-        jdt, cdt = exact_dtype(max(bx, by)), exact_dtype(2 * m * bx * by)
-        v, _ = integer_array(R.values, bound=max(bx, by))
-        scale = R.denominator**2
-    else:
-        xa, ya = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        jdt = cdt = np.dtype(np.float64)
-        v, scale = R.values, None
-    w = v.transpose((1, 2, 3, 0)).reshape(m * m, m * m)  # w[ij, ab] = V[b,i,j,a]
-    w = w.astype(jdt, copy=False)
-
-    def jacobis(a):
-        a = a.astype(jdt, copy=False)
-        j = ((a[:, :, None] * a[:, None, :]).reshape(len(a), m * m) @ w).reshape(-1, m, m)
-        # exact float64 J passes through int64 on its way to Python ints
-        return j if jdt == cdt else j.astype(np.int64, copy=False).astype(cdt, copy=False)
-
-    jx, jy = jacobis(xa), jacobis(ya)
-    c = np.matmul(jx, jy) - np.matmul(jy, jx)
-    if R.mode.exact and cdt == np.float64:
-        c = c.astype(np.int64)  # exact commutators come back as integers
-    return c, scale
+    k = _Contraction(R, xs, ys)
+    dtype = np.int64 if R.mode.exact else float
+    return k.commutators(np.asarray(xs, dtype=dtype), np.asarray(ys, dtype=dtype)), k.scale
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -474,7 +549,7 @@ def _float_threshold(R: CurvatureTensor):
     return R.mode.tol * (scale * scale)
 
 
-SLICE_ENTRIES = 2**21  # the scan evaluates at most this many / m^2 pairs at once
+SLICE_ENTRIES = 2**14  # the scan evaluates at most this many / m^2 pairs at once
 
 
 def _squared_norms(a):
@@ -490,46 +565,73 @@ def _squared_norms(a):
     return (a * a).sum(axis=1).tolist()
 
 
+def _near_largest(raws, x, y):
+    """The indices whose exact ratio raw / (|x|^2 |y|^2) may be the largest.
+
+    The float ratio r of each row is computed in float64: raw, |x|^2, |y|^2,
+    their product and the quotient each round once more, and the two sums of
+    m squares carry at most m roundings each, so r is within a relative
+    (m + 4) eps of the exact ratio (first order).  Keeping the rows with
+    r >= max r (1 - 2^-30) therefore keeps every row whose exact ratio ties
+    or beats the exact largest one, since 2 (m + 4) eps is far below 2^-30
+    for any m this library takes.  Python-int raws can pass the float range,
+    so they keep every row.
+    """
+    if raws.dtype == object:
+        return np.arange(len(raws))
+    x, y = x.astype(float), y.astype(float)
+    r = raws / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
+    return np.flatnonzero(r >= r.max() * (1 - 2**-30))
+
+
 def _violation_scan(R, xs, ys, pick: str):
     """Evaluate pairs and pick a violating one ('first' or 'largest').
 
     Returns ``(p, Witness(xs[p], ys[p], norm))`` for the chosen index p, or
-    None.  Pairs are evaluated in slices of at most ``SLICE_ENTRIES / m^2``,
-    so memory does not grow with the number of pairs.  Ties in norm go to
-    the earlier pair, across slices too, exactly in rational mode.  Float
-    ties are decided on computed norms, and BLAS may round one pair
-    differently at another position in its slice (numpy takes gemv for a
-    one-row slice), so earliest-wins is exact in float mode only on
-    integer-valued data, where every sum is exact.  Each pair's raw sup
-    norm comes from one reduction per slice, and only the hits get their
-    |x|^2 |y|^2.
+    None.  One ``_Contraction`` serves the whole scan, and pairs are
+    evaluated in slices of at most ``SLICE_ENTRIES / m^2``, so memory does
+    not grow with the number of pairs, and every (p, m, m) float64
+    temporary of a slice stays at or below 128 KiB, where glibc serves it
+    from the heap instead of a fresh mmap.  Ties in norm go to the earlier
+    pair, across slices too, exactly in rational mode.  Float ties are
+    decided on computed norms, and BLAS may round one pair differently at
+    another position in its slice (numpy takes gemv for a one-row slice),
+    so earliest-wins is exact in float mode only on integer-valued data,
+    where every sum is exact.  Each pair's raw sup norm comes from one
+    reduction per slice, and only the hits get their |x|^2 |y|^2: the
+    first hit alone for 'first'.
     Exact norms raw / (scale |x|^2 |y|^2) are compared by integer
-    cross-multiplication; only the returned witness gets its ``Fraction``.
-    Float pairs count when raw exceeds ``_float_threshold``; a slice's hits
-    get their norms raw / (|x|^2 |y|^2) as arrays, and its pick is the
-    first hit or the first argmax.
+    cross-multiplication on the hits that ``_near_largest`` keeps; only the
+    returned witness gets its ``Fraction``.  Float pairs count when raw
+    exceeds ``_float_threshold``; a slice's hits get their norms
+    raw / (|x|^2 |y|^2) as arrays, and its pick is the first hit or the
+    first argmax.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
     exact = R.mode.exact
     thr = _float_threshold(R)
+    contraction = _Contraction(R, xa, ya)
     step = max(1, SLICE_ENTRIES // (R.m * R.m))
     best = None  # (p, raw, |x|^2 |y|^2) when exact, (p, norm) in float mode
     for start in range(0, len(xa), step):
-        c, scale = _batch_commutators(R, xa[start : start + step], ya[start : start + step])
+        c = contraction.commutators(xa[start : start + step], ya[start : start + step])
         raws = np.abs(c).max(axis=(1, 2))
         hits = np.flatnonzero(raws if exact else raws > thr)
         if not hits.size:
             continue
-        x, y = xa[hits + start], ya[hits + start]
+        if pick == "first":
+            hits = hits[:1]
+        x, y, raws = xa[hits + start], ya[hits + start], raws[hits]
         if exact:
+            if pick == "largest":
+                keep = _near_largest(raws, x, y)
+                hits, x, y, raws = hits[keep], x[keep], y[keep], raws[keep]
             dens = [a * b for a, b in zip(_squared_norms(x), _squared_norms(y))]
-            for p, raw, den in zip((hits + start).tolist(), raws[hits].tolist(), dens):
+            for p, raw, den in zip((hits + start).tolist(), raws.tolist(), dens):
                 if best is None or raw * best[2] > best[1] * den:
                     best = (p, raw, den)
-                if pick == "first":
-                    break
         else:
-            norms = raws[hits] / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
+            norms = raws / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
             k = 0 if pick == "first" else int(np.argmax(norms))
             if best is None or norms[k] > best[1]:
                 best = (int(hits[k]) + start, float(norms[k]))
@@ -538,7 +640,7 @@ def _violation_scan(R, xs, ys, pick: str):
     if best is None:
         return None
     p = best[0]
-    norm = Fraction(best[1], scale * best[2]) if exact else best[1]
+    norm = Fraction(best[1], contraction.scale * best[2]) if exact else best[1]
     return p, Witness(xs[p], ys[p], norm)
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from actlab import (
     conjugate_structure,
     divisible_by_pairing,
     full_commutation_test,
+    jacobi,
     r0,
     r_theta,
     random_act,
@@ -31,11 +33,13 @@ from actlab import (
 
 from actlab import tsankov
 from actlab.tsankov import (
+    _Contraction,
     _basis_pair_candidates,
     _batch_commutators,
     _decide,
     _float_threshold,
     _sample_pairs,
+    _search_witness,
     _violation_scan,
 )
 
@@ -143,6 +147,19 @@ def int64_bound(R, xs, ys):
 def jacobi_bound(R, xs, ys):
     """max |x|_1^2 max|V| over the batch: bounds every partial sum of J(x)."""
     return max(sum(abs(int(e)) for e in v) for v in [*xs, *ys]) ** 2 * max_numerator(R)
+
+
+def largest_reference(R, xs, ys):
+    """Reference for the exact 'largest' pick: ``(p, norm)`` over every pair at once,
+    by integer cross-multiplication of raw / (|x|^2 |y|^2), the earliest on ties."""
+    cs, s2 = bigint_commutators(R, xs, ys)
+    best = None
+    for p, (c, x, y) in enumerate(zip(cs, xs, ys)):
+        raw = max(abs(e) for row in c for e in row)
+        den = sum(int(e) ** 2 for e in x) * sum(int(e) ** 2 for e in y)
+        if raw and (best is None or raw * best[2] > best[1] * den):
+            best = (p, raw, den)
+    return best[0], Fraction(best[1], s2 * best[2])
 
 
 def sample_pair_reference(rng, m, exact, orthogonal, span=4):
@@ -652,6 +669,93 @@ class TestWitnessSearchKernels:
                     q, v = _violation_scan(R, fx, fy, pick)
                     assert q == p == float_scan_reference(R, fx, fy, pick)[0]
                     assert v.commutator_norm == float(w.commutator_norm) * 4.0**k
+
+
+class TestHalfTableContraction:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_exact_half_table_jacobi_is_jacobi_on_every_tier(self, m):
+        # scaling R moves the J bound max(bJ, 2 max|V|) across 2^53 and 2^62
+        base = random_act(m, 2, seed=m) if m > 2 else r0(2, Fraction(3, 5))
+        xs = np.random.default_rng(m).integers(-4, 5, size=(5, m))
+        xs[0] = 0
+        xs[1] = np.eye(m, dtype=np.int64)[m - 1]
+        bound = jacobi_bound(base, xs, [])
+        tiers = []
+        for scale in (1, _FLOAT64_LIMIT // bound + 1, _INT64_LIMIT // bound + 1):
+            R = combine([(scale, base)])
+            contraction = _Contraction(R, xs, xs)
+            tiers.append(contraction.jdt)
+            js = contraction.jacobis(xs)
+            assert js.shape == (len(xs), m, m)
+            for x, j in zip(xs, js):
+                got = [[Fraction(int(e), R.denominator) for e in row] for row in j.tolist()]
+                assert got == jacobi(R, x).tolist()
+        assert tiers == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)]
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12])
+    def test_float_half_table_jacobi_is_exactly_symmetric(self, m):
+        eps = np.finfo(float).eps
+        base = (random_act(m, 2, seed=m) if m > 2 else r0(2, 3)).to_float()
+        xs = np.random.default_rng(m).standard_normal((6, m))
+        for scale in (1e-8, 1.0, 1e8):
+            R = combine([(scale, base)])
+            js = _Contraction(R, xs, xs).jacobis(xs)
+            assert js.dtype == float and (js == js.transpose(0, 2, 1)).all()
+            for x, j in zip(xs, js):
+                bound = 4 * m * m * eps * float(R.max_abs()) * float(np.abs(x).sum()) ** 2
+                assert np.abs(j - jacobi(R, x)).max() <= bound
+
+    def test_witness_search_keeps_slices_small(self):
+        # one contraction per scan and slices of at most SLICE_ENTRIES / m^2
+        # pairs; a whole-batch contraction at m=11 peaks at several MB
+        R = combine([(Fraction(5, 7), random_act(11, 3, seed=5))])
+        _search_witness(R, 0, 200, True)  # fill the per-m caches first
+        tracemalloc.start()
+        try:
+            _search_witness(R, 0, 200, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+class TestLargestPick:
+    def test_near_ties_below_float_resolution(self, monkeypatch):
+        # for c R0, C(x, y) = c^2 <x,y> (x y^T - y x^T); at x = e0, y = (N, N+1, 0)
+        # the norm is c^2 N (N+1) / (2 N (N+1) + 1), which rises with N by about
+        # 2^-62 relative near N = 2^20: float ratios tie, or at c = 253, where
+        # the int64 raw rounds, put a smaller pair above the largest one
+        monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 4 * 3 * 3)
+        ns = [2**20 + k for k in (3, 7, 1, 6, 0, 5, 2, 4)]
+        xs = [np.array([1, 0, 0])] * len(ns)
+        ys = [np.array([n, n + 1, 0]) for n in ns]
+        floats = [float(253**2 * n * (n + 1)) / float(2 * n * (n + 1) + 1) for n in ns]
+        assert max(floats) > floats[ns.index(max(ns))]
+        for c in (1, 5, 253, 2**20):
+            R = r0(3, c)
+            p, w = _violation_scan(R, xs, ys, "largest")
+            assert (p, w.commutator_norm) == largest_reference(R, xs, ys)
+            assert ns[p] == max(ns)
+
+    def test_ties_across_slices_and_tiers_match_the_exhaustive_reference(self, monkeypatch):
+        # scaled copies (2x, y) and (x, 3y) tie their pair exactly; the copies
+        # of the winner sit in later slices, and a copy of another pair in an
+        # earlier one
+        monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 5 * 4 * 4)
+        base = random_act(4, 3, seed=2)
+        xs, ys = orthogonal_batch(4, 12, span=4, seed=6)
+        p, _ = largest_reference(base, xs, ys)
+        q = (p + 5) % len(xs)
+        xs = [xs[q], *xs, 2 * xs[p], xs[p]]
+        ys = [3 * ys[q], *ys, ys[p], 3 * ys[p]]
+        bound, tiers = int64_bound(base, xs, ys), []
+        for scale in (1, isqrt(_FLOAT64_LIMIT // bound) + 1, isqrt(_INT64_LIMIT // bound) + 1, 10**400):
+            R = combine([(scale, base)])
+            tiers.append(_Contraction(R, xs, ys).cdt)
+            got, w = _violation_scan(R, xs, ys, "largest")
+            assert (got, w.commutator_norm) == largest_reference(R, xs, ys)
+            assert got == p + 1
+        assert tiers == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object), np.dtype(object)]
 
 
 class TestTsankovTest:
