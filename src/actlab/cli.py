@@ -23,7 +23,7 @@ import numpy as np
 
 from .classify import classify, osserman_check, structure_report
 from .errors import ActError, FormatError
-from .io import _load_doc, _parse_value, load_tensor, save_tensor, tensor_from_doc
+from .io import MAX_M, _load_doc, _parse_value, load_tensor, save_tensor, tensor_from_doc
 from .jacobi import jacobi
 from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, zeros
 from .tensors import combine, from_form, r0, r_theta, random_act, standard_complex_structure
@@ -55,6 +55,8 @@ def _parse_vector_arg(raw: str, mode: ScalarMode, m: int):
 
 
 def _cmd_gen(args, tol):
+    if not 2 <= args.m <= MAX_M:  # the file cap, checked before m^4 entries are built
+        raise FormatError(f"m must be an integer between 2 and {MAX_M}")
     mode = RATIONAL if args.mode == "rational" else float_mode(tol)
     c = _parse_value(args.c, mode)
     if args.type == "r0":

@@ -382,6 +382,9 @@ def combine(terms) -> CurvatureTensor:
     """Componentwise linear combination sum_i c_i * R_i.
 
     Exact terms become f_i N_i over d = lcm(den(c_i / d_i)), bounded by sum |f_i| max|N_i|.
+    On exact tensors a Python float c_i counts at its exact binary value:
+    ``5/7`` is ``Fraction(5/7)``, a denominator of 2^53, whose numerators
+    push the witness search onto Python ints.  Pass ``Fraction(5, 7)``.
     """
     terms = list(terms)
     if not terms:

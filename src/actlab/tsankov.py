@@ -44,7 +44,8 @@ call for all rows, and formed as whole arrays in both modes.  A scan
 contracts on the symmetric half of J (``_Contraction``): the products
 x_i x_j, i <= j, times an n x n table of coefficients, n = m(m+1)/2, built
 once per scan, then mirrored to the full J; each commutator is P - P^T
-with P = J(x) J(y).  Pairs are evaluated in slices of bounded size, and
+with P = J(x) J(y); ``commutator_poly`` expands the same table
+(``_jacobi_table``).  Pairs are evaluated in slices of bounded size, and
 each slice picks its violator with array operations.  Exact commutators
 run on the fastest tier their batch bounds allow: J on a float64 BLAS
 matmul while max(bJ, 2 max|V|) < 2^53 and P while bC < 2^53, then int64,
@@ -254,10 +255,8 @@ class BilinearMatrixPoly(_MatrixPoly):
         m, L = self.m, self.values
         if self.mode.exact and exact_dtype(2 * int(max_abs(L))) == object:
             L = L.astype(object)  # at most two terms meet per monomial
-        ii, jj = np.triu_indices(m)
-        n = len(ii)
-        pair = np.empty((m, m), dtype=np.intp)  # pair[i, j]: the position of {i, j} among the n pairs
-        pair[ii, jj] = pair[jj, ii] = np.arange(n)
+        pair = _half_table_index(m)[0]  # pair[i, j]: the position of {i, j} among the n pairs
+        n = m * (m + 1) // 2
         out = np.zeros((len(L), n * n), dtype=L.dtype)
         # x_t y_t x_p y_q is the monomial with pairs {p, t} and {q, t}
         p, q, t = np.indices((m, m, m)).reshape(3, -1)
@@ -270,11 +269,50 @@ class BilinearMatrixPoly(_MatrixPoly):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _half_table_index(m: int):
+    """Where the half table of J sits in the flat numerators, built once per m.
+
+    Rows are the pairs I = (i, j), i <= j: the m diagonal pairs (i, i), then
+    the pairs i < j in ``np.triu_indices(m, 1)`` order; ``(ri, rj)`` lists
+    them, and ``order`` lists the rows in ``np.triu_indices(m)`` order.
+    Columns are the pairs A = (a, b), a <= b, in ``np.triu_indices(m)``
+    order, and ``full[a, b]`` is the column of {a, b}, which mirrors a half
+    J to the full one.  ``_jacobi_table`` gathers the one table that
+    ``commutator_poly`` and the scan read from ``V.reshape(-1)`` as
+    ``flat[first]``, with ``flat[second]`` added to the rows from m on.
+    Returns ``(full, order, ri, rj, first, second)``, all read-only.
+    """
+    ci, cj = np.triu_indices(m)
+    oi, oj = np.triu_indices(m, 1)
+    ri, rj = np.concatenate([np.arange(m), oi]), np.concatenate([np.arange(m), oj])
+    # V[b, i, j, a] lies at ((b m + i) m + j) m + a in the flat numerators
+    first = ((cj * m + ri[:, None]) * m + rj[:, None]) * m + ci
+    second = ((cj * m + oj[:, None]) * m + oi[:, None]) * m + ci
+    full = np.empty((m, m), dtype=np.intp)
+    full[ci, cj] = full[cj, ci] = np.arange(len(ci))
+    out = (full, np.argsort(full[ri, rj]), ri, rj, first, second)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _jacobi_table(R: CurvatureTensor) -> np.ndarray:
+    """The x_i x_j coefficient of J(x)[a, b] as s[I, A], laid out by
+    ``_half_table_index``, in the dtype of ``R.values``: V[b,i,i,a] on the
+    diagonal rows, V[b,i,j,a] + V[b,j,i,a] on the others."""
+    first, second = _half_table_index(R.m)[4:]
+    flat = R.values.reshape(-1)
+    s = flat[first]
+    s[R.m :] += flat[second]  # below 2^63 even in int64: V is int64 only below 2^62
+    return s
+
+
 def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     """Expand C(x,y) = J(x)J(y) - J(y)J(x) into canonical coefficients.
 
-    With s[a, c, I] the x^I coefficient of J(x)[a, c] (R[c,i,j,a] +
-    R[c,j,i,a] for i < j, R[c,i,i,a] on the diagonal), slot (a, b) is
+    With s[a, c, I] the x^I coefficient of J(x)[a, c], read off
+    ``_jacobi_table`` in ``np.triu_indices(m)`` row order, slot (a, b) is
     T[I, K] - T[K, I] for T = sum_c s[a, c, I] s[c, b, K]: one matmul per
     row a.  Exact numerators N give coefficients of magnitude at most
     8 m max|N|^2 over d^2, and ``scalars.exact_dtype`` of that bound picks
@@ -283,11 +321,8 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     exactly so in rational mode.
     """
     m = R.m
-    ii, jj = np.triu_indices(m)
-    q = R.values.transpose((3, 0, 1, 2))  # q[a,c,i,j] = R[c,i,j,a], the x_i x_j coefficient of J(x)[a,c]
-    s = q[:, :, ii, jj]
-    off = ii < jj
-    s[:, :, off] += q[:, :, jj[off], ii[off]]
+    full, order = _half_table_index(m)[:2]
+    s = _jacobi_table(R)[order, full[..., None]]  # s[a, c, I], I in np.triu_indices(m) order
     if R.mode.exact:
         maxv = int(max_abs(R.values))
         tier = exact_dtype(8 * m * maxv * maxv)
@@ -295,7 +330,7 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
         store = object if tier == object else np.int64
     else:
         store = np.float64
-    n = len(ii)
+    n = len(order)
     rhs = s.reshape(m, m * n)  # rhs[c, (b, K)] = s[c, b, K]
     out = np.empty((m * (m - 1) // 2, n, n), dtype=store)
     start = 0
@@ -362,15 +397,11 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     the rows are drawn in blocks and the pairs formed as whole arrays.  The
     pairs before the first rejected row are kept.  A rejected x row is
     skipped; for a rejected y row, ``keep_y`` runs on all later rows at once
-    for that x, and the first it accepts completes the pair.  Pairing then
-    resumes on the rows after it.  A skipped row or a waiting x can change the
-    parity of the rows that serve as x, so each block keeps, for each parity,
-    ``keep_x`` of those rows and ``keep_y`` of each with the row after it,
-    computed for every row of that parity the first time a run starts on it;
-    a resumed run indexes them.  A block is only ever as long as the fewest
-    rows the rule still reads (two per missing pair, one less while x waits
-    for its y), so the pairs, and the generator state after the call, are
-    those of n pairs drawn one row at a time.
+    and the first it accepts completes the pair.  Pairing then resumes on the
+    rows after it.  A block is only ever as long as the fewest rows the rule
+    still reads (two per missing pair, one less while x waits for its y), so
+    the pairs, and the generator state after the call, are those of n pairs
+    drawn one row at a time.
     """
     dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
     if exact:
@@ -392,81 +423,44 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
         def keep_y(x, v):
             return keep_x(v - dot(v, x) * x if orthogonal else v)
 
-    xs, ys = [], []
-    rows, at, tables = draw(2 * n), 0, {}
+    rows, xs, ys = draw(2 * n), [], []
     while True:
-        q, t = at % 2, at // 2
-        if q not in tables:  # the rows of parity q as x, each with the row after it as y
-            px, kx = keep_x(rows[q::2])
-            v = rows[q + 1 :: 2]
-            py, ky = keep_y(px[: len(v)], v)
-            tables[q] = px, kx, py, kx[: len(v)] & ky
-        px, kx, py, ok = tables[q]
-        run = ok[t : t + n]  # the pairs from row ``at`` on whose rows lie in the block
-        bad = len(run) if run.all() else int(run.argmin())
-        xs.append(px[t : t + bad])
-        ys.append(py[t : t + bad])
-        n, at = n - bad, at + 2 * bad
+        if len(rows) < 2 * n:  # the rule reads at least two rows for each missing pair
+            rows = np.concatenate([rows, draw(2 * n - len(rows))])
+        px, kx = keep_x(rows[0::2])
+        py, ky = keep_y(px, rows[1::2])
+        ok = kx & ky
+        bad = n if ok.all() else int(ok.argmin())
+        xs.append(px[:bad])
+        ys.append(py[:bad])
+        n -= bad
         if not n:
-            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (xs[0], ys[0])
-        if bad == len(run):  # at most one row is left: top the block up
-            rows, at, tables = np.concatenate([rows[at:], draw(2 * n - len(rows) + at)]), 0, {}
+            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (px, py)
+        if not kx[bad]:  # skip the rejected x row
+            rows = rows[2 * bad + 1 :]
             continue
-        if not kx[t + bad]:  # skip the rejected x row
-            at += 1
-            continue
-        x = px[t + bad]
-        y, kw = keep_y(x, rows[at + 2 :])
-        at += 2
-        while not kw.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
-            rows, at, tables = draw(2 * n - 1), 0, {}
-            y, kw = keep_y(x, rows)
-        j = int(kw.argmax())
+        x, rows = px[bad], rows[2 * bad + 2 :]
+        y, ky = keep_y(x, rows)
+        while not ky.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
+            rows = draw(2 * n - 1)
+            y, ky = keep_y(x, rows)
+        at = int(ky.argmax())
         xs.append(x[None])
-        ys.append(y[j : j + 1])
-        n, at = n - 1, at + j + 1
-
-
-@lru_cache(maxsize=None)
-def _half_table_index(m: int):
-    """Where the half table of J sits in the flat numerators, built once per m.
-
-    Rows are the pairs I = (i, j), i <= j: the m diagonal pairs (i, i), then
-    the pairs i < j in ``np.triu_indices(m, 1)`` order; ``(ri, rj)`` lists
-    them.  Columns are the pairs A = (a, b), a <= b, in
-    ``np.triu_indices(m)`` order.  The table is s[I, A] = V[b,i,i,a] on the
-    diagonal rows and V[b,i,j,a] + V[b,j,i,a] on the others, the x_i x_j
-    coefficient of J(x)[a, b] that ``commutator_poly`` builds.  It is
-    gathered from ``V.reshape(-1)`` as ``flat[first]``, with ``flat[second]``
-    added to the rows from m on.  ``full[a, b]`` is the column of {a, b},
-    which mirrors a half J to the full one.  Returns
-    ``(ri, rj, first, second, full)``, all read-only.
-    """
-    ci, cj = np.triu_indices(m)
-    oi, oj = np.triu_indices(m, 1)
-    ri, rj = np.concatenate([np.arange(m), oi]), np.concatenate([np.arange(m), oj])
-    # V[b, i, j, a] lies at ((b m + i) m + j) m + a in the flat numerators
-    first = ((cj * m + ri[:, None]) * m + rj[:, None]) * m + ci
-    second = ((cj * m + oj[:, None]) * m + oi[:, None]) * m + ci
-    full = np.empty((m, m), dtype=np.intp)
-    full[ci, cj] = full[cj, ci] = np.arange(len(ci))
-    out = (ri, rj, first, second, full)
-    for a in out:
-        a.flags.writeable = False
-    return out
+        ys.append(y[at : at + 1])
+        rows, n = rows[at + 1 :], n - 1
 
 
 class _Contraction:
-    """The per-tensor half of ``_batch_commutators``, for a batch of pairs.
+    """Commutators C of a batch of integer or float pairs, for one tensor.
 
     Everything that depends on the tensor and not on the rows is done once,
-    here: the half table s of ``_half_table_index``, ``scale`` (true
-    commutators are C / scale; None in float mode) and, for exact tensors,
-    the tiers.  ``jacobis`` then contracts the products x_i x_j, i <= j,
-    shape (p, n), against s, shape (n, n), and mirrors the half J to the
-    full one, so that J is exactly symmetric in both modes; ``commutators``
-    takes C = P - P^T with P = J(x) J(y), which is J(x) J(y) - J(y) J(x)
-    since both factors are symmetric.  Both take any rows of the batch.
+    here: the table s of ``_jacobi_table``, ``scale`` (true commutators are
+    C / scale; None in float mode) and, for exact tensors, the tiers.
+    ``jacobis`` then contracts the products x_i x_j, i <= j, shape (p, n),
+    against s, shape (n, n), and mirrors the half J to the full one, so that
+    J is exactly symmetric in both modes; ``commutators`` takes C = P - P^T
+    with P = J(x) J(y), which is J(x) J(y) - J(y) J(x) since both factors
+    are symmetric.  Both take any rows of the batch.
 
     Exact tiers rest on these bounds, over the whole batch.  With
     b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
@@ -484,16 +478,18 @@ class _Contraction:
     So J runs on ``exact_dtype(max(bJ, 2 max|V|))`` with
     bJ = max_p max(b(x_p), b(y_p)), and P and C on ``exact_dtype(bC)``
     with bC = 2 m max_p b(x_p) max_p b(y_p).  The bounds are taken in Python
-    ints, since their squares can pass 2^63.  Float tensors take the same
-    contraction in float64.
+    ints, since their squares can pass 2^63.  Each tier is the fastest exact
+    one for its bound: a float64 BLAS matmul below 2^53, where every
+    intermediate is an integer that float64 holds, so the result is exact in
+    any summation order and with any number of BLAS threads; int64 below
+    2^62; Python ints past that.  C comes back as int64, or as Python ints
+    past 2^62.  Float tensors take the same contraction in float64, and
+    their low bits depend on the BLAS summation order.
     """
 
     def __init__(self, R: CurvatureTensor, xs, ys):
         self.exact = R.mode.exact
-        self.ri, self.rj, first, second, self.full = _half_table_index(R.m)
-        flat = R.values.reshape(-1)
-        s = flat[first]
-        s[R.m :] += flat[second]  # below 2^63 even in int64: V is int64 only below 2^62
+        self.full, _, self.ri, self.rj = _half_table_index(R.m)[:4]
         if self.exact:
             xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
             maxv = max(int(max_abs(R.values)), 1)
@@ -503,11 +499,11 @@ class _Contraction:
         else:
             self.jdt = self.cdt = np.dtype(np.float64)
             self.scale = None
-        self.s = s.astype(self.jdt, copy=False)
+        self.s = _jacobi_table(R).astype(self.jdt, copy=False)
 
     def jacobis(self, a):
         """J(a_p) of each row: the numerators over ``R.denominator`` when exact."""
-        a = a.astype(self.jdt, copy=False)
+        a = np.asarray(a, dtype=self.jdt)
         half = (a[:, self.ri] * a[:, self.rj]) @ self.s
         if self.jdt != self.cdt:  # exact float64 J passes through int64 on its way to Python ints
             half = half.astype(np.int64).astype(self.cdt)
@@ -518,26 +514,6 @@ class _Contraction:
         p = np.matmul(self.jacobis(x), self.jacobis(y))
         c = p - p.transpose(0, 2, 1)
         return c.astype(np.int64) if self.exact and self.cdt == np.float64 else c
-
-
-def _batch_commutators(R: CurvatureTensor, xs, ys):
-    """Commutator matrices ``(C, scale)`` for a batch of integer or float pairs.
-
-    True commutators are C / scale.  The batch runs through one
-    ``_Contraction``: a contraction on the symmetric half of J, whose
-    intermediates stay below max(bJ, 2 max|V|), and C = P - P^T with
-    P = J(x) J(y), whose stay below bC (both bounds are proved there).
-    ``scalars.exact_dtype`` takes each stage to the fastest exact tier for
-    its bound: a float64 BLAS matmul below 2^53, where every intermediate is
-    an integer that float64 holds, so the result is exact in any summation
-    order and with any number of BLAS threads; int64 below 2^62; Python ints
-    past that.  C comes back as int64, or as Python ints past 2^62.  Float
-    batches take the same contraction in float64 on the float components,
-    with scale None; their low bits depend on the BLAS summation order.
-    """
-    k = _Contraction(R, xs, ys)
-    dtype = np.int64 if R.mode.exact else float
-    return k.commutators(np.asarray(xs, dtype=dtype), np.asarray(ys, dtype=dtype)), k.scale
 
 
 def _float_threshold(R: CurvatureTensor):

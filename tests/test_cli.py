@@ -23,7 +23,7 @@ from actlab import (
     save_tensor,
     standard_complex_structure,
 )
-from actlab import io
+from actlab import cli, io
 from actlab.cli import main
 from actlab.io import tensor_from_doc, tensor_to_doc
 
@@ -280,6 +280,25 @@ class TestCliCommands:
             phi.write_text(json.dumps(rows))
             assert main(["gen", "--type", "gauss", "--m", "2", "--phi", str(phi), "-o", out]) == 1
             assert capsys.readouterr().err.startswith("error: FormatError: ")
+
+    @pytest.mark.parametrize("kind", ["r0", "rtheta", "gauss", "random", "combo"])
+    def test_gen_dimension_capped_before_building(self, tmp_path, capsys, monkeypatch, kind):
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        for name in ("r0", "r_theta", "standard_complex_structure", "from_form", "random_act", "combine"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "t.json"
+        for m in (1, 33):
+            diag = ["--diag", ",".join(["1"] * m)] if kind == "gauss" else []
+            assert main(["gen", "--type", kind, "--m", str(m), *diag, "-o", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "wrote=" not in captured.out
+            assert captured.err.startswith("error: FormatError: m must be an integer between 2 and 32")
+            assert not out.exists()
 
     def test_zero_tensor_classifies_with_exit_zero(self, tmp_path, capsys):
         out = str(tmp_path / "z.json")

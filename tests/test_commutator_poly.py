@@ -31,6 +31,7 @@ from actlab import (
     r0,
     r_theta,
     random_act,
+    rotate,
     standard_complex_structure,
 )
 from actlab import tsankov
@@ -168,6 +169,22 @@ def oracle_corpus():
 
 
 CORPUS = oracle_corpus()
+
+
+def rotated_float_corpus():
+    """The corpus in float, each tensor rotated by a dense orthogonal matrix from a QR split.
+
+    Rotation breaks the exact float symmetry R[a,b,c,d] == R[c,d,a,b], so the
+    two triangles of J(x) no longer round alike.
+    """
+    out = []
+    for R in CORPUS:
+        q, _ = np.linalg.qr(np.random.default_rng(R.m).standard_normal((R.m, R.m)))
+        out.append(rotate(R.to_float(), q))
+    return out
+
+
+ROTATED = rotated_float_corpus()
 IDS = [f"m{R.m}-{n}" for n, R in enumerate(CORPUS)]
 
 
@@ -226,7 +243,7 @@ def assert_close(got, want, scale):
 class TestFloatOracle:
     @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e8])
     def test_verdicts_and_coefficients_match_reference(self, lam):
-        for R in CORPUS:
+        for R in CORPUS + ROTATED:
             Rf = combine([(lam, R.to_float())])
             P = commutator_poly(Rf)
             want = commutator_poly_reference(Rf)

@@ -248,6 +248,11 @@ class TestCombine:
         out = combine([(Fraction(5), r0(4, 1)), (0, rtheta4)])
         assert (out.components == R.components).all()
 
+    def test_float_coefficient_is_taken_at_its_binary_value(self):
+        R = random_act(4, 3, seed=2)
+        got = combine([(5 / 7, R)])
+        assert (got.components == R.components * Fraction(5 / 7)).all()
+
     def test_mode_mismatch_rejected(self, rtheta4):
         with pytest.raises(IncompatibleTensors):
             combine([(1, rtheta4), (1, rtheta4.to_float())])

@@ -35,7 +35,6 @@ from actlab import tsankov
 from actlab.tsankov import (
     _Contraction,
     _basis_pair_candidates,
-    _batch_commutators,
     _decide,
     _float_threshold,
     _sample_pairs,
@@ -114,7 +113,7 @@ def divisibility_by_linear_system(coeffs, m):
 
 
 def bigint_commutators(R, xs, ys):
-    """Reference for _batch_commutators: s^2 C(x, y) in Python ints, loop by loop."""
+    """Reference for _Contraction.commutators: s^2 C(x, y) in Python ints, loop by loop."""
     V, s = R.values.tolist(), R.denominator
     m = R.m
     rng = range(m)
@@ -229,7 +228,8 @@ def float_scan_reference(R, xs, ys, pick):
     step = max(1, tsankov.SLICE_ENTRIES // (R.m * R.m))
     best = None
     for start in range(0, len(xs), step):
-        c, _ = _batch_commutators(R, xs[start : start + step], ys[start : start + step])
+        x, y = xs[start : start + step], ys[start : start + step]
+        c = _Contraction(R, x, y).commutators(x, y)
         raws = np.abs(c).max(axis=(1, 2))
         hits = np.flatnonzero(raws > thr)
         for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
@@ -437,7 +437,8 @@ class TestWitnessSearchKernels:
         for scale, dtype in ((c, np.int64), (c + 1, object)):
             R = combine([(scale, base)])
             assert (int64_bound(R, xs, ys) < _INT64_LIMIT) == (dtype is np.int64)
-            c_batch, s2 = _batch_commutators(R, xs, ys)
+            k = _Contraction(R, xs, ys)
+            c_batch, s2 = k.commutators(xs, ys), k.scale
             ref, ref_s2 = bigint_commutators(R, xs, ys)
             assert c_batch.dtype == dtype and s2 == ref_s2
             assert c_batch.tolist() == ref
@@ -573,7 +574,8 @@ class TestWitnessSearchKernels:
             R = combine([(scale, base)])
             assert (jacobi_bound(R, xs, ys) < _FLOAT64_LIMIT) == (jacobi_tier is np.float64)
             tiers.clear()
-            c_batch, s2 = _batch_commutators(R, xs, ys)
+            k = _Contraction(R, xs, ys)
+            c_batch, s2 = k.commutators(xs, ys), k.scale
             ref, ref_s2 = bigint_commutators(R, xs, ys)
             assert tiers == [np.dtype(jacobi_tier), np.dtype(object)]
             assert c_batch.dtype == object and s2 == ref_s2
@@ -584,7 +586,8 @@ class TestWitnessSearchKernels:
         R = random_act(6, 3, seed=11)
         xs, ys = orthogonal_batch(6, 16, span=4 + 2 * 63, seed=4)
         assert int64_bound(R, xs, ys) >= _INT64_LIMIT
-        c_batch, s2 = _batch_commutators(R, xs, ys)
+        k = _Contraction(R, xs, ys)
+        c_batch, s2 = k.commutators(xs, ys), k.scale
         assert c_batch.dtype == object
         assert c_batch.tolist() == bigint_commutators(R, xs, ys)[0]
         # a copy of every pair follows the originals, so the largest norm is tied
@@ -623,7 +626,8 @@ class TestWitnessSearchKernels:
         xs, ys = np.concatenate([xs, cands[:, 0]]), np.concatenate([ys, cands[:, 1]])
         for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
             R = combine([(scale, base)])
-            c, s2 = _batch_commutators(R, xs, ys)
+            k = _Contraction(R, xs, ys)
+            c, s2 = k.commutators(xs, ys), k.scale
             assert s2 is None and c.dtype == float and c.shape == (len(xs), m, m)
             size = float(R.max_abs()) ** 2
             for p, (x, y) in enumerate(zip(xs, ys)):
