@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationInconsistency, DegenerateInput, UnsupportedDimension
+from .errors import DegenerateInput, UnsupportedDimension
 from .jacobi import _projector_scale, _range_orthonormal, jacobi, recover_complex_structure
 from .scalars import (
     _eigensplit_float,
@@ -31,11 +31,10 @@ from .scalars import (
     orthocomplement_basis,
     random_rational_unit_vector,
     rank_with_mode,
-    require_selfadjoint,
     zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector
-from .tsankov import Witness, _decide, tsankov_test
+from .tsankov import Witness, _decide, _fit, tsankov_test
 
 __all__ = [
     "Classification",
@@ -97,8 +96,8 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     (c, Theta) from ``recover_complex_structure``, each checked by its
     reconstruction residual.  In both modes the decision itself tries the
     fit before any polynomial expansion and returns it on success; when
-    the expansion had to decide instead, the fit's own
-    ``ClassificationInconsistency`` is raised.
+    the expansion had to decide instead, the fit is deterministic, so
+    running it again raises its own ``ClassificationInconsistency``.
     """
     if R.m < 3:
         raise UnsupportedDimension("classification needs dimension m >= 3")
@@ -107,9 +106,7 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     verdict, fit = _decide(R, seed, 200, orthogonal=True)
     if not verdict.holds:
         return Classification("NotTsankov", witness=verdict.witness)
-    if isinstance(fit, ClassificationInconsistency):
-        raise fit
-    c, cs, residual = fit
+    c, cs, residual = fit or _fit(R)
     if cs is None:
         return Classification("ConstantCurvature", c=c, residual=residual)
     return Classification("ComplexForm", c=c, theta=cs, residual=residual)
@@ -139,14 +136,6 @@ def osserman_check(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> O
     return OssermanReport(bool(ok), tuple(float(v) for v in reference), max_dev, n_samples)
 
 
-def _float_split(j: np.ndarray, mode):
-    """Float ``rank_with_mode`` of j with the one split it counts: (rank,
-    eigenvalues, kernel eigenvectors as matrix columns)."""
-    require_selfadjoint(j, mode)
-    vals, vecs, keep = _eigensplit_float(j, mode)
-    return int(np.count_nonzero(keep)), vals, vecs[:, ~keep]
-
-
 def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> StructureReport:
     """Rank histogram, spectra, and W(x) dimensions over sampled unit vectors.
 
@@ -171,7 +160,8 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
         if mode.exact:
             r, vals = rank_with_mode(j, mode), np.linalg.eigvalsh(j.astype(float))
         else:  # the rank and the spectrum of one split
-            r, vals, _ = _float_split(j, mode)
+            vals, _, keep = _eigensplit_float(j, mode)
+            r = int(np.count_nonzero(keep))
         ranks.append(r)
         w_dims.append(1 + r)
         spectra.append(tuple(float(v) for v in vals))
@@ -203,7 +193,7 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
     lies in the kernel).  In rational mode its basis is
     ``orthocomplement_basis([x, orthonormal range basis])``, which keeps
     every vector rational, and y is a random rational-unit combination.  In
-    float mode the rank and kernel come from one ``_float_split``.
+    float mode the rank and kernel come from one ``_eigensplit_float``.
     """
     x = _coerce_vector(x, R)
     mode = R.mode
@@ -211,7 +201,8 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
     if mode.exact:
         r = rank_with_mode(j, mode)
     else:
-        r, _, kernel = _float_split(j, mode)
+        _, vecs, keep = _eigensplit_float(j, mode)
+        r, kernel = int(np.count_nonzero(keep)), vecs[:, ~keep]
     if r >= R.m - 1:
         raise DegenerateInput("J(x) has no kernel beyond x; no commuting partner exists")
     if mode.exact:

@@ -8,11 +8,12 @@ under the tensor symmetries and rejects conflicting values, and the saver
 writes (i, j, k, l) with ``i < j``, ``k < l`` and ``(i, j) <= (k, l)``, one
 per orbit, skipping entries the symmetries force to zero.  Dense entries are
 a flat row-major array of length m^4.  Values are decimal or "p/q" strings
-(rational, lossless) or JSON numbers (float): finite, not booleans, with a
-decimal exponent of at most ``MAX_EXPONENT`` in magnitude; a rational
-value's numerator and denominator have at most ``MAX_EXPONENT`` digits, so
-that every loaded value prints.  Both directions work on integer numerators,
-cleared from the parsed values only.
+or JSON integers (rational, lossless; a JSON float such as 0.1 is refused,
+as it would load at its binary value) or JSON numbers (float): finite, not
+booleans, with a decimal exponent of at most ``MAX_EXPONENT`` in magnitude;
+a rational value's numerator and denominator have at most ``MAX_EXPONENT``
+digits, so that every loaded value prints.  Both directions work on integer
+numerators, cleared from the parsed values only.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def _parse_value(raw, mode: ScalarMode):
         raise FormatError(f"value {raw!r} is not a number")
     if isinstance(raw, float) and not math.isfinite(raw):  # JSON NaN, Infinity, 1e400
         raise FormatError(f"value {raw!r} is not finite")
+    if isinstance(raw, float) and mode.exact:
+        raise FormatError(f'rational value {raw!r} is a JSON float; the string "{raw!r}" loads exactly')
     exponent = _EXPONENT.search(raw) if isinstance(raw, str) else None
     if exponent and int(exponent[1].replace("_", "")[:5]) > MAX_EXPONENT:  # any 5 digits exceed it
         raise FormatError(f"value {raw!r} has a decimal exponent beyond {MAX_EXPONENT}")

@@ -218,13 +218,8 @@ def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
             _, w, e = _rank_one_unit(integer_array(j)[0], mode)
             return [fraction_array(w, e)]
         return orthonormalize_exact([j[:, c] for c in _pivot_columns(j)])
-    return _eigenpairs_float(j, mode)[1]
-
-
-def _eigenpairs_float(j: np.ndarray, mode: ScalarMode):
-    """The eigenvalues ``_eigensplit_float`` keeps, as floats, and their eigenvectors."""
-    vals, vecs, keep = _eigensplit_float(j, mode)
-    return [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)]
+    _, vecs, keep = _eigensplit_float(j, mode)
+    return list(vecs[:, keep].T)
 
 
 def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
@@ -278,9 +273,11 @@ class BlockStructureReport:
 
 
 def _precheck_pair(R, x, y, mode):
-    """Check the pair's preconditions; return J(x), its nonzero eigenvalues and
-    their orthonormal eigenvectors.  Float J(x) y = 0 is judged at J(x)'s
-    largest eigenvalue, the scale of the split whose kernel holds y."""
+    """Check the pair's preconditions; return J(x), its r nonzero eigenvalues
+    as a vector, and their orthonormal eigenvectors as the columns of an
+    m x r matrix.  Float J(x) y = 0 is judged at J(x)'s largest eigenvalue,
+    the scale of the split whose kernel holds y.  An exact J(x) must be a
+    scaled orthogonal projection with a rational eigenframe."""
     if not negligible(np.dot(x, x) - 1, mode):
         raise PreconditionFailed("x unit", f"<x,x> = {np.dot(x, x)}")
     if not negligible(np.dot(y, y) - 1, mode):
@@ -289,13 +286,24 @@ def _precheck_pair(R, x, y, mode):
         raise PreconditionFailed("x orthogonal to y", f"<x,y> = {np.dot(x, y)}")
     jx = jacobi(R, x)
     if not mode.exact:
-        lambdas, e_basis = _eigenpairs_float(jx, mode)
+        vals, vecs, keep = _eigensplit_float(jx, mode)
     kdev = max_abs(np.dot(jx, y))
-    if not negligible(kdev, mode, 1 if mode.exact else max_abs(lambdas)):
+    if not negligible(kdev, mode, 1 if mode.exact else max_abs(vals[keep])):
         raise PreconditionFailed("J(x) y = 0", f"|J(x) y| = {kdev}")
-    if mode.exact:
-        lambdas, e_basis = _eigenpairs_exact(jx, mode)
-    return jx, lambdas, e_basis
+    if not mode.exact:
+        return jx, vals[keep], vecs[:, keep]
+    r = rank_with_mode(jx, mode)
+    lam = _projector_scale(jx, r) if r else 0
+    if lam is None:
+        raise StructureViolation(
+            "J(x) is not a scaled orthogonal projection; the input is not "
+            "Jacobi-Tsankov or needs float mode"
+        )
+    try:
+        basis = _range_orthonormal(jx, r, mode)
+    except DegenerateInput as exc:
+        raise StructureViolation(f"no exact eigenframe: {exc}") from exc
+    return jx, np.full(r, lam, dtype=object), np.array(basis, dtype=object).reshape(r, R.m).T
 
 
 def _projector_scale(j: np.ndarray, r: int):
@@ -307,24 +315,6 @@ def _projector_scale(j: np.ndarray, r: int):
     return lam
 
 
-def _eigenpairs_exact(jx: np.ndarray, mode: ScalarMode):
-    """Nonzero eigenpairs of a two-eigenvalue (scaled projector) matrix."""
-    r = rank_with_mode(jx, mode)
-    if r == 0:
-        return [], []
-    lam = _projector_scale(jx, r)
-    if lam is None:
-        raise StructureViolation(
-            "J(x) is not a scaled orthogonal projection; the input is not "
-            "Jacobi-Tsankov or needs float mode"
-        )
-    try:
-        basis = _range_orthonormal(jx, r, mode)
-    except DegenerateInput as exc:
-        raise StructureViolation(f"no exact eigenframe: {exc}") from exc
-    return [lam] * r, basis
-
-
 def block_structure(R: CurvatureTensor, x, y) -> BlockStructureReport:
     """Build the commuting-pair block frame at (x, y) and report residuals.
 
@@ -332,31 +322,23 @@ def block_structure(R: CurvatureTensor, x, y) -> BlockStructureReport:
     cover J(y)x = 0, J(x)J(y) = 0, J(y)^2 + J(x)^2 - 4 J(x,y)^2 = 0, the
     intertwining identities, and the three block-matrix identities on the
     constructed frame.  All residuals vanish exactly on rank-one
-    Jacobi-Tsankov tensors.
+    Jacobi-Tsankov tensors.  The frames E, F and G are matrix columns, and
+    each operator's block residual is the largest of its three on E, F, G.
     """
     mode = R.mode
     x = _coerce_vector(x, R)
     y = _coerce_vector(y, R)
-    jx, lambdas, e_basis = _precheck_pair(R, x, y, mode)
+    jx, lambdas, e = _precheck_pair(R, x, y, mode)
     jy = jacobi(R, y)
     jxy = jacobi_polarized(R, x, y)
-
-    f_basis = []
-    for lam, e in zip(lambdas, e_basis):
-        f_basis.append(np.dot(jxy, e) * ((Fraction(2) if mode.exact else 2.0) / lam))
-
-    frame = e_basis + f_basis
-    if frame:
-        gram = np.array([[np.dot(u, v) for v in frame] for u in frame])
-        ortho_dev = max_abs(gram - eye(len(frame), mode))
-    else:
-        ortho_dev = mode.zero()
-
+    f = np.dot(jxy, e) * ((Fraction(2) if mode.exact else 2.0) / lambdas)
+    frame = np.concatenate([e, f], axis=1)
+    ortho_dev = max_abs(np.dot(frame.T, frame) - eye(frame.shape[1], mode))
     if not negligible(ortho_dev, mode):
         raise StructureViolation(
             "the e/f frame is not orthonormal; the input is not Jacobi-Tsankov"
         )
-    g_basis = orthocomplement_basis(frame, mode) if frame else list(eye(R.m, mode))
+    g_basis = orthocomplement_basis(list(frame.T), mode) if frame.size else list(eye(R.m, mode))
 
     residuals = {
         "jy_x": max_abs(np.dot(jy, x)),
@@ -368,21 +350,15 @@ def block_structure(R: CurvatureTensor, x, y) -> BlockStructureReport:
         ),
         "frame_orthonormal": ortho_dev,
     }
+    g = np.array(g_basis, dtype=e.dtype).reshape(-1, R.m).T
+    half = lambdas * (Fraction(1, 2) if mode.exact else 0.5)
+    for key, op, on_e, on_f in (
+        ("block_jx", jx, e * lambdas, 0),
+        ("block_jy", jy, 0, f * lambdas),
+        ("block_jxy", jxy, f * half, e * half),
+    ):
+        residuals[key] = max(
+            max_abs(np.dot(op, e) - on_e), max_abs(np.dot(op, f) - on_f), max_abs(np.dot(op, g))
+        )
 
-    half = Fraction(1, 2) if mode.exact else 0.5
-    devs = {"block_jx": [mode.zero()], "block_jy": [mode.zero()], "block_jxy": [mode.zero()]}
-    for lam, e, f in zip(lambdas, e_basis, f_basis):
-        devs["block_jx"].append(max_abs(np.dot(jx, e) - lam * e))
-        devs["block_jx"].append(max_abs(np.dot(jx, f)))
-        devs["block_jy"].append(max_abs(np.dot(jy, e)))
-        devs["block_jy"].append(max_abs(np.dot(jy, f) - lam * f))
-        devs["block_jxy"].append(max_abs(np.dot(jxy, e) - lam * half * f))
-        devs["block_jxy"].append(max_abs(np.dot(jxy, f) - lam * half * e))
-    for g in g_basis:
-        devs["block_jx"].append(max_abs(np.dot(jx, g)))
-        devs["block_jy"].append(max_abs(np.dot(jy, g)))
-        devs["block_jxy"].append(max_abs(np.dot(jxy, g)))
-    for key, vals in devs.items():
-        residuals[key] = max(vals)
-
-    return BlockStructureReport(lambdas, e_basis, f_basis, g_basis, residuals)
+    return BlockStructureReport(lambdas.tolist(), list(e.T), list(f.T), g_basis, residuals)

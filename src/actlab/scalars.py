@@ -220,16 +220,16 @@ def eig_selfadjoint(a: np.ndarray):
     a = np.asarray(a)
     if a.dtype == object:
         raise InvalidOperator("eig_selfadjoint is float-only; rational callers use ranks/kernels")
-    a = a.astype(float)
-    require_selfadjoint(a, FLOAT)
-    w, v = np.linalg.eigh(a)
-    return w, v
+    vals, vecs, _ = _eigensplit_float(a.astype(float), FLOAT)
+    return vals, vecs
 
 
 def _eigensplit_float(j: np.ndarray, mode: ScalarMode):
-    """The float eigen-split: ``(eigenvalues, eigenvectors as matrix columns,
-    keep)`` from one eigh, where ``keep`` marks the eigenvalues above
+    """The one float eigen-split of a symmetric matrix (``InvalidOperator``
+    otherwise): ``(eigenvalues, eigenvectors as matrix columns, keep)`` from
+    one eigh, where ``keep`` marks the eigenvalues above
     tol * max|eigenvalue|; the rest span the kernel."""
+    require_selfadjoint(j, mode)
     vals, vecs = np.linalg.eigh(j.astype(float))
     return vals, vecs, ~negligible(vals, mode, max_abs(vals))
 
@@ -269,10 +269,10 @@ def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
     and a basis built from it come from one decomposition."""
     a = np.asarray(a)
     mode = mode or mode_of(a)
+    if not mode.exact:
+        return int(np.count_nonzero(_eigensplit_float(a, mode)[2]))
     require_selfadjoint(a, mode)
-    if mode.exact:
-        return len(_pivot_columns(a))
-    return int(np.count_nonzero(_eigensplit_float(a, mode)[2]))
+    return len(_pivot_columns(a))
 
 
 def random_unit_vector(m: int, seed: int) -> np.ndarray:

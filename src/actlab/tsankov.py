@@ -36,7 +36,8 @@ No verdict rests on the classification theorem.  The theorem only
 predicts that the accepts left to step 4 are the tensors c R_Theta whose
 Theta is irrational (rational mode) or whose fit misses the tolerance
 (float mode).  Float steps 2 and 4 compare at the one threshold
-``tol |R|^2``.
+``tol |R|^2``; once either has proved failure, the float witness search
+reports its largest nonzero sampled commutator, below it too.
 
 A seeded sampling mode cross-checks the decision and supplies witness
 pairs for failures.  Pairs are drawn a batch at a time, with one generator
@@ -58,6 +59,7 @@ order; the certificates above, not the search, decide float
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -578,8 +580,10 @@ def _violation_scan(R, xs, ys, pick: str):
     first hit alone for 'first'.
     Exact norms raw / (scale |x|^2 |y|^2) are compared by integer
     cross-multiplication on the hits that ``_near_largest`` keeps; only the
-    returned witness gets its ``Fraction``.  Float pairs count when raw
-    exceeds ``_float_threshold``; a slice's hits get their norms
+    returned witness gets its ``Fraction``.  For 'first' a float pair
+    counts when raw exceeds ``_float_threshold``; for 'largest', which only
+    ``_search_witness`` runs after a certificate proved failure, every
+    nonzero float commutator counts.  A slice's hits get their norms
     raw / (|x|^2 |y|^2) as arrays, and its pick is the first hit or the
     first argmax.
     """
@@ -592,7 +596,7 @@ def _violation_scan(R, xs, ys, pick: str):
     for start in range(0, len(xa), step):
         c = contraction.commutators(xa[start : start + step], ya[start : start + step])
         raws = np.abs(c).max(axis=(1, 2))
-        hits = np.flatnonzero(raws if exact else raws > thr)
+        hits = np.flatnonzero(raws if exact or pick == "largest" else raws > thr)
         if not hits.size:
             continue
         if pick == "first":
@@ -662,7 +666,9 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     """Find a violating pair; the polynomial certificate guarantees one exists.
 
     Scans deterministic basis-combination pairs plus seeded random pairs and
-    returns the largest violator found (sample order breaks ties).  Widens
+    returns the largest violator found (sample order breaks ties); float
+    mode counts every nonzero commutator, since a certificate, which bounds
+    coefficients instead of sampled values, already proved failure.  Widens
     the sampling span if a round finds nothing; a degree-4 polynomial that
     is nonzero on the quadric cannot dodge random points indefinitely.
     """
@@ -764,9 +770,9 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     failure reports ``_search_witness``, so the witness does not depend on
     which certificate decided.
 
-    Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s result when it decided,
-    the ``ClassificationInconsistency`` it raised when it could not, and
-    None when it did not run.
+    Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s tuple when it
+    decided, else None, whether it did not run or raised
+    ``ClassificationInconsistency``.
     """
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
     if R.is_zero():
@@ -775,19 +781,16 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     pairs = _sample_pairs(rng, R.m, SCREEN_PAIRS, R.mode.exact, orthogonal)
     if _violation_scan(R, *pairs, pick="first") is not None:
         return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
-    fit = None
     if orthogonal:
-        try:
+        with suppress(ClassificationInconsistency):
             return TsankovVerdict(True, None, method), _fit(R)
-        except ClassificationInconsistency as exc:
-            fit = exc
     poly = commutator_poly(R)
     if orthogonal:
         holds = divisible_by_pairing(poly, _float_threshold(R)) is not None
     else:
         holds = poly.is_zero(_float_threshold(R))
     witness = None if holds else _search_witness(R, seed, n_samples, orthogonal)
-    return TsankovVerdict(holds, witness, method), fit
+    return TsankovVerdict(holds, witness, method), None
 
 
 def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> TsankovVerdict:

@@ -54,6 +54,8 @@ F = Fraction
 def parse_value_reference(raw, mode: ScalarMode):
     if isinstance(raw, float) and not math.isfinite(raw):
         raise FormatError(f"value {raw!r} is not finite")
+    if isinstance(raw, float) and mode.exact:
+        raise FormatError(f'rational value {raw!r} is a JSON float; the string "{raw!r}" loads exactly')
     try:
         return mode.scalar(raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -221,6 +223,8 @@ BAD_DOCS = [
     sparse(3, (0, 1, 1, 0, "1/0")),
     sparse(3, (0, 1, 1, 0, "x")),
     sparse(3, (0, 1, 1, 0, float("nan")), scalar="float"),
+    sparse(3, (0, 1, 1, 0, 0.1)),  # a JSON float in a rational file
+    {"m": 3, "scalar": "rational", "storage": "dense", "entries": [0.0] * 81},
     sparse(3, (0, 1, 1, 0, "1"), (1, 0, 1, 0, "1")),  # conflicting
     sparse(3, (0, 1, 1, 0, "1/2"), (0, 1, 1, 0, "2/3")),
     sparse(3, (0, 1, 1, 0, 1.0), (1, 0, 0, 1, 1.5), scalar="float"),
@@ -325,6 +329,14 @@ class TestHostileValues:
     @pytest.mark.parametrize("ent", [(False, True, True, False, True), (0, 1, 1, 0, True)])
     def test_booleans(self, tmp_path, capsys, ent):
         validate_error(tmp_path, capsys, json.dumps(sparse(3, ent)))
+
+    def test_json_float_in_rational_file(self, tmp_path, capsys):
+        # 0.1 would load as 3602879701896397/2^55; JSON integers stay exact
+        validate_error(tmp_path, capsys, one_entry(0.1))
+        path = tmp_path / "integer.json"
+        path.write_text(one_entry(-3))
+        R = load_tensor(path)
+        assert R.mode.exact and R.values[0, 1, 1, 0] == -3 and R.denominator == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from actlab import (
     PreconditionFailed,
     block_structure,
     combine,
+    conjugate_structure,
     find_commuting_partner,
     from_form,
     jacobi,
@@ -20,12 +21,24 @@ from actlab import (
     r_theta,
     random_act,
     random_rational_unit_vector,
+    random_signed_permutation,
     ricci,
+    rotate,
     standard_complex_structure,
     w_space,
 )
-from actlab.jacobi import _range_orthonormal
-from actlab.scalars import _pivot_columns, orthonormalize_exact, rank_with_mode
+from actlab.jacobi import _projector_scale, _range_orthonormal
+from actlab.scalars import (
+    _eigensplit_float,
+    _pivot_columns,
+    eye,
+    float_mode,
+    max_abs,
+    negligible,
+    orthocomplement_basis,
+    orthonormalize_exact,
+    rank_with_mode,
+)
 
 from conftest import build_corpus
 
@@ -315,3 +328,117 @@ class TestBlockStructure:
         rep = block_structure(R, [1.0, 0, 0, 0], [0, 0, 1.0, 0])
         assert np.allclose(rep.lambda_list, [3.0])
         assert all(float(v) <= 1e-9 for v in rep.residuals.values())
+
+
+def reference_block_structure(R, x, y):
+    """block_structure one vector at a time: f_i = (2 / lambda_i) J(x,y) e_i
+    in a loop, the Gram matrix entry by entry, and each block residual as
+    the largest of the residuals of the single frame vectors.  Returns
+    (lambdas, e, f, g, residuals), or the message of a failed J(x) y = 0
+    precondition; the pairs it is given are unit and orthogonal."""
+    mode = R.mode
+    x, y = (np.asarray(v, dtype=object if mode.exact else float) for v in (x, y))
+    jx, jy, jxy = jacobi(R, x), jacobi(R, y), jacobi_polarized(R, x, y)
+    if not mode.exact:
+        vals, vecs, keep = _eigensplit_float(jx, mode)
+        lambdas, e_basis = [float(v) for v in vals[keep]], [vecs[:, i] for i in np.flatnonzero(keep)]
+    kdev = max_abs(np.dot(jx, y))
+    if not negligible(kdev, mode, 1 if mode.exact else max_abs(lambdas)):
+        return f"precondition failed: J(x) y = 0 (|J(x) y| = {kdev})"
+    if mode.exact:
+        r = rank_with_mode(jx, mode)
+        lambdas, e_basis = [_projector_scale(jx, r)] * r if r else [], _range_orthonormal(jx, r, mode)
+    f_basis = [np.dot(jxy, e) * ((Fraction(2) if mode.exact else 2.0) / lam) for lam, e in zip(lambdas, e_basis)]
+    frame = e_basis + f_basis
+    gram = np.array([[np.dot(u, v) for v in frame] for u in frame])
+    ortho_dev = max_abs(gram - eye(len(frame), mode)) if frame else mode.zero()
+    g_basis = orthocomplement_basis(frame, mode) if frame else list(eye(R.m, mode))
+    residuals = {
+        "jy_x": max_abs(np.dot(jy, x)),
+        "jx_jy": max_abs(np.dot(jx, jy)),
+        "square_identity": max_abs(np.dot(jy, jy) + np.dot(jx, jx) - 4 * np.dot(jxy, jxy)),
+        "intertwine": max(
+            max_abs(np.dot(jxy, jx) - np.dot(jy, jxy)), max_abs(np.dot(jx, jxy) - np.dot(jxy, jy))
+        ),
+        "frame_orthonormal": ortho_dev,
+    }
+    half = Fraction(1, 2) if mode.exact else 0.5
+    devs = {"block_jx": [mode.zero()], "block_jy": [mode.zero()], "block_jxy": [mode.zero()]}
+    for lam, e, f in zip(lambdas, e_basis, f_basis):
+        devs["block_jx"] += [max_abs(np.dot(jx, e) - lam * e), max_abs(np.dot(jx, f))]
+        devs["block_jy"] += [max_abs(np.dot(jy, e)), max_abs(np.dot(jy, f) - lam * f)]
+        devs["block_jxy"] += [max_abs(np.dot(jxy, e) - lam * half * f), max_abs(np.dot(jxy, f) - lam * half * e)]
+    for g in g_basis:
+        for key, op in (("block_jx", jx), ("block_jy", jy), ("block_jxy", jxy)):
+            devs[key].append(max_abs(np.dot(op, g)))
+    residuals.update((key, max(vals)) for key, vals in devs.items())
+    return lambdas, e_basis, f_basis, g_basis, residuals
+
+
+def block_outcome(R, x, y):
+    try:
+        rep = block_structure(R, x, y)
+    except PreconditionFailed as exc:
+        return str(exc)
+    return rep.lambda_list, rep.e_basis, rep.f_basis, rep.g_basis, rep.residuals
+
+
+class TestBlockFrameAgainstVectorLoop:
+    """The matrix frames of block_structure against the per-vector reference."""
+
+    def pairs(self, R, n, exact):
+        rng = np.random.default_rng(R.m)
+        for seed in range(n):
+            if exact:
+                x = random_rational_unit_vector(R.m, seed)
+            else:
+                x = rng.standard_normal(R.m)
+                x /= np.linalg.norm(x)
+            try:
+                y = find_commuting_partner(R, x, seed=seed + 50)
+            except DegenerateInput:  # r0: J(x) has no kernel beyond x, so take any unit y in x-perp
+                y = orthocomplement_basis([x], R.mode)[0]
+            yield x, y
+
+    def test_exact_frames_and_residuals_are_equal(self):
+        tensors = []
+        for m in (4, 5, 6, 7, 8):
+            tensors += [r0(m, Fraction(-2, 3)), combine([(0, r0(m, 1))])]
+            if m % 2 == 0:
+                for s in range(3):
+                    cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, s))
+                    tensors.append(r_theta(cs, Fraction(5, 3)))
+        reports = 0
+        for R in tensors:
+            for x, y in self.pairs(R, 3, exact=True):
+                want, got = reference_block_structure(R, x, y), block_outcome(R, x, y)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                reports += 1
+                lambdas, e, f, g, residuals = got
+                assert lambdas == want[0]
+                for vs, ws in zip((e, f, g), want[1:4]):
+                    assert [v.tolist() for v in vs] == [w.tolist() for w in ws]
+                assert residuals == want[4]
+                assert all(type(residuals[k]) is type(want[4][k]) for k in residuals)
+        assert reports == 5 * 3 + 9 * 3  # every zero tensor and r_theta pair; no r0 pair qualifies
+
+    def test_float_frames_and_residuals_agree_to_rounding(self):
+        eps = np.finfo(float).eps
+        reports = 0
+        for m in (4, 6, 8):
+            for s in range(3):
+                q, _ = np.linalg.qr(np.random.default_rng(s).standard_normal((m, m)))
+                R = rotate(r_theta(standard_complex_structure(m, float_mode()), 1.7), q)
+                for x, y in self.pairs(R, 3, exact=False):
+                    want, got = reference_block_structure(R, x, y), block_outcome(R, x, y)
+                    lambdas, e, f, g, residuals = got
+                    assert lambdas == want[0]
+                    scale = max(abs(v) for v in lambdas)
+                    for vs, ws in zip((e, f, g), want[1:4]):
+                        assert np.abs(np.array(vs) - np.array(ws)).max() <= 8 * eps
+                    for key, value in residuals.items():  # lambda^2 bounds every quantity compared
+                        assert abs(value - want[4][key]) <= 8 * eps * scale * scale, key
+                    reports += 1
+        assert reports == 27

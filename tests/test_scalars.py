@@ -21,6 +21,7 @@ from actlab import (
     standard_complex_structure,
 )
 from actlab.scalars import (
+    _eigensplit_float,
     complete_orthonormal_exact,
     fraction_sqrt,
     integer_array,
@@ -95,6 +96,19 @@ class TestRank:
             exact = rank_with_mode(frac_matrix(sym.tolist()), RATIONAL)
             approx = rank_with_mode(sym.astype(float), FLOAT)
             assert exact == approx
+
+    def test_rejects_non_symmetric(self):
+        """Both modes refuse before any elimination or split: float mode in
+        ``_eigensplit_float``, which every float split and rank go through."""
+        for a, mode in (
+            (frac_matrix([[0, 1], [0, 0]]), RATIONAL),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), FLOAT),
+            (np.ones((2, 3)), FLOAT),
+        ):
+            with pytest.raises(InvalidOperator):
+                rank_with_mode(a, mode)
+        with pytest.raises(InvalidOperator, match="not symmetric"):
+            _eigensplit_float(np.array([[1.0, 2.0], [0.0, 1.0]]), FLOAT)
 
 
 class TestRandomUnitVector:

@@ -223,8 +223,9 @@ def orthogonal_batch(m, n, span, seed):
 
 def float_scan_reference(R, xs, ys, pick):
     """Reference for the float _violation_scan: ``(p, norm)`` or None, one hit at a time,
-    on the same slices, with the norm from two ``np.dot`` calls per hit."""
-    thr = tsankov._float_threshold(R)
+    on the same slices, with the norm from two ``np.dot`` calls per hit.  A hit is
+    raw > tol |R|^2 for 'first' and raw > 0 for 'largest'."""
+    thr = tsankov._float_threshold(R) if pick == "first" else 0.0
     step = max(1, tsankov.SLICE_ENTRIES // (R.m * R.m))
     best = None
     for start in range(0, len(xs), step):
@@ -902,6 +903,29 @@ class TestTriage:
         # Theta = S / sqrt 2 exists in float mode
         res = classify(R.to_float())
         assert res.tag == "ComplexForm" and abs(res.c - 1) <= 1e-12
+
+    @pytest.mark.parametrize("m", (4, 6, 8))
+    def test_float_witness_below_the_threshold_after_a_certificate(self, m):
+        # c0 R0 + c1 R_Theta, c0 = 1e-9: the expansion proves failure with a
+        # largest coefficient of 2 tol |R|^2, yet no sampled unit pair reaches
+        # tol |R|^2, so a search at that threshold found nothing and raised
+        R = combine([
+            (1e-9, r0(m, 1).to_float()),
+            ((1 - 1e-9) / 3, r_theta(standard_complex_structure(m), 1).to_float()),
+        ])
+        thr = _float_threshold(R)
+        e = lambda *ones: [float(i in ones) for i in range(m)]  # noqa: E731
+        for seed in range(3):
+            v = tsankov_test(R, "exact", seed=seed)
+            assert not v.holds
+            w = v.witness
+            assert (w.x.tolist(), w.y.tolist()) == (e(0), e(1, 2))
+            assert 0.49 * thr < w.commutator_norm < 0.51 * thr
+            assert np.abs(commutator(R, w.x, w.y)).max() > 0
+            res = classify(R, seed=seed)
+            assert res.tag == "NotTsankov" and res.witness.commutator_norm == w.commutator_norm
+            # the sampled test keeps the threshold, so this family lies in its band
+            assert tsankov_test(R, "sampled", seed=seed).holds
 
     def test_large_accepts_without_expansion(self, monkeypatch):
         refuse_expansion(monkeypatch)
