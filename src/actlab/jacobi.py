@@ -151,12 +151,14 @@ def _recover(R: CurvatureTensor):
     c = s / 3d, and column q != p of Theta is (2d / s) J(e_p, e_q) w
     = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e): one contraction for all
     q, with integer entries at most 2 m max|V| max|W| in rational mode.
-    Float tensors are V over d = 1; their rank test is ``rank_with_mode``.
+    Float tensors are V over d = 1; their rank test is ``rank_with_mode``,
+    whose eigen-split makes the symmetry check that exact J(e_p) take here.
     """
     m, v, mode = R.m, R.values, R.mode
     for p in range(m):
         n = v[:, p, p, :].T
-        require_selfadjoint(n, mode)
+        if mode.exact:
+            require_selfadjoint(n, mode)
         if (_is_rank_one(n) if mode.exact else rank_with_mode(n, mode) == 1):
             break
     else:
@@ -208,25 +210,24 @@ def recover_complex_structure(R: CurvatureTensor):
 
 
 def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):
-    """Orthonormal basis of the range of a symmetric matrix of rank r: the
-    eigenvectors ``_eigensplit_float`` keeps (float), ``_rank_one_unit``'s
-    factor (exact, r = 1), else exact Gram-Schmidt on ``_pivot_columns``."""
+    """Orthonormal basis of the range of an exact symmetric matrix of rank r:
+    ``_rank_one_unit``'s factor when r = 1, else exact Gram-Schmidt on
+    ``_pivot_columns``.  Float callers keep the eigenvectors of the
+    ``_eigensplit_float`` that gave them the rank."""
     if r == 0:
         return []
-    if mode.exact:
-        if r == 1:
-            _, w, e = _rank_one_unit(integer_array(j)[0], mode)
-            return [fraction_array(w, e)]
-        return orthonormalize_exact([j[:, c] for c in _pivot_columns(j)])
-    _, vecs, keep = _eigensplit_float(j, mode)
-    return list(vecs[:, keep].T)
+    if r == 1:
+        _, w, e = _rank_one_unit(integer_array(j)[0], mode)
+        return [fraction_array(w, e)]
+    return orthonormalize_exact([j[:, c] for c in _pivot_columns(j)])
 
 
 def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
     """Orthonormal basis of span{x} + range J(x); its length is 1 + rank J(x).
 
     x is orthogonal to the range because x lies in the kernel of the
-    symmetric operator J(x).
+    symmetric operator J(x).  In float mode the rank and the range basis
+    come from one ``_eigensplit_float``.
     """
     x = _coerce_vector(x, R)
     mode = R.mode
@@ -241,11 +242,15 @@ def w_space(R: CurvatureTensor, x) -> list[np.ndarray]:
     else:
         xhat = x.astype(float) / np.sqrt(float(n2))
     j = jacobi(R, xhat)
-    r = rank_with_mode(j, mode)
+    if mode.exact:
+        r = rank_with_mode(j, mode)
+    else:
+        _, vecs, keep = _eigensplit_float(j, mode)
+        r = int(np.count_nonzero(keep))
     if r == R.m - 1:
         # range = x^perp, so the whole space; complete x to a full frame
         return [xhat, *orthocomplement_basis([xhat], mode)]
-    return [xhat, *_range_orthonormal(j, r, mode)]
+    return [xhat, *(_range_orthonormal(j, r, mode) if mode.exact else vecs[:, keep].T)]
 
 
 @dataclass

@@ -44,16 +44,21 @@ pairs for failures.  Pairs are drawn a batch at a time, with one generator
 call for all rows, and formed as whole arrays in both modes.  A scan
 contracts on the symmetric half of J (``_Contraction``): the products
 x_i x_j, i <= j, times an n x n table of coefficients, n = m(m+1)/2, built
-once per scan, then mirrored to the full J; each commutator is P - P^T
+once per scan or search, then mirrored to the full J; each commutator is P - P^T
 with P = J(x) J(y); ``commutator_poly`` expands the same table
-(``_jacobi_table``).  Pairs are evaluated in slices of bounded size, and
-each slice picks its violator with array operations.  Exact commutators
-run on the fastest tier their batch bounds allow: J on a float64 BLAS
-matmul while max(bJ, 2 max|V|) < 2^53 and P while bC < 2^53, then int64,
-then Python ints; every tier gives the same integers, so no exact witness
-depends on the tier.  Float commutators take the same matmuls in float64,
-so float witness norms may move in their low bits with the BLAS summation
-order; the certificates above, not the search, decide float
+(``_jacobi_table``).  Pairs are evaluated in slices of bounded size; the
+screen and the sampled test stop at the first slice with a violator, and
+the witness search makes one pick over each round's sup norms.  Its basis
+candidates skip the contraction: with S_I row I of the table as a full
+matrix, J(e_a) = S_a, J(e_b + e_c) = S_b + S_c + S_bc and
+J(e_a +- e_b) = S_a + S_b +- S_ab, so their commutators are products of
+table rows (``_basis_raws``).  Exact commutators run on the fastest tier
+their batch bounds allow: J on a float64 BLAS matmul while
+max(bJ, 2 max|V|) < 2^53 and P while bC < 2^53, then int64, then Python
+ints; every tier gives the same integers, so no exact witness depends on
+the tier.  Float commutators take the same matmuls in float64, so float
+witness norms may move in their low bits with the BLAS summation order;
+the certificates above, not the search, decide float
 ``tsankov_test(R, "exact")`` and ``full_commutation_test``.
 """
 
@@ -456,13 +461,14 @@ class _Contraction:
     """Commutators C of a batch of integer or float pairs, for one tensor.
 
     Everything that depends on the tensor and not on the rows is done once,
-    here: the table s of ``_jacobi_table``, ``scale`` (true commutators are
-    C / scale; None in float mode) and, for exact tensors, the tiers.
-    ``jacobis`` then contracts the products x_i x_j, i <= j, shape (p, n),
-    against s, shape (n, n), and mirrors the half J to the full one, so that
-    J is exactly symmetric in both modes; ``commutators`` takes C = P - P^T
-    with P = J(x) J(y), which is J(x) J(y) - J(y) J(x) since both factors
-    are symmetric.  Both take any rows of the batch.
+    here: the table s of ``_jacobi_table`` (``table`` when the caller has
+    it), ``scale`` (true commutators are C / scale; None in float mode)
+    and, for exact tensors, the tiers.  ``jacobis`` then contracts the
+    products x_i x_j, i <= j, shape (p, n), against s, shape (n, n), and
+    mirrors the half J to the full one, so that J is exactly symmetric in
+    both modes; ``commutators`` takes C = P - P^T with P = J(x) J(y), which
+    is J(x) J(y) - J(y) J(x) since both factors are symmetric, and
+    ``sup_norms`` takes max|C| of each P.  All take any rows of the batch.
 
     Exact tiers rest on these bounds, over the whole batch.  With
     b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
@@ -489,7 +495,7 @@ class _Contraction:
     their low bits depend on the BLAS summation order.
     """
 
-    def __init__(self, R: CurvatureTensor, xs, ys):
+    def __init__(self, R: CurvatureTensor, xs, ys, table=None):
         self.exact = R.mode.exact
         self.full, _, self.ri, self.rj = _half_table_index(R.m)[:4]
         if self.exact:
@@ -501,21 +507,41 @@ class _Contraction:
         else:
             self.jdt = self.cdt = np.dtype(np.float64)
             self.scale = None
-        self.s = _jacobi_table(R).astype(self.jdt, copy=False)
+        self.s = (_jacobi_table(R) if table is None else table).astype(self.jdt, copy=False)
+
+    def widen(self, half):
+        """Half J rows on the P tier: exact float64 J passes through int64 on its way to Python ints."""
+        return half.astype(np.int64).astype(self.cdt) if self.jdt != self.cdt else half
 
     def jacobis(self, a):
         """J(a_p) of each row: the numerators over ``R.denominator`` when exact."""
         a = np.asarray(a, dtype=self.jdt)
-        half = (a[:, self.ri] * a[:, self.rj]) @ self.s
-        if self.jdt != self.cdt:  # exact float64 J passes through int64 on its way to Python ints
-            half = half.astype(np.int64).astype(self.cdt)
-        return half[:, self.full]
+        return self.widen((a[:, self.ri] * a[:, self.rj]) @ self.s)[:, self.full]
+
+    def _integers(self, a):
+        return a.astype(np.int64) if self.exact and self.cdt == np.float64 else a
 
     def commutators(self, x, y):
         """C for the pairs (x_p, y_p); exact ones as integers."""
         p = np.matmul(self.jacobis(x), self.jacobis(y))
-        c = p - p.transpose(0, 2, 1)
-        return c.astype(np.int64) if self.exact and self.cdt == np.float64 else c
+        return self._integers(p - p.transpose(0, 2, 1))
+
+    def sup_norms(self, p):
+        """max|P - P^T| over the last two axes of P: raw commutator norms, exact ones as integers.
+        C = P - P^T holds -c wherever it holds c, exactly in float64 too, so max C is max|C|."""
+        return self._integers((p - np.swapaxes(p, -1, -2)).max(axis=(-2, -1)))
+
+    def slice_raws(self, xa, ya):
+        """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``."""
+        m = len(self.full)
+        step = max(1, SLICE_ENTRIES // (m * m))
+        for start in range(0, len(xa), step):
+            x, y = xa[start : start + step], ya[start : start + step]
+            yield start, self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y)))
+
+    def raws(self, xa, ya):
+        """The raw commutator norm of every pair, one slice at a time."""
+        return np.concatenate([raws for _, raws in self.slice_raws(xa, ya)])
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -531,35 +557,62 @@ SLICE_ENTRIES = 2**14  # the scan evaluates at most this many / m^2 pairs at onc
 
 
 def _squared_norms(a):
-    """<a_p, a_p> of each integer row, as Python ints.
+    """<a_p, a_p> of each row: float64 row sums for float rows, exact ones for integer rows.
 
     The int64 row sums are exact while m max|a|^2 < 2^62.  That holds for
     every sampled pair through m = 61, since entries are at most
     2 m span^3 with span <= 130 (``_search_witness``'s widest); past that
     bound the sums run on Python ints.
     """
-    bound = a.shape[1] * int(np.abs(a).max()) ** 2
-    a = a.astype(object) if exact_dtype(bound) == object else a
-    return (a * a).sum(axis=1).tolist()
+    if a.dtype == np.int64 and exact_dtype(a.shape[1] * int(np.abs(a).max()) ** 2) == object:
+        a = a.astype(object)
+    return (a * a).sum(axis=1)
 
 
-def _near_largest(raws, x, y):
-    """The indices whose exact ratio raw / (|x|^2 |y|^2) may be the largest.
+def _near_largest(raws, nx, ny):
+    """The indices whose exact ratio raw / (nx ny) may be the largest.
 
-    The float ratio r of each row is computed in float64: raw, |x|^2, |y|^2,
-    their product and the quotient each round once more, and the two sums of
-    m squares carry at most m roundings each, so r is within a relative
-    (m + 4) eps of the exact ratio (first order).  Keeping the rows with
-    r >= max r (1 - 2^-30) therefore keeps every row whose exact ratio ties
-    or beats the exact largest one, since 2 (m + 4) eps is far below 2^-30
-    for any m this library takes.  Python-int raws can pass the float range,
-    so they keep every row.
+    nx and ny are exact squared norms.  The float ratio r of each row is
+    computed in float64: raw, nx, ny, their product and the quotient each
+    round once, so r is within a relative 5 eps of the exact ratio (first
+    order).  Keeping the rows with r >= max r (1 - 2^-30) therefore keeps
+    every row whose exact ratio ties or beats the exact largest one, since
+    10 eps is far below 2^-30.  Python-int raws can pass the float range, so
+    they keep every row.
     """
     if raws.dtype == object:
         return np.arange(len(raws))
-    x, y = x.astype(float), y.astype(float)
-    r = raws / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
+    r = raws / (nx.astype(float) * ny.astype(float))
     return np.flatnonzero(r >= r.max() * (1 - 2**-30))
+
+
+def _largest(raws, nx, ny, scale):
+    """``(p, norm)`` for the pair with the largest nonzero raw / (nx ny), or None.
+
+    ``nx`` and ``ny`` hold each pair's |x|^2 and |y|^2, and ties go to the
+    earlier pair.  Exact norms raw / (scale nx ny) are compared by integer
+    cross-multiplication on the rows that ``_near_largest`` keeps, and only
+    the winner gets its ``Fraction``; float norms (``scale`` None) are
+    compared as computed.
+    """
+    hits = np.flatnonzero(raws)
+    if not hits.size:
+        return None
+    raws, nx, ny = raws[hits], nx[hits], ny[hits]
+    if scale is None:
+        k = int(np.argmax(raws / (nx * ny)))
+    else:
+        keep = _near_largest(raws, nx, ny)
+        k = None
+        for i, raw, a, b in zip(keep.tolist(), raws[keep].tolist(), nx[keep].tolist(), ny[keep].tolist()):
+            if k is None or raw * den > top * a * b:
+                k, top, den = i, raw, a * b
+    return int(hits[k]), _norm(raws[k], nx[k], ny[k], scale)
+
+
+def _norm(raw, nx, ny, scale):
+    """The commutator norm raw / (scale nx ny): a ``Fraction`` when exact, else a float."""
+    return float(raw / (nx * ny)) if scale is None else Fraction(int(raw), scale * int(nx) * int(ny))
 
 
 def _violation_scan(R, xs, ys, pick: str):
@@ -567,60 +620,39 @@ def _violation_scan(R, xs, ys, pick: str):
 
     Returns ``(p, Witness(xs[p], ys[p], norm))`` for the chosen index p, or
     None.  One ``_Contraction`` serves the whole scan, and pairs are
-    evaluated in slices of at most ``SLICE_ENTRIES / m^2``, so memory does
-    not grow with the number of pairs, and every (p, m, m) float64
-    temporary of a slice stays at or below 128 KiB, where glibc serves it
-    from the heap instead of a fresh mmap.  Ties in norm go to the earlier
-    pair, across slices too, exactly in rational mode.  Float ties are
-    decided on computed norms, and BLAS may round one pair differently at
-    another position in its slice (numpy takes gemv for a one-row slice),
-    so earliest-wins is exact in float mode only on integer-valued data,
-    where every sum is exact.  Each pair's raw sup norm comes from one
-    reduction per slice, and only the hits get their |x|^2 |y|^2: the
-    first hit alone for 'first'.
-    Exact norms raw / (scale |x|^2 |y|^2) are compared by integer
-    cross-multiplication on the hits that ``_near_largest`` keeps; only the
-    returned witness gets its ``Fraction``.  For 'first' a float pair
-    counts when raw exceeds ``_float_threshold``; for 'largest', which only
-    ``_search_witness`` runs after a certificate proved failure, every
-    nonzero float commutator counts.  A slice's hits get their norms
-    raw / (|x|^2 |y|^2) as arrays, and its pick is the first hit or the
-    first argmax.
+    evaluated in slices of at most ``SLICE_ENTRIES / m^2``, so every
+    (p, m, m) float64 temporary of a slice stays at or below 128 KiB, where
+    glibc serves it from the heap instead of a fresh mmap.  Each pair's raw
+    sup norm comes from one reduction per slice.
+
+    'first' stops at the first slice with a hit: a nonzero commutator in
+    rational mode, one above ``_float_threshold`` in float mode, and only
+    that hit gets its |x|^2 |y|^2.  'largest', which only
+    ``_search_witness`` runs after a certificate proved failure, makes one
+    ``_largest`` pick over the raws of every pair, so every nonzero float
+    commutator counts and ties go to the earlier pair, exactly in rational
+    mode.  Float ties are decided on computed norms, and BLAS may round one
+    pair differently at another position in its slice (numpy takes gemv for
+    a one-row slice), so earliest-wins is exact in float mode only on
+    integer-valued data, where every sum is exact.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
-    exact = R.mode.exact
-    thr = _float_threshold(R)
     contraction = _Contraction(R, xa, ya)
-    step = max(1, SLICE_ENTRIES // (R.m * R.m))
-    best = None  # (p, raw, |x|^2 |y|^2) when exact, (p, norm) in float mode
-    for start in range(0, len(xa), step):
-        c = contraction.commutators(xa[start : start + step], ya[start : start + step])
-        raws = np.abs(c).max(axis=(1, 2))
-        hits = np.flatnonzero(raws if exact or pick == "largest" else raws > thr)
-        if not hits.size:
-            continue
-        if pick == "first":
-            hits = hits[:1]
-        x, y, raws = xa[hits + start], ya[hits + start], raws[hits]
-        if exact:
-            if pick == "largest":
-                keep = _near_largest(raws, x, y)
-                hits, x, y, raws = hits[keep], x[keep], y[keep], raws[keep]
-            dens = [a * b for a, b in zip(_squared_norms(x), _squared_norms(y))]
-            for p, raw, den in zip((hits + start).tolist(), raws.tolist(), dens):
-                if best is None or raw * best[2] > best[1] * den:
-                    best = (p, raw, den)
-        else:
-            norms = raws / ((x * x).sum(axis=1) * (y * y).sum(axis=1))
-            k = 0 if pick == "first" else int(np.argmax(norms))
-            if best is None or norms[k] > best[1]:
-                best = (int(hits[k]) + start, float(norms[k]))
-        if pick == "first":
-            break
-    if best is None:
+    found = None
+    if pick == "largest":
+        found = _largest(contraction.raws(xa, ya), _squared_norms(xa), _squared_norms(ya), contraction.scale)
+    else:
+        thr = _float_threshold(R)
+        for start, raws in contraction.slice_raws(xa, ya):
+            hits = np.flatnonzero(raws if thr is None else raws > thr)
+            if hits.size:
+                p = start + int(hits[0])
+                nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
+                found = p, _norm(raws[hits[0]], nx, ny, contraction.scale)
+                break
+    if found is None:
         return None
-    p = best[0]
-    norm = Fraction(best[1], contraction.scale * best[2]) if exact else best[1]
+    p, norm = found
     return p, Witness(xs[p], ys[p], norm)
 
 
@@ -652,6 +684,72 @@ def _basis_pair_candidates(m: int, exact: bool):
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_raw_index(m: int):
+    """``(index, nx, ny)`` for the ``_basis_pair_candidates`` of dimension m, built once.
+
+    ``_basis_raws`` evaluates J(e_a) against every Y_K, a grid of m x n raws
+    in (a, K) order, followed by the pairs (e_a + e_b, e_a - e_b).  ``index``
+    reads the grid points with a not in K, diagonal K (the pairs (e_a, e_b))
+    first, and then the last family.  ``nx`` and ``ny`` are the candidates'
+    |x|^2 and |y|^2.  All three are int64 and read-only.
+    """
+    ri, rj = _half_table_index(m)[2:4]
+    n = len(ri)
+    outside = (ri != np.arange(m)[:, None]) & (rj != np.arange(m)[:, None])
+    grid = np.arange(m * n).reshape(m, n)
+    index = np.concatenate([grid[:, :m][outside[:, :m]], grid[:, m:][outside[:, m:]], m * n + np.arange(n - m)])
+    nx, ny = np.count_nonzero(_basis_pair_candidates(m, True), axis=2).T  # entries are 0 and +-1
+    out = (index, nx, ny)
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
+    """The raw commutator norm of every ``_basis_pair_candidates`` pair, in their order.
+
+    Write S_I for row I of the Jacobi table ``table``, mirrored to a full
+    matrix.  The candidates' operators are sums of at most three such rows,
+    J(e_a) = S_a, J(e_b + e_c) = (S_b + S_c) + S_bc and
+    J(e_a +- e_b) = (S_a + S_b) +- S_ab, added in the order in which a
+    contraction adds them, since their products x_i x_j are 0 and +-1.  So
+    with Y_K = S_b on the diagonal rows K = (b, b) and J(e_b + e_c) on the
+    others, the first two families are P = S_a Y_K: per slice, one GEMM of
+    a block of S_a stacked by rows against a block of Y_K laid side by side,
+    which computes the (a, K) pairs with a in K too.  The third family is
+    one batched product per slice, of its off-diagonal Y_K against
+    J(e_b - e_c).  The tiers are ``_Contraction``'s at |x|_1 = |y|_1 = 2, so
+    every exact raw is the integer a contraction of the pair gives, and each
+    slice temporary holds at most ``SLICE_ENTRIES`` entries.
+    """
+    m = R.m
+    last = _basis_pair_candidates(m, R.mode.exact)[-1:]  # (e_a + e_b, e_a - e_b): |x|_1 = |y|_1 = 2, the most
+    k = _Contraction(R, last[:, 0], last[:, 1], table)
+    s, full, ri, rj = k.s, k.full, k.ri, k.rj
+    n = len(s)
+    per = max(1, SLICE_ENTRIES // (m * m))  # pairs per slice
+    kb = min(n, per)
+    ab = min(m, per // kb)
+    grid, last = [], []
+    for k0 in range(0, n, kb):
+        k1 = min(n, k0 + kb)
+        mid = min(max(k0, m), k1)  # the rows from m on are the pairs b < c
+        both = s[ri[mid:k1]] + s[rj[mid:k1]]
+        half = np.concatenate([s[k0:mid], both + s[mid:k1]])
+        y = k.widen(half)[np.arange(k1 - k0)[:, None], full[:, None]].reshape(m, -1)  # y[t, (K, c)] = Y_K[t, c]
+        rows = []
+        for a0 in range(0, m, ab):
+            x = k.widen(s[a0 : min(m, a0 + ab)])[:, full].reshape(-1, m)  # x[(a, r), t] = S_a[r, t]
+            rows.append(k.sup_norms((x @ y).reshape(-1, m, k1 - k0, m).transpose(0, 2, 1, 3)))
+        grid.append(np.concatenate(rows))
+        # (e_b + e_c, e_b - e_c): P = Y_K J(e_b - e_c), with J(e_b - e_c) = (S_b + S_c) - S_bc
+        plus = y.reshape(m, k1 - k0, m)[:, mid - k0 :].transpose(1, 0, 2)
+        last.append(k.sup_norms(np.matmul(plus, k.widen(both - s[mid:k1])[:, full])))
+    raws = np.concatenate([np.concatenate(grid, axis=1).reshape(-1), *last])
+    return raws[_basis_raw_index(m)[0]]
+
+
 def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
     """The witness with the coordinate types callers get: mode scalars for a
     basis candidate, Python ints for an exact random sample, and float64
@@ -665,25 +763,36 @@ def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
 def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
     """Find a violating pair; the polynomial certificate guarantees one exists.
 
-    Scans deterministic basis-combination pairs plus seeded random pairs and
-    returns the largest violator found (sample order breaks ties); float
-    mode counts every nonzero commutator, since a certificate, which bounds
+    Each round scans seeded random pairs, and the first round scans the
+    deterministic basis-combination pairs before them, reading their
+    commutators off the Jacobi table (``_basis_raws``).  One ``_largest``
+    pick over the whole round's raws returns the largest violator, the
+    earliest on ties, so a candidate beats a sample it ties; float mode
+    counts every nonzero commutator, since a certificate, which bounds
     coefficients instead of sampled values, already proved failure.  Widens
     the sampling span if a round finds nothing; a degree-4 polynomial that
     is nonzero on the quadric cannot dodge random points indefinitely.
     """
     cands = _basis_pair_candidates(R.m, R.mode.exact)
+    table = _jacobi_table(R)
     rng = np.random.default_rng(seed)
     for round_no in range(64):
         xs, ys = _sample_pairs(
             rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no
         )
+        contraction = _Contraction(R, xs, ys, table)
+        raws, nx, ny = contraction.raws(xs, ys), _squared_norms(xs), _squared_norms(ys)
+        first = 0
         if round_no == 0:
-            xs, ys = np.concatenate([cands[:, 0], xs]), np.concatenate([cands[:, 1], ys])
-        found = _violation_scan(R, xs, ys, pick="largest")
+            _, bx, by = _basis_raw_index(R.m)
+            raws = np.concatenate([_basis_raws(R, table), raws])
+            nx, ny, first = np.concatenate([bx, nx]), np.concatenate([by, ny]), len(cands)
+        found = _largest(raws, nx, ny, contraction.scale)
         if found is not None:
-            p, w = found
-            return _typed_witness(w, R.mode, basis=round_no == 0 and p < len(cands))
+            p, norm = found
+            if p < first:
+                return _typed_witness(Witness(cands[p, 0], cands[p, 1], norm), R.mode, basis=True)
+            return _typed_witness(Witness(xs[p - first], ys[p - first], norm), R.mode, basis=False)
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )

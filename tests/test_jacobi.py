@@ -1,13 +1,16 @@
 """Jacobi operators, polarization identities, ranks, and the block frame."""
 
 from fractions import Fraction
+from importlib import import_module
 
 import numpy as np
 import pytest
 
 from actlab import (
     RATIONAL,
+    CurvatureTensor,
     DegenerateInput,
+    NotRankOne,
     PreconditionFailed,
     block_structure,
     combine,
@@ -21,12 +24,15 @@ from actlab import (
     r_theta,
     random_act,
     random_rational_unit_vector,
+    recover_complex_structure,
     random_signed_permutation,
     ricci,
     rotate,
     standard_complex_structure,
     w_space,
 )
+from actlab import scalars
+from actlab.errors import InvalidOperator
 from actlab.jacobi import _projector_scale, _range_orthonormal
 from actlab.scalars import (
     _eigensplit_float,
@@ -41,6 +47,8 @@ from actlab.scalars import (
 )
 
 from conftest import build_corpus
+
+jacobi_module = import_module("actlab.jacobi")  # the package's ``jacobi`` is the function
 
 
 def frac_vec(entries):
@@ -189,6 +197,92 @@ class TestWSpace:
             except DegenerateInput:
                 continue  # irrational frame; exact mode declines
             assert len(basis) == 1 + jacobi_rank(R, x)
+
+
+
+def count_splits(monkeypatch):
+    """Count ``np.linalg.eigh`` calls and symmetry checks; returns both call lists."""
+    eighs, checks = [], []
+    eigh, check = np.linalg.eigh, scalars.require_selfadjoint
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+
+    def counted(a, mode=None, what="operator"):
+        checks.append(a)
+        return check(a, mode, what)
+
+    monkeypatch.setattr(scalars, "require_selfadjoint", counted)
+    monkeypatch.setattr(jacobi_module, "require_selfadjoint", counted)
+    return eighs, checks
+
+
+def w_space_two_splits(R, x):
+    """Float w_space as a rank from one split and a range basis from another."""
+    xhat = x / np.sqrt(float(np.dot(x, x)))
+    j = jacobi(R, xhat)
+    r = rank_with_mode(j, R.mode)
+    if r == R.m - 1:
+        return [xhat, *orthocomplement_basis([xhat], R.mode)]
+    _, vecs, keep = _eigensplit_float(j, R.mode)
+    return [xhat, *vecs[:, keep].T]
+
+
+class TestOneSplitPerOperator:
+    def test_float_w_space_decomposes_j_once(self, monkeypatch):
+        # rank one (r_theta), full rank (r0 and a generic tensor), zero, and an
+        # eigenvalue at the threshold, where only one split keeps rank and basis together
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+        q3, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        cs = conjugate_structure(standard_complex_structure(6), random_signed_permutation(6, 2))
+        tensors = [
+            r_theta(cs, Fraction(2, 3)).to_float(),
+            rotate(r_theta(cs, Fraction(2, 3)).to_float(), q),
+            r0(5, 1.5, float_mode()),
+            random_act(6, 2, seed=4).to_float(),
+            combine([(0, r0(4, 1))]).to_float(),
+            rotate(from_form(np.diag([1.0, 1.0, 1e-9])), q3),
+        ]
+        for R in tensors:
+            for seed in range(3):
+                x = np.random.default_rng(seed).standard_normal(R.m)
+                want = w_space_two_splits(R, x)
+                eighs, checks = count_splits(monkeypatch)
+                got = w_space(R, x)
+                assert len(eighs) == 1 and len(checks) == 1
+                monkeypatch.undo()
+                assert len(got) == len(want)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_exact_w_space_keeps_its_rank_and_range(self, monkeypatch):
+        eighs, checks = count_splits(monkeypatch)
+        basis = w_space(r_theta(standard_complex_structure(4), 3), frac_vec([0, 0, 0, 1]))
+        assert not eighs and len(checks) == 1
+        assert [v.tolist() for v in basis] == [[0, 0, 0, 1], [0, 0, 1, 0]]
+
+    def test_float_recover_checks_each_operator_once(self, monkeypatch):
+        # r_theta stops at its first J(e_p); a generic tensor tries every p and
+        # then has no rank-one operator
+        cs = conjugate_structure(standard_complex_structure(6), random_signed_permutation(6, 5))
+        for R, tried in ((r_theta(cs, 2).to_float(), 1), (random_act(6, 2, seed=1).to_float(), 6)):
+            eighs, checks = count_splits(monkeypatch)
+            try:
+                jacobi_module._recover(R)
+            except NotRankOne:
+                assert tried == 6
+            monkeypatch.undo()
+            assert len(eighs) == len(checks) == tried
+
+    def test_exact_recover_checks_each_operator_once(self, monkeypatch):
+        cs = conjugate_structure(standard_complex_structure(6), random_signed_permutation(6, 5))
+        eighs, checks = count_splits(monkeypatch)
+        jacobi_module._recover(r_theta(cs, Fraction(2, 7)))
+        assert not eighs and len(checks) == 1
+
+    def test_float_recover_still_refuses_a_nonsymmetric_operator(self):
+        # no validation runs here: J(e_0) = V[:, 0, 0, :]^T of random values is not symmetric
+        values = np.random.default_rng(0).standard_normal((4, 4, 4, 4))
+        R = CurvatureTensor(4, values, float_mode())
+        with pytest.raises(InvalidOperator, match="^operator is not symmetric$"):
+            recover_complex_structure(R)
 
 
 def fraction_rank(rows) -> int:

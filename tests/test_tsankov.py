@@ -26,6 +26,7 @@ from actlab import (
     r_theta,
     random_act,
     random_signed_permutation,
+    rotate,
     standard_complex_structure,
     tsankov_test,
     validate,
@@ -36,7 +37,9 @@ from actlab.tsankov import (
     _Contraction,
     _basis_pair_candidates,
     _decide,
+    _basis_raws,
     _float_threshold,
+    _jacobi_table,
     _sample_pairs,
     _search_witness,
     _violation_scan,
@@ -722,6 +725,121 @@ class TestHalfTableContraction:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+def basis_contraction_raws(R):
+    """Reference for _basis_raws: the raw norm of every basis candidate through one
+    contraction of the candidates, and that contraction's P tier."""
+    cands = _basis_pair_candidates(R.m, R.mode.exact)
+    xs, ys = cands[:, 0], cands[:, 1]
+    k = _Contraction(R, xs, ys)
+    return np.abs(k.commutators(xs, ys)).max(axis=(1, 2)), k.cdt
+
+
+def search_round0_reference(R, seed, n_samples, orthogonal):
+    """The first round of the witness search as one 'largest' scan of the basis
+    candidates followed by the seeded samples, or None."""
+    cands = _basis_pair_candidates(R.m, R.mode.exact)
+    rng = np.random.default_rng(seed)
+    xs, ys = tsankov._sample_pairs(rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal)
+    found = _violation_scan(R, np.concatenate([cands[:, 0], xs]), np.concatenate([cands[:, 1], ys]), "largest")
+    if found is None:
+        return None
+    p, w = found
+    return tsankov._typed_witness(w, R.mode, basis=p < len(cands))
+
+
+def witness_key(w):
+    """Coordinates with their element types, the norm and its type."""
+    coords = [(type(t), t) for t in [*w.x, *w.y]]
+    return coords, w.x.dtype, w.y.dtype, type(w.commutator_norm), w.commutator_norm
+
+
+class TestBasisCandidatesFromTheTable:
+    @pytest.mark.parametrize("m", [*range(2, 13), 16])
+    def test_raws_match_the_contraction_on_every_tier(self, m, monkeypatch):
+        base = random_act(m, 3, seed=m)
+        # 2^20 puts P on int64 and 2^40 / 3 on Python ints; 10^25 puts J there too
+        tiers = set()
+        for scale in (1, 2**20, Fraction(2**40, 3), *((10**25,) if m <= 8 else ())):
+            R = combine([(scale, base)])
+            ref, tier = basis_contraction_raws(R)
+            got = _basis_raws(R, _jacobi_table(R))
+            assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
+            tiers.add(tier)
+        assert tiers == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+        # float: rounded values, so the sums are compared bit for bit
+        q, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))
+        for R in (
+            base.to_float(),
+            combine([(1e30 / 7, base.to_float())]),
+            combine([(1e-8 / 3, base.to_float())]),
+            rotate(base.to_float(), q),
+        ):
+            ref, _ = basis_contraction_raws(R)
+            got = _basis_raws(R, _jacobi_table(R))
+            assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+        # slices of a few K and one a, and of every K and several a
+        n = m * (m + 1) // 2
+        R = combine([(Fraction(5, 7), base)])
+        ref, _ = basis_contraction_raws(R)
+        for entries in (5 * m * m, 3 * n * m * m):
+            monkeypatch.setattr(tsankov, "SLICE_ENTRIES", entries)
+            assert _basis_raws(R, _jacobi_table(R)).tolist() == ref.tolist()
+
+    def test_search_matches_one_scan_of_the_first_round(self):
+        for m in range(3, 13):
+            base = random_act(m, 3, seed=m + 1)
+            tensors = [base, combine([(10**25, base)])] if m <= 6 else [base]
+            tensors += [base.to_float(), combine([(1e30 / 7, base.to_float())])]
+            if m % 2 == 0:
+                mix = combine([(1, r0(m, 1)), (Fraction(2, 3), r_theta(standard_complex_structure(m), 1))])
+                tensors += [mix, mix.to_float()]
+            for R in tensors:
+                for seed, orthogonal in ((0, True), (1, False)):
+                    want = search_round0_reference(R, seed, 40, orthogonal)
+                    got = _search_witness(R, seed, 40, orthogonal)
+                    assert want is not None
+                    if R.mode.exact:
+                        assert witness_key(got) == witness_key(want)
+                    else:
+                        assert witness_key(got)[:4] == witness_key(want)[:4]
+                        assert abs(got.commutator_norm - want.commutator_norm) <= 4e-16 * want.commutator_norm
+
+    def test_a_candidate_beats_the_sample_it_ties(self, monkeypatch):
+        # the samples are scaled copies of the winning candidate, so their norms
+        # tie it exactly; the candidate comes first and keeps its Fraction coordinates
+        for m in (3, 5, 8):
+            R = random_act(m, 3, seed=m)
+            cands = _basis_pair_candidates(m, True)
+            p, w = _violation_scan(R, cands[:, 0], cands[:, 1], "largest")
+            xs = np.array([2 * cands[p, 0], cands[p, 0], cands[(p + 1) % len(cands), 0]])
+            ys = np.array([cands[p, 1], 3 * cands[p, 1], cands[(p + 1) % len(cands), 1]])
+            monkeypatch.setattr(tsankov, "_sample_pairs", lambda *args, **kwargs: (xs, ys))
+            got = _search_witness(R, 0, 3, True)
+            want = search_round0_reference(R, 0, 3, True)
+            assert witness_key(got) == witness_key(want)
+            assert got.x.tolist() == cands[p, 0].tolist() and got.commutator_norm == w.commutator_norm
+            assert all(type(t) is Fraction for t in [*got.x, *got.y])
+            monkeypatch.undo()
+
+    def test_candidates_skip_the_contraction(self, monkeypatch):
+        # only the samples contract; the candidates are sums of table rows
+        rows, jacobis = [], _Contraction.jacobis
+        monkeypatch.setattr(_Contraction, "jacobis", lambda self, a: rows.append(len(a)) or jacobis(self, a))
+        _search_witness(random_act(7, 3, seed=2), 0, 50, True)
+        assert sum(rows) == 2 * 50
+
+    def test_witness_search_at_m32_keeps_slices_small(self):
+        R = random_act(32, 3, seed=5)
+        _search_witness(R, 0, 200, True)  # fill the per-m caches first
+        tracemalloc.start()
+        try:
+            _search_witness(R, 0, 200, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6
 
 
 class TestLargestPick:
