@@ -36,29 +36,27 @@ No verdict rests on the classification theorem.  The theorem only
 predicts that the accepts left to step 4 are the tensors c R_Theta whose
 Theta is irrational (rational mode) or whose fit misses the tolerance
 (float mode).  Float steps 2 and 4 compare at the one threshold
-``tol |R|^2``; once either has proved failure, the float witness search
-reports its largest nonzero sampled commutator, below it too.
+``tol |R|^2``, on 2^-e R with max|R| in [1/2, 1) (``_binary_scaled``), so no
+commutator underflows or overflows; once either has proved failure, the
+float witness search reports its largest nonzero sampled commutator, below
+the threshold too.
 
 A seeded sampling mode cross-checks the decision and supplies witness
 pairs for failures.  Pairs are drawn a batch at a time, with one generator
 call for all rows, and formed as whole arrays in both modes.  A scan
 contracts on the symmetric half of J (``_Contraction``): the products
-x_i x_j, i <= j, times an n x n table of coefficients, n = m(m+1)/2, built
-once per scan or search, then mirrored to the full J; each commutator is P - P^T
-with P = J(x) J(y); ``commutator_poly`` expands the same table
-(``_jacobi_table``).  Pairs are evaluated in slices of bounded size; the
-screen and the sampled test stop at the first slice with a violator, and
-the witness search makes one pick over each round's sup norms.  Its basis
-candidates skip the contraction: with S_I row I of the table as a full
-matrix, J(e_a) = S_a, J(e_b + e_c) = S_b + S_c + S_bc and
-J(e_a +- e_b) = S_a + S_b +- S_ab, so their commutators are products of
-table rows (``_basis_raws``).  Exact commutators run on the fastest tier
-their batch bounds allow: J on a float64 BLAS matmul while
-max(bJ, 2 max|V|) < 2^53 and P while bC < 2^53, then int64, then Python
-ints; every tier gives the same integers, so no exact witness depends on
-the tier.  Float commutators take the same matmuls in float64, so float
-witness norms may move in their low bits with the BLAS summation order;
-the certificates above, not the search, decide float
+x_i x_j, i <= j, times the n x n coefficient table, n = m(m+1)/2, that
+``commutator_poly`` expands too (``_jacobi_table``), mirrored to the full
+J; each commutator is P - P^T with P = J(x) J(y).  Pairs are evaluated in
+slices of bounded size by one first-hit scan, where the screen and the
+sampled test stop at the first violator, and by the witness search, which
+makes one largest pick over each round's sup norms.  Its basis candidates
+are products of table rows instead (``_basis_raws``).  Exact commutators
+run on the fastest tier their batch bounds allow, a float64 BLAS matmul,
+int64 or Python ints, and every tier gives the same integers, so no exact
+witness depends on the tier.  Float commutators take the same matmuls in
+float64, so float witness norms may move in their low bits with the BLAS
+summation order; the certificates above, not the search, decide float
 ``tsankov_test(R, "exact")`` and ``full_commutation_test``.
 """
 
@@ -68,6 +66,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import frexp
 
 import numpy as np
 
@@ -466,9 +465,9 @@ class _Contraction:
     and, for exact tensors, the tiers.  ``jacobis`` then contracts the
     products x_i x_j, i <= j, shape (p, n), against s, shape (n, n), and
     mirrors the half J to the full one, so that J is exactly symmetric in
-    both modes; ``commutators`` takes C = P - P^T with P = J(x) J(y), which
-    is J(x) J(y) - J(y) J(x) since both factors are symmetric, and
-    ``sup_norms`` takes max|C| of each P.  All take any rows of the batch.
+    both modes; ``sup_norms`` takes max|C| of each P = J(x) J(y), with
+    C = P - P^T, which is J(x) J(y) - J(y) J(x) since both factors are
+    symmetric.  Both take any rows of the batch.
 
     Exact tiers rest on these bounds, over the whole batch.  With
     b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
@@ -518,18 +517,11 @@ class _Contraction:
         a = np.asarray(a, dtype=self.jdt)
         return self.widen((a[:, self.ri] * a[:, self.rj]) @ self.s)[:, self.full]
 
-    def _integers(self, a):
-        return a.astype(np.int64) if self.exact and self.cdt == np.float64 else a
-
-    def commutators(self, x, y):
-        """C for the pairs (x_p, y_p); exact ones as integers."""
-        p = np.matmul(self.jacobis(x), self.jacobis(y))
-        return self._integers(p - p.transpose(0, 2, 1))
-
     def sup_norms(self, p):
         """max|P - P^T| over the last two axes of P: raw commutator norms, exact ones as integers.
         C = P - P^T holds -c wherever it holds c, exactly in float64 too, so max C is max|C|."""
-        return self._integers((p - np.swapaxes(p, -1, -2)).max(axis=(-2, -1)))
+        raws = (p - np.swapaxes(p, -1, -2)).max(axis=(-2, -1))
+        return raws.astype(np.int64) if self.exact and self.cdt == np.float64 else raws
 
     def slice_raws(self, xa, ya):
         """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``."""
@@ -539,10 +531,6 @@ class _Contraction:
             x, y = xa[start : start + step], ya[start : start + step]
             yield start, self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y)))
 
-    def raws(self, xa, ya):
-        """The raw commutator norm of every pair, one slice at a time."""
-        return np.concatenate([raws for _, raws in self.slice_raws(xa, ya)])
-
 
 def _float_threshold(R: CurvatureTensor):
     """tol |R|^2 in float mode, None in rational mode: the one threshold of the
@@ -551,6 +539,24 @@ def _float_threshold(R: CurvatureTensor):
         return None
     scale = float(R.max_abs())
     return R.mode.tol * (scale * scale)
+
+
+def _binary_scaled(R: CurvatureTensor):
+    """``(2^-e R, e)``, e from ``frexp(max|R|)``, for a nonzero float tensor, else ``(R, 0)``.
+    Commutators are quadratic in R, so they underflow to 0 or overflow to inf - inf near the
+    ends of the float range; 2^-e R has max|R| in [1/2, 1), an exact scaling in binary."""
+    e = 0 if R.mode.exact else frexp(float(R.max_abs()))[1]  # frexp(0.0) is (0.0, 0)
+    return (CurvatureTensor(R.m, np.ldexp(R.values, -e), R.mode) if e else R), e
+
+
+def _scaled(v, e):
+    """v 2^e in v's type, inf or 0.0 past the float range; a witness of 2^-e R as one of R."""
+    if not e:
+        return v
+    if isinstance(v, Witness):
+        return Witness(v.x, v.y, _scaled(v.commutator_norm, 2 * e))
+    with np.errstate(over="ignore", under="ignore"):
+        return type(v)(np.ldexp(v, e))
 
 
 SLICE_ENTRIES = 2**14  # the scan evaluates at most this many / m^2 pairs at once
@@ -569,31 +575,15 @@ def _squared_norms(a):
     return (a * a).sum(axis=1)
 
 
-def _near_largest(raws, nx, ny):
-    """The indices whose exact ratio raw / (nx ny) may be the largest.
-
-    nx and ny are exact squared norms.  The float ratio r of each row is
-    computed in float64: raw, nx, ny, their product and the quotient each
-    round once, so r is within a relative 5 eps of the exact ratio (first
-    order).  Keeping the rows with r >= max r (1 - 2^-30) therefore keeps
-    every row whose exact ratio ties or beats the exact largest one, since
-    10 eps is far below 2^-30.  Python-int raws can pass the float range, so
-    they keep every row.
-    """
-    if raws.dtype == object:
-        return np.arange(len(raws))
-    r = raws / (nx.astype(float) * ny.astype(float))
-    return np.flatnonzero(r >= r.max() * (1 - 2**-30))
-
-
 def _largest(raws, nx, ny, scale):
     """``(p, norm)`` for the pair with the largest nonzero raw / (nx ny), or None.
 
     ``nx`` and ``ny`` hold each pair's |x|^2 and |y|^2, and ties go to the
     earlier pair.  Exact norms raw / (scale nx ny) are compared by integer
-    cross-multiplication on the rows that ``_near_largest`` keeps, and only
-    the winner gets its ``Fraction``; float norms (``scale`` None) are
-    compared as computed.
+    cross-multiplication, and only the winner gets its ``Fraction``.  Float
+    norms (``scale`` None) are compared as computed, and BLAS may round a
+    pair differently at another place in its slice (gemv for one row), so
+    earliest-wins is exact for them only on integer-valued data.
     """
     hits = np.flatnonzero(raws)
     if not hits.size:
@@ -602,7 +592,14 @@ def _largest(raws, nx, ny, scale):
     if scale is None:
         k = int(np.argmax(raws / (nx * ny)))
     else:
-        keep = _near_largest(raws, nx, ny)
+        # the float ratio r rounds raw, nx, ny, their product and the quotient once
+        # each, so it is within a relative 5 eps of the exact ratio (first order), and
+        # r >= max r (1 - 2^-30) keeps every pair whose exact ratio ties or beats the
+        # largest; Python-int raws can pass the float range, so they keep every pair
+        keep = np.arange(len(raws))
+        if raws.dtype != object:
+            r = raws / (nx.astype(float) * ny.astype(float))
+            keep = np.flatnonzero(r >= r.max() * (1 - 2**-30))
         k = None
         for i, raw, a, b in zip(keep.tolist(), raws[keep].tolist(), nx[keep].tolist(), ny[keep].tolist()):
             if k is None or raw * den > top * a * b:
@@ -615,99 +612,60 @@ def _norm(raw, nx, ny, scale):
     return float(raw / (nx * ny)) if scale is None else Fraction(int(raw), scale * int(nx) * int(ny))
 
 
-def _violation_scan(R, xs, ys, pick: str):
-    """Evaluate pairs and pick a violating one ('first' or 'largest').
+def _violation_scan(R, xs, ys):
+    """The first violating pair, ``(p, Witness(xs[p], ys[p], norm))``, or None.
 
-    Returns ``(p, Witness(xs[p], ys[p], norm))`` for the chosen index p, or
-    None.  One ``_Contraction`` serves the whole scan, and pairs are
-    evaluated in slices of at most ``SLICE_ENTRIES / m^2``, so every
-    (p, m, m) float64 temporary of a slice stays at or below 128 KiB, where
-    glibc serves it from the heap instead of a fresh mmap.  Each pair's raw
-    sup norm comes from one reduction per slice.
-
-    'first' stops at the first slice with a hit: a nonzero commutator in
-    rational mode, one above ``_float_threshold`` in float mode, and only
-    that hit gets its |x|^2 |y|^2.  'largest', which only
-    ``_search_witness`` runs after a certificate proved failure, makes one
-    ``_largest`` pick over the raws of every pair, so every nonzero float
-    commutator counts and ties go to the earlier pair, exactly in rational
-    mode.  Float ties are decided on computed norms, and BLAS may round one
-    pair differently at another position in its slice (numpy takes gemv for
-    a one-row slice), so earliest-wins is exact in float mode only on
-    integer-valued data, where every sum is exact.
+    A violator's commutator is nonzero, or above ``_float_threshold`` in
+    float mode.  One ``_Contraction`` serves the scan, in slices of at most
+    ``SLICE_ENTRIES / m^2`` pairs, so every (p, m, m) float64 temporary stays
+    at or below 128 KiB, where glibc serves it from the heap instead of a
+    fresh mmap.  The scan stops at the first slice with a hit, and only that
+    hit gets its |x|^2 |y|^2.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
     contraction = _Contraction(R, xa, ya)
-    found = None
-    if pick == "largest":
-        found = _largest(contraction.raws(xa, ya), _squared_norms(xa), _squared_norms(ya), contraction.scale)
-    else:
-        thr = _float_threshold(R)
-        for start, raws in contraction.slice_raws(xa, ya):
-            hits = np.flatnonzero(raws if thr is None else raws > thr)
-            if hits.size:
-                p = start + int(hits[0])
-                nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
-                found = p, _norm(raws[hits[0]], nx, ny, contraction.scale)
-                break
-    if found is None:
-        return None
-    p, norm = found
-    return p, Witness(xs[p], ys[p], norm)
+    thr = _float_threshold(R)
+    for start, raws in contraction.slice_raws(xa, ya):
+        hits = np.flatnonzero(raws if thr is None else raws > thr)
+        if hits.size:
+            p = start + int(hits[0])
+            nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
+            return p, Witness(xs[p], ys[p], _norm(raws[hits[0]], nx, ny, contraction.scale))
+    return None
 
 
 @lru_cache(maxsize=None)
-def _basis_pair_candidates(m: int, exact: bool):
-    """Small deterministic pairs tried before random sampling, built once per m.
+def _basis_candidates(m: int):
+    """The small deterministic pairs tried before random sampling, built once per m.
 
-    Every pair is orthogonal by construction: (e_a, e_b), (e_a, e_b + e_c)
-    with a not in {b, c}, and (e_a + e_b, e_a - e_b).  Returns one array of
-    shape (pairs, 2, m), x then y: int64 when ``exact``, else float64, and
-    read-only, since every search shares it.
-    """
-    e = np.eye(m, dtype=np.int64 if exact else float)
-    pairs = []
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                pairs.append((e[a], e[b]))
-    for a in range(m):
-        for b in range(m):
-            for cidx in range(b + 1, m):
-                if a != b and a != cidx:
-                    pairs.append((e[a], e[b] + e[cidx]))
-    for a in range(m):
-        for b in range(a + 1, m):
-            pairs.append((e[a] + e[b], e[a] - e[b]))
-    out = np.array(pairs)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _basis_raw_index(m: int):
-    """``(index, nx, ny)`` for the ``_basis_pair_candidates`` of dimension m, built once.
-
-    ``_basis_raws`` evaluates J(e_a) against every Y_K, a grid of m x n raws
-    in (a, K) order, followed by the pairs (e_a + e_b, e_a - e_b).  ``index``
-    reads the grid points with a not in K, diagonal K (the pairs (e_a, e_b))
-    first, and then the last family.  ``nx`` and ``ny`` are the candidates'
-    |x|^2 and |y|^2.  All three are int64 and read-only.
+    The pairs, orthogonal by construction and each family in lexicographic
+    order: (e_a, e_b), a != b; (e_a, e_b + e_c), b < c, a not in {b, c};
+    (e_a + e_b, e_a - e_b), a < b.  ``_basis_raws`` evaluates J(e_a) against
+    Y_K for every half-table row K, in (a, K) order, then the last family;
+    the first two are its (a, K) with a not in K, diagonal K first.  Returns
+    ``(index, xs, ys, nx, ny)``: each candidate's place in that order, its x
+    and y rows, |x|^2 and |y|^2, all int64 and read-only (searches share them).
     """
     ri, rj = _half_table_index(m)[2:4]
     n = len(ri)
-    outside = (ri != np.arange(m)[:, None]) & (rj != np.arange(m)[:, None])
-    grid = np.arange(m * n).reshape(m, n)
-    index = np.concatenate([grid[:, :m][outside[:, :m]], grid[:, m:][outside[:, m:]], m * n + np.arange(n - m)])
-    nx, ny = np.count_nonzero(_basis_pair_candidates(m, True), axis=2).T  # entries are 0 and +-1
-    out = (index, nx, ny)
+    a, k = np.nonzero((ri != np.arange(m)[:, None]) & (rj != np.arange(m)[:, None]))
+    first = np.argsort(k >= m, kind="stable")  # the pairs (e_a, e_b) first
+    a, k = a[first], k[first]
+    off = np.arange(m, n)  # the rows b < c, for (e_b + e_c, e_b - e_c)
+    index = np.concatenate([a * n + k, m * n + off - m])
+    xs, ys = np.zeros((2, len(index), m), dtype=np.int64)
+    p, q = np.arange(len(a)), np.arange(len(a), len(index))
+    xs[p, a] = ys[p, ri[k]] = ys[p, rj[k]] = 1
+    xs[q, ri[off]] = xs[q, rj[off]] = ys[q, ri[off]] = 1
+    ys[q, rj[off]] = -1
+    out = (index, xs, ys, (xs * xs).sum(axis=1), (ys * ys).sum(axis=1))
     for v in out:
         v.flags.writeable = False
     return out
 
 
 def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
-    """The raw commutator norm of every ``_basis_pair_candidates`` pair, in their order.
+    """The raw commutator norm of every ``_basis_candidates`` pair, in their order.
 
     Write S_I for row I of the Jacobi table ``table``, mirrored to a full
     matrix.  The candidates' operators are sums of at most three such rows,
@@ -724,8 +682,8 @@ def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
     slice temporary holds at most ``SLICE_ENTRIES`` entries.
     """
     m = R.m
-    last = _basis_pair_candidates(m, R.mode.exact)[-1:]  # (e_a + e_b, e_a - e_b): |x|_1 = |y|_1 = 2, the most
-    k = _Contraction(R, last[:, 0], last[:, 1], table)
+    index, xs, ys = _basis_candidates(m)[:3]
+    k = _Contraction(R, xs[-1:], ys[-1:], table)  # (e_a + e_b, e_a - e_b): |x|_1 = |y|_1 = 2, the most
     s, full, ri, rj = k.s, k.full, k.ri, k.rj
     n = len(s)
     per = max(1, SLICE_ENTRIES // (m * m))  # pairs per slice
@@ -747,7 +705,7 @@ def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
         plus = y.reshape(m, k1 - k0, m)[:, mid - k0 :].transpose(1, 0, 2)
         last.append(k.sup_norms(np.matmul(plus, k.widen(both - s[mid:k1])[:, full])))
     raws = np.concatenate([np.concatenate(grid, axis=1).reshape(-1), *last])
-    return raws[_basis_raw_index(m)[0]]
+    return raws[index]
 
 
 def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
@@ -773,7 +731,7 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     the sampling span if a round finds nothing; a degree-4 polynomial that
     is nonzero on the quadric cannot dodge random points indefinitely.
     """
-    cands = _basis_pair_candidates(R.m, R.mode.exact)
+    _, cx, cy, bx, by = _basis_candidates(R.m)
     table = _jacobi_table(R)
     rng = np.random.default_rng(seed)
     for round_no in range(64):
@@ -781,17 +739,16 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
             rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no
         )
         contraction = _Contraction(R, xs, ys, table)
-        raws, nx, ny = contraction.raws(xs, ys), _squared_norms(xs), _squared_norms(ys)
-        first = 0
+        raws = np.concatenate([raws for _, raws in contraction.slice_raws(xs, ys)])
+        nx, ny, first = _squared_norms(xs), _squared_norms(ys), 0
         if round_no == 0:
-            _, bx, by = _basis_raw_index(R.m)
             raws = np.concatenate([_basis_raws(R, table), raws])
-            nx, ny, first = np.concatenate([bx, nx]), np.concatenate([by, ny]), len(cands)
+            nx, ny, first = np.concatenate([bx, nx]), np.concatenate([by, ny]), len(cx)
         found = _largest(raws, nx, ny, contraction.scale)
         if found is not None:
             p, norm = found
             if p < first:
-                return _typed_witness(Witness(cands[p, 0], cands[p, 1], norm), R.mode, basis=True)
+                return _typed_witness(Witness(cx[p], cy[p], norm), R.mode, basis=True)
             return _typed_witness(Witness(xs[p - first], ys[p - first], norm), R.mode, basis=False)
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
@@ -877,7 +834,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     proves that commutation on orthogonal pairs holds.  Only when all three
     are silent is the commutator polynomial expanded and divided.  Every
     failure reports ``_search_witness``, so the witness does not depend on
-    which certificate decided.
+    which certificate decided.  Float mode decides ``_binary_scaled(R)``.
 
     Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s tuple when it
     decided, else None, whether it did not run or raised
@@ -886,20 +843,22 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
     if R.is_zero():
         return TsankovVerdict(True, None, method), None
+    R, e = _binary_scaled(R)
+    search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal), e)  # noqa: E731
     rng = np.random.default_rng(SCREEN_SEED)
     pairs = _sample_pairs(rng, R.m, SCREEN_PAIRS, R.mode.exact, orthogonal)
-    if _violation_scan(R, *pairs, pick="first") is not None:
-        return TsankovVerdict(False, _search_witness(R, seed, n_samples, orthogonal), method), None
+    if _violation_scan(R, *pairs) is not None:
+        return TsankovVerdict(False, search(), method), None
     if orthogonal:
         with suppress(ClassificationInconsistency):
-            return TsankovVerdict(True, None, method), _fit(R)
+            c, cs, residual = _fit(R)
+            return TsankovVerdict(True, None, method), (_scaled(c, e), cs, residual)
     poly = commutator_poly(R)
     if orthogonal:
         holds = divisible_by_pairing(poly, _float_threshold(R)) is not None
     else:
         holds = poly.is_zero(_float_threshold(R))
-    witness = None if holds else _search_witness(R, seed, n_samples, orthogonal)
-    return TsankovVerdict(holds, witness, method), None
+    return TsankovVerdict(holds, None if holds else search(), method), None
 
 
 def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> TsankovVerdict:
@@ -935,6 +894,7 @@ def tsankov_test(
         raise DegenerateInput("sampled mode needs n_samples >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, R.m, n_samples, R.mode.exact, orthogonal=True)
-    found = _violation_scan(R, xs, ys, pick="first")
-    witness = None if found is None else _typed_witness(found[1], R.mode, basis=False)
+    R, e = _binary_scaled(R)
+    found = _violation_scan(R, xs, ys)
+    witness = None if found is None else _typed_witness(_scaled(found[1], e), R.mode, basis=False)
     return TsankovVerdict(witness is None, witness, "Sampled")

@@ -34,14 +34,17 @@ from actlab import (
 
 from actlab import tsankov
 from actlab.tsankov import (
+    Witness,
     _Contraction,
-    _basis_pair_candidates,
+    _basis_candidates,
     _decide,
     _basis_raws,
     _float_threshold,
     _jacobi_table,
+    _largest,
     _sample_pairs,
     _search_witness,
+    _squared_norms,
     _violation_scan,
 )
 
@@ -115,8 +118,51 @@ def divisibility_by_linear_system(coeffs, m):
     }
 
 
+def commutators(k, xs, ys):
+    """C for the pairs (x_p, y_p) through the contraction k: P - P^T with P = J(x) J(y),
+    exact ones as integers, as ``_Contraction.sup_norms`` reduces them."""
+    p = np.matmul(k.jacobis(xs), k.jacobis(ys))
+    c = p - p.transpose(0, 2, 1)
+    return c.astype(np.int64) if k.exact and k.cdt == np.float64 else c
+
+
+def largest_scan(R, xs, ys):
+    """The witness search's pick over one batch, ``(p, Witness(xs[p], ys[p], norm))`` or
+    None: ``_largest`` over the raws of ``_Contraction.slice_raws``."""
+    xa, ya = np.asarray(xs), np.asarray(ys)
+    k = _Contraction(R, xa, ya)
+    raws = np.concatenate([raws for _, raws in k.slice_raws(xa, ya)])
+    found = _largest(raws, _squared_norms(xa), _squared_norms(ya), k.scale)
+    if found is None:
+        return None
+    p, norm = found
+    return p, Witness(xs[p], ys[p], norm)
+
+
+SCANS = {"first": _violation_scan, "largest": largest_scan}
+
+
+def basis_candidates_reference(m):
+    """Reference for _basis_candidates: the pairs (x, y) in their order, loop by loop."""
+    e = np.eye(m, dtype=np.int64)
+    pairs = []
+    for a in range(m):
+        for b in range(m):
+            if a != b:
+                pairs.append((e[a], e[b]))
+    for a in range(m):
+        for b in range(m):
+            for c in range(b + 1, m):
+                if a != b and a != c:
+                    pairs.append((e[a], e[b] + e[c]))
+    for a in range(m):
+        for b in range(a + 1, m):
+            pairs.append((e[a] + e[b], e[a] - e[b]))
+    return np.array(pairs)
+
+
 def bigint_commutators(R, xs, ys):
-    """Reference for _Contraction.commutators: s^2 C(x, y) in Python ints, loop by loop."""
+    """Reference for the contraction's commutators: s^2 C(x, y) in Python ints, loop by loop."""
     V, s = R.values.tolist(), R.denominator
     m = R.m
     rng = range(m)
@@ -225,15 +271,16 @@ def orthogonal_batch(m, n, span, seed):
 
 
 def float_scan_reference(R, xs, ys, pick):
-    """Reference for the float _violation_scan: ``(p, norm)`` or None, one hit at a time,
-    on the same slices, with the norm from two ``np.dot`` calls per hit.  A hit is
-    raw > tol |R|^2 for 'first' and raw > 0 for 'largest'."""
+    """Reference for the float scans, _violation_scan ('first') and largest_scan
+    ('largest'): ``(p, norm)`` or None, one hit at a time, on the same slices, with the
+    norm from two ``np.dot`` calls per hit.  A hit is raw > tol |R|^2 for 'first' and
+    raw > 0 for 'largest'."""
     thr = tsankov._float_threshold(R) if pick == "first" else 0.0
     step = max(1, tsankov.SLICE_ENTRIES // (R.m * R.m))
     best = None
     for start in range(0, len(xs), step):
         x, y = xs[start : start + step], ys[start : start + step]
-        c = _Contraction(R, x, y).commutators(x, y)
+        c = commutators(_Contraction(R, x, y), x, y)
         raws = np.abs(c).max(axis=(1, 2))
         hits = np.flatnonzero(raws > thr)
         for p, raw in zip((hits + start).tolist(), raws[hits].tolist()):
@@ -428,10 +475,29 @@ class TestFullCommutation:
 class TestWitnessSearchKernels:
     def test_basis_candidates_are_orthogonal(self):
         for m in range(2, 8):
-            for exact in (True, False):
-                pairs = _basis_pair_candidates(m, exact)
-                assert len(pairs) == m * (m - 1) + m * (m - 1) * (m - 2) // 2 + m * (m - 1) // 2
-                assert all(np.dot(x, y) == 0 for x, y in pairs)
+            _, xs, ys, _, _ = _basis_candidates(m)
+            assert len(xs) == m * (m - 1) + m * (m - 1) * (m - 2) // 2 + m * (m - 1) // 2
+            assert all(np.dot(x, y) == 0 for x, y in zip(xs, ys))
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_basis_candidates_match_the_loop(self, m):
+        ref = basis_candidates_reference(m)
+        out = _basis_candidates(m)
+        index, xs, ys, nx, ny = out
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in out)
+        assert xs.tolist() == ref[:, 0].tolist() and ys.tolist() == ref[:, 1].tolist()
+        assert nx.tolist() == (ref[:, 0] ** 2).sum(axis=1).tolist()
+        assert ny.tolist() == (ref[:, 1] ** 2).sum(axis=1).tolist()
+        # _basis_raws lays out J(e_a) against Y_K at a n + K, K a half-table row,
+        # then the pairs (e_b + e_c, e_b - e_c) from m n on
+        n = m * (m + 1) // 2
+        row = {(b, b): b for b in range(m)}
+        row.update({pair: m + i for i, pair in enumerate(zip(*np.triu_indices(m, 1)))})
+        want = []
+        for x, y in ref:
+            sx, sy = tuple(np.flatnonzero(x).tolist()), np.flatnonzero(y).tolist()
+            want.append(sx[0] * n + row[sy[0], sy[-1]] if len(sx) == 1 else m * n + row[sx] - m)
+        assert index.tolist() == want
 
     def test_int64_kernel_near_the_bound_matches_bigint(self):
         base = random_act(4, 3, seed=3)
@@ -442,7 +508,7 @@ class TestWitnessSearchKernels:
             R = combine([(scale, base)])
             assert (int64_bound(R, xs, ys) < _INT64_LIMIT) == (dtype is np.int64)
             k = _Contraction(R, xs, ys)
-            c_batch, s2 = k.commutators(xs, ys), k.scale
+            c_batch, s2 = commutators(k, xs, ys), k.scale
             ref, ref_s2 = bigint_commutators(R, xs, ys)
             assert c_batch.dtype == dtype and s2 == ref_s2
             assert c_batch.tolist() == ref
@@ -562,8 +628,7 @@ class TestWitnessSearchKernels:
 
     def test_float64_tier_near_the_bound_matches_bigint(self, monkeypatch):
         base = random_act(4, 3, seed=3)
-        pairs = _basis_pair_candidates(4, True)  # |J(x)| reaches the J-bound on these
-        xs, ys = list(pairs[:, 0]), list(pairs[:, 1])
+        xs, ys = (list(a) for a in _basis_candidates(4)[1:3])  # |J(x)| reaches the J-bound on these
         tiers = []
 
         def spy(bound):
@@ -579,7 +644,7 @@ class TestWitnessSearchKernels:
             assert (jacobi_bound(R, xs, ys) < _FLOAT64_LIMIT) == (jacobi_tier is np.float64)
             tiers.clear()
             k = _Contraction(R, xs, ys)
-            c_batch, s2 = k.commutators(xs, ys), k.scale
+            c_batch, s2 = commutators(k, xs, ys), k.scale
             ref, ref_s2 = bigint_commutators(R, xs, ys)
             assert tiers == [np.dtype(jacobi_tier), np.dtype(object)]
             assert c_batch.dtype == object and s2 == ref_s2
@@ -591,11 +656,11 @@ class TestWitnessSearchKernels:
         xs, ys = orthogonal_batch(6, 16, span=4 + 2 * 63, seed=4)
         assert int64_bound(R, xs, ys) >= _INT64_LIMIT
         k = _Contraction(R, xs, ys)
-        c_batch, s2 = k.commutators(xs, ys), k.scale
+        c_batch, s2 = commutators(k, xs, ys), k.scale
         assert c_batch.dtype == object
         assert c_batch.tolist() == bigint_commutators(R, xs, ys)[0]
         # a copy of every pair follows the originals, so the largest norm is tied
-        best, w = _violation_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys], "largest")
+        best, w = largest_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys])
         assert np.dot(w.x, w.y) == 0
         assert (commutator(R, w.x, w.y) != 0).any()
         norms = [
@@ -612,10 +677,10 @@ class TestWitnessSearchKernels:
             xs, ys = _sample_pairs(np.random.default_rng(4), 6, 16, R.mode.exact, True)
             xs, ys = np.concatenate([xs, xs]), np.concatenate([ys, ys])
             for pick in ("first", "largest"):
-                whole = _violation_scan(R, xs, ys, pick)
+                whole = SCANS[pick](R, xs, ys)
                 with monkeypatch.context() as patch:
                     patch.setattr(tsankov, "SLICE_ENTRIES", 3 * 6 * 6)
-                    sliced = _violation_scan(R, xs, ys, pick)
+                    sliced = SCANS[pick](R, xs, ys)
                 assert sliced[0] == whole[0] < 16
                 assert sliced[1].commutator_norm == whole[1].commutator_norm
 
@@ -626,12 +691,12 @@ class TestWitnessSearchKernels:
         eps = np.finfo(float).eps
         base = random_act(m, 3, seed=m).to_float()
         xs, ys = _sample_pairs(np.random.default_rng(m), m, 6, False, True)
-        cands = _basis_pair_candidates(m, False)[:: m + 1]
-        xs, ys = np.concatenate([xs, cands[:, 0]]), np.concatenate([ys, cands[:, 1]])
+        cx, cy = (a[:: m + 1] for a in _basis_candidates(m)[1:3])
+        xs, ys = np.concatenate([xs, cx]), np.concatenate([ys, cy])
         for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
             R = combine([(scale, base)])
             k = _Contraction(R, xs, ys)
-            c, s2 = k.commutators(xs, ys), k.scale
+            c, s2 = commutators(k, xs, ys), k.scale
             assert s2 is None and c.dtype == float and c.shape == (len(xs), m, m)
             size = float(R.max_abs()) ** 2
             for p, (x, y) in enumerate(zip(xs, ys)):
@@ -655,7 +720,7 @@ class TestWitnessSearchKernels:
                     parts = [(xs[:6], xs[:6]), (xs[:3], ys[:3]), best, best, (xs, ys)]
                     px, py = (np.concatenate(side) for side in zip(*parts))
                     ref = float_scan_reference(R, px, py, pick)
-                    got, w = _violation_scan(R, px, py, pick)
+                    got, w = SCANS[pick](R, px, py)
                     assert got == ref[0] and (got == 6 if pick == "first" else got >= 6)
                     assert np.array_equal(w.x, px[got]) and np.array_equal(w.y, py[got])
                     assert abs(w.commutator_norm - ref[1]) <= 4 * np.finfo(float).eps * ref[1]
@@ -666,15 +731,15 @@ class TestWitnessSearchKernels:
         for m in (4, 5, 7):
             monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 7 * m * m)
             base = random_act(m, 2, seed=m)
-            cands = _basis_pair_candidates(m, True)
-            xs, ys = np.concatenate([cands[:, 0]] * 2), np.concatenate([cands[:, 1]] * 2)
+            cx, cy = _basis_candidates(m)[1:3]
+            xs, ys = np.concatenate([cx] * 2), np.concatenate([cy] * 2)
             fx, fy = xs.astype(float), ys.astype(float)
             for pick in ("first", "largest"):
-                p, w = _violation_scan(base, xs, ys, pick)
-                assert p < len(cands)
+                p, w = SCANS[pick](base, xs, ys)
+                assert p < len(cx)
                 for k in (-27, 0, 27):
                     R = combine([(2.0**k, base.to_float())])
-                    q, v = _violation_scan(R, fx, fy, pick)
+                    q, v = SCANS[pick](R, fx, fy)
                     assert q == p == float_scan_reference(R, fx, fy, pick)[0]
                     assert v.commutator_norm == float(w.commutator_norm) * 4.0**k
 
@@ -730,23 +795,22 @@ class TestHalfTableContraction:
 def basis_contraction_raws(R):
     """Reference for _basis_raws: the raw norm of every basis candidate through one
     contraction of the candidates, and that contraction's P tier."""
-    cands = _basis_pair_candidates(R.m, R.mode.exact)
-    xs, ys = cands[:, 0], cands[:, 1]
+    xs, ys = _basis_candidates(R.m)[1:3]
     k = _Contraction(R, xs, ys)
-    return np.abs(k.commutators(xs, ys)).max(axis=(1, 2)), k.cdt
+    return np.abs(commutators(k, xs, ys)).max(axis=(1, 2)), k.cdt
 
 
 def search_round0_reference(R, seed, n_samples, orthogonal):
     """The first round of the witness search as one 'largest' scan of the basis
     candidates followed by the seeded samples, or None."""
-    cands = _basis_pair_candidates(R.m, R.mode.exact)
+    cx, cy = _basis_candidates(R.m)[1:3]
     rng = np.random.default_rng(seed)
     xs, ys = tsankov._sample_pairs(rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal)
-    found = _violation_scan(R, np.concatenate([cands[:, 0], xs]), np.concatenate([cands[:, 1], ys]), "largest")
+    found = largest_scan(R, np.concatenate([cx, xs]), np.concatenate([cy, ys]))
     if found is None:
         return None
     p, w = found
-    return tsankov._typed_witness(w, R.mode, basis=p < len(cands))
+    return tsankov._typed_witness(w, R.mode, basis=p < len(cx))
 
 
 def witness_key(w):
@@ -811,15 +875,15 @@ class TestBasisCandidatesFromTheTable:
         # tie it exactly; the candidate comes first and keeps its Fraction coordinates
         for m in (3, 5, 8):
             R = random_act(m, 3, seed=m)
-            cands = _basis_pair_candidates(m, True)
-            p, w = _violation_scan(R, cands[:, 0], cands[:, 1], "largest")
-            xs = np.array([2 * cands[p, 0], cands[p, 0], cands[(p + 1) % len(cands), 0]])
-            ys = np.array([cands[p, 1], 3 * cands[p, 1], cands[(p + 1) % len(cands), 1]])
+            cx, cy = _basis_candidates(m)[1:3]
+            p, w = largest_scan(R, cx, cy)
+            xs = np.array([2 * cx[p], cx[p], cx[(p + 1) % len(cx)]])
+            ys = np.array([cy[p], 3 * cy[p], cy[(p + 1) % len(cy)]])
             monkeypatch.setattr(tsankov, "_sample_pairs", lambda *args, **kwargs: (xs, ys))
             got = _search_witness(R, 0, 3, True)
             want = search_round0_reference(R, 0, 3, True)
             assert witness_key(got) == witness_key(want)
-            assert got.x.tolist() == cands[p, 0].tolist() and got.commutator_norm == w.commutator_norm
+            assert got.x.tolist() == cx[p].tolist() and got.commutator_norm == w.commutator_norm
             assert all(type(t) is Fraction for t in [*got.x, *got.y])
             monkeypatch.undo()
 
@@ -856,7 +920,7 @@ class TestLargestPick:
         assert max(floats) > floats[ns.index(max(ns))]
         for c in (1, 5, 253, 2**20):
             R = r0(3, c)
-            p, w = _violation_scan(R, xs, ys, "largest")
+            p, w = largest_scan(R, xs, ys)
             assert (p, w.commutator_norm) == largest_reference(R, xs, ys)
             assert ns[p] == max(ns)
 
@@ -875,7 +939,7 @@ class TestLargestPick:
         for scale in (1, isqrt(_FLOAT64_LIMIT // bound) + 1, isqrt(_INT64_LIMIT // bound) + 1, 10**400):
             R = combine([(scale, base)])
             tiers.append(_Contraction(R, xs, ys).cdt)
-            got, w = _violation_scan(R, xs, ys, "largest")
+            got, w = largest_scan(R, xs, ys)
             assert (got, w.commutator_norm) == largest_reference(R, xs, ys)
             assert got == p + 1
         assert tiers == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object), np.dtype(object)]
@@ -952,6 +1016,54 @@ class TestTsankovTest:
         assert np.dot(ve.witness.x, ve.witness.y) == 0
         res = classify(combine([(huge, r_theta(standard_complex_structure(4), 1))]))
         assert res.tag == "ComplexForm" and res.c == huge and res.residual == 0
+
+
+def binary_scale_outcomes(R):
+    """What the decisions report on R: verdicts, tags and witnesses, with the
+    witness norms and c kept apart, since they scale with R."""
+    found, sizes = [], []
+    for v in (tsankov_test(R, "exact"), tsankov_test(R, "sampled"), full_commutation_test(R)):
+        w = v.witness
+        found.append((v.holds, v.method) + (() if w is None else (w.x.tolist(), w.y.tolist())))
+        sizes.append(None if w is None else (w.commutator_norm, 2))
+    res = classify(R)
+    theta = None if res.theta is None else res.theta.theta.tolist()
+    w = res.witness
+    found.append((res.tag, theta, res.residual) + (() if w is None else (w.x.tolist(), w.y.tolist())))
+    sizes += [None if res.c is None else (res.c, 1), None if w is None else (w.commutator_norm, 2)]
+    return found, sizes
+
+
+class TestBinaryScale:
+    def test_float_decisions_at_any_power_of_two(self):
+        # commutators are quadratic in R, so at 2^-520 they underflow to 0 and
+        # at 2^520 they overflow to inf - inf unless the decision rescales R;
+        # scaling by a power of two is exact, so only the norms and c may move,
+        # by 4^k and 2^k, to inf or 0.0 where that leaves the float range
+        q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
+        tensors = [
+            random_act(5, 3, seed=1).to_float(),
+            combine([(1, r0(4, 1)), (1, r_theta(standard_complex_structure(4), 1))]).to_float(),
+            r0(5, Fraction(3, 2)).to_float(),
+            rotate(r_theta(standard_complex_structure(6), 1).to_float(), q),
+        ]
+        for base in tensors:
+            found, sizes = binary_scale_outcomes(base)
+            for k in (-700, -520, 0, 520, 700):
+                R = combine([(2.0**k, base)])
+                assert np.array_equal(R.values, np.ldexp(base.values, k))
+                got, got_sizes = binary_scale_outcomes(R)
+                assert got == found
+                for size, want in zip(got_sizes, sizes):
+                    assert (size is None) == (want is None)
+                    if want is not None:
+                        with np.errstate(over="ignore", under="ignore"):
+                            assert size[0] == np.ldexp(want[0], want[1] * k)
+                        assert type(size[0]) is type(want[0])
+        # the combo fails with the basis witness (e_0, e_1 + e_2), at norm 3/2 unscaled
+        found, sizes = binary_scale_outcomes(tensors[1])
+        assert found[0] == (False, "ExactDivisibility", [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0])
+        assert sizes[0] == (1.5, 2)
 
 
 def count_expansions(monkeypatch):
