@@ -170,7 +170,7 @@ def _recover(R: CurvatureTensor):
             f"rank-one factor of J(e_{p}) has no exact representation: {exc}"
         ) from exc
     if mode.exact:
-        bound = 2 * m * max(int(max_abs(v)), 1) * int(max_abs(w))
+        bound = 2 * m * max(R.max_value, 1) * int(max_abs(w))
         v, _ = integer_array(v, bound=bound)
         w, _ = integer_array(w, bound=bound)
     cols = np.tensordot(w, v[:, p, :, :] + v[:, :, p, :], axes=(0, 0)).T

@@ -136,12 +136,27 @@ def exact_dtype(bound: int) -> np.dtype:
 def integer_array(values, denominator: int = 1, bound: int | None = None):
     """Clear denominators: ``(N, d)`` with ``N / d == values / denominator``.
 
-    ``d > 0`` is reduced, the lcm of the denominators of those quotients.  ``N``
-    is int64 when ``exact_dtype(bound)`` is a machine type, else an object
-    array of Python ints.  ``bound`` defaults to max|N|; callers whose
-    arithmetic on N reaches larger intermediates pass a bound on those (at
-    least max|N|).
+    ``d > 0`` is reduced, the lcm of the denominators of those quotients.  The
+    reduction divides by g = gcd(d, gcd of all N), which divides
+    gcd(d, first nonzero N); so it takes that cheap gcd first and sweeps the
+    whole array only when it is not 1.  ``N`` is int64 when
+    ``exact_dtype(bound)`` is a machine type, else an object array of Python
+    ints.  ``bound`` defaults to max|N|; callers whose arithmetic on N
+    reaches larger intermediates pass a bound on those (at least max|N|).
     """
+    nums, d = _reduced(values, denominator)
+    return _tiered(nums, int(max_abs(nums)) if bound is None else bound), d
+
+
+def integer_array_max(values, denominator: int = 1):
+    """``integer_array(values, denominator)`` with the max|N| that sized it: ``(N, d, max|N|)``."""
+    nums, d = _reduced(values, denominator)
+    top = int(max_abs(nums))
+    return _tiered(nums, top), d, top
+
+
+def _reduced(values, denominator: int):
+    """``(N, d)`` of ``integer_array`` before the tier: int64 as given, else Python ints."""
     a = np.asarray(values)
     nums, common = a, 1
     if a.dtype != np.int64:
@@ -150,12 +165,26 @@ def integer_array(values, denominator: int = 1, bound: int | None = None):
         nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
         nums = nums.reshape(a.shape)
     d = common * denominator
-    g = gcd(d, int(np.gcd.reduce(nums, axis=None))) if d != 1 else 1
+    g = gcd(d, _first_nonzero(nums)) if d != 1 else 1
+    if g != 1:
+        g = gcd(g, int(np.gcd.reduce(nums, axis=None)))
     if g != 1:
         nums, d = nums // g, d // g
-    if bound is None:
-        bound = int(max_abs(nums))
-    return nums.astype(object if exact_dtype(bound) == object else np.int64, copy=False), d
+    return nums, d
+
+
+def _first_nonzero(a: np.ndarray) -> int:
+    """The first nonzero entry of ``a`` in row-major order, 0 if there is none;
+    scanned one leading slice at a time, since a tensor's first nonzero lies near its start."""
+    for block in a if a.ndim > 1 else [a]:
+        hit = np.flatnonzero(block)
+        if hit.size:
+            return int(block.flat[hit[0]])
+    return 0
+
+
+def _tiered(nums: np.ndarray, bound: int) -> np.ndarray:
+    return nums.astype(object if exact_dtype(bound) == object else np.int64, copy=False)
 
 
 def fraction_array(values, denominator: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .scalars import (
     float_mode,
     fraction_array,
     integer_array,
+    integer_array_max,
     is_selfadjoint,
     matrix,
     max_abs,
@@ -78,7 +79,12 @@ class CurvatureTensor:
     exact values given.  ``components`` builds the ``Fraction`` array on
     each access, for API callers; the library works on the numerators.
 
-    Treat instances as immutable: every operation returns new values.
+    The tensor owns its array: the array passed in is taken over, not
+    copied, and ``values`` is a read-only view of it.  max|values| is
+    computed once, at construction (in the same pass that picks the exact
+    dtype), as ``max_value``; ``max_abs``, ``is_zero`` and the exact tier
+    bounds read it.  Treat instances as immutable: every operation returns
+    new values.
     """
 
     m: int
@@ -88,19 +94,23 @@ class CurvatureTensor:
 
     def __post_init__(self):
         if self.mode.exact:
-            self.values, self.denominator = integer_array(self.values, self.denominator)
+            values, self.denominator, self.max_value = integer_array_max(self.values, self.denominator)
+        else:
+            values = np.asarray(self.values)
+            self.max_value = max_abs(values)
+        self.values = values.view()
+        self.values.flags.writeable = False
 
     @property
     def components(self) -> np.ndarray:
         return fraction_array(self.values, self.denominator) if self.mode.exact else self.values
 
     def max_abs(self):
-        top = max_abs(self.values)
-        return Fraction(int(top), self.denominator) if self.mode.exact else top
+        return Fraction(self.max_value, self.denominator) if self.mode.exact else self.max_value
 
     def is_zero(self) -> bool:
         """Exactly zero in both modes: the zero test has no scale to compare against."""
-        return not self.values.any()
+        return bool(self.max_value == 0)
 
     def to_float(self) -> "CurvatureTensor":
         if not self.mode.exact:
@@ -121,7 +131,7 @@ def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
         return np.einsum(subscripts, *(np.asarray(v, float) for v in vectors), R.values)
     inputs, output = subscripts.split("->")
     cleared = [integer_array(v) for v in vectors]
-    bound = R.m ** len(set(inputs) - set(output) - {","}) * max(int(max_abs(R.values)), 1)
+    bound = R.m ** len(set(inputs) - set(output) - {","}) * max(R.max_value, 1)
     for n, _ in cleared:
         bound *= max(int(max_abs(n)), 1)
     v, _ = integer_array(R.values, bound=bound)
@@ -170,7 +180,7 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
     R = _as_tensor(raw, mode)
     a = R.values
     if mode.exact:
-        a, _ = integer_array(a, bound=3 * int(max_abs(a)))
+        a, _ = integer_array(a, bound=3 * R.max_value)
     deviations = {
         "pair_exchange": a - a.transpose((2, 3, 0, 1)),
         "antisym_12": a + a.transpose((1, 0, 2, 3)),
@@ -199,16 +209,24 @@ def _gauss_components(phi: np.ndarray) -> np.ndarray:
 def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     """The tensor c * R0 of constant sectional curvature c.
 
-    Components: R[i][j][k][l] = c * (d_jk d_il - d_ik d_jl).
+    Components: R[i][j][k][l] = c * (d_jk d_il - d_ik d_jl), so the only
+    nonzero entries are c at (i, j, j, i) and -c at (i, j, i, j), i != j,
+    scattered into zeros: c's numerator over its denominator when exact,
+    else the float products 1.0 c, -1.0 c and 0.0 c that the Gauss tensor of
+    the identity times c holds, signed zeros included.
     """
     if m < 2:
         raise InvalidDimension("curvature tensors need dimension m >= 2")
     c = mode.scalar(c)
-    g = _gauss_components(np.eye(m, dtype=np.int64 if mode.exact else float))
-    if not mode.exact:
-        return CurvatureTensor(m, g * c, mode)
-    g, _ = integer_array(g, bound=max(abs(c.numerator), 1))
-    return CurvatureTensor(m, g * c.numerator, mode, c.denominator)
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    if mode.exact:
+        n = c.numerator
+        comps, _ = integer_array(np.zeros((m,) * 4, dtype=np.int64), bound=max(abs(n), 1))
+        comps[i, j, j, i], comps[i, j, i, j] = n, -n
+        return CurvatureTensor(m, comps, mode, c.denominator)
+    comps = np.full((m,) * 4, 0.0 * c)
+    comps[i, j, j, i], comps[i, j, i, j] = 1.0 * c, -1.0 * c
+    return CurvatureTensor(m, comps, mode)
 
 
 class ComplexStructure:
@@ -400,7 +418,7 @@ def combine(terms) -> CurvatureTensor:
     scales = [mode.scalar(c) / t.denominator for c, t in terms]
     d = lcm(*(s.denominator for s in scales))
     factors = [s.numerator * (d // s.denominator) for s in scales]
-    bound = sum(max(abs(f), 1) * max(int(max_abs(t.values)), 1) for f, t in zip(factors, tensors))
+    bound = sum(max(abs(f), 1) * max(t.max_value, 1) for f, t in zip(factors, tensors))
     total = sum(integer_array(t.values, bound=bound)[0] * f for f, t in zip(factors, tensors))
     return CurvatureTensor(m, total, mode, d)
 
@@ -431,7 +449,7 @@ def rotate(R: CurvatureTensor, q) -> CurvatureTensor:
     comps, denominator = R.values, 1
     if R.mode.exact:
         q, t = integer_array(q)
-        bound = max(int(max_abs(comps)), 1) * (R.m * max(int(max_abs(q)), 1)) ** 4
+        bound = max(R.max_value, 1) * (R.m * max(int(max_abs(q)), 1)) ** 4
         comps, _ = integer_array(comps, bound=bound)
         q, denominator = q.astype(comps.dtype), R.denominator * t**4
     for axis in range(4):

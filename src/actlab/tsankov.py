@@ -330,7 +330,7 @@ def commutator_poly(R: CurvatureTensor) -> BiQuadraticMatrixPoly:
     full, order = _half_table_index(m)[:2]
     s = _jacobi_table(R)[order, full[..., None]]  # s[a, c, I], I in np.triu_indices(m) order
     if R.mode.exact:
-        maxv = int(max_abs(R.values))
+        maxv = R.max_value
         tier = exact_dtype(8 * m * maxv * maxv)
         s = s.astype(tier, copy=False)
         store = object if tier == object else np.int64
@@ -499,7 +499,7 @@ class _Contraction:
         self.full, _, self.ri, self.rj = _half_table_index(R.m)[:4]
         if self.exact:
             xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-            maxv = max(int(max_abs(R.values)), 1)
+            maxv = max(R.max_value, 1)
             bx, by = (max(int(np.abs(a).sum(axis=1).max(initial=0)), 1) ** 2 * maxv for a in (xa, ya))
             self.jdt, self.cdt = exact_dtype(max(bx, by, 2 * maxv)), exact_dtype(2 * R.m * bx * by)
             self.scale = R.denominator**2

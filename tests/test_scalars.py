@@ -1,6 +1,7 @@
 """Scalar backends: exact rank, float spectra, seeded sampling, completions."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -215,6 +216,45 @@ class TestIntegerArray:
         assert n.tolist() == [[0, 0], [0, 0]] and d == 1
         n, d = integer_array([0.5, -0.25])
         assert n.tolist() == [2, -1] and d == 4
+
+    @staticmethod
+    def reference(nums, d):
+        """The reduction by g = gcd(d, gcd of every numerator), written out entry by entry."""
+        g = d
+        for v in np.asarray(nums).reshape(-1).tolist():
+            g = gcd(g, int(v))
+        return [int(v) // g for v in np.asarray(nums).reshape(-1).tolist()], d // g
+
+    def test_reduction_matches_the_full_gcd(self):
+        # the cheap gcd(d, first nonzero) decides whether the full sweep runs;
+        # the result must be the reduction by the gcd of d and every numerator
+        cases = [
+            (np.zeros((3, 3), dtype=np.int64), 12),
+            (np.zeros(5, dtype=object), 7),
+            (np.array([4, -6, 8]), 1),
+            (np.array([6, 10]), 6),  # gcd(6, 6) = 6, but 10 leaves only 2
+            (np.array([6, 9]), 3),  # the first nonzero gives the whole gcd
+            (np.array([0, 0, 6, 9]), 3),
+            (np.array([0, 0, 5, 15]), 3),
+        ]
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            size = int(rng.integers(1, 300))
+            nums = rng.integers(-6, 7, size=size) * int(rng.choice([1, 2, 3, 6]))
+            nums[: int(rng.integers(0, size + 1))] = 0
+            d = int(rng.choice([1, 2, 3, 4, 6, 9, 12, 36]))
+            cases.append((nums, d))
+            big = np.array([int(v) * (2**70 + 2) for v in nums], dtype=object)
+            cases.append((big, d * 2**3))
+        # a first nonzero past the first leading slices, in a non-contiguous array
+        late = np.zeros((4, 5, 6, 7), dtype=np.int64)
+        late[2, 1, 0, 3], late[3, 4, 5, 6] = 6, 10
+        cases += [(late, 4), (late.transpose((3, 1, 2, 0)), 4), (late.astype(object)[:, ::-1], 6)]
+        for nums, d in cases:
+            want, want_d = self.reference(nums, d)
+            n, got_d = integer_array(nums, denominator=d)
+            assert got_d == want_d and n.reshape(-1).tolist() == want
+            assert n.dtype == (object if max(map(abs, want), default=0) >= 2**62 else np.int64)
 
     def test_int64_below_the_bound_python_ints_from_it(self):
         assert integer_array([2**62 - 1])[0].dtype == np.int64

@@ -18,17 +18,21 @@ from actlab import (
     conjugate_structure,
     eig_selfadjoint,
     from_form,
+    from_metric_components,
     jacobi,
+    load_tensor,
     r0,
     r_theta,
     random_act,
     random_signed_permutation,
     random_unit_vector,
     rotate,
+    save_tensor,
     standard_complex_structure,
     validate,
 )
-from actlab.tensors import ComplexStructure, CurvatureTensor
+from actlab.scalars import integer_array, max_abs
+from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components
 
 from conftest import random_fraction
 
@@ -466,3 +470,74 @@ class TestExactStorage:
             assert got.dtype == float and got.tolist() == [float(v) for v in R.components.reshape(-1)]
         R = combine([(Fraction(1, 7), random_act(4, 3, seed=2))])
         assert R.to_float().components.reshape(-1).tolist() == [float(v) for v in R.components.reshape(-1)]
+
+    def test_r0_scatter_matches_the_gauss_tensor_of_the_identity(self):
+        # reference: the outer-product Gauss tensor of the identity times c,
+        # int64 numerators, or Python ints where c's numerator reaches 2^62
+        for m in range(2, 17):
+            g = _gauss_components(np.eye(m, dtype=np.int64))
+            for c in (0, 1, Fraction(-5, 3), Fraction(2**70 + 1, 3)):
+                c = Fraction(c)
+                ref, _ = integer_array(g, bound=max(abs(c.numerator), 1))
+                R = r0(m, c)
+                assert R.values.dtype == ref.dtype == (object if c.numerator >= 2**62 else np.int64)
+                assert R.denominator == c.denominator
+                assert np.array_equal(R.values, ref * c.numerator)
+                F = r0(m, float(c), FLOAT)
+                want = _gauss_components(np.eye(m)) * float(c)
+                assert F.values.dtype == np.float64
+                assert np.array_equal(F.values, want) and np.array_equal(np.signbit(F.values), np.signbit(want))
+
+
+class TestOwnedValues:
+    @staticmethod
+    def tensors(tmp_path):
+        """Tensors from every constructor, combine, rotate, to_float and load_tensor, both modes."""
+        cs = conjugate_structure(standard_complex_structure(4), random_signed_permutation(4, 3))
+        q = rational_rotation(4)
+        out = [
+            r0(4, Fraction(-5, 3)),
+            r0(3, 0),
+            r0(4, Fraction(2**70 + 1, 3)),
+            r_theta(cs, Fraction(7, 4)),
+            from_form(np.diag([1, 2, -3]).astype(object), RATIONAL),
+            random_act(5, 2, seed=4),
+            combine([(Fraction(1, 3), r0(4, 1)), (2, r_theta(cs, 1))]),
+            combine([(1, r0(4, 1)), (-1, r0(4, 1))]),
+            rotate(r0(4, Fraction(2, 3)), q),
+            CurvatureTensor(2, np.zeros((2,) * 4, dtype=np.int64), RATIONAL, 6),
+        ]
+        out += [R.to_float() for R in out]
+        out += [
+            r0(4, -2.5, FLOAT),
+            r0(3, -0.0, FLOAT),
+            r_theta(standard_complex_structure(4, FLOAT), 1.5),
+            random_act(4, 2, seed=1, mode=FLOAT),
+            rotate(random_act(4, 2, seed=1, mode=FLOAT), random_signed_permutation(4, 2, FLOAT)),
+            from_metric_components(r0(3, 2, FLOAT).values, np.diag([1.0, 4.0, 9.0])),
+        ]
+        for k, R in enumerate(list(out)):
+            path = tmp_path / f"t{k}.json"
+            save_tensor(R, path, "dense" if k % 2 else "sparse")
+            out.append(load_tensor(path))
+        return out
+
+    def test_max_abs_and_is_zero_read_the_values(self, tmp_path):
+        for R in self.tensors(tmp_path):
+            top = max_abs(R.values)
+            assert R.max_abs() == (Fraction(int(top), R.denominator) if R.mode.exact else top)
+            assert type(R.max_abs()) is type(Fraction(0) if R.mode.exact else top)
+            assert R.is_zero() is (not R.values.any())
+
+    def test_values_are_read_only(self, tmp_path):
+        for R in self.tensors(tmp_path):
+            with pytest.raises(ValueError):
+                R.values[(0,) * 4] = 1
+            with pytest.raises(ValueError):
+                R.values[-1, -1] += 1  # a slice is a read-only view too
+            assert not R.values.flags.writeable
+
+    def test_the_callers_array_stays_writable(self):
+        for a, mode in ((np.zeros((3,) * 4, dtype=np.int64), RATIONAL), (np.zeros((3,) * 4), FLOAT)):
+            CurvatureTensor(3, a, mode)
+            a[0, 1, 1, 0] = 1
