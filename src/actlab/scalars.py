@@ -156,14 +156,17 @@ def integer_array_max(values, denominator: int = 1):
 
 
 def _reduced(values, denominator: int):
-    """``(N, d)`` of ``integer_array`` before the tier: int64 as given, else Python ints."""
+    """``(N, d)`` of ``integer_array`` before the tier: int64 arrays and object arrays of
+    Python ints as given, anything else through one ``Fraction`` list to Python ints."""
     a = np.asarray(values)
     nums, common = a, 1
     if a.dtype != np.int64:
-        flat = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in a.ravel().tolist()]
-        common = lcm(*(v.denominator for v in flat))
-        nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
-        nums = nums.reshape(a.shape)
+        flat = a.ravel().tolist()
+        if a.dtype != object or not set(map(type, flat)) <= {int}:  # Python ints pass as given
+            flat = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in flat]
+            common = lcm(*(v.denominator for v in flat))
+            nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
+            nums = nums.reshape(a.shape)
     d = common * denominator
     g = gcd(d, _first_nonzero(nums)) if d != 1 else 1
     if g != 1:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -206,27 +207,38 @@ def _gauss_components(phi: np.ndarray) -> np.ndarray:
     return o.transpose((0, 2, 3, 1)) - o.transpose((0, 2, 1, 3))
 
 
+@lru_cache(maxsize=None)
+def _r0_pattern(m: int):
+    """The flat positions of (i, j, j, i) and (i, j, i, j), i != j, where R0 is 1 and -1:
+    ``(plus, minus)``, built once per m and read-only (``r0`` and the c R0 fit share them)."""
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    out = (((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     """The tensor c * R0 of constant sectional curvature c.
 
     Components: R[i][j][k][l] = c * (d_jk d_il - d_ik d_jl), so the only
     nonzero entries are c at (i, j, j, i) and -c at (i, j, i, j), i != j,
-    scattered into zeros: c's numerator over its denominator when exact,
-    else the float products 1.0 c, -1.0 c and 0.0 c that the Gauss tensor of
-    the identity times c holds, signed zeros included.
+    scattered into zeros (``_r0_pattern``): c's numerator over its denominator
+    when exact, else the float products 1.0 c, -1.0 c and 0.0 c that the
+    Gauss tensor of the identity times c holds, signed zeros included.
     """
     if m < 2:
         raise InvalidDimension("curvature tensors need dimension m >= 2")
     c = mode.scalar(c)
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    plus, minus = _r0_pattern(m)
     if mode.exact:
         n = c.numerator
-        comps, _ = integer_array(np.zeros((m,) * 4, dtype=np.int64), bound=max(abs(n), 1))
-        comps[i, j, j, i], comps[i, j, i, j] = n, -n
-        return CurvatureTensor(m, comps, mode, c.denominator)
-    comps = np.full((m,) * 4, 0.0 * c)
-    comps[i, j, j, i], comps[i, j, i, j] = 1.0 * c, -1.0 * c
-    return CurvatureTensor(m, comps, mode)
+        comps, _ = integer_array(np.zeros(m**4, dtype=np.int64), bound=max(abs(n), 1))
+        comps[plus], comps[minus] = n, -n
+        return CurvatureTensor(m, comps.reshape((m,) * 4), mode, c.denominator)
+    comps = np.full(m**4, 0.0 * c)
+    comps[plus], comps[minus] = 1.0 * c, -1.0 * c
+    return CurvatureTensor(m, comps.reshape((m,) * 4), mode)
 
 
 class ComplexStructure:

@@ -15,10 +15,12 @@ scalar modes (``_decide``):
 2. a commutator at one of a few seeded pairs (exactly orthogonal for
    rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
    float mode, proves failure, and the reported witness then comes from
-   the seeded witness search;
+   the seeded witness search.  The pairs are drawn once per dimension
+   (``_screen_pairs``);
 3. for ``tsankov_test``, an equality R = c R0 or R = c R_Theta
    (``_fit``; exact in rational mode, within ``tol |R|`` in float mode)
-   proves that C vanishes on orthogonal pairs, since both families do;
+   proves that C vanishes on orthogonal pairs, since both families do.
+   R = c R0 is checked on R's entries in place, c R_Theta on a rebuild;
 4. otherwise the commutator polynomial is expanded.  Full commutation
    holds iff every coefficient is zero.  Orthogonal commutation holds iff
    the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
@@ -73,7 +75,7 @@ import numpy as np
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
 from .scalars import ScalarMode, exact_dtype, fraction_array, integer_array, max_abs, negligible, vector, zeros
-from .tensors import CurvatureTensor, _coerce_vector, combine, r0, r_theta
+from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, combine, r_theta
 
 __all__ = [
     "Witness",
@@ -664,6 +666,16 @@ def _basis_candidates(m: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _screen_pairs(m: int, exact: bool, orthogonal: bool):
+    """The screen's ``SCREEN_PAIRS`` pairs from ``SCREEN_SEED``, drawn by ``_sample_pairs`` once
+    per (m, exact, orthogonal), on which alone they depend; read-only (screens share them)."""
+    out = _sample_pairs(np.random.default_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal)
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
 def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
     """The raw commutator norm of every ``_basis_candidates`` pair, in their order.
 
@@ -761,30 +773,43 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
 
 
 def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
-    """|R - recon| / |R| in sup norms (|recon| when R is zero)."""
+    """|R - recon| / |R| in sup norms, for a nonzero R."""
     if R.mode.exact and R.denominator == recon.denominator and np.array_equal(R.values, recon.values):
         return Fraction(0)  # both are reduced, so equal tensors store equal numerators
-    scale = R.max_abs()
     dev = combine([(1, R), (-1, recon)]).max_abs()
-    if R.mode.exact:
-        return dev / scale if scale != 0 else dev
-    return float(dev) / float(scale) if scale else float(dev)
+    return dev / R.max_abs() if R.mode.exact else float(dev) / float(R.max_abs())
+
+
+def _r0_residual(R: CurvatureTensor, s):
+    """``_relative_residual(R, r0(R.m, c))``, c = s / R.denominator (s in float mode), read off R.
+
+    R - c R0 is N off ``_r0_pattern``, N - s at (i, j, j, i) and N + s at
+    (i, j, i, j): the differences ``combine`` takes, so the value, its type
+    and its float bits are the rebuild's, with no rebuild.  R is not zero.
+    """
+    plus, minus = _r0_pattern(R.m)
+    flat = R.values.reshape(-1)
+    dev = np.abs(flat)
+    dev[plus], dev[minus] = np.abs(flat[plus] - s), np.abs(flat[minus] + s)
+    top = dev.max()
+    return Fraction(int(top), R.max_value) if R.mode.exact else float(top) / float(R.max_value)
 
 
 def _fit(R: CurvatureTensor):
-    """Rebuild R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
+    """Fit R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
 
     c R0 takes c from the first sectional value R(e_i, e_j, e_j, e_i), i < j,
     that is not negligible at |R|, and is not tried in even m when another
     sectional value differs from c by more than negligible at |R|, since it
-    cannot fit then; c R_Theta takes (c, Theta) from
-    ``recover_complex_structure``.  A fit counts when its relative residual
-    is negligible.  In rational mode that is exact equality, which proves
-    that R commutes on orthogonal pairs, as c R0 and c R_Theta do.  Raises
-    ``ClassificationInconsistency`` when neither fit rebuilds R.
+    cannot fit then; its residual is read off R in place (``_r0_residual``).
+    c R_Theta takes (c, Theta) from ``recover_complex_structure`` and is
+    rebuilt.  A fit counts when its relative residual is negligible.  In
+    rational mode that is exact equality, which proves that R commutes on
+    orthogonal pairs, as c R0 and c R_Theta do.  Raises
+    ``ClassificationInconsistency`` when neither fit matches R.
     """
     mode, m = R.mode, R.m
-    ii, jj = np.triu_indices(m, 1)
+    ii, jj = (a[m:] for a in _half_table_index(m)[2:4])  # the pairs i < j
     sect = R.values[ii, jj, jj, ii]
     scale = R.max_abs()
     nonzero = np.flatnonzero(~negligible(sect, mode, scale))
@@ -794,7 +819,7 @@ def _fit(R: CurvatureTensor):
     if nonzero.size and not (m % 2 == 0 and (~negligible(sect - sect[nonzero[0]], mode, scale)).any()):
         s = sect[nonzero[0]]
         c = Fraction(int(s), R.denominator) if mode.exact else s
-        residual = _relative_residual(R, r0(m, c, mode))
+        residual = _r0_residual(R, s)
         if negligible(residual, mode):
             return c, None, residual
     if m % 2:
@@ -829,12 +854,13 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 
     Both modes try the certificates cheapest first: the zero tensor holds;
     a commutator above ``_float_threshold`` (nonzero in rational mode) at
-    one of ``SCREEN_PAIRS`` seeded pairs (exactly orthogonal when
-    ``orthogonal`` in rational mode) proves failure; a fit by ``_fit``
-    proves that commutation on orthogonal pairs holds.  Only when all three
-    are silent is the commutator polynomial expanded and divided.  Every
-    failure reports ``_search_witness``, so the witness does not depend on
-    which certificate decided.  Float mode decides ``_binary_scaled(R)``.
+    one of the ``SCREEN_PAIRS`` pairs of ``_screen_pairs``, drawn once per
+    dimension (exactly orthogonal when ``orthogonal`` in rational mode),
+    proves failure; a fit by ``_fit``, which checks c R0 in place and
+    rebuilds only c R_Theta, proves that commutation on orthogonal pairs
+    holds.  Only when all three are silent is the commutator polynomial
+    expanded and divided.  Every failure reports ``_search_witness``, so the
+    witness does not depend on which certificate decided.  Float mode decides ``_binary_scaled(R)``.
 
     Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s tuple when it
     decided, else None, whether it did not run or raised
@@ -845,9 +871,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         return TsankovVerdict(True, None, method), None
     R, e = _binary_scaled(R)
     search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal), e)  # noqa: E731
-    rng = np.random.default_rng(SCREEN_SEED)
-    pairs = _sample_pairs(rng, R.m, SCREEN_PAIRS, R.mode.exact, orthogonal)
-    if _violation_scan(R, *pairs) is not None:
+    if _violation_scan(R, *_screen_pairs(R.m, R.mode.exact, orthogonal)) is not None:
         return TsankovVerdict(False, search(), method), None
     if orthogonal:
         with suppress(ClassificationInconsistency):

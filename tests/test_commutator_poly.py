@@ -365,8 +365,8 @@ def test_rotated_rtheta_fit_skips_r0(monkeypatch):
     c = F(-7, 3)
     cs = conjugate_structure(standard_complex_structure(8), cayley_rotation(8, 4))
     R = r_theta(cs, c)
-    calls, real = [], tsankov.r0
-    monkeypatch.setattr(tsankov, "r0", lambda *args: calls.append(args) or real(*args))
+    calls, real = [], tsankov._r0_residual  # the c R0 fit, checked in place
+    monkeypatch.setattr(tsankov, "_r0_residual", lambda *args: calls.append(args) or real(*args))
     res = classify(R)
     assert not calls
     assert (res.tag, res.c, res.residual) == ("ComplexForm", c, 0)

@@ -256,6 +256,29 @@ class TestIntegerArray:
             assert got_d == want_d and n.reshape(-1).tolist() == want
             assert n.dtype == (object if max(map(abs, want), default=0) >= 2**62 else np.int64)
 
+    def test_python_int_arrays_match_the_fraction_path(self):
+        # object arrays of Python ints skip the per-entry Fraction list; the
+        # same values as Fractions take it, and both give the same N, dtype and d
+        rng = np.random.default_rng(21)
+        cases = [(np.zeros((3, 4), dtype=object), d) for d in (1, 5)]
+        cases += [(np.array([0, 0], dtype=object), 1), (np.array([2**70, -(2**70)], dtype=object), 2**71)]
+        for _ in range(40):
+            nums = rng.integers(-6, 7, size=(3, int(rng.integers(1, 20))))
+            f = int(rng.choice([1, 3, 2**65, 3 * 2**65]))
+            big = np.array([[int(v) * f for v in row] for row in nums], dtype=object)
+            for d in (1, 3, 2**66, 7):  # d = 3 and 2**66 can share a factor with N, d = 7 cannot
+                cases.append((big, d))
+        for ints, d in cases:
+            fracs = np.array([Fraction(v) for v in ints.reshape(-1).tolist()], dtype=object).reshape(ints.shape)
+            for bound in (None, 2**80):
+                (n, got_d), (want, want_d) = integer_array(ints, d, bound), integer_array(fracs, d, bound)
+                assert got_d == want_d and n.dtype == want.dtype and n.shape == want.shape
+                assert n.reshape(-1).tolist() == want.reshape(-1).tolist()
+                assert all(type(v) is type(w) for v, w in zip(n.reshape(-1).tolist(), want.reshape(-1).tolist()))
+        # a Fraction among the ints still clears its denominator
+        n, d = integer_array(np.array([2**70, Fraction(1, 3)], dtype=object))
+        assert n.tolist() == [3 * 2**70, 1] and d == 3
+
     def test_int64_below_the_bound_python_ints_from_it(self):
         assert integer_array([2**62 - 1])[0].dtype == np.int64
         big, _ = integer_array([2**62, -3])

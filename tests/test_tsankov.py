@@ -12,6 +12,7 @@ from actlab import (
     FLOAT,
     RATIONAL,
     ClassificationInconsistency,
+    CurvatureTensor,
     InvalidPolynomial,
     BiQuadraticMatrixPoly,
     classify,
@@ -20,6 +21,7 @@ from actlab import (
     commutator_poly,
     conjugate_structure,
     divisible_by_pairing,
+    from_form,
     full_commutation_test,
     jacobi,
     r0,
@@ -41,8 +43,12 @@ from actlab.tsankov import (
     _basis_raws,
     _float_threshold,
     _jacobi_table,
+    _fit,
     _largest,
+    _r0_residual,
+    _relative_residual,
     _sample_pairs,
+    _screen_pairs,
     _search_witness,
     _squared_norms,
     _violation_scan,
@@ -1211,3 +1217,65 @@ class TestTriage:
             -312, 280, 376, -208, 480, -480, 136, -608, -144, 312,
         ]
         assert w.commutator_norm == Fraction(28847393, 3848)
+
+
+class TestAcceptPathConstants:
+    @pytest.mark.parametrize("exact", (True, False))
+    @pytest.mark.parametrize("orthogonal", (True, False))
+    def test_screen_pairs_are_one_fresh_draw(self, exact, orthogonal):
+        for m in range(2, 17):
+            pairs = _screen_pairs(m, exact, orthogonal)
+            fresh = _sample_pairs(
+                np.random.default_rng(tsankov.SCREEN_SEED), m, tsankov.SCREEN_PAIRS, exact, orthogonal
+            )
+            assert _screen_pairs(m, exact, orthogonal) is pairs
+            for got, want in zip(pairs, fresh):
+                assert got.dtype == want.dtype and got.shape == want.shape == (tsankov.SCREEN_PAIRS, m)
+                assert got.tobytes() == want.tobytes()  # float bits, signed zeros included
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0] = 1
+
+    @staticmethod
+    def rebuilt_residual(R, s):
+        """The residual of the rebuilt c R0 that ``_r0_residual`` reads off in place."""
+        c = Fraction(int(s), R.denominator) if R.mode.exact else s
+        return _relative_residual(R, r0(R.m, c, R.mode))
+
+    @staticmethod
+    def sectional(R):
+        ii, jj = np.triu_indices(R.m, 1)
+        return R.values[ii, jj, jj, ii]
+
+    def test_r0_residual_matches_the_rebuild(self):
+        exact = []
+        for m in range(2, 13):
+            plane = from_form(np.diag([1, 1] + [0] * (m - 2)), RATIONAL)  # one sectional value, on the pattern
+            for c in (1, Fraction(-5, 3), Fraction(2**70 + 1, 3), Fraction(7, 4)):
+                R = r0(m, c)
+                off = combine([(1, R), (Fraction(1, 1000), random_act(m, 1, m))])
+                exact += [R, off, combine([(1, R), (Fraction(1, 7), plane)])]
+        scaled = [
+            CurvatureTensor(R.m, np.ldexp(R.to_float().values, k), FLOAT) for R in exact for k in (-60, -3, 0, 5, 60)
+        ]
+        for R in exact + scaled:
+            sect = self.sectional(R)
+            for s in {sect[np.flatnonzero(sect)[0]], sect[-1]}:  # the fit's pick, and the last plane's value
+                if s == 0:
+                    continue
+                got, want = _r0_residual(R, s), self.rebuilt_residual(R, s)
+                assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_odd_m_error_reports_the_rebuild_residual(self):
+        c = Fraction(2, 3)
+        for R, text in (
+            (combine([(1, r0(5, c)), (Fraction(1, 1000), random_act(5, 1, 5))]), "36/2027"),
+            (combine([(1, r0(5, c)), (Fraction(1, 1000), random_act(5, 1, 5))]).to_float(), "0.017760236803157376"),
+        ):
+            sect = self.sectional(R)
+            want = self.rebuilt_residual(R, sect[np.flatnonzero(sect)[0]])
+            message = f"commutation holds but constant-curvature reconstruction fails (residual {want})"
+            assert str(want) == text
+            with pytest.raises(ClassificationInconsistency) as exc:
+                _fit(R)
+            assert str(exc.value) == message
