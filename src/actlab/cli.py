@@ -118,15 +118,19 @@ def _cmd_jacobi(args, tol):
     return 0
 
 
+def _print_witness(witness):
+    if witness is not None:
+        print(f"witness_x={format_vector(witness.x)}")
+        print(f"witness_y={format_vector(witness.y)}")
+        print(f"comm_norm={format_scalar(witness.commutator_norm)}")
+
+
 def _cmd_tsankov(args, tol):
     tensor = load_tensor(args.file, tol)
     verdict = tsankov_test(tensor, args.method, n_samples=args.samples, seed=args.seed)
     print(f"holds={'true' if verdict.holds else 'false'}")
     print(f"method={verdict.method}")
-    if verdict.witness is not None:
-        print(f"witness_x={format_vector(verdict.witness.x)}")
-        print(f"witness_y={format_vector(verdict.witness.y)}")
-        print(f"comm_norm={format_scalar(verdict.witness.commutator_norm)}")
+    _print_witness(verdict.witness)
     return 0 if verdict.holds else 1
 
 
@@ -141,10 +145,7 @@ def _cmd_classify(args, tol):
             print(f"theta_row_{i}={format_vector(row)}")
     if result.residual is not None:
         print(f"residual={format_scalar(result.residual)}")
-    if result.witness is not None:
-        print(f"witness_x={format_vector(result.witness.x)}")
-        print(f"witness_y={format_vector(result.witness.y)}")
-        print(f"comm_norm={format_scalar(result.witness.commutator_norm)}")
+    _print_witness(result.witness)
     return 0 if result.tag in ("Zero", "ConstantCurvature", "ComplexForm") else 1
 
 

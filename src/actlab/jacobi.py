@@ -37,6 +37,7 @@ from .scalars import (
     ScalarMode,
     _eigensplit_float,
     _pivot_columns,
+    exact_cast,
     eye,
     fraction_array,
     fraction_sqrt,
@@ -121,8 +122,7 @@ def _rank_one_unit(n: np.ndarray, mode: ScalarMode) -> tuple:
             raise DegenerateInput("the rank-one factor is irrational; no exact representation exists")
         w, e = integer_array(n[:, k].astype(object) * (sign * root.denominator), abs(s) * root.numerator)
         bound = max(int(max_abs(w)) ** 2 * abs(s), int(max_abs(n)) * e * e)
-        wb, _ = integer_array(w, bound=bound)
-        nb, _ = integer_array(n, bound=bound)
+        wb, nb = exact_cast(w, bound), exact_cast(n, bound)
         if np.any(np.outer(wb, wb) * s - nb * (e * e)):
             raise DegenerateInput("matrix is not exactly rank one")
     else:
@@ -139,7 +139,7 @@ def _is_rank_one(n: np.ndarray) -> bool:
     if nonzero.size == 0:
         return False
     r, c = divmod(int(nonzero[0]), n.shape[1])
-    n, _ = integer_array(n, bound=int(max_abs(n)) ** 2)
+    n = exact_cast(n, int(max_abs(n)) ** 2)
     return not np.any(n * n[r, c] - np.outer(n[:, c], n[r, :]))
 
 
@@ -171,8 +171,7 @@ def _recover(R: CurvatureTensor):
         ) from exc
     if mode.exact:
         bound = 2 * m * max(R.max_value, 1) * int(max_abs(w))
-        v, _ = integer_array(v, bound=bound)
-        w, _ = integer_array(w, bound=bound)
+        v, w = exact_cast(v, bound), exact_cast(w, bound)
     cols = np.tensordot(w, v[:, p, :, :] + v[:, :, p, :], axes=(0, 0)).T
     cols[:, p] = w * s
     sign = 1 if s > 0 else -1

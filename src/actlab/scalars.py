@@ -4,9 +4,10 @@ Two scalar modes run through the whole library:
 
 * ``rational`` -- entries are :class:`fractions.Fraction` stored in
   object-dtype numpy arrays; every comparison is exact and tolerance-free.
-  Bulk exact arithmetic runs on integer numerators over one denominator,
-  from :func:`integer_array`.  :func:`exact_dtype` is the one place that
-  picks exact float64, int64 or Python ints for a bound.
+  Bulk exact arithmetic runs on integer numerators over one denominator:
+  :func:`integer_array` clears denominators, :func:`exact_cast` stores the
+  numerators as int64 or Python ints for a bound, and :func:`exact_dtype`
+  picks exact float64, int64 or Python int arithmetic for a bound.
 * ``float`` -- entries are float64, and every comparison follows one rule,
   owned by :func:`negligible`: a quantity counts as zero when
   ``|value| <= tol * scale``, where ``scale`` is the size of the quantity
@@ -133,26 +134,31 @@ def exact_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64 if bound < 2**62 else object)
 
 
-def integer_array(values, denominator: int = 1, bound: int | None = None):
+def exact_cast(nums: np.ndarray, bound: int) -> np.ndarray:
+    """Integer numerators stored for intermediates of magnitude at most ``bound``:
+    an int64 array stays int64 while ``exact_dtype(bound)`` is not object, and
+    becomes Python ints otherwise; an object array of Python ints stays as it is."""
+    return nums.astype(object) if nums.dtype == np.int64 and exact_dtype(bound) == object else nums
+
+
+def integer_array(values, denominator: int = 1):
     """Clear denominators: ``(N, d)`` with ``N / d == values / denominator``.
 
     ``d > 0`` is reduced, the lcm of the denominators of those quotients.  The
     reduction divides by g = gcd(d, gcd of all N), which divides
     gcd(d, first nonzero N); so it takes that cheap gcd first and sweeps the
-    whole array only when it is not 1.  ``N`` is int64 when
-    ``exact_dtype(bound)`` is a machine type, else an object array of Python
-    ints.  ``bound`` defaults to max|N|; callers whose arithmetic on N
-    reaches larger intermediates pass a bound on those (at least max|N|).
+    whole array only when it is not 1.  ``N`` is int64 below 2^62 in max|N|,
+    else an object array of Python ints; callers whose arithmetic on N
+    reaches larger intermediates pass it through ``exact_cast``.
     """
-    nums, d = _reduced(values, denominator)
-    return _tiered(nums, int(max_abs(nums)) if bound is None else bound), d
+    return integer_array_max(values, denominator)[:2]
 
 
 def integer_array_max(values, denominator: int = 1):
     """``integer_array(values, denominator)`` with the max|N| that sized it: ``(N, d, max|N|)``."""
     nums, d = _reduced(values, denominator)
     top = int(max_abs(nums))
-    return _tiered(nums, top), d, top
+    return nums.astype(object if exact_dtype(top) == object else np.int64, copy=False), d, top
 
 
 def _reduced(values, denominator: int):
@@ -184,10 +190,6 @@ def _first_nonzero(a: np.ndarray) -> int:
         if hit.size:
             return int(block.flat[hit[0]])
     return 0
-
-
-def _tiered(nums: np.ndarray, bound: int) -> np.ndarray:
-    return nums.astype(object if exact_dtype(bound) == object else np.int64, copy=False)
 
 
 def fraction_array(values, denominator: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .errors import (
 from .scalars import (
     RATIONAL,
     ScalarMode,
+    exact_cast,
     float_mode,
     fraction_array,
     integer_array,
@@ -94,6 +95,8 @@ class CurvatureTensor:
     denominator: int = 1
 
     def __post_init__(self):
+        if self.m < 2:
+            raise InvalidDimension("curvature tensors need dimension m >= 2")
         if self.mode.exact:
             values, self.denominator, self.max_value = integer_array_max(self.values, self.denominator)
         else:
@@ -135,7 +138,7 @@ def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
     bound = R.m ** len(set(inputs) - set(output) - {","}) * max(R.max_value, 1)
     for n, _ in cleared:
         bound *= max(int(max_abs(n)), 1)
-    v, _ = integer_array(R.values, bound=bound)
+    v = exact_cast(R.values, bound)
     out = np.einsum(subscripts, *(n.astype(v.dtype) for n, _ in cleared), v)
     return fraction_array(out, R.denominator * prod(d for _, d in cleared))
 
@@ -179,9 +182,7 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
     deviations of at most 3 max|N| are taken on the numerators.
     """
     R = _as_tensor(raw, mode)
-    a = R.values
-    if mode.exact:
-        a, _ = integer_array(a, bound=3 * R.max_value)
+    a = exact_cast(R.values, 3 * R.max_value) if mode.exact else R.values
     deviations = {
         "pair_exchange": a - a.transpose((2, 3, 0, 1)),
         "antisym_12": a + a.transpose((1, 0, 2, 3)),
@@ -227,13 +228,11 @@ def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     when exact, else the float products 1.0 c, -1.0 c and 0.0 c that the
     Gauss tensor of the identity times c holds, signed zeros included.
     """
-    if m < 2:
-        raise InvalidDimension("curvature tensors need dimension m >= 2")
     c = mode.scalar(c)
     plus, minus = _r0_pattern(m)
     if mode.exact:
         n = c.numerator
-        comps, _ = integer_array(np.zeros(m**4, dtype=np.int64), bound=max(abs(n), 1))
+        comps = exact_cast(np.zeros(m**4, dtype=np.int64), max(abs(n), 1))
         comps[plus], comps[minus] = n, -n
         return CurvatureTensor(m, comps.reshape((m,) * 4), mode, c.denominator)
     comps = np.full(m**4, 0.0 * c)
@@ -268,9 +267,11 @@ class ComplexStructure:
         m = th.shape[0]
         if m % 2:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
+        if m == 0:
+            raise InvalidComplexStructure("complex structures need dimension m >= 2")
         # theta^2 = -I fixes the scale of theta, so both deviations compare at scale 1
         if self.mode.exact:
-            n, _ = integer_array(th, bound=m * int(max_abs(th)) ** 2 + t * t)
+            n = exact_cast(th, m * int(max_abs(th)) ** 2 + t * t)
             skew = Fraction(int(max_abs(n + n.T)), t)
             square = Fraction(int(max_abs(np.dot(n, n) + np.eye(m, dtype=n.dtype) * (t * t))), t * t)
         else:
@@ -323,8 +324,7 @@ def conjugate_structure(cs: ComplexStructure, q: np.ndarray) -> ComplexStructure
         return ComplexStructure(np.dot(np.dot(q, cs.values), q.T), cs.mode)
     q, s = integer_array(q)
     bound = cs.m**2 * max(int(max_abs(q)), 1) ** 2 * max(int(max_abs(cs.values)), 1)
-    q, _ = integer_array(q, bound=bound)
-    th, _ = integer_array(cs.values, bound=bound)
+    q, th = exact_cast(q, bound), exact_cast(cs.values, bound)
     return ComplexStructure(np.dot(np.dot(q, th), q.T), cs.mode, s * s * cs.denominator)
 
 
@@ -340,7 +340,7 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     c = mode.scalar(c)
     th, scale, den = cs.values, c, 1
     if mode.exact:  # each bracket is at most 4 max|T|^2
-        th, _ = integer_array(th, bound=4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+        th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
         scale, den = c.numerator, c.denominator * cs.denominator**2
     o = np.multiply.outer(th, th)
     comps = (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * scale
@@ -364,7 +364,7 @@ def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:
         raise InvalidOperator("the form must be symmetric")
     if not mode.exact:
         return CurvatureTensor(p.shape[0], _gauss_components(p), mode)
-    n, _ = integer_array(n, bound=2 * int(max_abs(n)) ** 2)
+    n = exact_cast(n, 2 * int(max_abs(n)) ** 2)
     return CurvatureTensor(p.shape[0], _gauss_components(n), mode, s * s)
 
 
@@ -380,8 +380,6 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
     through.  So the sum accumulates in int64 with no big-int fallback and
     is the tensor's numerator array, over denominator 1.
     """
-    if m < 2:
-        raise InvalidDimension("curvature tensors need dimension m >= 2")
     if k < 1:
         raise InvalidDimension("need at least one generator")
     rng = np.random.default_rng(seed)
@@ -431,7 +429,7 @@ def combine(terms) -> CurvatureTensor:
     d = lcm(*(s.denominator for s in scales))
     factors = [s.numerator * (d // s.denominator) for s in scales]
     bound = sum(max(abs(f), 1) * max(t.max_value, 1) for f, t in zip(factors, tensors))
-    total = sum(integer_array(t.values, bound=bound)[0] * f for f, t in zip(factors, tensors))
+    total = sum(exact_cast(t.values, bound) * f for f, t in zip(factors, tensors))
     return CurvatureTensor(m, total, mode, d)
 
 
@@ -461,8 +459,7 @@ def rotate(R: CurvatureTensor, q) -> CurvatureTensor:
     comps, denominator = R.values, 1
     if R.mode.exact:
         q, t = integer_array(q)
-        bound = max(R.max_value, 1) * (R.m * max(int(max_abs(q)), 1)) ** 4
-        comps, _ = integer_array(comps, bound=bound)
+        comps = exact_cast(comps, max(R.max_value, 1) * (R.m * max(int(max_abs(q)), 1)) ** 4)
         q, denominator = q.astype(comps.dtype), R.denominator * t**4
     for axis in range(4):
         comps = np.tensordot(q, comps, axes=([1], [axis]))
@@ -489,8 +486,4 @@ def from_metric_components(raw, gram, tol: float = 1e-9) -> CurvatureTensor:
     except np.linalg.LinAlgError as exc:
         raise InvalidOperator("the Gram matrix must be positive definite") from exc
     b = np.linalg.inv(chol).T
-    comps = a
-    for axis in range(4):
-        comps = np.tensordot(b.T, comps, axes=([1], [axis]))
-        comps = np.moveaxis(comps, 0, axis)
-    return CurvatureTensor(a.shape[0], comps, float_mode(tol))
+    return rotate(CurvatureTensor(a.shape[0], a, float_mode(tol)), b.T)

@@ -74,7 +74,9 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
-from .scalars import ScalarMode, exact_dtype, fraction_array, integer_array, max_abs, negligible, vector, zeros
+from .scalars import (
+    ScalarMode, exact_cast, exact_dtype, fraction_array, integer_array, max_abs, negligible, vector, zeros
+)
 from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, combine, r_theta
 
 __all__ = [
@@ -261,8 +263,8 @@ class BilinearMatrixPoly(_MatrixPoly):
     def multiply_pairing(self) -> BiQuadraticMatrixPoly:
         """(sum_t x_t y_t) * L on canonical monomials."""
         m, L = self.m, self.values
-        if self.mode.exact and exact_dtype(2 * int(max_abs(L))) == object:
-            L = L.astype(object)  # at most two terms meet per monomial
+        if self.mode.exact:
+            L = exact_cast(L, 2 * int(max_abs(L)))  # at most two terms meet per monomial
         pair = _half_table_index(m)[0]  # pair[i, j]: the position of {i, j} among the n pairs
         n = m * (m + 1) // 2
         out = np.zeros((len(L), n * n), dtype=L.dtype)
@@ -368,8 +370,7 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
     """
     m, v = P.m, P.values
     if P.mode.exact:
-        if exact_dtype(5 * int(max_abs(v))) == object:
-            v = v.astype(object)  # |L| <= 2 max|P| and |q L| <= 2 max|L|
+        v = exact_cast(v, 5 * int(max_abs(v)))  # |L| <= 2 max|P| and |q L| <= 2 max|L|
         small = lambda a: a == 0  # noqa: E731
     else:
         zt = zero_tol if zero_tol is not None else P.mode.tol * P.max_coeff()
@@ -572,8 +573,8 @@ def _squared_norms(a):
     2 m span^3 with span <= 130 (``_search_witness``'s widest); past that
     bound the sums run on Python ints.
     """
-    if a.dtype == np.int64 and exact_dtype(a.shape[1] * int(np.abs(a).max()) ** 2) == object:
-        a = a.astype(object)
+    if a.dtype == np.int64:
+        a = exact_cast(a, a.shape[1] * int(np.abs(a).max()) ** 2)
     return (a * a).sum(axis=1)
 
 

@@ -35,7 +35,7 @@ from actlab import (
     standard_complex_structure,
 )
 from actlab import tsankov
-from actlab.scalars import exact_dtype, integer_array, max_abs
+from actlab.scalars import exact_cast, exact_dtype, max_abs
 from actlab.tsankov import _float_threshold
 
 from conftest import cayley_rotation
@@ -62,7 +62,7 @@ def commutator_poly_reference(R):
     m = R.m
     if R.mode.exact:
         maxv = int(max_abs(R.values))
-        v, _ = integer_array(R.values, bound=32 * m * maxv * maxv)
+        v = exact_cast(R.values, 32 * m * maxv * maxv)
         q = v.transpose((3, 0, 1, 2))
         denom = R.denominator**2
     else:

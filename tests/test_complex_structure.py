@@ -280,6 +280,16 @@ class TestAgainstReference:
         assert got == outcome(conjugate_structure_reference, base.theta, q)
         assert got == (InvalidComplexStructure, "theta violates its invariants (skew deviation 0, square deviation 55)")
 
+    @pytest.mark.parametrize("mode", [RATIONAL, float_mode()])
+    def test_dimension_zero(self, mode):
+        # a 0 x 0 theta meets both invariants vacuously, but no tensor has m = 0
+        for build in (
+            lambda: standard_complex_structure(0, mode),
+            lambda: ComplexStructure(np.zeros((0, 0), dtype=object if mode.exact else float), mode),
+        ):
+            with pytest.raises(InvalidComplexStructure):
+                build()
+
     def test_odd_standard_structure(self):
         assert outcome(standard_complex_structure, 5) == (
             InvalidComplexStructure,

@@ -24,6 +24,7 @@ from actlab import (
 from actlab.scalars import (
     _eigensplit_float,
     complete_orthonormal_exact,
+    exact_cast,
     fraction_sqrt,
     integer_array,
     orthonormalize_exact,
@@ -270,17 +271,49 @@ class TestIntegerArray:
                 cases.append((big, d))
         for ints, d in cases:
             fracs = np.array([Fraction(v) for v in ints.reshape(-1).tolist()], dtype=object).reshape(ints.shape)
-            for bound in (None, 2**80):
-                (n, got_d), (want, want_d) = integer_array(ints, d, bound), integer_array(fracs, d, bound)
-                assert got_d == want_d and n.dtype == want.dtype and n.shape == want.shape
+            (n0, got_d), (want0, want_d) = integer_array(ints, d), integer_array(fracs, d)
+            assert got_d == want_d
+            for n, want in ((n0, want0), (exact_cast(n0, 2**80), exact_cast(want0, 2**80))):
+                assert n.dtype == want.dtype and n.shape == want.shape
                 assert n.reshape(-1).tolist() == want.reshape(-1).tolist()
                 assert all(type(v) is type(w) for v, w in zip(n.reshape(-1).tolist(), want.reshape(-1).tolist()))
         # a Fraction among the ints still clears its denominator
         n, d = integer_array(np.array([2**70, Fraction(1, 3)], dtype=object))
         assert n.tolist() == [3 * 2**70, 1] and d == 3
 
+    def test_exact_cast_keeps_int64_below_2_62(self):
+        nums = np.array([[3, -(2**40)], [0, 7]], dtype=np.int64)
+        for bound in (0, 2**53, 2**62 - 1):
+            got = exact_cast(nums, bound)
+            assert got.dtype == np.int64 and np.array_equal(got, nums)
+
+    def test_exact_cast_python_ints_from_2_62(self):
+        nums = np.array([[3, -(2**40)], [0, 7]], dtype=np.int64)
+        for bound in (2**62, 2**80):
+            got = exact_cast(nums, bound)
+            assert got.dtype == object and got.shape == nums.shape
+            assert got.tolist() == nums.tolist() and all(type(v) is int for v in got.reshape(-1).tolist())
+
+    def test_exact_cast_keeps_object_arrays(self):
+        nums = np.array([2**70, -3, 0], dtype=object)
+        for bound in (0, 1, 2**62 - 1, 2**62, 2**80):
+            got = exact_cast(nums, bound)
+            assert got.dtype == object and got.tolist() == [2**70, -3, 0]
+            assert all(type(v) is int for v in got.tolist())
+
+    def test_exact_cast_empty_and_zero_arrays(self):
+        for shape in ((0,), (3, 0), (2, 2, 2, 2)):
+            for dtype in (np.int64, object):
+                nums = np.zeros(shape, dtype=dtype)
+                for bound in (0, 2**62 - 1):
+                    got = exact_cast(nums, bound)
+                    assert got.dtype == dtype and got.shape == shape and not got.any()
+                got = exact_cast(nums, 2**62)
+                assert got.dtype == object and got.shape == shape and not got.any()
+                assert all(type(v) is int for v in got.reshape(-1).tolist())
+
     def test_int64_below_the_bound_python_ints_from_it(self):
         assert integer_array([2**62 - 1])[0].dtype == np.int64
         big, _ = integer_array([2**62, -3])
         assert big.dtype == object and all(type(v) is int for v in big)
-        assert integer_array([3], bound=2**62)[0].dtype == object
+        assert exact_cast(integer_array([3])[0], 2**62).dtype == object

@@ -11,6 +11,7 @@ from actlab import (
     RATIONAL,
     IncompatibleTensors,
     InvalidComplexStructure,
+    InvalidDimension,
     InvalidOperator,
     InvalidShape,
     apply,
@@ -31,7 +32,7 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
-from actlab.scalars import integer_array, max_abs
+from actlab.scalars import exact_cast, max_abs
 from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components
 
 from conftest import random_fraction
@@ -327,6 +328,33 @@ class TestMetricIngestion:
             from_metric_components(raw, np.diag([1.0, -1.0, 1.0]))
 
 
+class TestDimensionBelowTwo:
+    """Every constructor refuses m < 2, as ``load_tensor`` does, so every tensor built saves and loads again."""
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_form_of_dimension_one(self, mode):
+        with pytest.raises(InvalidDimension):
+            from_form([[2]], mode)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_direct_construction(self, m, mode):
+        with pytest.raises(InvalidDimension):
+            CurvatureTensor(m, np.zeros((m,) * 4, dtype=np.int64 if mode.exact else float), mode)
+
+    def test_every_constructor(self):
+        builds = [
+            lambda: r0(1, 1),
+            lambda: r0(0, 1, FLOAT),
+            lambda: random_act(1, 2, seed=0),
+            lambda: random_act(0, 2, seed=0, mode=FLOAT),
+            lambda: from_metric_components(np.ones((1, 1, 1, 1)), [[1.0]]),
+        ]
+        for build in builds:
+            with pytest.raises(InvalidDimension):
+                build()
+
+
 class TestConstructorValidation:
     def test_all_corpus_tensors_validate_exactly(self):
         from conftest import build_corpus
@@ -478,7 +506,7 @@ class TestExactStorage:
             g = _gauss_components(np.eye(m, dtype=np.int64))
             for c in (0, 1, Fraction(-5, 3), Fraction(2**70 + 1, 3)):
                 c = Fraction(c)
-                ref, _ = integer_array(g, bound=max(abs(c.numerator), 1))
+                ref = exact_cast(g, max(abs(c.numerator), 1))
                 R = r0(m, c)
                 assert R.values.dtype == ref.dtype == (object if c.numerator >= 2**62 else np.int64)
                 assert R.denominator == c.denominator
