@@ -200,10 +200,17 @@ def fraction_array(values, denominator: int) -> np.ndarray:
 
 
 def max_abs(a) -> Fraction | float:
-    """Sup norm of an array; the zero of the ambient scalar type if empty."""
+    """Sup norm of an array; the zero of the ambient scalar type if empty.
+
+    int64 and float64 arrays take the larger of |min| and |max|: two passes
+    and no |a| temporary, with the value, type and sign bit of
+    ``np.abs(a).max()`` (0.0 for -0.0, and NaN propagates).
+    """
     a = np.asarray(a)
     if a.size == 0:
         return Fraction(0) if a.dtype == object else 0.0
+    if a.dtype == np.int64 or a.dtype == np.float64:
+        return max(np.abs(a.max()), np.abs(a.min()))
     return np.abs(a).max()
 
 

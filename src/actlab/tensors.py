@@ -95,8 +95,7 @@ class CurvatureTensor:
     denominator: int = 1
 
     def __post_init__(self):
-        if self.m < 2:
-            raise InvalidDimension("curvature tensors need dimension m >= 2")
+        _require_dimension(self.m, 2, "curvature tensors")
         if self.mode.exact:
             values, self.denominator, self.max_value = integer_array_max(self.values, self.denominator)
         else:
@@ -126,6 +125,13 @@ class CurvatureTensor:
 
     def float_components(self) -> np.ndarray:
         return self.to_float().values
+
+
+def _require_dimension(m: int, least: int, what: str, error=InvalidDimension):
+    """Refuse m < least with ``error``: the one dimension check, which constructors
+    run before they allocate anything of size m."""
+    if m < least:
+        raise error(f"{what} need dimension m >= {least}")
 
 
 def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
@@ -204,7 +210,12 @@ def validate(raw, mode: ScalarMode) -> ValidationReport:
 
 def _gauss_components(phi: np.ndarray) -> np.ndarray:
     """R(x,y,z,w) = phi(x,w) phi(y,z) - phi(x,z) phi(y,w) from a symmetric form."""
-    o = np.multiply.outer(phi, phi)
+    return _antisymmetrised(np.multiply.outer(phi, phi))
+
+
+def _antisymmetrised(o: np.ndarray) -> np.ndarray:
+    """R[i,j,k,l] = o[i,l,j,k] - o[i,k,j,l]: the Gauss tensor of phi for o = phi (x) phi,
+    and, being linear in o, the sum of the Gauss tensors of the forms that o sums."""
     return o.transpose((0, 2, 3, 1)) - o.transpose((0, 2, 1, 3))
 
 
@@ -228,6 +239,7 @@ def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     when exact, else the float products 1.0 c, -1.0 c and 0.0 c that the
     Gauss tensor of the identity times c holds, signed zeros included.
     """
+    _require_dimension(m, 2, "curvature tensors")
     c = mode.scalar(c)
     plus, minus = _r0_pattern(m)
     if mode.exact:
@@ -267,8 +279,7 @@ class ComplexStructure:
         m = th.shape[0]
         if m % 2:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
-        if m == 0:
-            raise InvalidComplexStructure("complex structures need dimension m >= 2")
+        _require_dimension(m, 2, "complex structures", InvalidComplexStructure)
         # theta^2 = -I fixes the scale of theta, so both deviations compare at scale 1
         if self.mode.exact:
             n = exact_cast(th, m * int(max_abs(th)) ** 2 + t * t)
@@ -295,6 +306,7 @@ def standard_complex_structure(m: int, mode: ScalarMode = RATIONAL) -> ComplexSt
     """Block-diagonal structure sending e1 -> e2, e2 -> -e1, e3 -> e4, ..."""
     if m % 2:
         raise InvalidComplexStructure("complex structures exist only in even dimensions")
+    _require_dimension(m, 2, "complex structures", InvalidComplexStructure)
     th = np.zeros((m, m), dtype=np.int64 if mode.exact else float)
     even = np.arange(0, m, 2)
     th[even, even + 1] = -1
@@ -304,6 +316,7 @@ def standard_complex_structure(m: int, mode: ScalarMode = RATIONAL) -> ComplexSt
 
 def random_signed_permutation(m: int, seed: int, mode: ScalarMode = RATIONAL) -> np.ndarray:
     """Seeded orthogonal matrix with entries in {0, +-1}."""
+    _require_dimension(m, 0, "signed permutations")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     signs = rng.integers(0, 2, size=m) * 2 - 1
@@ -376,20 +389,25 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
 
     In rational mode each generator phi = a + a^T has integer entries in
     [-4, 4], so every Gauss tensor entry is at most 2 * 4^2 = 32 and the sum
-    of k of them at most 32 k, far below 2^62 for any k this loop can run
-    through.  So the sum accumulates in int64 with no big-int fallback and
-    is the tensor's numerator array, over denominator 1.
+    of k of them at most 32 k, far below 2^53 for any k a generator array
+    can hold.  So G = sum_k s_k phi_k (x) phi_k is one (m^2, k) x (k, m^2)
+    float64 product, exact as every integer below 2^53 is, and the sum is G
+    antisymmetrised once: the tensor's int64 numerator array, over
+    denominator 1.  The float sum keeps its generator-by-generator order,
+    which fixes its bits.
     """
     if k < 1:
         raise InvalidDimension("need at least one generator")
+    _require_dimension(m, 2, "curvature tensors")
     rng = np.random.default_rng(seed)
     if mode.exact:
-        total = np.zeros((m,) * 4, dtype=np.int64)
-        for _ in range(k):
+        forms, signs = np.empty((k, m * m)), np.empty(k)
+        for g in range(k):  # a, then its sign: the draws of one generator
             a = rng.integers(-2, 3, size=(m, m))
-            sign = int(rng.integers(0, 2) * 2 - 1)
-            total = total + _gauss_components(a + a.T) * sign
-        return CurvatureTensor(m, total, mode)
+            forms[g] = (a + a.T).reshape(-1)
+            signs[g] = rng.integers(0, 2) * 2 - 1
+        total = _antisymmetrised(((forms.T * signs) @ forms).reshape((m,) * 4))
+        return CurvatureTensor(m, total.astype(np.int64), mode)
     total = zeros((m,) * 4, mode)
     for _ in range(k):
         a = rng.standard_normal((m, m))

@@ -370,8 +370,7 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
     """
     m, v = P.m, P.values
     if P.mode.exact:
-        v = exact_cast(v, 5 * int(max_abs(v)))  # |L| <= 2 max|P| and |q L| <= 2 max|L|
-        small = lambda a: a == 0  # noqa: E731
+        v = exact_cast(v, 2 * int(max_abs(v)))  # |L| <= 2 max|P|; q L is compared with P, not subtracted
     else:
         zt = zero_tol if zero_tol is not None else P.mode.tol * P.max_coeff()
         small = lambda a: np.abs(a) <= zt  # noqa: E731
@@ -382,7 +381,8 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
     if not P.mode.exact:
         L[small(L)] = 0.0
     quotient = BilinearMatrixPoly(m, P.mode, L, P.denominator)
-    if not small(v - quotient.multiply_pairing().values).all():
+    product = quotient.multiply_pairing().values
+    if not ((v == product).all() if P.mode.exact else small(v - product).all()):
         return None
     return quotient
 
@@ -412,9 +412,9 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
     the pairs, and the generator state after the call, are those of n pairs
     drawn one row at a time.
     """
-    dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
     if exact:
         draw = lambda count: rng.integers(-span, span + 1, size=(count, m))  # noqa: E731
+        dot = lambda a, b: np.einsum("...i,...i", a, b)[..., None]  # noqa: E731
 
         def keep_x(a):  # rows as drawn, and which of them are nonzero
             return a, a.any(axis=-1)
@@ -423,6 +423,8 @@ def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int 
             return keep_x(dot(x, x) * v - dot(v, x) * x if orthogonal else v)
     else:
         draw = lambda count: rng.standard_normal((count, m))  # noqa: E731
+        # float rows keep this summation order, on which their bits depend
+        dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
 
         def keep_x(a):  # rows scaled to unit length, and which of them are long enough
             norm = np.sqrt(dot(a, a))
@@ -470,7 +472,11 @@ class _Contraction:
     mirrors the half J to the full one, so that J is exactly symmetric in
     both modes; ``sup_norms`` takes max|C| of each P = J(x) J(y), with
     C = P - P^T, which is J(x) J(y) - J(y) J(x) since both factors are
-    symmetric.  Both take any rows of the batch.
+    symmetric.  Both take any rows of the batch.  ``sup_norms`` reduces
+    axes 1 and 2 of P, so a batch axis may also come last, as in
+    ``_basis_raws``' grid P[a, r, c, K], where K innermost keeps both
+    operands of P - P^T contiguous; ``integers`` then turns the exact raws
+    of the float64 tier into int64 once per batch.
 
     Exact tiers rest on these bounds, over the whole batch.  With
     b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
@@ -520,19 +526,25 @@ class _Contraction:
         a = np.asarray(a, dtype=self.jdt)
         return self.widen((a[:, self.ri] * a[:, self.rj]) @ self.s)[:, self.full]
 
-    def sup_norms(self, p):
-        """max|P - P^T| over the last two axes of P: raw commutator norms, exact ones as integers.
-        C = P - P^T holds -c wherever it holds c, exactly in float64 too, so max C is max|C|."""
-        raws = (p - np.swapaxes(p, -1, -2)).max(axis=(-2, -1))
+    def sup_norms(self, p, out=None):
+        """max|P - P^T| over axes 1 and 2 of P, the matrix axes of P[p, r, c, ...]: raw commutator
+        norms on the P tier (into ``out`` when given).  C = P - P^T holds -c wherever it holds c,
+        exactly in float64 too, so max C is max|C|."""
+        return (p - p.swapaxes(1, 2)).max(axis=(1, 2), out=out)
+
+    def integers(self, raws):
+        """Raws as integers: exact raws of the float64 tier become int64, others stay as they are."""
         return raws.astype(np.int64) if self.exact and self.cdt == np.float64 else raws
 
     def slice_raws(self, xa, ya):
-        """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``."""
+        """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``,
+        exact raws as integers."""
         m = len(self.full)
         step = max(1, SLICE_ENTRIES // (m * m))
+        xa, ya = np.asarray(xa, dtype=self.jdt), np.asarray(ya, dtype=self.jdt)
         for start in range(0, len(xa), step):
             x, y = xa[start : start + step], ya[start : start + step]
-            yield start, self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y)))
+            yield start, self.integers(self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y))))
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -574,7 +586,9 @@ def _squared_norms(a):
     bound the sums run on Python ints.
     """
     if a.dtype == np.int64:
-        a = exact_cast(a, a.shape[1] * int(np.abs(a).max()) ** 2)
+        a = exact_cast(a, a.shape[1] * int(max_abs(a)) ** 2)
+        if a.dtype == np.int64:
+            return np.einsum("ij,ij->i", a, a)
     return (a * a).sum(axis=1)
 
 
@@ -588,26 +602,30 @@ def _largest(raws, nx, ny, scale):
     pair differently at another place in its slice (gemv for one row), so
     earliest-wins is exact for them only on integer-valued data.
     """
-    hits = np.flatnonzero(raws)
-    if not hits.size:
+    if not len(raws):
         return None
-    raws, nx, ny = raws[hits], nx[hits], ny[hits]
     if scale is None:
+        # a zero raw has ratio 0, below every nonzero one, and NaN wins as it does among the nonzero
         k = int(np.argmax(raws / (nx * ny)))
+        return None if not raws[k] else (k, _norm(raws[k], nx[k], ny[k], scale))
+    # the float ratio r rounds raw, nx, ny, their product and the quotient once
+    # each, so it is within a relative 5 eps of the exact ratio (first order), and
+    # r >= max r (1 - 2^-30) keeps every pair whose exact ratio ties or beats the
+    # largest, and no zero raw while one is nonzero; Python-int raws can pass the
+    # float range, so they keep every nonzero pair
+    if raws.dtype == object:
+        keep = np.flatnonzero(raws)
     else:
-        # the float ratio r rounds raw, nx, ny, their product and the quotient once
-        # each, so it is within a relative 5 eps of the exact ratio (first order), and
-        # r >= max r (1 - 2^-30) keeps every pair whose exact ratio ties or beats the
-        # largest; Python-int raws can pass the float range, so they keep every pair
-        keep = np.arange(len(raws))
-        if raws.dtype != object:
-            r = raws / (nx.astype(float) * ny.astype(float))
-            keep = np.flatnonzero(r >= r.max() * (1 - 2**-30))
-        k = None
-        for i, raw, a, b in zip(keep.tolist(), raws[keep].tolist(), nx[keep].tolist(), ny[keep].tolist()):
-            if k is None or raw * den > top * a * b:
-                k, top, den = i, raw, a * b
-    return int(hits[k]), _norm(raws[k], nx[k], ny[k], scale)
+        r = raws / (nx.astype(float) * ny.astype(float))
+        best = r.max()
+        if not best:
+            return None
+        keep = np.flatnonzero(r >= best * (1 - 2**-30))
+    k = None
+    for i, raw, a, b in zip(keep.tolist(), raws[keep].tolist(), nx[keep].tolist(), ny[keep].tolist()):
+        if k is None or raw * den > top * a * b:
+            k, top, den = i, raw, a * b
+    return None if k is None else (k, _norm(raws[k], nx[k], ny[k], scale))
 
 
 def _norm(raw, nx, ny, scale):
@@ -615,26 +633,36 @@ def _norm(raw, nx, ny, scale):
     return float(raw / (nx * ny)) if scale is None else Fraction(int(raw), scale * int(nx) * int(ny))
 
 
-def _violation_scan(R, xs, ys):
-    """The first violating pair, ``(p, Witness(xs[p], ys[p], norm))``, or None.
+def _first_violation(R, xs, ys, table=None):
+    """``(p, raw, scale)`` for the first violating pair, or None.
 
     A violator's commutator is nonzero, or above ``_float_threshold`` in
-    float mode.  One ``_Contraction`` serves the scan, in slices of at most
-    ``SLICE_ENTRIES / m^2`` pairs, so every (p, m, m) float64 temporary stays
-    at or below 128 KiB, where glibc serves it from the heap instead of a
-    fresh mmap.  The scan stops at the first slice with a hit, and only that
-    hit gets its |x|^2 |y|^2.
+    float mode.  One ``_Contraction`` (on ``table`` when the caller has it)
+    serves the scan, in slices of at most ``SLICE_ENTRIES / m^2`` pairs, so
+    every (p, m, m) float64 temporary stays at or below 128 KiB, where glibc
+    serves it from the heap instead of a fresh mmap.  The scan stops at the
+    first slice with a hit.  ``_decide``'s screen reads only whether it is None.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
-    contraction = _Contraction(R, xa, ya)
+    contraction = _Contraction(R, xa, ya, table)
     thr = _float_threshold(R)
     for start, raws in contraction.slice_raws(xa, ya):
         hits = np.flatnonzero(raws if thr is None else raws > thr)
         if hits.size:
-            p = start + int(hits[0])
-            nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
-            return p, Witness(xs[p], ys[p], _norm(raws[hits[0]], nx, ny, contraction.scale))
+            return start + int(hits[0]), raws[hits[0]], contraction.scale
     return None
+
+
+def _violation_scan(R, xs, ys):
+    """The first violating pair, ``(p, Witness(xs[p], ys[p], norm))``, or None: the
+    ``_first_violation``, and only that pair gets its |x|^2 |y|^2."""
+    found = _first_violation(R, xs, ys)
+    if found is None:
+        return None
+    p, raw, scale = found
+    xa, ya = np.asarray(xs), np.asarray(ys)
+    nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
+    return p, Witness(xs[p], ys[p], _norm(raw, nx, ny, scale))
 
 
 @lru_cache(maxsize=None)
@@ -686,13 +714,17 @@ def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
     J(e_a +- e_b) = (S_a + S_b) +- S_ab, added in the order in which a
     contraction adds them, since their products x_i x_j are 0 and +-1.  So
     with Y_K = S_b on the diagonal rows K = (b, b) and J(e_b + e_c) on the
-    others, the first two families are P = S_a Y_K: per slice, one GEMM of
-    a block of S_a stacked by rows against a block of Y_K laid side by side,
-    which computes the (a, K) pairs with a in K too.  The third family is
-    one batched product per slice, of its off-diagonal Y_K against
-    J(e_b - e_c).  The tiers are ``_Contraction``'s at |x|_1 = |y|_1 = 2, so
-    every exact raw is the integer a contraction of the pair gives, and each
-    slice temporary holds at most ``SLICE_ENTRIES`` entries.
+    others, the first two families are P = S_a Y_K, laid out with K
+    innermost: per slice, one GEMM of a block of S_a stacked by rows against
+    a block of Y_K with y[t, (c, K)] = Y_K[t, c], whose product is
+    P[a, r, c, K].  P - P^T then subtracts two operands whose inner axis K
+    is contiguous in both, and one reduction over (r, c) writes the raws of
+    the block into the (a, K) grid.  The grid computes the pairs with a in K
+    too, which no candidate reads.  The third family is one batched product
+    per slice, of its off-diagonal Y_K against J(e_b - e_c).  The tiers are
+    ``_Contraction``'s at |x|_1 = |y|_1 = 2, so every exact raw is the
+    integer a contraction of the pair gives, and each slice temporary holds
+    at most ``SLICE_ENTRIES`` entries.
     """
     m = R.m
     index, xs, ys = _basis_candidates(m)[:3]
@@ -702,23 +734,20 @@ def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
     per = max(1, SLICE_ENTRIES // (m * m))  # pairs per slice
     kb = min(n, per)
     ab = min(m, per // kb)
-    grid, last = [], []
+    grid, last = np.empty((m, n), dtype=k.cdt), []
     for k0 in range(0, n, kb):
         k1 = min(n, k0 + kb)
         mid = min(max(k0, m), k1)  # the rows from m on are the pairs b < c
         both = s[ri[mid:k1]] + s[rj[mid:k1]]
-        half = np.concatenate([s[k0:mid], both + s[mid:k1]])
-        y = k.widen(half)[np.arange(k1 - k0)[:, None], full[:, None]].reshape(m, -1)  # y[t, (K, c)] = Y_K[t, c]
-        rows = []
+        half = k.widen(np.concatenate([s[k0:mid], both + s[mid:k1]]))
+        y = half.T[full].reshape(m, -1)  # y[t, (c, K)] = Y_K[t, c]
         for a0 in range(0, m, ab):
-            x = k.widen(s[a0 : min(m, a0 + ab)])[:, full].reshape(-1, m)  # x[(a, r), t] = S_a[r, t]
-            rows.append(k.sup_norms((x @ y).reshape(-1, m, k1 - k0, m).transpose(0, 2, 1, 3)))
-        grid.append(np.concatenate(rows))
+            a1 = min(m, a0 + ab)
+            x = k.widen(s[a0:a1])[:, full].reshape(-1, m)  # x[(a, r), t] = S_a[r, t]
+            k.sup_norms((x @ y).reshape(a1 - a0, m, m, k1 - k0), out=grid[a0:a1, k0:k1])
         # (e_b + e_c, e_b - e_c): P = Y_K J(e_b - e_c), with J(e_b - e_c) = (S_b + S_c) - S_bc
-        plus = y.reshape(m, k1 - k0, m)[:, mid - k0 :].transpose(1, 0, 2)
-        last.append(k.sup_norms(np.matmul(plus, k.widen(both - s[mid:k1])[:, full])))
-    raws = np.concatenate([np.concatenate(grid, axis=1).reshape(-1), *last])
-    return raws[index]
+        last.append(k.sup_norms(np.matmul(half[mid - k0 :, full], k.widen(both - s[mid:k1])[:, full])))
+    return k.integers(np.concatenate([grid.reshape(-1), *last])[index])
 
 
 def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
@@ -731,7 +760,7 @@ def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
     return Witness(w.x.astype(kind), w.y.astype(kind), w.commutator_norm)
 
 
-def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
+def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool, table=None) -> Witness:
     """Find a violating pair; the polynomial certificate guarantees one exists.
 
     Each round scans seeded random pairs, and the first round scans the
@@ -743,9 +772,10 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     coefficients instead of sampled values, already proved failure.  Widens
     the sampling span if a round finds nothing; a degree-4 polynomial that
     is nonzero on the quadric cannot dodge random points indefinitely.
+    ``table`` is ``_jacobi_table(R)`` when the caller has built it.
     """
     _, cx, cy, bx, by = _basis_candidates(R.m)
-    table = _jacobi_table(R)
+    table = _jacobi_table(R) if table is None else table
     rng = np.random.default_rng(seed)
     for round_no in range(64):
         xs, ys = _sample_pairs(
@@ -871,8 +901,9 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     if R.is_zero():
         return TsankovVerdict(True, None, method), None
     R, e = _binary_scaled(R)
-    search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal), e)  # noqa: E731
-    if _violation_scan(R, *_screen_pairs(R.m, R.mode.exact, orthogonal)) is not None:
+    table = _jacobi_table(R)  # the screen's, and the search's after it
+    search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal, table), e)  # noqa: E731
+    if _first_violation(R, *_screen_pairs(R.m, R.mode.exact, orthogonal), table) is not None:
         return TsankovVerdict(False, search(), method), None
     if orthogonal:
         with suppress(ClassificationInconsistency):

@@ -27,6 +27,7 @@ from actlab.scalars import (
     exact_cast,
     fraction_sqrt,
     integer_array,
+    max_abs,
     orthonormalize_exact,
 )
 
@@ -205,6 +206,56 @@ class TestExactHelpers:
         for a in range(4):
             for b in range(4):
                 assert np.dot(frame[a], frame[b]) == (1 if a == b else 0)
+
+
+class TestMaxAbs:
+    """max_abs keeps the value, type and sign bit of ``np.abs(a).max()``."""
+
+    def same(self, got, want):
+        assert type(got) is type(want)
+        assert repr(got) == repr(want) and np.signbit(got) == np.signbit(want)
+
+    def test_int64_and_float64_match_the_abs_temporary(self):
+        rng = np.random.default_rng(3)
+        cases = [
+            rng.integers(-50, 50, size=(7, 5)),
+            np.array([-2**62, 5]),
+            np.array([0]),
+            np.array([-3, 2]),
+            rng.standard_normal((4, 4, 4)),
+            np.array([-0.0]),
+            np.array([-0.0, 0.0]),
+            np.array([0.0, -0.0] * 20),
+            np.full(33, -0.0),
+            np.array([2.0, -0.0, -7.5]),
+            np.array([np.inf, -np.inf]),
+            np.array([-np.inf, 1.0]),
+            np.array(-2.5),
+        ]
+        for a in cases:
+            self.same(max_abs(a), np.abs(a).max())
+        got = max_abs(np.full(5, -0.0))  # -0.0 becomes 0.0
+        assert got == 0.0 and not np.signbit(got)
+
+    def test_nan_propagates(self):
+        for a in ([1.0, np.nan, 2.0], [np.nan] * 40, [-np.nan, -3.0], [np.nan]):
+            got = max_abs(np.array(a))
+            assert type(got) is np.float64 and np.isnan(got) and not np.signbit(got)
+
+    def test_empty_arrays(self):
+        for a, zero in ((np.zeros(0), 0.0), (np.zeros((0, 3), dtype=np.int64), 0.0), (np.array([], dtype=object), Fraction(0))):
+            got = max_abs(a)
+            assert type(got) is type(zero) and got == zero
+
+    def test_object_arrays_take_the_abs_path(self):
+        a = np.array([Fraction(-7, 3), Fraction(2), Fraction(0)], dtype=object)
+        got = max_abs(a)
+        assert type(got) is Fraction and got == Fraction(7, 3)
+        big = np.array([-(2**80), 3, 2**79], dtype=object)
+        got = max_abs(big)
+        assert type(got) is int and got == 2**80
+        self.same(max_abs(np.array([-1.5, 1.0], dtype=np.float32)), np.abs(np.array([-1.5, 1.0], dtype=np.float32)).max())
+        self.same(max_abs([[-4, 2]]), np.abs(np.array([[-4, 2]])).max())
 
 
 class TestIntegerArray:

@@ -355,6 +355,39 @@ class TestDimensionBelowTwo:
                 build()
 
 
+class TestNegativeDimension:
+    """A negative m raises the actlab error that m = 0 raises, before anything of size m exists."""
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_tensor_constructors(self, mode):
+        for m in (-1, -2, 0, 1):
+            for build in (lambda: r0(m, 1, mode), lambda: random_act(m, 2, 0, mode)):
+                with pytest.raises(InvalidDimension, match=r"^curvature tensors need dimension m >= 2$"):
+                    build()
+        # the generator count is checked first, as it was
+        with pytest.raises(InvalidDimension, match="need at least one generator"):
+            random_act(-1, 0, 0, mode)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_complex_structure(self, mode):
+        for m in (-2, 0):
+            with pytest.raises(InvalidComplexStructure, match=r"^complex structures need dimension m >= 2$"):
+                standard_complex_structure(m, mode)
+        for m in (-1, 1):
+            with pytest.raises(InvalidComplexStructure, match=r"^complex structures exist only in even dimensions$"):
+                standard_complex_structure(m, mode)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_signed_permutation(self, mode):
+        with pytest.raises(InvalidDimension, match=r"^signed permutations need dimension m >= 0$"):
+            random_signed_permutation(-1, 0, mode)
+        empty = random_signed_permutation(0, 0, mode)
+        assert empty.shape == (0, 0) and empty.dtype == (object if mode.exact else float)
+        one = random_signed_permutation(1, 3, mode)
+        assert one.shape == (1, 1) and abs(one[0, 0]) == 1
+        assert type(one[0, 0]) is (Fraction if mode.exact else np.float64)
+
+
 class TestConstructorValidation:
     def test_all_corpus_tensors_validate_exactly(self):
         from conftest import build_corpus
@@ -454,6 +487,21 @@ class TestExactStorage:
         R = random_act(m, k, seed)
         assert R.values.dtype == np.int64
         assert_reduced_exact(R, ref)
+
+    def test_random_act_is_the_sum_of_its_generators(self):
+        # the one G = sum s_k phi_k (x) phi_k product against a sum of one Gauss tensor per generator
+        for m in range(2, 13):
+            for k in (1, 2, 3, 5):
+                for seed in (0, 1, 7):
+                    rng = np.random.default_rng(seed)
+                    total = np.zeros((m,) * 4, dtype=np.int64)
+                    for _ in range(k):
+                        a = rng.integers(-2, 3, size=(m, m))
+                        sign = int(rng.integers(0, 2) * 2 - 1)
+                        total = total + _gauss_components(a + a.T) * sign
+                    R = random_act(m, k, seed)
+                    assert R.values.dtype == np.int64 and R.denominator == 1
+                    assert np.array_equal(R.values, total)
 
     def test_combine_rational_coefficients_against_formula(self, rtheta4):
         a, b = Fraction(3, 4), Fraction(-5, 6)

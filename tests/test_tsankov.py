@@ -435,6 +435,19 @@ class TestDivisibility:
             assert L is not None
             assert L.multiply_pairing().entries == P.entries
 
+    def test_exact_check_holds_one_product_beside_p(self):
+        # q L is compared with P entry by entry, so besides P only the product and a
+        # boolean array are held: no difference array and no |P|
+        P = commutator_poly(r0(12, Fraction(-5, 3)))
+        divisible_by_pairing(P)  # fill the per-m caches first
+        tracemalloc.start()
+        try:
+            assert divisible_by_pairing(P) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * P.values.nbytes
+
     def test_malformed_key_rejected(self):
         with pytest.raises(InvalidPolynomial):
             BiQuadraticMatrixPoly.from_entries(3, RATIONAL, {(0, 1): {(1, 0, 0, 0): Fraction(1)}})
@@ -796,6 +809,23 @@ class TestHalfTableContraction:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+    def test_basis_raws_keep_slices_small(self):
+        # m=24: the whole (a, K) grid product would hold m^3 n = 4.1M entries; each slice
+        # temporary holds at most SLICE_ENTRIES, a handful of them are alive at once, and the
+        # one whole-table array is the int64 table's cast to the float64 J tier
+        R = combine([(Fraction(5, 7), random_act(24, 3, seed=5))])
+        table = _jacobi_table(R)
+        assert table.dtype == np.int64
+        _basis_raws(R, table)  # fill the per-m caches first
+        tracemalloc.start()
+        try:
+            _basis_raws(R, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 8 * tsankov.SLICE_ENTRIES * 8
 
 
 def basis_contraction_raws(R):
