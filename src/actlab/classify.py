@@ -26,6 +26,7 @@ from .errors import DegenerateInput, UnsupportedDimension
 from .jacobi import _projector_scale, _range_orthonormal, jacobi, recover_complex_structure
 from .scalars import (
     _eigensplit_float,
+    float_array,
     max_abs,
     negligible,
     orthocomplement_basis,
@@ -158,7 +159,7 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
     jacobis = [jacobi(R, x) for x in xs]
     for j in jacobis:
         if mode.exact:
-            r, vals = rank_with_mode(j, mode), np.linalg.eigvalsh(j.astype(float))
+            r, vals = rank_with_mode(j, mode), np.linalg.eigvalsh(float_array(j))
         else:  # the rank and the spectrum of one split
             vals, _, keep = _eigensplit_float(j, mode)
             r = int(np.count_nonzero(keep))

@@ -25,7 +25,7 @@ from .classify import classify, osserman_check, structure_report
 from .errors import ActError, FormatError
 from .io import MAX_M, _load_doc, _parse_value, load_tensor, save_tensor, tensor_from_doc
 from .jacobi import jacobi
-from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, zeros
+from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_array, float_mode, zeros
 from .tensors import combine, from_form, r0, r_theta, random_act, standard_complex_structure
 from .tsankov import tsankov_test
 
@@ -112,8 +112,7 @@ def _cmd_jacobi(args, tol):
     j = jacobi(tensor, x)
     for i in range(tensor.m):
         print(f"jacobi_row_{i}={format_vector(j[i, :])}")
-    jf = j.astype(float)
-    spectrum = np.linalg.eigvalsh(jf)
+    spectrum = np.linalg.eigvalsh(float_array(j))
     print(f"spectrum={format_vector(spectrum)}")
     return 0
 

@@ -30,7 +30,8 @@ class IncompatibleTensors(ActError):
 
 
 class DegenerateInput(ActError):
-    """Linearly dependent vectors, zero vectors, or similar degeneracies."""
+    """Linearly dependent vectors, zero vectors, values outside the float range (a NaN or
+    infinite float entry, an exact value too large for a float), or similar degeneracies."""
 
 
 class InvalidPolynomial(ActError):

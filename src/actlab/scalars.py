@@ -199,6 +199,16 @@ def fraction_array(values, denominator: int) -> np.ndarray:
     return np.array(flat, dtype=object).reshape(np.shape(values))
 
 
+def float_array(values, denominator: int = 1) -> np.ndarray:
+    """The float64 array ``values / denominator`` of exact values, each entry rounded once as
+    ``float(Fraction)`` rounds it; ``DegenerateInput`` when an entry passes the float range."""
+    a = np.asarray(values)
+    try:
+        return np.array([v / denominator for v in a.ravel().tolist()], dtype=float).reshape(a.shape)
+    except OverflowError as exc:
+        raise DegenerateInput(f"an exact value passes the float range ({exc})") from None
+
+
 def max_abs(a) -> Fraction | float:
     """Sup norm of an array; the zero of the ambient scalar type if empty.
 

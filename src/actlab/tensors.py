@@ -27,6 +27,7 @@ from math import lcm, prod
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     IncompatibleTensors,
     InvalidComplexStructure,
     InvalidDimension,
@@ -37,6 +38,7 @@ from .scalars import (
     RATIONAL,
     ScalarMode,
     exact_cast,
+    float_array,
     float_mode,
     fraction_array,
     integer_array,
@@ -96,11 +98,15 @@ class CurvatureTensor:
 
     def __post_init__(self):
         _require_dimension(self.m, 2, "curvature tensors")
+        values = np.asarray(self.values)
+        if values.shape != (self.m,) * 4:
+            raise InvalidShape(f"an m = {self.m} tensor needs shape {(self.m,) * 4}, got {values.shape}")
         if self.mode.exact:
-            values, self.denominator, self.max_value = integer_array_max(self.values, self.denominator)
+            values, self.denominator, self.max_value = integer_array_max(values, self.denominator)
         else:
-            values = np.asarray(self.values)
             self.max_value = max_abs(values)
+            if not self.max_value < np.inf:  # NaN propagates through max_abs
+                raise DegenerateInput(f"float tensor values must be finite, got max |R| = {self.max_value}")
         self.values = values.view()
         self.values.flags.writeable = False
 
@@ -118,10 +124,7 @@ class CurvatureTensor:
     def to_float(self) -> "CurvatureTensor":
         if not self.mode.exact:
             return self
-        # int / int rounds correctly at any size, as float(Fraction) does
-        d = self.denominator
-        comps = np.array([n / d for n in self.values.ravel().tolist()]).reshape(self.values.shape)
-        return CurvatureTensor(self.m, comps, float_mode(self.mode.tol))
+        return CurvatureTensor(self.m, float_array(self.values, self.denominator), float_mode(self.mode.tol))
 
     def float_components(self) -> np.ndarray:
         return self.to_float().values
@@ -267,15 +270,16 @@ class ComplexStructure:
     """
 
     def __init__(self, theta, mode: ScalarMode | None = None, denominator: int = 1):
-        self.mode = mode if mode is not None else mode_of(np.asarray(theta))
+        theta = np.asarray(theta)
+        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+            raise InvalidComplexStructure(f"theta must be square, got shape {theta.shape}")
+        self.mode = mode if mode is not None else mode_of(theta)
         if self.mode.exact:
             th, t = integer_array(theta, denominator)
         elif denominator != 1:
             raise InvalidComplexStructure(f"float complex structures take no denominator, got {denominator}")
         else:
             th, t = matrix(theta, self.mode), 1
-        if th.ndim != 2 or th.shape[0] != th.shape[1]:
-            raise InvalidComplexStructure(f"theta must be square, got shape {th.shape}")
         m = th.shape[0]
         if m % 2:
             raise InvalidComplexStructure("complex structures exist only in even dimensions")
@@ -332,6 +336,8 @@ def conjugate_structure(cs: ComplexStructure, q: np.ndarray) -> ComplexStructure
     Exact q = Q / s conjugates the numerators, Q T Q^T over s^2 t, whose
     entries are at most m^2 max|Q|^2 max|T|.
     """
+    if np.shape(q) != (cs.m, cs.m):
+        raise IncompatibleTensors("rotation matrix does not match the structure dimension")
     if not cs.mode.exact:
         q = matrix(q, cs.mode)
         return ComplexStructure(np.dot(np.dot(q, cs.values), q.T), cs.mode)

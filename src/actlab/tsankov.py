@@ -44,8 +44,8 @@ float witness search reports its largest nonzero sampled commutator, below
 the threshold too.
 
 A seeded sampling mode cross-checks the decision and supplies witness
-pairs for failures.  Pairs are drawn a batch at a time, with one generator
-call for all rows, and formed as whole arrays in both modes.  A scan
+pairs for failures.  Pairs are drawn in blocks, one generator call for
+the pairs still missing, and formed as whole arrays in both modes.  A scan
 contracts on the symmetric half of J (``_Contraction``): the products
 x_i x_j, i <= j, times the n x n coefficient table, n = m(m+1)/2, that
 ``commutator_poly`` expands too (``_jacobi_table``), mirrored to the full
@@ -395,70 +395,44 @@ def divisible_by_pairing(P: BiQuadraticMatrixPoly, zero_tol=None) -> BilinearMat
 def _sample_pairs(rng, m: int, n: int, exact: bool, orthogonal: bool, span: int = 4):
     """n deterministic (x, y) pairs as two (n, m) arrays, orthogonal exactly when requested.
 
-    One pair takes rows from ``rng`` by one rule: draw x until it is
-    nonzero, then draw v until y is nonzero, where y is v, or v projected
-    off x when ``orthogonal``.  Exact pairs are int64 with
+    The pairs are drawn in blocks.  A block takes, in one generator call,
+    2k rows for the k pairs still missing and pairs row 2i (x) with row
+    2i + 1 (v); y is v, or v projected off x when ``orthogonal``.  It keeps,
+    in order, the pairs whose x and y are nonzero, and the next block
+    replaces the pairs it drops.  Exact pairs are int64 with
     y = <x,x> v - <v,x> x, so their entries are at most 2 m span^3; float
     pairs are unit vectors, and a float row counts as zero when its norm is
     at most 1e-8.
-
-    One k-row generator call yields the same stream as k one-row calls, so
-    the rows are drawn in blocks and the pairs formed as whole arrays.  The
-    pairs before the first rejected row are kept.  A rejected x row is
-    skipped; for a rejected y row, ``keep_y`` runs on all later rows at once
-    and the first it accepts completes the pair.  Pairing then resumes on the
-    rows after it.  A block is only ever as long as the fewest rows the rule
-    still reads (two per missing pair, one less while x waits for its y), so
-    the pairs, and the generator state after the call, are those of n pairs
-    drawn one row at a time.
     """
     if exact:
         draw = lambda count: rng.integers(-span, span + 1, size=(count, m))  # noqa: E731
         dot = lambda a, b: np.einsum("...i,...i", a, b)[..., None]  # noqa: E731
-
-        def keep_x(a):  # rows as drawn, and which of them are nonzero
-            return a, a.any(axis=-1)
-
-        def keep_y(x, v):
-            return keep_x(dot(x, x) * v - dot(v, x) * x if orthogonal else v)
+        project = lambda v, x: dot(x, x) * v - dot(v, x) * x  # noqa: E731
+        unit = lambda a: (a, a.any(axis=-1))  # noqa: E731
     else:
         draw = lambda count: rng.standard_normal((count, m))  # noqa: E731
         # float rows keep this summation order, on which their bits depend
         dot = lambda a, b: (a * b).sum(axis=-1, keepdims=True)  # noqa: E731
+        project = lambda v, x: v - dot(v, x) * x  # noqa: E731
 
-        def keep_x(a):  # rows scaled to unit length, and which of them are long enough
+        def unit(a):  # rows scaled to unit length, and which of them are long enough
             norm = np.sqrt(dot(a, a))
             long = norm > 1e-8
             return a / np.where(long, norm, 1.0), long[..., 0]
 
-        def keep_y(x, v):
-            return keep_x(v - dot(v, x) * x if orthogonal else v)
-
-    rows, xs, ys = draw(2 * n), [], []
+    xs, ys = [], []
     while True:
-        if len(rows) < 2 * n:  # the rule reads at least two rows for each missing pair
-            rows = np.concatenate([rows, draw(2 * n - len(rows))])
-        px, kx = keep_x(rows[0::2])
-        py, ky = keep_y(px, rows[1::2])
-        ok = kx & ky
-        bad = n if ok.all() else int(ok.argmin())
-        xs.append(px[:bad])
-        ys.append(py[:bad])
-        n -= bad
+        rows = draw(2 * n)
+        x, kx = unit(rows[0::2])
+        y, ky = unit(project(rows[1::2], x) if orthogonal else rows[1::2])
+        keep = kx & ky
+        if not xs and keep.all():  # all kept: the first block's arrays, with no mask copies
+            return x, y
+        xs.append(x[keep])
+        ys.append(y[keep])
+        n -= int(keep.sum())
         if not n:
-            return (np.concatenate(xs), np.concatenate(ys)) if len(xs) > 1 else (px, py)
-        if not kx[bad]:  # skip the rejected x row
-            rows = rows[2 * bad + 1 :]
-            continue
-        x, rows = px[bad], rows[2 * bad + 2 :]
-        y, ky = keep_y(x, rows)
-        while not ky.any():  # all rejected: x waits for its y on at least 2n - 1 more rows
-            rows = draw(2 * n - 1)
-            y, ky = keep_y(x, rows)
-        at = int(ky.argmax())
-        xs.append(x[None])
-        ys.append(y[at : at + 1])
-        rows, n = rows[at + 1 :], n - 1
+            return np.concatenate(xs), np.concatenate(ys)
 
 
 class _Contraction:

@@ -211,6 +211,19 @@ class TestCliCommands:
         assert captured.err.startswith("error: FormatError: ") and captured.err.count("\n") == 1
         assert captured.out == ""  # no key=value lines before the failing value
 
+    @pytest.mark.parametrize("command", [["jacobi", "--x", "1,0,0"], ["report"], ["osserman"]])
+    def test_values_past_the_float_range_are_degenerate_input(self, tmp_path, capsys, command):
+        # the file is legal and decides exactly, but its float spectra cannot hold 1e400
+        out = str(tmp_path / "t.json")
+        assert main(["gen", "--type", "r0", "--m", "3", "--c", "1e400", "-o", out]) == 0
+        capsys.readouterr()
+        assert main([command[0], out, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: DegenerateInput: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert main(["classify", out]) == 0
+        assert "residual=0" in capsys.readouterr().out.splitlines()
+
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         main(["gen", "--type", "random", "--m", "3", "--seed", "5", "-o", out])

@@ -17,6 +17,7 @@ import pytest
 from actlab import (
     RATIONAL,
     ClassificationInconsistency,
+    IncompatibleTensors,
     InvalidComplexStructure,
     NotRankOne,
     UnsupportedDimension,
@@ -279,6 +280,21 @@ class TestAgainstReference:
         got = outcome(conjugate_structure, base, q)
         assert got == outcome(conjugate_structure_reference, base.theta, q)
         assert got == (InvalidComplexStructure, "theta violates its invariants (skew deviation 0, square deviation 55)")
+
+    @pytest.mark.parametrize("mode", [RATIONAL, float_mode()])
+    def test_shapes_are_checked_before_the_entries(self, mode):
+        # a float vector used to reach numpy's TypeError, and a q of the wrong size
+        # numpy's ValueError, in both modes
+        kind = object if mode.exact else float
+        for theta in (np.array([1, 2], dtype=kind), np.array([1.0, 2.0])):
+            assert outcome(ComplexStructure, theta, mode) == (
+                InvalidComplexStructure, "theta must be square, got shape (2,)"
+            )
+        base = standard_complex_structure(4, mode)
+        for q in (np.eye(2, dtype=kind), np.eye(5), [[1, 0], [0, 1]]):
+            assert outcome(conjugate_structure, base, q) == (
+                IncompatibleTensors, "rotation matrix does not match the structure dimension"
+            )
 
     @pytest.mark.parametrize("mode", [RATIONAL, float_mode()])
     def test_dimension_zero(self, mode):

@@ -9,6 +9,7 @@ import pytest
 from actlab import (
     FLOAT,
     RATIONAL,
+    DegenerateInput,
     IncompatibleTensors,
     InvalidComplexStructure,
     InvalidDimension,
@@ -32,7 +33,7 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
-from actlab.scalars import exact_cast, max_abs
+from actlab.scalars import exact_cast, float_array, max_abs
 from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components
 
 from conftest import random_fraction
@@ -617,3 +618,32 @@ class TestOwnedValues:
         for a, mode in ((np.zeros((3,) * 4, dtype=np.int64), RATIONAL), (np.zeros((3,) * 4), FLOAT)):
             CurvatureTensor(3, a, mode)
             a[0, 1, 1, 0] = 1
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3), (3, 3, 3, 3, 1)])
+    def test_values_of_the_wrong_shape(self, mode, shape):
+        # a (2,)^4 array at m = 3 used to construct, then fail inside tsankov_test
+        # with numpy's IndexError
+        with pytest.raises(InvalidShape, match=r"m = 3 tensor needs shape \(3, 3, 3, 3\)"):
+            CurvatureTensor(3, np.zeros(shape, dtype=np.int64 if mode.exact else float), mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float_values_must_be_finite(self, bad):
+        # NaN entries used to be decided: holds=false with comm_norm=nan
+        v = r0(3, 1, FLOAT).values.copy()
+        v[0, 1, 1, 0] = bad
+        with pytest.raises(DegenerateInput, match="must be finite"):
+            CurvatureTensor(3, v, FLOAT)
+
+    def test_exact_values_past_the_float_range(self):
+        R = r0(3, 10**400)
+        for convert in (R.to_float, lambda: validate(R, FLOAT), lambda: float_array(R.components)):
+            with pytest.raises(DegenerateInput, match="passes the float range"):
+                convert()
+        big = np.array([Fraction(10**400, 3), 1], dtype=object)
+        with pytest.raises(DegenerateInput):
+            float_array(big)
+        assert float_array(big[::-1] / 10**100).tolist() == [1e-100, float(Fraction(10**300, 3))]
+        assert float_array(np.arange(4).reshape(2, 2), 3).tolist() == [[0.0, 1 / 3], [2 / 3, 1.0]]

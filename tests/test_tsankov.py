@@ -217,7 +217,9 @@ def largest_reference(R, xs, ys):
 
 
 def sample_pair_reference(rng, m, exact, orthogonal, span=4):
-    """Reference for _sample_pairs: one (x, y) pair, drawn row by row."""
+    """The one-row rule that _sample_pairs followed before its block rule: one (x, y) pair,
+    drawing x until it is nonzero, then v until y is nonzero.  The block rule gives the
+    same pairs whenever this rule rejects no row."""
     if exact:
         while True:
             x = rng.integers(-span, span + 1, size=m)
@@ -242,15 +244,69 @@ def sample_pair_reference(rng, m, exact, orthogonal, span=4):
             return x, y / ny
 
 
+def block_pairs_reference(rng, m, n, exact, orthogonal, span=4, blocks=None):
+    """Reference for _sample_pairs' block rule, one row at a time: a block reads the rows
+    x, v of each of the k pairs still missing, and keeps, in order, those whose x and y
+    are nonzero.  Appends each block's k to ``blocks`` when given."""
+    pairs = []
+    while len(pairs) < n:
+        block = []
+        if blocks is not None:
+            blocks.append(n - len(pairs))
+        for _ in range(n - len(pairs)):
+            if exact:
+                x, v = (rng.integers(-span, span + 1, size=m) for _ in range(2))
+                y = int(x @ x) * v - int(v @ x) * x if orthogonal else v
+                if x.any() and y.any():
+                    block.append((x, y))
+                continue
+            x, v = (rng.standard_normal(m) for _ in range(2))
+            nx = np.sqrt((x * x).sum())  # the rule's own sums, so float pairs keep their bits
+            if nx > 1e-8:
+                x = x / nx
+                y = v - (v * x).sum() * x if orthogonal else v
+                ny = np.sqrt((y * y).sum())
+                if ny > 1e-8:
+                    block.append((x, y / ny))
+        pairs += block
+    return pairs
+
+
+def assert_pairs(xs, ys, pairs, exact, orthogonal):
+    """_sample_pairs' arrays against a reference's pairs: the same bytes for exact pairs,
+    exactly orthogonal when asked, and unit vectors within a few ulps of the reference's
+    for float pairs."""
+    rx, ry = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    assert xs.dtype == ys.dtype == (np.int64 if exact else float)
+    if exact:
+        assert xs.tobytes() == rx.tobytes() and ys.tobytes() == ry.tobytes()
+        assert not orthogonal or not (xs * ys).sum(axis=1).any()
+        return
+    eps = np.finfo(float).eps
+    assert np.abs(xs - rx).max() <= 8 * eps and np.abs(ys - ry).max() <= 8 * eps
+    norms = np.sqrt(np.concatenate([(xs * xs).sum(axis=1), (ys * ys).sum(axis=1)]))
+    assert np.abs(norms - 1).max() <= 4 * eps
+
+
 class RowCounter:
-    """A seeded Generator that counts the rows drawn through ``integers``."""
+    """A seeded Generator that counts the rows drawn through ``integers`` and
+    ``standard_normal``: in all (``rows``) and in each call (``calls``)."""
 
     def __init__(self, seed):
-        self.rng, self.rows = np.random.default_rng(seed), 0
+        self.rng, self.rows, self.calls = np.random.default_rng(seed), 0, []
+
+    def _count(self, size):
+        rows = int(np.prod(size)) // np.atleast_1d(size)[-1]  # size is m, (m,) or (k, m)
+        self.rows += rows
+        self.calls.append(rows)
 
     def integers(self, low, high, size):
-        self.rows += int(np.prod(size)) // np.atleast_1d(size)[-1]  # size is m, (m,) or (k, m)
+        self._count(size)
         return self.rng.integers(low, high, size=size)
+
+    def standard_normal(self, size):
+        self._count(size)
+        return self.rng.standard_normal(size)
 
 
 class PlannedRows:
@@ -536,28 +592,42 @@ class TestWitnessSearchKernels:
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("orthogonal", [True, False])
     def test_sample_pairs_match_the_one_pair_rule(self, exact, orthogonal):
-        # exact pairs are the rule's own bytes; float pairs are normalised and
-        # projected as whole arrays, so they agree with it up to rounding
-        eps = np.finfo(float).eps
-        for m in range(2, 9):
+        # the block rule reads the rows of the one-row rule, two per pair, and so gives
+        # its pairs and generator state whenever that rule rejects no row
+        same = rejecting = 0
+        for m in range(2, 17):
             for span in (4, 130):
-                for seed in range(6):
-                    batch, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                    xs, ys = _sample_pairs(batch, m, 8, exact, orthogonal, span=span)
-                    pairs = [sample_pair_reference(ref, m, exact, orthogonal, span) for _ in range(8)]
-                    rx, ry = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
-                    assert xs.dtype == ys.dtype == (np.int64 if exact else float)
-                    if exact:
-                        assert xs.tobytes() == rx.tobytes()
-                        assert ys.tobytes() == ry.tobytes()
-                    else:
-                        assert np.abs(xs - rx).max() <= 8 * eps and np.abs(ys - ry).max() <= 8 * eps
-                        norms = np.sqrt(np.concatenate([(xs * xs).sum(axis=1), (ys * ys).sum(axis=1)]))
-                        assert np.abs(norms - 1).max() <= 4 * eps
-                        if orthogonal:
-                            # the rule itself reaches about 100 ulps where v is nearly parallel to x
-                            assert np.abs((xs * ys).sum(axis=1)).max() <= 512 * eps
-                    assert batch.integers(2**62) == ref.integers(2**62)
+                for n in (8, 200) if exact else (8,):
+                    for seed in range(6 if exact else 12):
+                        batch, ref = RowCounter(seed), RowCounter(seed)
+                        xs, ys = _sample_pairs(batch, m, n, exact, orthogonal, span=span)
+                        pairs = [sample_pair_reference(ref, m, exact, orthogonal, span) for _ in range(n)]
+                        if ref.rows > 2 * n:  # the one-row rule rejected a row
+                            assert exact and m <= 5
+                            rejecting += 1
+                            continue
+                        assert_pairs(xs, ys, pairs, exact, orthogonal)
+                        if orthogonal and not exact:
+                            # the rule reaches about 100 ulps where v is nearly parallel to x
+                            assert np.abs((xs * ys).sum(axis=1)).max() <= 512 * np.finfo(float).eps
+                        assert batch.rows == 2 * n
+                        assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
+                        same += 1
+        assert same >= 300 and rejecting >= (10 if exact else 0)  # of 360 calls
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_sample_pairs_follow_the_block_rule(self, exact, orthogonal):
+        for m in range(2, 17):
+            for span in (4, 130):
+                for n in (1, 8, 200):
+                    for seed in range(3):
+                        batch, ref, blocks = RowCounter(seed), RowCounter(seed), []
+                        xs, ys = _sample_pairs(batch, m, n, exact, orthogonal, span=span)
+                        assert_pairs(xs, ys, block_pairs_reference(ref, m, n, exact, orthogonal, span, blocks),
+                                     exact, orthogonal)
+                        assert batch.calls == [2 * k for k in blocks] and ref.rows == batch.rows
+                        assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_sample_pairs_walk_past_rejected_rows(self):
         # at m=2 a row v parallel to x gives y = 0; each seed draws such a row,
@@ -567,18 +637,17 @@ class TestWitnessSearchKernels:
             x, v = rows[0::2], rows[1::2]
             y = (x * x).sum(axis=1, keepdims=True) * v - (v * x).sum(axis=1, keepdims=True) * x
             assert x.any(axis=1).all() != x_rejected and not y.any(axis=1).all()
-            batch, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch, ref = RowCounter(seed), RowCounter(seed)
             xs, ys = _sample_pairs(batch, 2, 8, True, True)
-            pairs = [sample_pair_reference(ref, 2, True, True) for _ in range(8)]
-            assert xs.tolist() == [x.tolist() for x, _ in pairs]
-            assert ys.tolist() == [y.tolist() for _, y in pairs]
-            assert (ys != 0).any(axis=1).all() and ((xs * ys).sum(axis=1) == 0).all()
-            assert batch.integers(2**62) == ref.integers(2**62)
+            assert_pairs(xs, ys, block_pairs_reference(ref, 2, 8, True, True), True, True)
+            assert (ys != 0).any(axis=1).all()
+            assert batch.rows == ref.rows > 16 and len(batch.calls) > 1
+            assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7])
     def test_one_block_draw_is_the_stream_of_one_row_draws(self, m):
-        # _sample_pairs draws its rows in blocks and replays the one-row rule on
-        # them; odd m leaves half a 64-bit word buffered between integer draws
+        # _sample_pairs draws its rows in blocks, and the references draw them one
+        # row at a time; odd m leaves half a 64-bit word buffered between integer draws
         for seed in range(3):
             for span in (1, 4, 130):
                 block, single = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -594,55 +663,53 @@ class TestWitnessSearchKernels:
             assert block.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize("orthogonal", [True, False])
-    def test_sample_pairs_resume_after_rejected_rows(self, orthogonal):
+    def test_sample_pairs_redraw_dropped_pairs(self, orthogonal):
         # at m 2-3 and span 1-2 zero rows, and for orthogonal pairs rows v
-        # parallel to x, are common, so most calls reject rows and read past
-        # their first block of 2n rows
+        # parallel to x, are common, so most calls drop pairs from their first
+        # block of 2n rows and draw more blocks, each of 2k rows for k missing pairs
         rejecting = several = 0
         for m in (2, 3):
             for span in (1, 2):
                 for n in (1, 2, 5, 31, 200):
                     for seed in range(4):
-                        batch, ref = RowCounter(seed), RowCounter(seed)
+                        batch, ref, blocks = RowCounter(seed), RowCounter(seed), []
                         xs, ys = _sample_pairs(batch, m, n, True, orthogonal, span=span)
-                        pairs = [sample_pair_reference(ref, m, True, orthogonal, span) for _ in range(n)]
-                        assert xs.dtype == ys.dtype == np.int64
-                        assert xs.tobytes() == np.array([x for x, _ in pairs]).tobytes()
-                        assert ys.tobytes() == np.array([y for _, y in pairs]).tobytes()
+                        pairs = block_pairs_reference(ref, m, n, True, orthogonal, span, blocks)
+                        assert_pairs(xs, ys, pairs, True, orthogonal)
+                        assert batch.calls == [2 * k for k in blocks] and blocks[0] == n
                         assert batch.rows == ref.rows
                         assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
-                        rejecting += ref.rows > 2 * n
-                        several += ref.rows > 2 * n + 2
-        assert rejecting >= 40 and several >= 20  # of 80 calls
+                        rejecting += len(blocks) > 1
+                        several += len(blocks) > 2
+        assert rejecting >= 40 and several >= 15  # of 80 calls
 
     @pytest.mark.parametrize("orthogonal", [True, False])
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_sample_pairs_reject_planned_float_rows(self, m, orthogonal):
-        # real float draws essentially never reject, so plan the rows: before
-        # each x some zero rows, and between x and v some zero rows, and rows
-        # parallel to x when the pairs are orthogonal
-        eps = np.finfo(float).eps
+        # real float draws essentially never reject, so plan the rows (x, v) of each
+        # pair: before each kept pair some pairs whose x is zero, or whose v is zero
+        # or, when the pairs are orthogonal, parallel to x.  The blocks then keep the
+        # planned pairs in order and read the plan to its end, and no further.
         rng = np.random.default_rng(m)
         for trial in range(6):
             n = (1, 2, 3, 8, 8, 20)[trial]
-            plan, used = [], []
+            plan, kept = [], []
             for _ in range(n):
-                plan += [np.zeros(m)] * int(rng.integers(0, 3))
-                x = rng.standard_normal(m)
-                plan.append(x)
-                for _ in range(int(rng.integers(0, 4))):
-                    parallel = orthogonal and rng.random() < 0.6
-                    plan.append(x * rng.uniform(0.5, 3) * rng.choice([-1, 1]) if parallel else np.zeros(m))
-                plan.append(rng.standard_normal(m))
-                used.append((x, plan[-1]))
+                for _ in range(int(rng.integers(0, 4)) if trial else 0):
+                    x = rng.standard_normal(m)
+                    if rng.random() < 0.4:
+                        plan += [np.zeros(m), rng.standard_normal(m)]
+                    elif orthogonal and rng.random() < 0.6:
+                        plan += [x, x * rng.uniform(0.5, 3) * rng.choice([-1, 1])]
+                    else:
+                        plan += [x, np.zeros(m)]
+                plan += [rng.standard_normal(m), rng.standard_normal(m)]
+                kept.append(plan[-2] / np.linalg.norm(plan[-2]))
             batch, ref = PlannedRows(plan, trial), PlannedRows(plan, trial)
             xs, ys = _sample_pairs(batch, m, n, False, orthogonal)
-            pairs = [sample_pair_reference(ref, m, False, orthogonal) for _ in range(n)]
+            assert_pairs(xs, ys, block_pairs_reference(ref, m, n, False, orthogonal), False, orthogonal)
             assert batch.read == ref.read == len(plan)
-            rx, ry = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
-            assert np.abs(xs - rx).max() <= 8 * eps and np.abs(ys - ry).max() <= 8 * eps
-            for (x, v), px in zip(used, xs):
-                assert np.abs(px - x / np.linalg.norm(x)).max() <= 8 * eps
+            assert np.abs(xs - np.array(kept)).max() <= 8 * np.finfo(float).eps
             assert len(plan) > 2 * n or trial == 0
 
     def test_float64_tier_near_the_bound_matches_bigint(self, monkeypatch):
