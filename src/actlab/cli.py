@@ -177,6 +177,17 @@ def _cmd_report(args, tol):
     return 0
 
 
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: a non-negative integer, else a usage error (exit 2)."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {raw!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actlab",
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--c", default="1", help="curvature scale (combo: the r0 coefficient)")
     gen.add_argument("--c2", default="1", help="combo only: the rtheta coefficient")
     gen.add_argument("--k", type=int, default=3, help="random only: number of generators")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--phi", help="gauss only: JSON file with the symmetric form")
     gen.add_argument("--diag", help="gauss only: comma-separated diagonal")
     gen.add_argument("--mode", choices=["rational", "float"], default="rational")
@@ -211,24 +222,24 @@ def build_parser() -> argparse.ArgumentParser:
     tsk.add_argument("file")
     tsk.add_argument("--method", choices=["exact", "sampled"], default="exact")
     tsk.add_argument("--samples", type=int, default=200)
-    tsk.add_argument("--seed", type=int, default=0)
+    tsk.add_argument("--seed", type=_seed, default=0)
     tsk.set_defaults(func=_cmd_tsankov)
 
     cls = sub.add_parser("classify", help="run the full classification")
     cls.add_argument("file")
-    cls.add_argument("--seed", type=int, default=0)
+    cls.add_argument("--seed", type=_seed, default=0)
     cls.set_defaults(func=_cmd_classify)
 
     oss = sub.add_parser("osserman", help="check spectrum constancy on the unit sphere")
     oss.add_argument("file")
     oss.add_argument("--samples", type=int, default=200)
-    oss.add_argument("--seed", type=int, default=0)
+    oss.add_argument("--seed", type=_seed, default=0)
     oss.set_defaults(func=_cmd_osserman)
 
     rep = sub.add_parser("report", help="rank/spectrum diagnostics plus CSV")
     rep.add_argument("file")
     rep.add_argument("--samples", type=int, default=50)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=_seed, default=0)
     rep.set_defaults(func=_cmd_report)
     return parser
 

@@ -31,7 +31,8 @@ class IncompatibleTensors(ActError):
 
 class DegenerateInput(ActError):
     """Linearly dependent vectors, zero vectors, values outside the float range (a NaN or
-    infinite float entry, an exact value too large for a float), or similar degeneracies."""
+    infinite float entry or result, an exact value too large for a float), values that do
+    not convert to the scalar mode, or similar degeneracies."""
 
 
 class InvalidPolynomial(ActError):

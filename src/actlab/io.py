@@ -24,7 +24,7 @@ import re
 
 import numpy as np
 
-from .errors import BianchiViolation, ConflictingEntry, FormatError
+from .errors import BianchiViolation, ConflictingEntry, DegenerateInput, FormatError
 from .scalars import DEFAULT_TOL, RATIONAL, ScalarMode, float_mode, integer_array, negligible
 from .tensors import CurvatureTensor, validate
 
@@ -47,7 +47,7 @@ def _parse_value(raw, mode: ScalarMode):
         raise FormatError(f"value {raw!r} has a decimal exponent beyond {MAX_EXPONENT}")
     try:
         value = mode.scalar(raw)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+    except DegenerateInput as exc:
         raise FormatError(f"cannot parse value {raw!r}: {exc}") from exc
     if mode.exact:
         # 10^MAX_EXPONENT, the least integer Python cannot print by default, is

@@ -73,8 +73,12 @@ class ScalarMode:
         return self.kind == "rational"
 
     def scalar(self, v):
-        """Coerce a number (or 'p/q' string) into this mode's scalar type."""
-        return Fraction(v) if self.exact else float(Fraction(v) if isinstance(v, str) else v)
+        """Coerce a number (or 'p/q' string) into this mode's scalar type; a value that does
+        not convert (a NaN or infinity when exact, a malformed string) is ``DegenerateInput``."""
+        try:
+            return Fraction(v) if self.exact else float(Fraction(v) if isinstance(v, str) else v)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+            raise DegenerateInput(str(exc)) from exc
 
     def zero(self):
         return Fraction(0) if self.exact else 0.0

@@ -139,9 +139,14 @@ def _require_dimension(m: int, least: int, what: str, error=InvalidDimension):
 
 def _contract(subscripts: str, R: CurvatureTensor, *vectors) -> np.ndarray:
     """``np.einsum(subscripts, *vectors, R.components)``; exact tensors contract the
-    cleared numerators (each entry a sum of m^s products, s summed indices) into Fractions."""
+    cleared numerators (each entry a sum of m^s products, s summed indices) into Fractions,
+    and a float result with a NaN or infinite entry is ``DegenerateInput``."""
     if not R.mode.exact:
-        return np.einsum(subscripts, *(np.asarray(v, float) for v in vectors), R.values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.einsum(subscripts, *(np.asarray(v, float) for v in vectors), R.values)
+        if not np.isfinite(out).all():
+            raise DegenerateInput("a float contraction passes the float range, or a vector entry is not finite")
+        return out
     inputs, output = subscripts.split("->")
     cleared = [integer_array(v) for v in vectors]
     bound = R.m ** len(set(inputs) - set(output) - {","}) * max(R.max_value, 1)

@@ -32,7 +32,8 @@ scalar modes (``_decide``):
    (``divisible_by_pairing``).
 
 Both polynomial classes store one coefficient array over one denominator,
-as ``CurvatureTensor`` does, and build their ``entries`` dicts on access.
+as ``CurvatureTensor`` does: they are built from that array alone and read
+as ``values`` or through the ``entries`` dicts, built on access.
 
 No verdict rests on the classification theorem.  The theorem only
 predicts that the accepts left to step 4 are the tensors c R_Theta whose
@@ -74,9 +75,7 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
-from .scalars import (
-    ScalarMode, exact_cast, exact_dtype, fraction_array, integer_array, max_abs, negligible, vector, zeros
-)
+from .scalars import ScalarMode, exact_cast, exact_dtype, max_abs, negligible
 from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, combine, r_theta
 
 __all__ = [
@@ -97,9 +96,10 @@ class Witness:
 
     ``commutator_norm`` is the sup norm of the commutator evaluated at the
     unit rescaling of (x, y): max|C(x,y)| / (<x,x> <y,y>).  Exact-mode
-    witnesses keep rational (generally non-unit) coordinates because the
-    unit rescaling itself may be irrational; the reported norm already
-    refers to unit vectors.
+    witnesses keep integer (generally non-unit) coordinates, Python ints in
+    object arrays, because the unit rescaling itself may be irrational; the
+    reported norm already refers to unit vectors.  Float-mode coordinates
+    are float64.
     """
 
     x: np.ndarray
@@ -127,11 +127,6 @@ def commutator(R: CurvatureTensor, x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _positions(m: int) -> list:
-    """The matrix positions (a, b), a < b, in slot order."""
-    return list(zip(*(t.tolist() for t in np.triu_indices(m, 1))))
-
-
 @dataclass(eq=False)
 class _MatrixPoly:
     """Coefficients ``values / denominator`` of an antisymmetric matrix of polynomials.
@@ -141,9 +136,9 @@ class _MatrixPoly:
     with index tuple ``_rows(m)[r]`` times the one in y with ``_rows(m)[c]``; the
     lower triangle is the negative and the diagonal is zero.  Values are
     float64 over 1, or exact integer numerators (int64, Python ints from
-    2^62 on) over one denominator, which need not be reduced.  ``entries``
-    builds the dict view on each access, as ``CurvatureTensor.components``
-    does.
+    2^62 on) over one denominator, which need not be reduced.  The array is
+    the one input form; ``entries`` builds the one dict view on each access,
+    as ``CurvatureTensor.components`` does.
     """
 
     m: int
@@ -156,32 +151,11 @@ class _MatrixPoly:
         if np.shape(self.values) != (self.m * (self.m - 1) // 2, n, n):
             raise InvalidPolynomial(f"values of shape {np.shape(self.values)} do not fit m={self.m}")
 
-    @classmethod
-    def from_entries(cls, m: int, mode: ScalarMode, entries: dict):
-        """Build from ``{(a, b): {key: coeff}}`` with a < b (see ``entries``)."""
-        rows = {tuple(row): r for r, row in enumerate(cls._rows(m).tolist())}
-        slots = {pos: k for k, pos in enumerate(_positions(m))}
-        values = zeros((len(slots), len(rows), len(rows)), mode)
-        d = cls.degree
-        for (a, b), coeffs in entries.items():
-            if not 0 <= a < b < m:
-                raise InvalidPolynomial(f"matrix position {(a, b)} must satisfy a < b")
-            for key, c in coeffs.items():
-                if len(key) != 2 * d:
-                    raise InvalidPolynomial(f"monomial key {key} is malformed")
-                r, s = rows.get(tuple(key[:d])), rows.get(tuple(key[d:]))
-                if r is None or s is None:
-                    raise InvalidPolynomial(f"monomial key {key} is not canonical for m={m}")
-                values[slots[(a, b)], r, s] = mode.scalar(c)
-        return cls(m, mode, *integer_array(values)) if mode.exact else cls(m, mode, values)
-
     @property
     def entries(self) -> dict:
         """``{(a, b): {key: coeff}}`` over a < b, nonzero coefficients only."""
-        return self._view(self.values, _positions(self.m))
-
-    def _view(self, values, positions) -> dict:
         # one pass over the nonzeros; their slots come out sorted, so each slot is one run
+        values = self.values
         flat = np.flatnonzero(values)
         slots, r, c = np.unravel_index(flat, values.shape)
         rows = self._rows(self.m)
@@ -189,20 +163,13 @@ class _MatrixPoly:
         coeffs = values.reshape(-1)[flat].tolist()
         if self.mode.exact:
             coeffs = [Fraction(n, self.denominator) for n in coeffs]
-        cuts = np.searchsorted(slots, np.arange(len(positions) + 1)).tolist()
+        positions = zip(*(t.tolist() for t in np.triu_indices(self.m, 1)))
+        cuts = np.searchsorted(slots, np.arange(len(values) + 1)).tolist()
         return {
             pos: dict(zip(keys[lo:hi], coeffs[lo:hi]))
             for pos, lo, hi in zip(positions, cuts, cuts[1:])
             if lo < hi
         }
-
-    def entry(self, a: int, b: int) -> dict:
-        if a == b:
-            return {}
-        pos = (min(a, b), max(a, b))
-        k = _positions(self.m).index(pos)
-        coeffs = self._view(self.values[k : k + 1], [pos]).get(pos, {})
-        return coeffs if a < b else {key: -c for key, c in coeffs.items()}
 
     def max_coeff(self):
         top = max_abs(self.values)
@@ -215,21 +182,6 @@ class _MatrixPoly:
             return not self.values.any()
         return self.max_coeff() <= zero_tol
 
-    def evaluate(self, x, y) -> np.ndarray:
-        rows = self._rows(self.m)
-        x = vector(x, self.mode)[rows].prod(axis=1)  # the monomials in x, and in y
-        y = vector(y, self.mode)[rows].prod(axis=1)
-        if self.mode.exact:  # on integers, in Python ints: x = nx / dx, y = ny / dy
-            (nx, dx), (ny, dy) = integer_array(x), integer_array(y)
-            vals = (self.values @ ny.astype(object)) @ nx.astype(object)
-            vals = fraction_array(vals, self.denominator * dx * dy)
-        else:
-            vals = (self.values @ y) @ x
-        out = zeros((self.m, self.m), self.mode)
-        a, b = np.triu_indices(self.m, 1)
-        out[a, b], out[b, a] = vals, -vals
-        return out
-
 
 class BiQuadraticMatrixPoly(_MatrixPoly):
     """Matrix-valued bidegree-(2,2) polynomial, antisymmetric in the matrix slot.
@@ -239,8 +191,6 @@ class BiQuadraticMatrixPoly(_MatrixPoly):
     ``np.triu_indices(m)`` order.  ``entries[(a, b)]`` with a < b maps
     canonical monomials (i, j, k, l) to coefficients.
     """
-
-    degree = 2
 
     @staticmethod
     def _rows(m):
@@ -253,8 +203,6 @@ class BilinearMatrixPoly(_MatrixPoly):
     ``values[slot, p, q]`` is the coefficient of x_p y_q, and
     ``entries[(a, b)]`` with a < b maps (p, q) to it.
     """
-
-    degree = 1
 
     @staticmethod
     def _rows(m):
@@ -724,12 +672,9 @@ def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
     return k.integers(np.concatenate([grid.reshape(-1), *last])[index])
 
 
-def _typed_witness(w: Witness, mode: ScalarMode, basis: bool) -> Witness:
-    """The witness with the coordinate types callers get: mode scalars for a
-    basis candidate, Python ints for an exact random sample, and float64
-    arrays of their own for a float sample."""
-    if basis:
-        return Witness(vector(w.x.tolist(), mode), vector(w.y.tolist(), mode), w.commutator_norm)
+def _typed_witness(w: Witness, mode: ScalarMode) -> Witness:
+    """The witness with coordinate arrays of its own, whichever pair family won:
+    Python ints in an object array when exact, float64 when float."""
     kind = object if mode.exact else float
     return Witness(w.x.astype(kind), w.y.astype(kind), w.commutator_norm)
 
@@ -764,9 +709,8 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
         found = _largest(raws, nx, ny, contraction.scale)
         if found is not None:
             p, norm = found
-            if p < first:
-                return _typed_witness(Witness(cx[p], cy[p], norm), R.mode, basis=True)
-            return _typed_witness(Witness(xs[p - first], ys[p - first], norm), R.mode, basis=False)
+            w = Witness(cx[p], cy[p], norm) if p < first else Witness(xs[p - first], ys[p - first], norm)
+            return _typed_witness(w, R.mode)
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )
@@ -915,7 +859,7 @@ def tsankov_test(
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
     violator.  Witnesses are exactly orthogonal in rational mode.
     """
-    method = method.lower()
+    method = method.lower() if isinstance(method, str) else method
     if method in ("exact", "exactdivisibility"):
         return _decide(R, seed, n_samples, orthogonal=True)[0]
     if method != "sampled":
@@ -926,5 +870,5 @@ def tsankov_test(
     xs, ys = _sample_pairs(rng, R.m, n_samples, R.mode.exact, orthogonal=True)
     R, e = _binary_scaled(R)
     found = _violation_scan(R, xs, ys)
-    witness = None if found is None else _typed_witness(_scaled(found[1], e), R.mode, basis=False)
+    witness = None if found is None else _typed_witness(_scaled(found[1], e), R.mode)
     return TsankovVerdict(witness is None, witness, "Sampled")

@@ -1,6 +1,7 @@
 """Shared fixtures: standard structures and a deterministic mixed corpus."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from actlab import (
     random_signed_permutation,
     standard_complex_structure,
 )
+from actlab.scalars import integer_array
 
 
 @pytest.fixture(scope="session")
@@ -132,3 +134,26 @@ def build_corpus(n=200, ms=(3, 4, 5, 6), seed=1234):
 @pytest.fixture(scope="session")
 def corpus200():
     return build_corpus(200)
+
+
+def poly_from_entries(cls, m, mode, entries):
+    """A ``cls`` polynomial built from ``{(a, b): {key: coeff}}``, a < b, with canonical keys."""
+    rows = {tuple(row): r for r, row in enumerate(cls._rows(m).tolist())}
+    slots = {pos: k for k, pos in enumerate(zip(*(t.tolist() for t in np.triu_indices(m, 1))))}
+    d = len(next(iter(rows)))
+    values = np.zeros((len(slots), len(rows), len(rows)), dtype=object if mode.exact else float)
+    for pos, coeffs in entries.items():
+        for key, c in coeffs.items():
+            values[slots[pos], rows[key[:d]], rows[key[d:]]] = c
+    return cls(m, mode, *integer_array(values)) if mode.exact else cls(m, mode, values)
+
+
+def evaluate_entries(P, x, y):
+    """The antisymmetric matrix P(x, y), summed in Fractions over ``P.entries``."""
+    x, y = [Fraction(t) for t in x], [Fraction(t) for t in y]
+    out = np.full((P.m, P.m), Fraction(0), dtype=object)
+    for (a, b), coeffs in P.entries.items():
+        d = len(next(iter(coeffs))) // 2
+        out[a, b] = sum(c * prod(x[i] for i in key[:d]) * prod(y[k] for k in key[d:]) for key, c in coeffs.items())
+        out[b, a] = -out[a, b]
+    return out

@@ -224,6 +224,31 @@ class TestCliCommands:
         assert main(["classify", out]) == 0
         assert "residual=0" in capsys.readouterr().out.splitlines()
 
+    def test_float_jacobi_past_the_float_range_is_degenerate_input(self, tmp_path, capsys):
+        # the float file is legal, but J(x) overflows; eigvalsh used to end in a LinAlgError traceback
+        out = str(tmp_path / "t.json")
+        assert main(["gen", "--type", "r0", "--m", "3", "--c", "1e300", "--mode", "float", "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["jacobi", out, "--x", "1e10,0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: DegenerateInput: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command", [["classify"], ["tsankov"], ["tsankov", "--method", "sampled"], ["osserman"], ["report"]]
+    )
+    def test_negative_seeds_are_usage_errors(self, tmp_path, capsys, command):
+        # a negative seed used to reach numpy's default_rng and end in its ValueError traceback
+        out = str(tmp_path / "t.json")
+        assert main(["gen", "--type", "random", "--m", "3", "-o", out]) == 0
+        capsys.readouterr()
+        assert main([command[0], out, *command[1:], "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be a non-negative integer, got '-1'" in captured.err
+        neg = tmp_path / "neg.json"
+        assert main(["gen", "--type", "random", "--m", "3", "--seed", "-1", "-o", str(neg)]) == 2
+        assert not neg.exists() and capsys.readouterr().out == ""
+
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         main(["gen", "--type", "random", "--m", "3", "--seed", "5", "-o", out])

@@ -38,7 +38,7 @@ from actlab import tsankov
 from actlab.scalars import exact_cast, exact_dtype, max_abs
 from actlab.tsankov import _float_threshold
 
-from conftest import cayley_rotation
+from conftest import cayley_rotation, evaluate_entries, poly_from_entries
 
 F = Fraction
 
@@ -202,10 +202,6 @@ class TestExactOracle:
         P = commutator_poly(R)
         want = commutator_poly_reference(R)
         assert_same_exact(P.entries, want)
-        for a in range(R.m):
-            for b in range(R.m):
-                ref = want.get((a, b), {}) if a < b else {k: -c for k, c in want.get((b, a), {}).items()}
-                assert_same_exact({(a, b): P.entry(a, b)}, {(a, b): ref if a != b else {}})
         L = divisible_by_pairing(P)
         want_L = divisible_by_pairing_reference(want, R.m, True, P.max_coeff())
         assert (L is None) == (want_L is None)
@@ -222,7 +218,7 @@ class TestExactOracle:
     def test_non_divisible_quotient_keeps_the_reference_verdict(self):
         # hand-built: one monomial outside the ideal beside a divisible part
         P = {(0, 1): {(0, 0, 0, 0): F(1), (1, 1, 1, 1): F(1), (0, 1, 0, 1): F(2, 3)}, (1, 2): {(0, 0, 2, 2): F(1)}}
-        poly = BiQuadraticMatrixPoly.from_entries(3, RATIONAL, P)
+        poly = poly_from_entries(BiQuadraticMatrixPoly, 3, RATIONAL, P)
         assert_same_exact(poly.entries, P)
         assert divisible_by_pairing(poly) is None
         assert divisible_by_pairing_reference(P, 3, True, poly.max_coeff()) is None
@@ -277,7 +273,7 @@ class TestFloatOracle:
             {(0, 1): {(0, 0, 1, 1): eps}, (1, 2): {(2, 2, 0, 1): -eps}},  # small everywhere
         ]
         for entries in cases:
-            P = BiQuadraticMatrixPoly.from_entries(m, FLOAT, entries)
+            P = poly_from_entries(BiQuadraticMatrixPoly, m, FLOAT, entries)
             for tol in (None, zt):
                 L = divisible_by_pairing(P, tol)
                 want = divisible_by_pairing_reference(entries, m, False, P.max_coeff(), tol)
@@ -318,35 +314,32 @@ def test_expansion_tiers_match_commutator(monkeypatch):
             assert seen == [exact_dtype(bound)]
             tiers.append(seen[0])
             for x, y in xs:
-                assert (P.evaluate(x, y) == commutator(R, x, y)).all()
+                assert (evaluate_entries(P, x, y) == commutator(R, x, y)).all()
     assert tiers == [np.float64, np.int64, np.int64, object]
 
 
-@pytest.mark.parametrize("cls, good", [(BiQuadraticMatrixPoly, (0, 1, 0, 2)), (BilinearMatrixPoly, (1, 2))])
-def test_from_entries_rejects_bad_keys(cls, good):
-    cls.from_entries(3, RATIONAL, {(0, 1): {good: F(1)}})
-    for pos in [(1, 1), (2, 1), (0, 3), (-1, 0)]:
-        with pytest.raises(InvalidPolynomial, match=r"must satisfy a < b"):
-            cls.from_entries(3, RATIONAL, {pos: {good: F(1)}})
-    for key in [good[:-1], good + (0,)]:
-        with pytest.raises(InvalidPolynomial, match=r"is malformed$"):
-            cls.from_entries(3, RATIONAL, {(0, 1): {key: F(1)}})
-    bad = [(1, 0, 0, 0), (0, 0, 2, 1), (0, 3, 0, 0)] if len(good) == 4 else [(3, 0), (0, -1)]
-    for key in bad:
-        with pytest.raises(InvalidPolynomial, match=r"is not canonical for m=3$"):
-            cls.from_entries(3, RATIONAL, {(0, 1): {key: F(1)}})
+@pytest.mark.parametrize("cls, n", [(BiQuadraticMatrixPoly, 6), (BilinearMatrixPoly, 3)], ids=["BiQuadratic", "Bilinear"])
+def test_values_of_a_wrong_shape_are_refused(cls, n):
+    # m=3: three slots of n x n coefficients, n monomials in x and in y
+    cls(3, RATIONAL, np.zeros((3, n, n), dtype=np.int64))
+    for shape in [(2, n, n), (3, n, n + 1), (3, n + 1, n), (3, n), (3, n, n, 1)]:
+        for mode, dtype in [(RATIONAL, np.int64), (FLOAT, float)]:
+            with pytest.raises(InvalidPolynomial, match=r"do not fit m=3$"):
+                cls(3, mode, np.zeros(shape, dtype=dtype))
 
 
 def test_bilinear_round_trip():
+    # values[slot, p, q] / denominator is the x_p y_q coefficient at the slot's (a, b), slots
+    # in np.triu_indices order; the entries, built back into values, give the same array
+    values = np.zeros((3, 3, 3), dtype=np.int64)
+    values[1, 1, 0], values[1, 2, 2], values[2, 0, 1] = 2, -3, 15
     entries = {(0, 2): {(1, 0): F(2, 3), (2, 2): F(-1)}, (1, 2): {(0, 1): F(5)}}
-    L = BilinearMatrixPoly.from_entries(3, RATIONAL, entries)
+    L = BilinearMatrixPoly(3, RATIONAL, values, 3)
     assert_same_exact(L.entries, entries)
-    x, y = [F(1), F(2), F(-1)], [F(3), F(0), F(1, 2)]
-    want = np.full((3, 3), F(0), dtype=object)
-    for (a, b), coeffs in entries.items():
-        want[a, b] = sum(c * x[p] * y[q] for (p, q), c in coeffs.items())
-        want[b, a] = -want[a, b]
-    assert (L.evaluate(x, y) == want).all()
+    back = poly_from_entries(BilinearMatrixPoly, 3, RATIONAL, L.entries)
+    assert back.denominator == 3 and back.values.tolist() == values.tolist()
+    Lf = BilinearMatrixPoly(3, FLOAT, values / 3)
+    assert Lf.entries == {pos: {key: float(c) for key, c in co.items()} for pos, co in entries.items()}
 
 
 def test_expansion_and_division_memory():

@@ -56,8 +56,8 @@ def parse_value_reference(raw, mode: ScalarMode):
         raise FormatError(f"value {raw!r} is not finite")
     if isinstance(raw, float) and mode.exact:
         raise FormatError(f'rational value {raw!r} is a JSON float; the string "{raw!r}" loads exactly')
-    try:
-        return mode.scalar(raw)
+    try:  # the conversion itself, so the texts do not rest on the error class of mode.scalar
+        return Fraction(raw) if mode.exact else float(Fraction(raw) if isinstance(raw, str) else raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"cannot parse value {raw!r}: {exc}") from exc
 

@@ -19,9 +19,12 @@ from actlab import (
     combine,
     conjugate_structure,
     eig_selfadjoint,
+    find_commuting_partner,
     from_form,
     from_metric_components,
     jacobi,
+    jacobi_polarized,
+    jacobi_rank,
     load_tensor,
     r0,
     r_theta,
@@ -636,6 +639,32 @@ class TestValueChecks:
         v[0, 1, 1, 0] = bad
         with pytest.raises(DegenerateInput, match="must be finite"):
             CurvatureTensor(3, v, FLOAT)
+
+    def test_float_contractions_past_the_float_range(self):
+        # J(x) of 1e300 R0 at x = 1e200 e_0 overflows, and inf - inf used to reach the
+        # symmetry check as NaN and raise a misleading InvalidOperator
+        R, x = r0(3, 1e300, FLOAT), [1e200, 0, 0]
+        calls = [
+            lambda: jacobi(R, x), lambda: jacobi_rank(R, x), lambda: jacobi_polarized(R, x, [0, 1, 0]),
+            lambda: apply(R, x, [0, 1, 0], [0, 1, 0]),
+            lambda: find_commuting_partner(r_theta(standard_complex_structure(4, FLOAT), 1), [np.nan, 1, 0, 0]),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateInput, match="passes the float range"):
+                call()
+        assert np.isfinite(jacobi(R, [1e-100, 0, 0])).all()
+
+    def test_values_that_do_not_convert(self):
+        # exact conversions of a NaN, an infinity or a malformed string used to
+        # escape as OverflowError and ValueError, outside ActError
+        R = r0(4, 1)
+        calls = [
+            lambda: r0(3, np.inf), lambda: combine([(np.inf, R)]),
+            lambda: jacobi(R, [np.nan, 1, 1, 1]), lambda: jacobi(R, ["a", 1, 1, 1]),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateInput):
+                call()
 
     def test_exact_values_past_the_float_range(self):
         R = r0(3, 10**400)
