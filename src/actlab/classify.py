@@ -32,6 +32,8 @@ from .scalars import (
     orthocomplement_basis,
     random_rational_unit_vector,
     rank_with_mode,
+    require_int,
+    seeded_rng,
     zeros,
 )
 from .tensors import ComplexStructure, CurvatureTensor, _coerce_vector
@@ -95,13 +97,16 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     ``tsankov_test(R, "exact")``, whose failure returns the witness; (iii)
     the fit that decides: c R0 with c from one sectional value, else
     (c, Theta) from ``recover_complex_structure``, each checked by its
-    reconstruction residual.  In both modes the decision itself tries the
-    fit before any polynomial expansion and returns it on success; when
-    the expansion had to decide instead, the fit is deterministic, so
-    running it again raises its own ``ClassificationInconsistency``.
+    reconstruction residual.  The decision itself tries the fits before
+    any polynomial expansion, an exact c R0 even before its screen, and
+    returns the one that succeeds; when the expansion had to decide
+    instead, the fit is deterministic, so running it again raises its own
+    ``ClassificationInconsistency``.  A ``seed`` that is not an integer
+    >= 0 is ``DegenerateInput`` before any step.
     """
     if R.m < 3:
         raise UnsupportedDimension("classification needs dimension m >= 3")
+    require_int(seed, 0, "seed")
     if R.is_zero():
         return Classification("Zero", residual=R.mode.zero())
     verdict, fit = _decide(R, seed, 200, orthogonal=True)
@@ -122,7 +127,7 @@ def osserman_check(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> O
     if n_samples < 2:
         raise DegenerateInput("need at least two samples to compare spectra")
     F = R.to_float()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     reference = None
     max_dev = 0.0
     for _ in range(n_samples):
@@ -147,7 +152,7 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
     if n_samples < 1:
         raise DegenerateInput("need at least one sample")
     mode = R.mode
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     ranks, w_dims, spectra = [], [], []
     xs = []
     for _ in range(n_samples):
@@ -214,7 +219,7 @@ def find_commuting_partner(R: CurvatureTensor, x, seed: int = 0) -> np.ndarray:
         return sum((ti * b for ti, b in zip(t, complement)), start=zeros(R.m, mode))
     xf = x.astype(float)
     xf = xf / np.linalg.norm(xf)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     while True:
         y = kernel @ rng.standard_normal(kernel.shape[1])
         y = y - (y @ xf) * xf

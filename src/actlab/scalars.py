@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +99,10 @@ def mode_of(a: np.ndarray) -> ScalarMode:
 
 
 def vector(entries, mode: ScalarMode) -> np.ndarray:
+    try:
+        entries = list(entries)
+    except TypeError:  # not iterable, or a 0-d array
+        raise InvalidDimension(f"vectors need a sequence of entries, got {type(entries).__name__}") from None
     v = np.array([mode.scalar(e) for e in entries], dtype=object if mode.exact else float)
     if v.ndim != 1 or v.size < 1:
         raise InvalidDimension("vectors need at least one entry")
@@ -330,11 +335,23 @@ def rank_with_mode(a: np.ndarray, mode: ScalarMode | None = None) -> int:
     return len(_pivot_columns(a))
 
 
+def require_int(value, low: int, name: str) -> int:
+    """``value`` if it is an integer (a bool is not) of at least ``low``, else ``DegenerateInput``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise DegenerateInput(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng`` of a seed that is an integer >= 0: every seeded draw starts here."""
+    return np.random.default_rng(require_int(seed, 0, "seed"))
+
+
 def random_unit_vector(m: int, seed: int) -> np.ndarray:
     """Seeded uniform point on the unit sphere (Gaussian, normalized)."""
     if m < 1:
         raise InvalidDimension("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     while True:
         v = rng.standard_normal(m)
         n = np.linalg.norm(v)
@@ -351,7 +368,7 @@ def random_rational_unit_vector(m: int, seed: int, span: int = 4) -> np.ndarray:
     """
     if m < 1:
         raise InvalidDimension("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if m == 1:
         return np.array([Fraction(1 if rng.integers(0, 2) else -1)], dtype=object)
     t = [

@@ -48,6 +48,7 @@ from .scalars import (
     max_abs,
     mode_of,
     negligible,
+    seeded_rng,
     vector,
     zeros,
 )
@@ -326,7 +327,7 @@ def standard_complex_structure(m: int, mode: ScalarMode = RATIONAL) -> ComplexSt
 def random_signed_permutation(m: int, seed: int, mode: ScalarMode = RATIONAL) -> np.ndarray:
     """Seeded orthogonal matrix with entries in {0, +-1}."""
     _require_dimension(m, 0, "signed permutations")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     perm = rng.permutation(m)
     signs = rng.integers(0, 2, size=m) * 2 - 1
     q = zeros((m, m), mode)
@@ -410,7 +411,7 @@ def random_act(m: int, k: int, seed: int, mode: ScalarMode = RATIONAL) -> Curvat
     if k < 1:
         raise InvalidDimension("need at least one generator")
     _require_dimension(m, 2, "curvature tensors")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if mode.exact:
         forms, signs = np.empty((k, m * m)), np.empty(k)
         for g in range(k):  # a, then its sign: the draws of one generator

@@ -8,20 +8,22 @@ implemented on it:
   tensor passes.
 * ``tsankov_test`` -- does C vanish whenever x is orthogonal to y?
 
-Each decision takes the cheapest certificate that settles it, in both
-scalar modes (``_decide``):
+Each decision takes the cheapest certificate that settles it (``_decide``):
 
 1. the zero tensor holds;
-2. a commutator at one of a few seeded pairs (exactly orthogonal for
+2. for rational ``tsankov_test``, an equality R = c R0, checked on R's
+   entries in place (``_r0_fit``), proves that C vanishes on orthogonal
+   pairs, as it does for c R0;
+3. a commutator at one of a few seeded pairs (exactly orthogonal for
    rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
    float mode, proves failure, and the reported witness then comes from
    the seeded witness search.  The pairs are drawn once per dimension
    (``_screen_pairs``);
-3. for ``tsankov_test``, an equality R = c R0 or R = c R_Theta
-   (``_fit``; exact in rational mode, within ``tol |R|`` in float mode)
-   proves that C vanishes on orthogonal pairs, since both families do.
-   R = c R0 is checked on R's entries in place, c R_Theta on a rebuild;
-4. otherwise the commutator polynomial is expanded.  Full commutation
+4. for ``tsankov_test``, an equality R = c R_Theta, checked on a rebuild
+   (``_rtheta_fit``), does the same.  Float mode fits c R0 here instead of
+   in step 2, then c R_Theta (``_fit``), both within ``tol |R|``: a fit that
+   close can coexist with a commutator above ``tol |R|^2``;
+5. otherwise the commutator polynomial is expanded.  Full commutation
    holds iff every coefficient is zero.  Orthogonal commutation holds iff
    the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
    set of q is an irreducible quadric with dense real points, so a
@@ -31,14 +33,17 @@ scalar modes (``_decide``):
    read off the coefficients, and multiplying it back by q decides
    (``divisible_by_pairing``).
 
+In rational mode each certificate is exact, so the order changes no
+verdict: no screen could fire on an exact c R0.
+
 Both polynomial classes store one coefficient array over one denominator,
 as ``CurvatureTensor`` does: they are built from that array alone and read
 as ``values`` or through the ``entries`` dicts, built on access.
 
 No verdict rests on the classification theorem.  The theorem only
-predicts that the accepts left to step 4 are the tensors c R_Theta whose
+predicts that the accepts left to step 5 are the tensors c R_Theta whose
 Theta is irrational (rational mode) or whose fit misses the tolerance
-(float mode).  Float steps 2 and 4 compare at the one threshold
+(float mode).  Float steps 3 and 5 compare at the one threshold
 ``tol |R|^2``, on 2^-e R with max|R| in [1/2, 1) (``_binary_scaled``), so no
 commutator underflows or overflows; once either has proved failure, the
 float witness search reports its largest nonzero sampled commutator, below
@@ -75,7 +80,7 @@ import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import jacobi, recover_complex_structure
-from .scalars import ScalarMode, exact_cast, exact_dtype, max_abs, negligible
+from .scalars import ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int, seeded_rng
 from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, combine, r_theta
 
 __all__ = [
@@ -621,7 +626,7 @@ def _basis_candidates(m: int):
 def _screen_pairs(m: int, exact: bool, orthogonal: bool):
     """The screen's ``SCREEN_PAIRS`` pairs from ``SCREEN_SEED``, drawn by ``_sample_pairs`` once
     per (m, exact, orthogonal), on which alone they depend; read-only (screens share them)."""
-    out = _sample_pairs(np.random.default_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal)
+    out = _sample_pairs(seeded_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal)
     for v in out:
         v.flags.writeable = False
     return out
@@ -695,7 +700,7 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
     """
     _, cx, cy, bx, by = _basis_candidates(R.m)
     table = _jacobi_table(R) if table is None else table
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for round_no in range(64):
         xs, ys = _sample_pairs(
             rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no
@@ -744,37 +749,37 @@ def _r0_residual(R: CurvatureTensor, s):
     return Fraction(int(top), R.max_value) if R.mode.exact else float(top) / float(R.max_value)
 
 
-def _fit(R: CurvatureTensor):
-    """Fit R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``.
-
-    c R0 takes c from the first sectional value R(e_i, e_j, e_j, e_i), i < j,
-    that is not negligible at |R|, and is not tried in even m when another
-    sectional value differs from c by more than negligible at |R|, since it
-    cannot fit then; its residual is read off R in place (``_r0_residual``).
-    c R_Theta takes (c, Theta) from ``recover_complex_structure`` and is
-    rebuilt.  A fit counts when its relative residual is negligible.  In
-    rational mode that is exact equality, which proves that R commutes on
-    orthogonal pairs, as c R0 and c R_Theta do.  Raises
-    ``ClassificationInconsistency`` when neither fit matches R.
-    """
-    mode, m = R.mode, R.m
-    ii, jj = (a[m:] for a in _half_table_index(m)[2:4])  # the pairs i < j
+def _sectional(R: CurvatureTensor):
+    """``(sect, s)``: the stored sectional values R(e_i, e_j, e_j, e_i), i < j, and the first
+    that is not negligible at |R|, or None."""
+    ii, jj = (a[R.m :] for a in _half_table_index(R.m)[2:4])  # the pairs i < j
     sect = R.values[ii, jj, jj, ii]
-    scale = R.max_abs()
-    nonzero = np.flatnonzero(~negligible(sect, mode, scale))
-    residual = None
-    # the c R0 residual is at least max|sect - c| / |R|; odd m keeps the
-    # attempt, since its error message reports that residual
-    if nonzero.size and not (m % 2 == 0 and (~negligible(sect - sect[nonzero[0]], mode, scale)).any()):
-        s = sect[nonzero[0]]
-        c = Fraction(int(s), R.denominator) if mode.exact else s
-        residual = _r0_residual(R, s)
-        if negligible(residual, mode):
-            return c, None, residual
-    if m % 2:
+    nonzero = np.flatnonzero(~negligible(sect, R.mode, R.max_abs()))
+    return sect, (sect[nonzero[0]] if nonzero.size else None)
+
+
+def _r0_fit(R: CurvatureTensor):
+    """R as c R0, c = s / R.denominator (s in float mode) for ``_sectional``'s s: ``(c, None,
+    residual)`` when the residual, read off R in place, is negligible, else None.  The residual
+    is at least max|sect - s| / |R|, so a sectional value apart from s skips it.  R is not zero."""
+    sect, s = _sectional(R)
+    if s is None or (~negligible(sect - s, R.mode, R.max_abs())).any():
+        return None
+    residual = _r0_residual(R, s)
+    if not negligible(residual, R.mode):
+        return None
+    return (Fraction(int(s), R.denominator) if R.mode.exact else s), None, residual
+
+
+def _rtheta_fit(R: CurvatureTensor):
+    """R as c R_Theta, (c, Theta) from ``recover_complex_structure``, checked on a rebuild:
+    ``(c, Theta, residual)``, else ``ClassificationInconsistency``, which in odd m, where no
+    Theta exists, reports why c R0 failed."""
+    if R.m % 2:
+        s = _sectional(R)[1]
         raise ClassificationInconsistency(
             "commutation holds but constant-curvature reconstruction fails "
-            + ("(no nonzero sectional value)" if residual is None else f"(residual {residual})")
+            + ("(no nonzero sectional value)" if s is None else f"(residual {_r0_residual(R, s)})")
         )
     try:
         c, cs = recover_complex_structure(R)
@@ -783,11 +788,19 @@ def _fit(R: CurvatureTensor):
             f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
         ) from exc
     residual = _relative_residual(R, r_theta(cs, c))
-    if not negligible(residual, mode):
+    if not negligible(residual, R.mode):
         raise ClassificationInconsistency(
             f"commutation holds but complex-form reconstruction fails (residual {residual})"
         )
     return c, cs, residual
+
+
+def _fit(R: CurvatureTensor):
+    """Fit R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``, else
+    ``ClassificationInconsistency``.  A fit counts when its relative residual is negligible; in
+    rational mode that is equality, which proves that R commutes on orthogonal pairs, as c R0
+    and c R_Theta do."""
+    return _r0_fit(R) or _rtheta_fit(R)
 
 
 # ---------------------------------------------------------------------------
@@ -801,23 +814,31 @@ SCREEN_SEED = 0x5C12EE7  # the screen's own stream, apart from the witness searc
 def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     """The verdict on orthogonal (or all) pairs, and the fit behind an accept.
 
-    Both modes try the certificates cheapest first: the zero tensor holds;
-    a commutator above ``_float_threshold`` (nonzero in rational mode) at
-    one of the ``SCREEN_PAIRS`` pairs of ``_screen_pairs``, drawn once per
-    dimension (exactly orthogonal when ``orthogonal`` in rational mode),
-    proves failure; a fit by ``_fit``, which checks c R0 in place and
-    rebuilds only c R_Theta, proves that commutation on orthogonal pairs
-    holds.  Only when all three are silent is the commutator polynomial
-    expanded and divided.  Every failure reports ``_search_witness``, so the
-    witness does not depend on which certificate decided.  Float mode decides ``_binary_scaled(R)``.
+    The certificates run cheapest first: the zero tensor holds; for
+    rational ``orthogonal``, an exact c R0 (``_r0_fit``) holds before the
+    Jacobi table is built; a commutator above ``_float_threshold`` (nonzero
+    in rational mode) at one of the ``SCREEN_PAIRS`` pairs of
+    ``_screen_pairs`` proves failure; for ``orthogonal``, a fit proves that
+    commutation on orthogonal pairs holds: c R_Theta in rational mode,
+    c R0 or c R_Theta (``_fit``) in float mode, which keeps the screen
+    before c R0 since a fit within tol |R| can coexist with a commutator
+    above tol |R|^2 (R0 plus 3e-10 of a random tensor at m=5).  Only when
+    all of these are silent is the commutator polynomial expanded and
+    divided.  Every failure reports ``_search_witness``, so the witness does
+    not depend on which certificate decided.  Float mode decides
+    ``_binary_scaled(R)``.
 
-    Returns ``(verdict, fit)``: ``fit`` is ``_fit``'s tuple when it
-    decided, else None, whether it did not run or raised
+    Returns ``(verdict, fit)``: ``fit`` is the ``_fit`` tuple when a fit
+    decided, else None, whether none ran or each raised
     ``ClassificationInconsistency``.
     """
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
     if R.is_zero():
         return TsankovVerdict(True, None, method), None
+    if orthogonal and R.mode.exact:
+        fit = _r0_fit(R)
+        if fit is not None:
+            return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)
     table = _jacobi_table(R)  # the screen's, and the search's after it
     search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal, table), e)  # noqa: E731
@@ -825,7 +846,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         return TsankovVerdict(False, search(), method), None
     if orthogonal:
         with suppress(ClassificationInconsistency):
-            c, cs, residual = _fit(R)
+            c, cs, residual = (_rtheta_fit if R.mode.exact else _fit)(R)
             return TsankovVerdict(True, None, method), (_scaled(c, e), cs, residual)
     poly = commutator_poly(R)
     if orthogonal:
@@ -841,8 +862,11 @@ def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 
     Decided by the zero test and a seeded screen of pairs, else by
     coefficient expansion of the commutator polynomial, in both modes;
     failures carry a witness pair of maximal sampled commutator norm (the
-    pair need not be orthogonal).
+    pair need not be orthogonal).  ``seed`` and ``n_samples`` are checked
+    first, as in ``tsankov_test``.
     """
+    require_int(seed, 0, "seed")
+    require_int(n_samples, 1, "n_samples")
     return _decide(R, seed, n_samples, orthogonal=False)[0]
 
 
@@ -851,23 +875,25 @@ def tsankov_test(
 ) -> TsankovVerdict:
     """Does J(x) commute with J(y) whenever x is orthogonal to y?
 
-    ``method="exact"`` runs ``_decide``'s ladder in both modes: a seeded
-    screen of orthogonal pairs or a reconstruction as c R0 or c R_Theta
-    decides when it can, else divisibility of the commutator polynomial by
-    the pairing form.  It is a true decision procedure in rational mode;
-    float mode compares at ``tol |R|^2`` and ``tol |R|``.
+    ``method="exact"`` runs ``_decide``'s ladder in both modes: a
+    reconstruction as c R0 or c R_Theta or a seeded screen of orthogonal
+    pairs decides when it can, else divisibility of the commutator
+    polynomial by the pairing form.  It is a true decision procedure in
+    rational mode; float mode compares at ``tol |R|^2`` and ``tol |R|``.
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
-    violator.  Witnesses are exactly orthogonal in rational mode.
+    violator.  Witnesses are exactly orthogonal in rational mode.  For both
+    methods, a ``seed`` that is not an integer >= 0, or an ``n_samples``
+    that is not an integer >= 1, is ``DegenerateInput`` before any
+    certificate runs, even where no draw would use it.
     """
+    require_int(seed, 0, "seed")
+    require_int(n_samples, 1, "n_samples")
     method = method.lower() if isinstance(method, str) else method
     if method in ("exact", "exactdivisibility"):
         return _decide(R, seed, n_samples, orthogonal=True)[0]
     if method != "sampled":
         raise DegenerateInput(f"unknown method {method!r}; use 'exact' or 'sampled'")
-    if n_samples < 1:
-        raise DegenerateInput("sampled mode needs n_samples >= 1")
-    rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(rng, R.m, n_samples, R.mode.exact, orthogonal=True)
+    xs, ys = _sample_pairs(seeded_rng(seed), R.m, n_samples, R.mode.exact, orthogonal=True)
     R, e = _binary_scaled(R)
     found = _violation_scan(R, xs, ys)
     witness = None if found is None else _typed_witness(_scaled(found[1], e), R.mode)

@@ -29,7 +29,10 @@ from actlab.scalars import (
     integer_array,
     max_abs,
     orthonormalize_exact,
+    require_int,
+    vector,
 )
+from actlab.tensors import r0
 
 
 def frac_matrix(rows):
@@ -135,6 +138,30 @@ class TestRandomUnitVector:
         for seed in range(n):
             total += random_unit_vector(4, seed)
         assert np.abs(total / n).max() < 0.05
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_vectors_refuse_non_sequences(self, mode):
+        # None and 5 used to raise TypeError from iterating them, outside ActError
+        for bad in (None, 5, Fraction(1, 2), np.array(3.0), np.array([])):
+            with pytest.raises(InvalidDimension, match="^vectors need "):
+                vector(bad, mode)
+        for bad in (None, 5):
+            with pytest.raises(InvalidDimension):
+                jacobi(r0(3, 1, mode), bad)
+        assert vector(np.array([1, 2]), mode).tolist() == [1, 2]
+        assert vector((t for t in (1, 2)), mode).tolist() == [1, 2]
+
+    def test_seeds_are_non_negative_integers(self):
+        for seed in (0, 7, np.int64(3), np.uint32(2**32 - 1), 2**80):
+            assert require_int(seed, 0, "seed") is seed
+        for seed in (-1, np.int64(-2), 1.5, 2.0, "1", None, True, False, [1]):
+            with pytest.raises(DegenerateInput, match="^seed must be an integer >= 0, got "):
+                require_int(seed, 0, "seed")
+        for draw in (random_unit_vector, random_rational_unit_vector):
+            with pytest.raises(DegenerateInput):
+                draw(3, -1)
 
 
 class TestRationalUnitVector:

@@ -1371,3 +1371,157 @@ class TestAcceptPathConstants:
             with pytest.raises(ClassificationInconsistency) as exc:
                 _fit(R)
             assert str(exc.value) == message
+
+
+def r0_near_misses(m):
+    """Exact tensors at and beside c R0 in dimension m, c = -5/3: c R0 itself, and 7 R0 and
+    numerators past 2^62 at m <= 8; then, from m = 3 on, c R0 with the off-pattern numerator at
+    (0, 1, 0, 2) and its symmetry images set to +-1, and c R0 with the pattern numerators of the
+    plane (0, 1) moved by 1; and c R0 + c2 R_Theta in even m."""
+    c = Fraction(-5, 3)
+    out = [r0(m, c), r0(m, 7)] + ([r0(m, Fraction(2**70 + 1, 3))] if m <= 8 else [])
+    if m >= 3:
+        off = np.zeros((m,) * 4, dtype=np.int64)
+        for i, j, k, l in ((0, 1, 0, 2), (0, 2, 0, 1)):  # the entry and its pair exchange
+            off[i, j, k, l] = off[j, i, l, k] = 1
+            off[j, i, k, l] = off[i, j, l, k] = -1
+        plane = from_form(np.diag([1, 1] + [0] * (m - 2)), RATIONAL)
+        out += [combine([(1, r0(m, c)), (Fraction(1, 3), CurvatureTensor(m, off, RATIONAL))])]
+        out += [combine([(1, r0(m, c)), (Fraction(1, 3), plane)])]
+    if m % 2 == 0:
+        out.append(combine([(c, r0(m, 1)), (Fraction(2, 7), r_theta(standard_complex_structure(m), 1))]))
+    for R in out:
+        assert validate(R, RATIONAL).accepted
+    return out
+
+
+def count_calls(monkeypatch, *names):
+    """Route each named ``actlab.tsankov`` function through a counting wrapper; returns the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(tsankov, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tsankov, name, spy)
+    return counts
+
+
+class TestRationalLadder:
+    """Exact orthogonal decisions try c R0 right after the zero test, before the Jacobi table."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        (c, cs, residual), (c2, cs2, residual2) = got, want
+        assert (c, residual) == (c2, residual2) and type(c) is type(c2)
+        assert (cs is None) == (cs2 is None)
+        if cs is not None:
+            assert (cs.theta == cs2.theta).all()
+
+    def check_against_the_expansion(self, tensors):
+        for R in tensors:
+            verdict, fit = _decide(R, 0, 200, True)
+            assert verdict.holds == (divisible_by_pairing(commutator_poly(R)) is not None)
+            assert verdict.method == "ExactDivisibility"
+            if R.is_zero():
+                assert fit is None
+            elif fit is None:
+                with pytest.raises(ClassificationInconsistency):
+                    _fit(R)
+            else:
+                self.assert_same_fit(fit, _fit(R))
+
+    def test_decisions_match_the_expansion_on_corpus(self, corpus200):
+        self.check_against_the_expansion(corpus200)
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_decisions_match_the_expansion_beside_r0(self, m):
+        tensors = r0_near_misses(m)
+        self.check_against_the_expansion(tensors)
+        # every c R0 holds, and from m = 3 on no near miss does (at m = 2 every tensor is c R0)
+        verdicts = [_decide(R, 0, 200, True)[0].holds for R in tensors]
+        n = 3 if m <= 8 else 2
+        assert verdicts == [True] * n + [m == 2] * (len(tensors) - n)
+
+    def test_big_numerators_stay_python_ints(self):
+        c = Fraction(2**70 + 1, 3)
+        R = r0(9, c)
+        assert R.values.dtype == object
+        res = classify(R)
+        assert (res.tag, res.c, res.residual) == ("ConstantCurvature", c, 0)
+
+    @pytest.mark.parametrize("m", (3, 4, 9, 16))
+    def test_r0_accepts_skip_the_table_and_the_screen(self, monkeypatch, m):
+        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
+        for c in (Fraction(-5, 3), Fraction(2**70 + 1, 3)):
+            R = r0(m, c)
+            assert tsankov_test(R, "exact").holds
+            res = classify(R)
+            assert (res.tag, res.c, res.residual) == ("ConstantCurvature", c, 0)
+        assert counts == {"_jacobi_table": 0, "_first_violation": 0}
+
+    def test_rejects_and_rtheta_accepts_build_the_table_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
+        cs = conjugate_structure(standard_complex_structure(8), random_signed_permutation(8, 2))
+        cases = (
+            (random_act(6, 2, 1), False),
+            (r0_near_misses(10)[2], False),  # an off-pattern numerator
+            (r_theta(cs, Fraction(7, 4)), True),
+        )
+        for R, holds in cases:
+            v = tsankov_test(R, "exact")
+            assert v.holds is holds
+            assert counts == {"_jacobi_table": 1, "_first_violation": 1}
+            counts.update(dict.fromkeys(counts, 0))
+
+    def test_float_keeps_the_screen_before_the_fit(self):
+        # within tol |R| of R0, yet with a screened commutator above tol |R|^2: a ladder that
+        # tried the float fit first would call it ConstantCurvature
+        R = combine([(1.0, r0(5, 1, FLOAT)), (3e-10, random_act(5, 3, 2, FLOAT))])
+        c, cs, residual = _fit(tsankov._binary_scaled(R)[0])
+        assert cs is None and 0 < residual <= FLOAT.tol
+        assert classify(R).tag == "NotTsankov"
+        assert not tsankov_test(R, "exact").holds
+
+
+class TestDrawArguments:
+    """Seeds and sample counts are refused at the API edge, whichever certificate decides."""
+
+    BAD_SEEDS = (-1, 1.5, "3", None, True, np.float64(2.0))
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seeds_are_degenerate_input(self, seed):
+        calls = (
+            lambda: classify(random_act(3, 2, 1), seed=seed),
+            lambda: classify(r0(3, 1), seed=seed),  # decided before any draw
+            lambda: classify(CurvatureTensor(3, np.zeros((3,) * 4), RATIONAL), seed=seed),
+            lambda: tsankov_test(random_act(4, 2, 1), seed=seed),
+            lambda: tsankov_test(r0(3, 1), seed=seed),
+            lambda: tsankov_test(r0(3, 1), "sampled", seed=seed),
+            lambda: full_commutation_test(random_act(3, 2, 1), seed=seed),
+            lambda: random_act(3, 2, seed),
+            lambda: random_signed_permutation(3, seed),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateInput, match="^seed must be an integer >= 0, got "):
+                call()
+
+    @pytest.mark.parametrize("n_samples", (0, -3, None, 2.0, False))
+    def test_bad_sample_counts_are_degenerate_input(self, n_samples):
+        calls = (
+            lambda: tsankov_test(r0(3, 1), "sampled", n_samples=n_samples),
+            lambda: tsankov_test(r0(3, 1), n_samples=n_samples),
+            lambda: tsankov_test(random_act(4, 2, 1), n_samples=n_samples),
+            lambda: full_commutation_test(random_act(3, 2, 1), n_samples=n_samples),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateInput, match="^n_samples must be an integer >= 1, got "):
+                call()
+
+    def test_numpy_integers_are_seeds(self):
+        for seed, n in ((np.int64(3), np.int32(5)), (3, 5)):
+            v = tsankov_test(random_act(4, 2, 1), "sampled", n_samples=n, seed=seed)
+            assert not v.holds
+        assert repr(random_act(4, 2, np.uint8(7)).values) == repr(random_act(4, 2, 7).values)
