@@ -98,10 +98,10 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     the fit that decides: c R0 with c from one sectional value, else
     (c, Theta) from ``recover_complex_structure``, each checked by its
     reconstruction residual.  The decision itself tries the fits before
-    any polynomial expansion, an exact c R0 even before its screen, and
-    returns the one that succeeds; when the expansion had to decide
-    instead, the fit is deterministic, so running it again raises its own
-    ``ClassificationInconsistency``.  A ``seed`` that is not an integer
+    any polynomial expansion, an exact c R0 and an exact c R_Theta even
+    before its screen, and returns the one that succeeds; when the
+    expansion had to decide instead, the fit is deterministic, so running
+    it again raises its own ``ClassificationInconsistency``.  A ``seed`` that is not an integer
     >= 0 is ``DegenerateInput`` before any step.
     """
     if R.m < 3:
@@ -124,8 +124,7 @@ def osserman_check(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> O
     Spectra are computed in floating point, on ``jacobi(R.to_float(), x)``,
     and the largest deviation is ``negligible`` at ``R.to_float().mode``.
     """
-    if n_samples < 2:
-        raise DegenerateInput("need at least two samples to compare spectra")
+    require_int(n_samples, 2, "n_samples")  # two spectra to compare
     F = R.to_float()
     rng = seeded_rng(seed)
     reference = None
@@ -149,8 +148,7 @@ def structure_report(R: CurvatureTensor, n_samples: int = 50, seed: int = 0) -> 
     additionally verifies that every sampled Jacobi operator has exactly two
     eigenvalues (zero and one repeated value); skipped (None) otherwise.
     """
-    if n_samples < 1:
-        raise DegenerateInput("need at least one sample")
+    require_int(n_samples, 1, "n_samples")
     mode = R.mode
     rng = seeded_rng(seed)
     ranks, w_dims, spectra = [], [], []

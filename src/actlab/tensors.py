@@ -359,17 +359,31 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     R_Theta(x,y)z = <Th y, z> Th x - <Th x, z> Th y - 2 <Th x, y> Th z, so in
     components R[i][j][k][l] = c * (Th_kj Th_li - Th_ki Th_lj - 2 Th_ji Th_lk).
     Its Jacobi operator at unit x is the rank-one map 3c <., Th x> Th x.
-    Exact numerators come from the stored Th = T / t, over denominator t^2.
+    Exact numerators come from the stored Th = T / t (``_r_theta_values``).
     """
-    mode = cs.mode
-    c = mode.scalar(c)
+    values, den = _r_theta_values(cs, cs.mode.scalar(c))
+    return CurvatureTensor(cs.m, values, cs.mode, den)
+
+
+def _r_theta_values(cs: ComplexStructure, c):
+    """``(numerators, denominator)`` of c R_Theta, c a scalar of ``cs.mode``, unreduced: exact
+    numerators over c's denominator times t^2.  The terms t1 = Th_kj Th_li, t2 = Th_ki Th_lj
+    and t3 = Th_ji Th_lk fill two m^4 buffers, and each entry is ((t1 - t2) - 2 t3) c in that
+    order, so its bits, signed zeros included, are the formula's."""
     th, scale, den = cs.values, c, 1
-    if mode.exact:  # each bracket is at most 4 max|T|^2
+    if cs.mode.exact:  # each bracket is at most 4 max|T|^2
         th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
         scale, den = c.numerator, c.denominator * cs.denominator**2
-    o = np.multiply.outer(th, th)
-    comps = (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * scale
-    return CurvatureTensor(cs.m, comps, mode, den)
+    m, t = cs.m, th.T
+    a, b = np.empty((m,) * 4, th.dtype), np.empty((m,) * 4, th.dtype)  # C order: b is also (m^2, m^2)
+    np.multiply(t[:, None, None, :], t[None, :, :, None], out=a)  # [i,j,k,l] = Th_li Th_kj
+    np.multiply(t[:, None, :, None], t[None, :, None, :], out=b)  # Th_ki Th_lj
+    a -= b
+    np.multiply.outer(t.reshape(-1), t.reshape(-1), out=b.reshape(m * m, m * m))  # Th_ji Th_lk
+    b *= 2
+    a -= b
+    a *= scale
+    return a, den
 
 
 def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:

@@ -13,16 +13,18 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
 1. the zero tensor holds;
 2. for rational ``tsankov_test``, an equality R = c R0, checked on R's
    entries in place (``_r0_fit``), proves that C vanishes on orthogonal
-   pairs, as it does for c R0;
+   pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
+   it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
+   on one rebuild of the numerators (``_rtheta_fit``), does the same;
 3. a commutator at one of a few seeded pairs (exactly orthogonal for
    rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
    float mode, proves failure, and the reported witness then comes from
    the seeded witness search.  The pairs are drawn once per dimension
    (``_screen_pairs``);
-4. for ``tsankov_test``, an equality R = c R_Theta, checked on a rebuild
-   (``_rtheta_fit``), does the same.  Float mode fits c R0 here instead of
-   in step 2, then c R_Theta (``_fit``), both within ``tol |R|``: a fit that
-   close can coexist with a commutator above ``tol |R|^2``;
+4. for float ``tsankov_test``, a fit as c R0, then as c R_Theta
+   (``_fit``), within ``tol |R|``, proves commutation.  Float mode fits
+   only here, after the screen: a fit that close can coexist with a
+   commutator above ``tol |R|^2``;
 5. otherwise the commutator polynomial is expanded.  Full commutation
    holds iff every coefficient is zero.  Orthogonal commutation holds iff
    the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
@@ -34,7 +36,7 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    (``divisible_by_pairing``).
 
 In rational mode each certificate is exact, so the order changes no
-verdict: no screen could fire on an exact c R0.
+verdict: no screen could fire on an exact c R0 or c R_Theta.
 
 Both polynomial classes store one coefficient array over one denominator,
 as ``CurvatureTensor`` does: they are built from that array alone and read
@@ -78,10 +80,10 @@ from math import frexp
 
 import numpy as np
 
-from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
-from .jacobi import jacobi, recover_complex_structure
+from .errors import ClassificationInconsistency, DegenerateInput, InvalidOperator, InvalidPolynomial, NotRankOne
+from .jacobi import _is_rank_one, jacobi, recover_complex_structure
 from .scalars import ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int, seeded_rng
-from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, combine, r_theta
+from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_values, combine
 
 __all__ = [
     "Witness",
@@ -728,8 +730,6 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
 
 def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
     """|R - recon| / |R| in sup norms, for a nonzero R."""
-    if R.mode.exact and R.denominator == recon.denominator and np.array_equal(R.values, recon.values):
-        return Fraction(0)  # both are reduced, so equal tensors store equal numerators
     dev = combine([(1, R), (-1, recon)]).max_abs()
     return dev / R.max_abs() if R.mode.exact else float(dev) / float(R.max_abs())
 
@@ -739,10 +739,14 @@ def _r0_residual(R: CurvatureTensor, s):
 
     R - c R0 is N off ``_r0_pattern``, N - s at (i, j, j, i) and N + s at
     (i, j, i, j): the differences ``combine`` takes, so the value, its type
-    and its float bits are the rebuild's, with no rebuild.  R is not zero.
+    and its float bits are the rebuild's, with no rebuild.  An exact c R0
+    gives 0 before |N| is taken.  R is not zero.
     """
     plus, minus = _r0_pattern(R.m)
     flat = R.values.reshape(-1)
+    on_pattern = R.mode.exact and (flat[plus] == s).all() and (flat[minus] == -s).all()
+    if on_pattern and np.count_nonzero(flat) == 2 * plus.size:  # s != 0, so R is c R0
+        return Fraction(0)
     dev = np.abs(flat)
     dev[plus], dev[minus] = np.abs(flat[plus] - s), np.abs(flat[minus] + s)
     top = dev.max()
@@ -774,7 +778,7 @@ def _r0_fit(R: CurvatureTensor):
 def _rtheta_fit(R: CurvatureTensor):
     """R as c R_Theta, (c, Theta) from ``recover_complex_structure``, checked on a rebuild:
     ``(c, Theta, residual)``, else ``ClassificationInconsistency``, which in odd m, where no
-    Theta exists, reports why c R0 failed."""
+    Theta exists, reports why c R0 failed.  Exact numerators are compared in place."""
     if R.m % 2:
         s = _sectional(R)[1]
         raise ClassificationInconsistency(
@@ -787,7 +791,9 @@ def _rtheta_fit(R: CurvatureTensor):
         raise ClassificationInconsistency(
             f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
         ) from exc
-    residual = _relative_residual(R, r_theta(cs, c))
+    values, den = _r_theta_values(cs, c)
+    same = R.mode.exact and den == R.denominator and np.array_equal(values, R.values)  # R is reduced
+    residual = Fraction(0) if same else _relative_residual(R, CurvatureTensor(R.m, values, R.mode, den))
     if not negligible(residual, R.mode):
         raise ClassificationInconsistency(
             f"commutation holds but complex-form reconstruction fails (residual {residual})"
@@ -815,28 +821,33 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     """The verdict on orthogonal (or all) pairs, and the fit behind an accept.
 
     The certificates run cheapest first: the zero tensor holds; for
-    rational ``orthogonal``, an exact c R0 (``_r0_fit``) holds before the
-    Jacobi table is built; a commutator above ``_float_threshold`` (nonzero
-    in rational mode) at one of the ``SCREEN_PAIRS`` pairs of
-    ``_screen_pairs`` proves failure; for ``orthogonal``, a fit proves that
-    commutation on orthogonal pairs holds: c R_Theta in rational mode,
-    c R0 or c R_Theta (``_fit``) in float mode, which keeps the screen
-    before c R0 since a fit within tol |R| can coexist with a commutator
-    above tol |R|^2 (R0 plus 3e-10 of a random tensor at m=5).  Only when
-    all of these are silent is the commutator polynomial expanded and
-    divided.  Every failure reports ``_search_witness``, so the witness does
-    not depend on which certificate decided.  Float mode decides
+    rational ``orthogonal``, an exact c R0 (``_r0_fit``), then, in even m
+    with a rank-one J(e_0) (``_is_rank_one`` on its numerators), an exact
+    c R_Theta (``_rtheta_fit``) holds before the Jacobi table is built; a
+    commutator above ``_float_threshold`` (nonzero in rational mode) at one
+    of the ``SCREEN_PAIRS`` pairs of ``_screen_pairs`` proves failure; for
+    float ``orthogonal``, a fit as c R0 or c R_Theta (``_fit``) proves that
+    commutation on orthogonal pairs holds.  Float keeps the screen before
+    its fit since a fit within tol |R| can coexist with a commutator above
+    tol |R|^2 (R0 plus 3e-10 of a random tensor at m=5).  Only when all of
+    these are silent is the commutator polynomial expanded and divided.
+    Every failure reports ``_search_witness``, so the witness does not
+    depend on which certificate decided.  Float mode decides
     ``_binary_scaled(R)``.
 
     Returns ``(verdict, fit)``: ``fit`` is the ``_fit`` tuple when a fit
     decided, else None, whether none ran or each raised
-    ``ClassificationInconsistency``.
+    ``ClassificationInconsistency`` (or ``InvalidOperator``, from an array
+    outside the tensor symmetries whose J(e_0) is not symmetric).
     """
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
     if R.is_zero():
         return TsankovVerdict(True, None, method), None
     if orthogonal and R.mode.exact:
         fit = _r0_fit(R)
+        if fit is None and R.m % 2 == 0 and _is_rank_one(R.values[:, 0, 0, :]):
+            with suppress(ClassificationInconsistency, InvalidOperator):
+                fit = _rtheta_fit(R)
         if fit is not None:
             return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)
@@ -844,9 +855,9 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal, table), e)  # noqa: E731
     if _first_violation(R, *_screen_pairs(R.m, R.mode.exact, orthogonal), table) is not None:
         return TsankovVerdict(False, search(), method), None
-    if orthogonal:
+    if orthogonal and not R.mode.exact:
         with suppress(ClassificationInconsistency):
-            c, cs, residual = (_rtheta_fit if R.mode.exact else _fit)(R)
+            c, cs, residual = _fit(R)
             return TsankovVerdict(True, None, method), (_scaled(c, e), cs, residual)
     poly = commutator_poly(R)
     if orthogonal:

@@ -17,6 +17,7 @@ from actlab import (
     random_act,
     random_signed_permutation,
     standard_complex_structure,
+    validate,
 )
 from actlab.scalars import integer_array
 
@@ -156,4 +157,26 @@ def evaluate_entries(P, x, y):
         d = len(next(iter(coeffs))) // 2
         out[a, b] = sum(c * prod(x[i] for i in key[:d]) * prod(y[k] for k in key[d:]) for key, c in coeffs.items())
         out[b, a] = -out[a, b]
+    return out
+
+
+def r0_near_misses(m):
+    """Exact tensors at and beside c R0 in dimension m, c = -5/3: c R0 itself, and 7 R0 and
+    numerators past 2^62 at m <= 8; then, from m = 3 on, c R0 with the off-pattern numerator at
+    (0, 1, 0, 2) and its symmetry images set to +-1, and c R0 with the pattern numerators of the
+    plane (0, 1) moved by 1; and c R0 + c2 R_Theta in even m."""
+    c = Fraction(-5, 3)
+    out = [r0(m, c), r0(m, 7)] + ([r0(m, Fraction(2**70 + 1, 3))] if m <= 8 else [])
+    if m >= 3:
+        off = np.zeros((m,) * 4, dtype=np.int64)
+        for i, j, k, l in ((0, 1, 0, 2), (0, 2, 0, 1)):  # the entry and its pair exchange
+            off[i, j, k, l] = off[j, i, l, k] = 1
+            off[j, i, k, l] = off[i, j, l, k] = -1
+        plane = from_form(np.diag([1, 1] + [0] * (m - 2)), RATIONAL)
+        out += [combine([(1, r0(m, c)), (Fraction(1, 3), CurvatureTensor(m, off, RATIONAL))])]
+        out += [combine([(1, r0(m, c)), (Fraction(1, 3), plane)])]
+    if m % 2 == 0:
+        out.append(combine([(c, r0(m, 1)), (Fraction(2, 7), r_theta(standard_complex_structure(m), 1))]))
+    for R in out:
+        assert validate(R, RATIONAL).accepted
     return out

@@ -37,9 +37,10 @@ from actlab import (
     validate,
 )
 from actlab.scalars import exact_cast, float_array, max_abs
-from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components
+from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components, _r_theta_values
+from actlab.tsankov import _r0_residual, _sectional
 
-from conftest import random_fraction
+from conftest import r0_near_misses, random_fraction
 
 
 def brute_force_symmetry_violations(comps, m):
@@ -181,11 +182,64 @@ class TestRTheta:
                     expected = sorted([0.0] * (m - 1) + [3.0 * c])
                     assert np.allclose(np.sort(w), expected, atol=1e-9)
 
+    @staticmethod
+    def formula_values(cs, c):
+        """The numerators of c R_Theta from the outer product Th (x) Th, term by term."""
+        th, scale, den = cs.values, c, 1
+        if cs.mode.exact:
+            th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+            scale, den = c.numerator, c.denominator * cs.denominator**2
+        o = np.multiply.outer(th, th)
+        return (o.transpose((3, 1, 0, 2)) - o.transpose((1, 3, 0, 2)) - 2 * o.transpose((1, 0, 3, 2))) * scale, den
+
+    @staticmethod
+    def same_bits(a, b):
+        if a.dtype == object:  # Python ints: equal values of one type
+            return b.dtype == object and a.tolist() == b.tolist() and {type(v) for v in a.flat} == {int}
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 16))
+    def test_two_buffer_rebuild_matches_the_formula_bit_for_bit(self, m):
+        exact = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, 3))
+        q = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))[0]
+        rotated = conjugate_structure(standard_complex_structure(m, FLOAT), q)
+        cases = [(exact, Fraction(-7, 4)), (exact, Fraction(2**70 + 1, 3)), (exact, Fraction(0))]
+        cases += [(rotated, c) for c in (-1.7, 3.0, -0.0, 1e-310)]  # signed zeros and subnormals too
+        for cs, c in cases:
+            values, den = _r_theta_values(cs, c)
+            want, want_den = self.formula_values(cs, c)
+            assert den == want_den and self.same_bits(values, want)
+            R = r_theta(cs, c)
+            ref = CurvatureTensor(m, want, cs.mode, want_den)
+            assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
+        assert _r_theta_values(exact, Fraction(2**70 + 1, 3))[0].dtype == object
+
     def test_invalid_structure_rejected(self):
         with pytest.raises(InvalidComplexStructure):
             ComplexStructure(np.array([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], dtype=object))
         with pytest.raises(InvalidComplexStructure):
             standard_complex_structure(5)
+
+
+class TestR0Residual:
+    """The exact c R0 residual, read off R in place, against |N - s R0| taken whole."""
+
+    @staticmethod
+    def reference(R, s):
+        pattern = r0(R.m, 1).values.astype(object)  # 1 at (i, j, j, i), -1 at (i, j, i, j)
+        return Fraction(int(np.abs(R.values.astype(object) - pattern * int(s)).max()), R.max_value)
+
+    @pytest.mark.parametrize("m", (2, 3, 4, 7, 10, 16))
+    def test_matches_the_whole_difference(self, m):
+        big = Fraction(2**70 + 1, 3)
+        off = np.zeros((m,) * 4, dtype=object)
+        off[0, 1, 1, 0] = off[1, 0, 0, 1] = 1  # one pattern plane moved, on Python ints
+        off[0, 1, 0, 1] = off[1, 0, 1, 0] = -1
+        moved = combine([(big, r0(m, 1)), (1, CurvatureTensor(m, off, RATIONAL))])
+        for R in r0_near_misses(m) + [r0(m, big), moved]:
+            s = _sectional(R)[1]
+            got, want = _r0_residual(R, s), self.reference(R, s)
+            assert got == want and type(got) is Fraction
 
 
 class TestFromForm:

@@ -15,6 +15,7 @@ from actlab import (
     CurvatureTensor,
     BiQuadraticMatrixPoly,
     DegenerateInput,
+    InvalidOperator,
     classify,
     combine,
     commutator,
@@ -54,7 +55,14 @@ from actlab.tsankov import (
     _violation_scan,
 )
 
-from conftest import build_corpus, evaluate_entries, poly_from_entries, quaternion_tensor
+from conftest import (
+    build_corpus,
+    cayley_rotation,
+    evaluate_entries,
+    poly_from_entries,
+    quaternion_tensor,
+    r0_near_misses,
+)
 
 _INT64_LIMIT = 2**62  # integer kernels stay in int64 below this bound
 _FLOAT64_LIMIT = 2**53  # and in exact float64 below this one
@@ -1373,26 +1381,17 @@ class TestAcceptPathConstants:
             assert str(exc.value) == message
 
 
-def r0_near_misses(m):
-    """Exact tensors at and beside c R0 in dimension m, c = -5/3: c R0 itself, and 7 R0 and
-    numerators past 2^62 at m <= 8; then, from m = 3 on, c R0 with the off-pattern numerator at
-    (0, 1, 0, 2) and its symmetry images set to +-1, and c R0 with the pattern numerators of the
-    plane (0, 1) moved by 1; and c R0 + c2 R_Theta in even m."""
-    c = Fraction(-5, 3)
-    out = [r0(m, c), r0(m, 7)] + ([r0(m, Fraction(2**70 + 1, 3))] if m <= 8 else [])
-    if m >= 3:
-        off = np.zeros((m,) * 4, dtype=np.int64)
-        for i, j, k, l in ((0, 1, 0, 2), (0, 2, 0, 1)):  # the entry and its pair exchange
-            off[i, j, k, l] = off[j, i, l, k] = 1
-            off[j, i, k, l] = off[i, j, l, k] = -1
-        plane = from_form(np.diag([1, 1] + [0] * (m - 2)), RATIONAL)
-        out += [combine([(1, r0(m, c)), (Fraction(1, 3), CurvatureTensor(m, off, RATIONAL))])]
-        out += [combine([(1, r0(m, c)), (Fraction(1, 3), plane)])]
-    if m % 2 == 0:
-        out.append(combine([(c, r0(m, 1)), (Fraction(2, 7), r_theta(standard_complex_structure(m), 1))]))
-    for R in out:
-        assert validate(R, RATIONAL).accepted
-    return out
+def rtheta_near_misses(m):
+    """``(thetas, mixes)`` in even m: c R_Theta for c = -7/4 and for c = -(2^70 + 1)/3, whose
+    numerators pass 2^62, with Theta rotated by a seeded signed permutation and by a Cayley
+    rotation; and the mixes 3/5 R0 - 2/7 R_Theta of each rotation."""
+    thetas, mixes = [], []
+    for q in (random_signed_permutation(m, 3), cayley_rotation(m, m)):
+        cs = conjugate_structure(standard_complex_structure(m), q)
+        thetas += [r_theta(cs, Fraction(-7, 4)), r_theta(cs, Fraction(-(2**70 + 1), 3))]
+        mixes.append(combine([(Fraction(3, 5), r0(m, 1)), (Fraction(-2, 7), r_theta(cs, 1))]))
+    assert any(R.values.dtype == object for R in thetas)
+    return thetas, mixes
 
 
 def count_calls(monkeypatch, *names):
@@ -1410,7 +1409,8 @@ def count_calls(monkeypatch, *names):
 
 
 class TestRationalLadder:
-    """Exact orthogonal decisions try c R0 right after the zero test, before the Jacobi table."""
+    """Exact orthogonal decisions try c R0 right after the zero test, then c R_Theta behind the
+    rank-one test of J(e_0), both before the Jacobi table."""
 
     @staticmethod
     def assert_same_fit(got, want):
@@ -1463,18 +1463,62 @@ class TestRationalLadder:
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
 
     def test_rejects_and_rtheta_accepts_build_the_table_once(self, monkeypatch):
+        # a reject builds the table once; an exact c R_Theta accept, decided before it, never does
         counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
         cs = conjugate_structure(standard_complex_structure(8), random_signed_permutation(8, 2))
         cases = (
-            (random_act(6, 2, 1), False),
-            (r0_near_misses(10)[2], False),  # an off-pattern numerator
-            (r_theta(cs, Fraction(7, 4)), True),
+            (random_act(6, 2, 1), False, 1),
+            (r0_near_misses(10)[2], False, 1),  # an off-pattern numerator
+            (r_theta(cs, Fraction(7, 4)), True, 0),
         )
-        for R, holds in cases:
+        for R, holds, calls in cases:
             v = tsankov_test(R, "exact")
             assert v.holds is holds
-            assert counts == {"_jacobi_table": 1, "_first_violation": 1}
+            assert counts == {"_jacobi_table": calls, "_first_violation": calls}
             counts.update(dict.fromkeys(counts, 0))
+
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_rtheta_decisions_match_the_expansion(self, m):
+        thetas, mixes = rtheta_near_misses(m)
+        self.check_against_the_expansion(thetas + mixes)
+        assert [_decide(R, 0, 200, True)[0].holds for R in thetas + mixes] == [True] * len(thetas) + [
+            m == 2  # at m = 2 every tensor is c R0
+        ] * len(mixes)
+
+    def test_irrational_theta_matches_the_expansion(self):
+        # J(e_0) has rank one, but its factor is irrational: the fit fails, and the expansion accepts
+        self.check_against_the_expansion([quaternion_tensor()])
+
+    def test_asymmetric_rank_one_j_is_left_to_the_screen(self):
+        # arrays outside the symmetries whose J(e_0) numerators are rank one but not symmetric:
+        # the c R_Theta fit's InvalidOperator is suppressed, and the screen or the expansion decides
+        single = np.zeros((4,) * 4, dtype=np.int64)
+        single[1, 0, 0, 2] = 1  # J(x) = x_0^2 E, so every pair commutes
+        screened = random_act(4, 3, 1).values.copy()
+        screened[:, 0, 0, :] = single[:, 0, 0, :]
+        R, R2 = CurvatureTensor(4, single, RATIONAL), CurvatureTensor(4, screened, RATIONAL)
+        assert tsankov_test(R).holds
+        with pytest.raises(InvalidOperator):
+            classify(R)
+        w = tsankov_test(R2).witness
+        assert w.commutator_norm == Fraction(9988992, 17323)
+
+    @pytest.mark.parametrize("m", (4, 8, 12))
+    def test_rtheta_accepts_skip_the_table_and_the_screen(self, monkeypatch, m):
+        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
+        for R in rtheta_near_misses(m)[0]:
+            assert tsankov_test(R, "exact").holds
+            res = classify(R)
+            assert (res.tag, res.residual) == ("ComplexForm", 0)
+        assert counts == {"_jacobi_table": 0, "_first_violation": 0}
+
+    def test_even_rejects_skip_the_recovery(self, monkeypatch):
+        # neither a random tensor nor a mix has a rank-one J(e_0), so no c R_Theta fit is tried
+        counts = count_calls(monkeypatch, "recover_complex_structure", "_first_violation")
+        for m in (4, 6, 8, 10):
+            for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
+                assert not tsankov_test(R, "exact").holds
+        assert counts == {"recover_complex_structure": 0, "_first_violation": 12}
 
     def test_float_keeps_the_screen_before_the_fit(self):
         # within tol |R| of R0, yet with a screened commutator above tol |R|^2: a ladder that
