@@ -143,7 +143,7 @@ def _is_rank_one(n: np.ndarray) -> bool:
     return not np.any(n * n[r, c] - np.outer(n[:, c], n[r, :]))
 
 
-def _recover(R: CurvatureTensor):
+def _recover(R: CurvatureTensor, tested: bool = False):
     """(c, Theta numerators, their denominator) from the numerators V over d.
 
     J(e_p) is the slice V[b,p,p,a] over d.  At the first p where it has rank
@@ -153,10 +153,15 @@ def _recover(R: CurvatureTensor):
     q, with integer entries at most 2 m max|V| max|W| in rational mode.
     Float tensors are V over d = 1; their rank test is ``rank_with_mode``,
     whose eigen-split makes the symmetry check that exact J(e_p) take here.
+    ``tested`` takes p = 0 without either test: the caller has found the
+    exact J(e_0) of rank one, and ``_rank_one_unit`` refuses it if it is
+    not symmetric, since s W W^T is.
     """
     m, v, mode = R.m, R.values, R.mode
     for p in range(m):
         n = v[:, p, p, :].T
+        if tested:
+            break
         if mode.exact:
             require_selfadjoint(n, mode)
         if (_is_rank_one(n) if mode.exact else rank_with_mode(n, mode) == 1):
@@ -196,9 +201,14 @@ def recover_complex_structure(R: CurvatureTensor):
     of w.  Float tensors take the same slices and contraction; only their
     rank test (``rank_with_mode``) and the root in w differ.
     """
+    return _complex_structure(R)
+
+
+def _complex_structure(R: CurvatureTensor, tested: bool = False):
+    """``recover_complex_structure(R)``, at p = 0 untested when ``tested`` (see ``_recover``)."""
     if R.m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    c, theta, denominator = _recover(R)
+    c, theta, denominator = _recover(R, tested)
     if not R.mode.exact:  # float structures take no denominator
         theta, denominator = theta / denominator, 1
     try:

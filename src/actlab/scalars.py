@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+SLICE_ENTRIES = 2**14  # the most entries one slice of pairs, or one block of c R_Theta, holds at once
 
 
 @dataclass(frozen=True)
@@ -172,16 +173,22 @@ def integer_array_max(values, denominator: int = 1):
 
 def _reduced(values, denominator: int):
     """``(N, d)`` of ``integer_array`` before the tier: int64 arrays and object arrays of
-    Python ints as given, anything else through one ``Fraction`` list to Python ints."""
+    Python ints as given; anything else is read once, as one list of numerator-denominator
+    pairs (of ``Fraction(v)`` for entries that are not ints, ``Fraction``s or floats), whose
+    numerators over the lcm of the denominators are built as int64 when below 2^62."""
     a = np.asarray(values)
     nums, common = a, 1
     if a.dtype != np.int64:
         flat = a.ravel().tolist()
-        if a.dtype != object or not set(map(type, flat)) <= {int}:  # Python ints pass as given
-            flat = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in flat]
-            common = lcm(*(v.denominator for v in flat))
-            nums = np.array([v.numerator * (common // v.denominator) for v in flat], dtype=object)
-            nums = nums.reshape(a.shape)
+        types = set(map(type, flat))
+        if a.dtype != object or not types <= {int}:  # Python ints pass as given
+            if not types <= {int, Fraction, float}:  # numpy integers as ints, which do not wrap
+                flat = [Fraction(int(v) if isinstance(v, np.integer) else v) for v in flat]
+            ratios = [v.as_integer_ratio() for v in flat]
+            common = lcm(*[d for _, d in ratios])
+            flat = [n for n, _ in ratios] if common == 1 else [n * (common // d) for n, d in ratios]
+            top = max(max(flat, default=0), -min(flat, default=0))
+            nums = np.array(flat, dtype=np.int64 if top < 2**62 else object).reshape(a.shape)
     d = common * denominator
     g = gcd(d, _first_nonzero(nums)) if d != 1 else 1
     if g != 1:

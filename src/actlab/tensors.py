@@ -36,6 +36,7 @@ from .errors import (
 )
 from .scalars import (
     RATIONAL,
+    SLICE_ENTRIES,
     ScalarMode,
     exact_cast,
     float_array,
@@ -367,23 +368,41 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
 
 def _r_theta_values(cs: ComplexStructure, c):
     """``(numerators, denominator)`` of c R_Theta, c a scalar of ``cs.mode``, unreduced: exact
-    numerators over c's denominator times t^2.  The terms t1 = Th_kj Th_li, t2 = Th_ki Th_lj
-    and t3 = Th_ji Th_lk fill two m^4 buffers, and each entry is ((t1 - t2) - 2 t3) c in that
-    order, so its bits, signed zeros included, are the formula's."""
+    numerators over c's denominator times t^2, copied from ``_r_theta_blocks`` into one buffer."""
+    blocks, den, dtype = _r_theta_blocks(cs, c)
+    values = np.empty((cs.m,) * 4, dtype)
+    for rows, block in blocks:
+        values[rows] = block
+    return values, den
+
+
+def _r_theta_blocks(cs: ComplexStructure, c):
+    """``(blocks, denominator, dtype)`` of ``_r_theta_values``: ``blocks`` yields ``(rows, block)``
+    for consecutive row slices, each block one reused buffer of at most ``SLICE_ENTRIES`` entries
+    (one row, m^3 entries, from m = 26 on).
+    With t = Th^T and O[i,x,y,z] = t[i,x] t[y,z], one outer product per block, t1 = Th_kj Th_li,
+    t2 = Th_ki Th_lj and t3 = Th_ji Th_lk are O[i,l,j,k], O[i,k,j,l] and O[i,j,k,l], and each
+    entry is ((t1 - t2) - 2 t3) c in that order: the formula's bits, signed zeros included."""
     th, scale, den = cs.values, c, 1
     if cs.mode.exact:  # each bracket is at most 4 max|T|^2
         th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
         scale, den = c.numerator, c.denominator * cs.denominator**2
     m, t = cs.m, th.T
-    a, b = np.empty((m,) * 4, th.dtype), np.empty((m,) * 4, th.dtype)  # C order: b is also (m^2, m^2)
-    np.multiply(t[:, None, None, :], t[None, :, :, None], out=a)  # [i,j,k,l] = Th_li Th_kj
-    np.multiply(t[:, None, :, None], t[None, :, None, :], out=b)  # Th_ki Th_lj
-    a -= b
-    np.multiply.outer(t.reshape(-1), t.reshape(-1), out=b.reshape(m * m, m * m))  # Th_ji Th_lk
-    b *= 2
-    a -= b
-    a *= scale
-    return a, den
+    step = min(m, max(1, SLICE_ENTRIES // m**3))
+
+    def blocks():
+        o, out = np.empty((step, m, m, m), t.dtype), np.empty((step, m, m, m), t.dtype)
+        for i in range(0, m, step):
+            n = min(step, m - i)
+            ob, block = o[:n], out[:n]
+            np.multiply.outer(t[i : i + n], t, out=ob)
+            np.subtract(ob.transpose((0, 2, 3, 1)), ob.transpose((0, 2, 1, 3)), out=block)
+            ob *= 2
+            block -= ob
+            block *= scale
+            yield slice(i, i + n), block
+
+    return blocks(), den, t.dtype
 
 
 def from_form(phi, mode: ScalarMode | None = None) -> CurvatureTensor:

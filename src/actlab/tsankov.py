@@ -15,7 +15,8 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    entries in place (``_r0_fit``), proves that C vanishes on orthogonal
    pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
    it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
-   on one rebuild of the numerators (``_rtheta_fit``), does the same;
+   on its numerators rebuilt in blocks of a few rows and compared with
+   R's in place (``_rtheta_fit``), does the same;
 3. a commutator at one of a few seeded pairs (exactly orthogonal for
    rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
    float mode, proves failure, and the reported witness then comes from
@@ -80,10 +81,11 @@ from math import frexp
 
 import numpy as np
 
-from .errors import ClassificationInconsistency, DegenerateInput, InvalidOperator, InvalidPolynomial, NotRankOne
-from .jacobi import _is_rank_one, jacobi, recover_complex_structure
-from .scalars import ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int, seeded_rng
-from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_values, combine
+from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
+from .jacobi import _complex_structure, _is_rank_one, jacobi, recover_complex_structure
+from .scalars import SLICE_ENTRIES, ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int
+from .scalars import seeded_rng
+from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_blocks, combine, r_theta
 
 __all__ = [
     "Witness",
@@ -503,9 +505,6 @@ def _scaled(v, e):
         return type(v)(np.ldexp(v, e))
 
 
-SLICE_ENTRIES = 2**14  # the scan evaluates at most this many / m^2 pairs at once
-
-
 def _squared_norms(a):
     """<a_p, a_p> of each row: float64 row sums for float rows, exact ones for integer rows.
 
@@ -775,10 +774,12 @@ def _r0_fit(R: CurvatureTensor):
     return (Fraction(int(s), R.denominator) if R.mode.exact else s), None, residual
 
 
-def _rtheta_fit(R: CurvatureTensor):
-    """R as c R_Theta, (c, Theta) from ``recover_complex_structure``, checked on a rebuild:
-    ``(c, Theta, residual)``, else ``ClassificationInconsistency``, which in odd m, where no
-    Theta exists, reports why c R0 failed.  Exact numerators are compared in place."""
+def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
+    """R as c R_Theta, (c, Theta) from ``recover_complex_structure`` (taking J(e_0) as
+    ``tested``), checked on a rebuild: ``(c, Theta, residual)``, else
+    ``ClassificationInconsistency``, which in odd m, where no Theta exists, reports why c R0
+    failed.  As R is reduced, exact R = V / den iff den = g R.denominator and V = g N, compared
+    block by block (``_r_theta_blocks``); only a mismatch builds the rebuild for the residual."""
     if R.m % 2:
         s = _sectional(R)[1]
         raise ClassificationInconsistency(
@@ -786,14 +787,18 @@ def _rtheta_fit(R: CurvatureTensor):
             + ("(no nonzero sectional value)" if s is None else f"(residual {_r0_residual(R, s)})")
         )
     try:
-        c, cs = recover_complex_structure(R)
+        c, cs = _complex_structure(R, True) if tested else recover_complex_structure(R)
     except NotRankOne as exc:
         raise ClassificationInconsistency(
             f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
         ) from exc
-    values, den = _r_theta_values(cs, c)
-    same = R.mode.exact and den == R.denominator and np.array_equal(values, R.values)  # R is reduced
-    residual = Fraction(0) if same else _relative_residual(R, CurvatureTensor(R.m, values, R.mode, den))
+    blocks, den, _ = _r_theta_blocks(cs, c)
+    g, rest = divmod(den, R.denominator)
+    same = R.mode.exact and not rest and all(
+        np.array_equal(block, R.values[rows] if g == 1 else exact_cast(R.values[rows], g * R.max_value) * g)
+        for rows, block in blocks
+    )
+    residual = Fraction(0) if same else _relative_residual(R, r_theta(cs, c))
     if not negligible(residual, R.mode):
         raise ClassificationInconsistency(
             f"commutation holds but complex-form reconstruction fails (residual {residual})"
@@ -822,10 +827,11 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 
     The certificates run cheapest first: the zero tensor holds; for
     rational ``orthogonal``, an exact c R0 (``_r0_fit``), then, in even m
-    with a rank-one J(e_0) (``_is_rank_one`` on its numerators), an exact
-    c R_Theta (``_rtheta_fit``) holds before the Jacobi table is built; a
-    commutator above ``_float_threshold`` (nonzero in rational mode) at one
-    of the ``SCREEN_PAIRS`` pairs of ``_screen_pairs`` proves failure; for
+    with a rank-one J(e_0) (``_is_rank_one`` on its numerators, which the
+    recovery takes as tested), an exact c R_Theta (``_rtheta_fit``) holds
+    before the Jacobi table is built; a commutator above
+    ``_float_threshold`` (nonzero in rational mode) at one of the
+    ``SCREEN_PAIRS`` pairs of ``_screen_pairs`` proves failure; for
     float ``orthogonal``, a fit as c R0 or c R_Theta (``_fit``) proves that
     commutation on orthogonal pairs holds.  Float keeps the screen before
     its fit since a fit within tol |R| can coexist with a commutator above
@@ -837,8 +843,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 
     Returns ``(verdict, fit)``: ``fit`` is the ``_fit`` tuple when a fit
     decided, else None, whether none ran or each raised
-    ``ClassificationInconsistency`` (or ``InvalidOperator``, from an array
-    outside the tensor symmetries whose J(e_0) is not symmetric).
+    ``ClassificationInconsistency``.
     """
     method = "ExactDivisibility" if orthogonal else "CoefficientExpansion"
     if R.is_zero():
@@ -846,8 +851,8 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     if orthogonal and R.mode.exact:
         fit = _r0_fit(R)
         if fit is None and R.m % 2 == 0 and _is_rank_one(R.values[:, 0, 0, :]):
-            with suppress(ClassificationInconsistency, InvalidOperator):
-                fit = _rtheta_fit(R)
+            with suppress(ClassificationInconsistency):
+                fit = _rtheta_fit(R, tested=True)
         if fit is not None:
             return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)

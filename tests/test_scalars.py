@@ -1,7 +1,7 @@
 """Scalar backends: exact rank, float spectra, seeded sampling, completions."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -358,6 +358,61 @@ class TestIntegerArray:
         # a Fraction among the ints still clears its denominator
         n, d = integer_array(np.array([2**70, Fraction(1, 3)], dtype=object))
         assert n.tolist() == [3 * 2**70, 1] and d == 3
+
+    @staticmethod
+    def fraction_list_reference(values, denominator=1):
+        """``integer_array`` as one ``Fraction`` list made it: numerators as Python ints, reduced,
+        then int64 below 2^62 in max|N|."""
+        a = np.asarray(values)
+        flat = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in a.ravel().tolist()]
+        common = lcm(*(v.denominator for v in flat))
+        nums = [v.numerator * (common // v.denominator) for v in flat]
+        d = common * denominator
+        g = d
+        for v in nums:
+            g = gcd(g, int(v))
+        nums, d = [v // g for v in nums], d // g
+        top = max((abs(int(v)) for v in nums), default=0)
+        return np.array(nums, dtype=object if top >= 2**62 else np.int64).reshape(a.shape), d
+
+    def test_fraction_lists_match_the_reference(self):
+        edge = [2**62 - 1, -(2**62 - 1), 2**62, -(2**62), -(2**63)]
+        rng = np.random.default_rng(22)
+        cases = [
+            ([Fraction(1, 6), Fraction(-2, 9), Fraction(5, 4), 0], 1),
+            ([Fraction(1, 6), Fraction(-2, 9), Fraction(5, 4), 0], 36),
+            ([3, Fraction(1, 3), -7, Fraction(2, 5)], 1),
+            ([3, Fraction(1, 3), -7, Fraction(2, 5)], 15),
+            ([Fraction(0)] * 6, 4),
+            ([np.int64(4), Fraction(2, 3), np.int64(-6)], 1),
+            ([np.int64(4), np.int64(-6), 8], 2),
+            ([0.5, Fraction(1, 3), 2], 1),
+        ]
+        for v in edge:
+            cases += [([Fraction(v), Fraction(1, 2)], 1), ([Fraction(v), 3], 1), ([v, Fraction(1, 3)], 3)]
+            cases += [([Fraction(v, 2), 1], 2), ([Fraction(v)], 2), ([Fraction(v), Fraction(0)], 1)]
+        for _ in range(30):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+            num = rng.integers(-9, 10, size=shape)
+            den = rng.integers(1, 7, size=shape)
+            f = int(rng.choice([1, 2**40, 2**61, 2**63]))
+            cases.append(([[Fraction(int(a) * f, int(b)) for a, b in zip(*row)] for row in zip(num, den)], 6))
+        for values, d in cases:
+            a = np.empty(np.shape(values), dtype=object)
+            a[...] = values
+            n, got_d = integer_array(a, d)
+            want, want_d = self.fraction_list_reference(a, d)
+            assert got_d == want_d and n.dtype == want.dtype and n.shape == want.shape
+            assert n.reshape(-1).tolist() == want.reshape(-1).tolist()
+            if n.dtype == object:
+                assert {type(v) for v in n.reshape(-1).tolist()} == {int}
+
+    def test_numpy_integers_beside_fractions_do_not_wrap(self):
+        a = np.empty(3, dtype=object)
+        a[:] = [np.int64(2**40), Fraction(1, 2**30), np.int32(-3)]
+        n, d = integer_array(a)
+        assert d == 2**30 and n.dtype == object and n.tolist() == [2**70, 1, -3 * 2**30]
+        assert {type(v) for v in n.tolist()} == {int}
 
     def test_exact_cast_keeps_int64_below_2_62(self):
         nums = np.array([[3, -(2**40)], [0, 7]], dtype=np.int64)

@@ -36,11 +36,18 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
-from actlab.scalars import exact_cast, float_array, max_abs
-from actlab.tensors import ComplexStructure, CurvatureTensor, _gauss_components, _r_theta_values
-from actlab.tsankov import _r0_residual, _sectional
+from actlab.errors import ClassificationInconsistency
+from actlab.scalars import SLICE_ENTRIES, exact_cast, float_array, max_abs
+from actlab.tensors import (
+    ComplexStructure,
+    CurvatureTensor,
+    _gauss_components,
+    _r_theta_blocks,
+    _r_theta_values,
+)
+from actlab.tsankov import _r0_residual, _relative_residual, _rtheta_fit, _sectional
 
-from conftest import r0_near_misses, random_fraction
+from conftest import cayley_rotation, r0_near_misses, random_fraction
 
 
 def brute_force_symmetry_violations(comps, m):
@@ -213,6 +220,63 @@ class TestRTheta:
             ref = CurvatureTensor(m, want, cs.mode, want_den)
             assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
         assert _r_theta_values(exact, Fraction(2**70 + 1, 3))[0].dtype == object
+
+    @staticmethod
+    def two_buffer_values(cs, c):
+        """The numerators of c R_Theta as two m^4 buffers made them: t1 - t2, then - 2 t3, then * c."""
+        th, scale, den = cs.values, c, 1
+        if cs.mode.exact:
+            th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+            scale, den = c.numerator, c.denominator * cs.denominator**2
+        m, t = cs.m, th.T
+        a, b = np.empty((m,) * 4, th.dtype), np.empty((m,) * 4, th.dtype)
+        np.multiply(t[:, None, None, :], t[None, :, :, None], out=a)
+        np.multiply(t[:, None, :, None], t[None, :, None, :], out=b)
+        a -= b
+        np.multiply.outer(t.reshape(-1), t.reshape(-1), out=b.reshape(m * m, m * m))
+        b *= 2
+        a -= b
+        a *= scale
+        return a, den
+
+    @pytest.mark.parametrize("m", range(2, 19, 2))
+    def test_blocked_rebuild_matches_the_two_buffer_build_bit_for_bit(self, m):
+        # at m = 12 and 14 the block rows (9 and 5) do not divide m, so the last block is short
+        exact = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, 3))
+        q = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))[0]
+        rotated = conjugate_structure(standard_complex_structure(m, FLOAT), q)
+        cases = [(exact, Fraction(-7, 4)), (exact, Fraction(2**70 + 1, 3))]
+        cases += [(rotated, c) for c in (-1.7, -0.0, -1e-310)]  # signed zeros and subnormals
+        for cs, c in cases:
+            want, want_den = self.two_buffer_values(cs, c)
+            values, den = _r_theta_values(cs, c)
+            assert den == want_den and self.same_bits(values, want)  # tobytes() for int64 and float64
+            blocks, den, dtype = _r_theta_blocks(cs, c)
+            rows = [(r.start, r.stop, block.size) for r, block in blocks]
+            assert den == want_den and dtype == want.dtype
+            assert [r[0] for r in rows] == [0] + [r[1] for r in rows[:-1]] and rows[-1][1] == m
+            assert all(size <= max(SLICE_ENTRIES, m**3) for *_, size in rows)
+        assert _r_theta_values(exact, Fraction(2**70 + 1, 3))[0].dtype == object
+        assert np.signbit(_r_theta_values(rotated, -0.0)[0]).any()
+
+    @pytest.mark.parametrize("m", (4, 10, 12, 14))
+    def test_fit_mismatch_raises_with_the_rebuild_residual(self, m):
+        # entries off J(e_0) and J(e_0, .) leave the recovered (c, Theta) as it was, so the
+        # compare fails there, in the first or the last block, and the residual is the rebuild's
+        for q in (random_signed_permutation(m, 3), cayley_rotation(m, 5)):
+            cs = conjugate_structure(standard_complex_structure(m), q)
+            R = r_theta(cs, Fraction(-7, 4))
+            for index, delta in (((1, 2, 3, 1), 1), ((m - 1, 2, 3, 1), -1), ((m - 1, 3, 2, 1), Fraction(1, 101))):
+                comps = R.components.copy()
+                comps[index] += delta
+                bad = CurvatureTensor(m, comps, RATIONAL)
+                assert (bad.denominator == R.denominator) == (type(delta) is int)
+                values, den = self.two_buffer_values(cs, Fraction(-7, 4))
+                want = _relative_residual(bad, CurvatureTensor(m, values, RATIONAL, den))
+                with pytest.raises(ClassificationInconsistency) as exc:
+                    _rtheta_fit(bad)
+                assert str(exc.value) == f"commutation holds but complex-form reconstruction fails (residual {want})"
+                assert want != 0
 
     def test_invalid_structure_rejected(self):
         with pytest.raises(InvalidComplexStructure):

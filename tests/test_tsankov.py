@@ -1,6 +1,7 @@
 """Commutator polynomials, divisibility decision, and the two commutation tests."""
 
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
 from math import isqrt
 import tracemalloc
@@ -55,6 +56,7 @@ from actlab.tsankov import (
     _violation_scan,
 )
 
+from actlab.tensors import _r_theta_blocks
 from conftest import (
     build_corpus,
     cayley_rotation,
@@ -64,6 +66,7 @@ from conftest import (
     r0_near_misses,
 )
 
+jacobi_module = import_module("actlab.jacobi")  # the package's ``jacobi`` is the function
 _INT64_LIMIT = 2**62  # integer kernels stay in int64 below this bound
 _FLOAT64_LIMIT = 2**53  # and in exact float64 below this one
 
@@ -1519,6 +1522,68 @@ class TestRationalLadder:
             for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
                 assert not tsankov_test(R, "exact").holds
         assert counts == {"recover_complex_structure": 0, "_first_violation": 12}
+
+    def test_even_rejects_skip_the_tested_recovery_too(self, monkeypatch):
+        counts = count_calls(monkeypatch, "recover_complex_structure", "_complex_structure")
+        for m in (4, 6, 8, 10):
+            for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
+                assert not tsankov_test(R, "exact").holds
+        assert counts == {"recover_complex_structure": 0, "_complex_structure": 0}
+
+    @pytest.mark.parametrize("m", (4, 8, 12))
+    def test_rtheta_accepts_test_j_e0_once(self, monkeypatch, m):
+        # _decide's rank-one and symmetry test of J(e_0) is the recovery's test at p = 0
+        calls = {"rank": 0, "symmetric": 0}
+        real_rank, real_symmetric = jacobi_module._is_rank_one, jacobi_module.require_selfadjoint
+
+        def rank(*args):
+            calls["rank"] += 1
+            return real_rank(*args)
+
+        def symmetric(*args, **kwargs):
+            calls["symmetric"] += 1
+            return real_symmetric(*args, **kwargs)
+
+        monkeypatch.setattr(tsankov, "_is_rank_one", rank)
+        monkeypatch.setattr(jacobi_module, "_is_rank_one", rank)
+        monkeypatch.setattr(jacobi_module, "require_selfadjoint", symmetric)
+        for R in rtheta_near_misses(m)[0]:
+            assert tsankov_test(R, "exact").holds
+            assert calls == {"rank": 1, "symmetric": 0}
+            res = classify(R)
+            assert (res.tag, res.residual) == ("ComplexForm", 0)
+            assert calls == {"rank": 2, "symmetric": 0}
+            calls.update(dict.fromkeys(calls, 0))
+
+    @pytest.mark.parametrize("m", (18, 20))
+    def test_rtheta_accepts_allocate_no_m4_array(self, m):
+        # the fit compares blocks of at most SLICE_ENTRIES entries: it never holds half of R's size
+        cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, 3))
+        R = r_theta(cs, Fraction(-7, 4))
+        assert tsankov_test(R, "exact").holds  # fills the caches kept per dimension
+        tracemalloc.start()
+        try:
+            assert tsankov_test(R, "exact").holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.values.nbytes / 2
+
+    def test_cayley_rotated_fits_compare_in_place(self, monkeypatch):
+        # the rebuilt denominator c.den t^2 of a Cayley Theta need not be reduced; R == V / den
+        # is still decided block by block, as V == g N for den = g R.denominator
+        counts = count_calls(monkeypatch, "_relative_residual")
+        scaled = 0
+        for m in (4, 6, 8, 10):
+            for seed in range(15):
+                cs = conjugate_structure(standard_complex_structure(m), cayley_rotation(m, seed))
+                R = r_theta(cs, Fraction(-7, 4))
+                c, cs2, residual = tsankov._rtheta_fit(R)
+                assert (c, residual) == (Fraction(-7, 4), 0)
+                scaled += _r_theta_blocks(cs2, c)[1] != R.denominator
+                res = classify(R)
+                assert (res.tag, res.c, res.residual) == ("ComplexForm", Fraction(-7, 4), 0)
+        assert counts == {"_relative_residual": 0} and scaled > 10
 
     def test_float_keeps_the_screen_before_the_fit(self):
         # within tol |R| of R0, yet with a screened commutator above tol |R|^2: a ladder that
