@@ -97,12 +97,12 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     ``tsankov_test(R, "exact")``, whose failure returns the witness; (iii)
     the fit that decides: c R0 with c from one sectional value, else
     (c, Theta) from ``recover_complex_structure``, each checked by its
-    reconstruction residual.  The decision itself tries the fits before
-    any polynomial expansion, an exact c R0 and an exact c R_Theta even
-    before its screen, and returns the one that succeeds; when the
-    expansion had to decide instead, the fit is deterministic, so running
-    it again raises its own ``ClassificationInconsistency``.  A ``seed`` that is not an integer
-    >= 0 is ``DegenerateInput`` before any step.
+    reconstruction residual.  The decision tries an exact fit before the
+    Jacobi table and round 0 of the witness search, a float fit after its
+    screen, and returns the fit that succeeds; when the expansion had to
+    decide instead, the fit is deterministic, so running it again raises
+    its own ``ClassificationInconsistency``.  A ``seed`` that is not an
+    integer >= 0 is ``DegenerateInput`` before any step.
     """
     if R.m < 3:
         raise UnsupportedDimension("classification needs dimension m >= 3")

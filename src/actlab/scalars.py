@@ -230,13 +230,15 @@ def max_abs(a) -> Fraction | float:
 
     int64 and float64 arrays take the larger of |min| and |max|: two passes
     and no |a| temporary, with the value, type and sign bit of
-    ``np.abs(a).max()`` (0.0 for -0.0, and NaN propagates).
+    ``np.abs(a).max()`` (0.0 for -0.0, and NaN propagates), except that an
+    int64 min of -2^63, which ``np.abs`` wraps to itself, gives the Python int 2^63.
     """
     a = np.asarray(a)
     if a.size == 0:
         return Fraction(0) if a.dtype == object else 0.0
     if a.dtype == np.int64 or a.dtype == np.float64:
-        return max(np.abs(a.max()), np.abs(a.min()))
+        low = a.min()
+        return 2**63 if a.dtype == np.int64 and low == -(2**63) else max(np.abs(a.max()), np.abs(low))
     return np.abs(a).max()
 
 
@@ -347,6 +349,13 @@ def require_int(value, low: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise DegenerateInput(f"{name} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def read_only(*arrays) -> tuple:
+    """The arrays, each made read-only in place: the constants that per-m caches share."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def seeded_rng(seed) -> np.random.Generator:

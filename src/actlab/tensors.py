@@ -49,6 +49,7 @@ from .scalars import (
     max_abs,
     mode_of,
     negligible,
+    read_only,
     seeded_rng,
     vector,
     zeros,
@@ -234,10 +235,7 @@ def _r0_pattern(m: int):
     """The flat positions of (i, j, j, i) and (i, j, i, j), i != j, where R0 is 1 and -1:
     ``(plus, minus)``, built once per m and read-only (``r0`` and the c R0 fit share them)."""
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    out = (((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return read_only(((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j)
 
 
 def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:

@@ -17,58 +17,43 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
    on its numerators rebuilt in blocks of a few rows and compared with
    R's in place (``_rtheta_fit``), does the same;
-3. a commutator at one of a few seeded pairs (exactly orthogonal for
-   rational ``tsankov_test``) that is nonzero, or above ``tol |R|^2`` in
-   float mode, proves failure, and the reported witness then comes from
-   the seeded witness search.  The pairs are drawn once per dimension
-   (``_screen_pairs``);
+3. in rational mode, a nonzero commutator at a pair of round 0 of the
+   seeded witness search (``_witness_rounds``), exactly orthogonal for
+   ``tsankov_test``, proves failure and is the witness; in float mode, a
+   commutator above ``tol |R|^2`` at one of a few seeded pairs, drawn once
+   per dimension (``_screen_pairs``), proves failure;
 4. for float ``tsankov_test``, a fit as c R0, then as c R_Theta
    (``_fit``), within ``tol |R|``, proves commutation.  Float mode fits
    only here, after the screen: a fit that close can coexist with a
    commutator above ``tol |R|^2``;
 5. otherwise the commutator polynomial is expanded.  Full commutation
-   holds iff every coefficient is zero.  Orthogonal commutation holds iff
-   the pairing form q(x,y) = sum_i x_i y_i divides every entry: the zero
-   set of q is an irreducible quadric with dense real points, so a
-   bidegree-(2,2) polynomial vanishes on it iff q divides it.  In a
-   lexicographic order with leading term x0*y0 the remainder of division
-   by q has no x0*y0 term, so the only possible bidegree-(1,1) quotient is
-   read off the coefficients, and multiplying it back by q decides
-   (``divisible_by_pairing``).
+   holds iff every coefficient is zero; orthogonal commutation iff the
+   pairing form q(x,y) = sum_i x_i y_i divides every entry, since the zero
+   set of q is an irreducible quadric with dense real points.  With leading
+   term x0*y0 a remainder of division by q has no x0*y0 term, so the only
+   possible quotient is read off the coefficients, and multiplying it back
+   by q decides (``divisible_by_pairing``).
 
-In rational mode each certificate is exact, so the order changes no
-verdict: no screen could fire on an exact c R0 or c R_Theta.
+Every failure reports the seeded search's witness; a rational step 5
+failure resumes it at round 1, so no round runs twice.  Each rational
+certificate is exact, so the order changes no verdict and no witness: no
+commutator of an exact c R0 or c R_Theta is nonzero, and the search stops
+at its first round with a violator.
 
-Both polynomial classes store one coefficient array over one denominator,
-as ``CurvatureTensor`` does: they are built from that array alone and read
-as ``values`` or through the ``entries`` dicts, built on access.
+No verdict rests on the classification theorem, which only predicts that
+the accepts left to step 5 are the c R_Theta whose Theta is irrational
+(rational mode) or whose fit misses the tolerance (float mode).  Float
+steps 3 and 5 compare at ``tol |R|^2`` on 2^-e R with max|R| in [1/2, 1)
+(``_binary_scaled``), so no commutator underflows or overflows; the float
+search then reports its largest nonzero commutator, below that too.
 
-No verdict rests on the classification theorem.  The theorem only
-predicts that the accepts left to step 5 are the tensors c R_Theta whose
-Theta is irrational (rational mode) or whose fit misses the tolerance
-(float mode).  Float steps 3 and 5 compare at the one threshold
-``tol |R|^2``, on 2^-e R with max|R| in [1/2, 1) (``_binary_scaled``), so no
-commutator underflows or overflows; once either has proved failure, the
-float witness search reports its largest nonzero sampled commutator, below
-the threshold too.
-
-A seeded sampling mode cross-checks the decision and supplies witness
-pairs for failures.  Pairs are drawn in blocks, one generator call for
-the pairs still missing, and formed as whole arrays in both modes.  A scan
-contracts on the symmetric half of J (``_Contraction``): the products
-x_i x_j, i <= j, times the n x n coefficient table, n = m(m+1)/2, that
-``commutator_poly`` expands too (``_jacobi_table``), mirrored to the full
-J; each commutator is P - P^T with P = J(x) J(y).  Pairs are evaluated in
-slices of bounded size by one first-hit scan, where the screen and the
-sampled test stop at the first violator, and by the witness search, which
-makes one largest pick over each round's sup norms.  Its basis candidates
-are products of table rows instead (``_basis_raws``).  Exact commutators
-run on the fastest tier their batch bounds allow, a float64 BLAS matmul,
-int64 or Python ints, and every tier gives the same integers, so no exact
-witness depends on the tier.  Float commutators take the same matmuls in
-float64, so float witness norms may move in their low bits with the BLAS
-summation order; the certificates above, not the search, decide float
-``tsankov_test(R, "exact")`` and ``full_commutation_test``.
+Pairs are drawn in blocks (``_sample_pairs``) and contracted on the
+symmetric half of J (``_Contraction``), the n x n table, n = m(m+1)/2, that
+``commutator_poly`` expands too (``_jacobi_table``), in slices of bounded
+size.  Exact commutators take the fastest tier their bounds allow, and
+every tier gives the same integers, so no exact witness depends on it.
+Float witness norms may move in their low bits with the BLAS summation
+order; the certificates, not the search, decide float verdicts.
 """
 
 from __future__ import annotations
@@ -84,7 +69,7 @@ import numpy as np
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
 from .jacobi import _complex_structure, _is_rank_one, jacobi, recover_complex_structure
 from .scalars import SLICE_ENTRIES, ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int
-from .scalars import seeded_rng
+from .scalars import read_only, seeded_rng
 from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_blocks, combine, r_theta
 
 __all__ = [
@@ -258,10 +243,7 @@ def _half_table_index(m: int):
     second = ((cj * m + oj[:, None]) * m + oi[:, None]) * m + ci
     full = np.empty((m, m), dtype=np.intp)
     full[ci, cj] = full[cj, ci] = np.arange(len(ci))
-    out = (full, np.argsort(full[ri, rj]), ri, rj, first, second)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return read_only(full, np.argsort(full[ri, rj]), ri, rj, first, second)
 
 
 def _jacobi_table(R: CurvatureTensor) -> np.ndarray:
@@ -424,14 +406,11 @@ class _Contraction:
 
     So J runs on ``exact_dtype(max(bJ, 2 max|V|))`` with
     bJ = max_p max(b(x_p), b(y_p)), and P and C on ``exact_dtype(bC)``
-    with bC = 2 m max_p b(x_p) max_p b(y_p).  The bounds are taken in Python
-    ints, since their squares can pass 2^63.  Each tier is the fastest exact
-    one for its bound: a float64 BLAS matmul below 2^53, where every
-    intermediate is an integer that float64 holds, so the result is exact in
-    any summation order and with any number of BLAS threads; int64 below
-    2^62; Python ints past that.  C comes back as int64, or as Python ints
-    past 2^62.  Float tensors take the same contraction in float64, and
-    their low bits depend on the BLAS summation order.
+    with bC = 2 m max_p b(x_p) max_p b(y_p), taken in Python ints, since
+    their squares can pass 2^63; each tier is exact in any summation order
+    and with any number of BLAS threads (``exact_dtype``).  C comes back as
+    int64, or as Python ints past 2^62.  Float tensors take the same
+    contraction in float64, and their low bits depend on the BLAS order.
     """
 
     def __init__(self, R: CurvatureTensor, xs, ys, table=None):
@@ -617,20 +596,14 @@ def _basis_candidates(m: int):
     xs[p, a] = ys[p, ri[k]] = ys[p, rj[k]] = 1
     xs[q, ri[off]] = xs[q, rj[off]] = ys[q, ri[off]] = 1
     ys[q, rj[off]] = -1
-    out = (index, xs, ys, (xs * xs).sum(axis=1), (ys * ys).sum(axis=1))
-    for v in out:
-        v.flags.writeable = False
-    return out
+    return read_only(index, xs, ys, (xs * xs).sum(axis=1), (ys * ys).sum(axis=1))
 
 
 @lru_cache(maxsize=None)
 def _screen_pairs(m: int, exact: bool, orthogonal: bool):
     """The screen's ``SCREEN_PAIRS`` pairs from ``SCREEN_SEED``, drawn by ``_sample_pairs`` once
     per (m, exact, orthogonal), on which alone they depend; read-only (screens share them)."""
-    out = _sample_pairs(seeded_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal)
-    for v in out:
-        v.flags.writeable = False
-    return out
+    return read_only(*_sample_pairs(seeded_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal))
 
 
 def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
@@ -685,27 +658,25 @@ def _typed_witness(w: Witness, mode: ScalarMode) -> Witness:
     return Witness(w.x.astype(kind), w.y.astype(kind), w.commutator_norm)
 
 
-def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool, table=None) -> Witness:
-    """Find a violating pair; the polynomial certificate guarantees one exists.
+def _witness_rounds(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool, table=None):
+    """The seeded witness search, one round at a time: yields each round's witness, or None.
 
-    Each round scans seeded random pairs, and the first round scans the
-    deterministic basis-combination pairs before them, reading their
-    commutators off the Jacobi table (``_basis_raws``).  One ``_largest``
-    pick over the whole round's raws returns the largest violator, the
-    earliest on ties, so a candidate beats a sample it ties; float mode
-    counts every nonzero commutator, since a certificate, which bounds
-    coefficients instead of sampled values, already proved failure.  Widens
-    the sampling span if a round finds nothing; a degree-4 polynomial that
-    is nonzero on the quadric cannot dodge random points indefinitely.
-    ``table`` is ``_jacobi_table(R)`` when the caller has built it.
+    Each of at most 64 rounds scans seeded random pairs over a wider span
+    than the last, and round 0 scans the deterministic basis-combination
+    pairs before them, reading their commutators off the Jacobi table
+    ``table`` (``_basis_raws``).  One ``_largest`` pick over the round's
+    raws gives the largest violator, the earliest on ties, so a candidate
+    beats a sample it ties.  Every nonzero commutator counts: in rational
+    mode it proves failure, and in float mode a certificate, which bounds
+    coefficients instead of sampled values, already did.  A degree-4
+    polynomial that is nonzero on the quadric cannot dodge random points
+    indefinitely.
     """
     _, cx, cy, bx, by = _basis_candidates(R.m)
     table = _jacobi_table(R) if table is None else table
     rng = seeded_rng(seed)
     for round_no in range(64):
-        xs, ys = _sample_pairs(
-            rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no
-        )
+        xs, ys = _sample_pairs(rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no)
         contraction = _Contraction(R, xs, ys, table)
         raws = np.concatenate([raws for _, raws in contraction.slice_raws(xs, ys)])
         nx, ny, first = _squared_norms(xs), _squared_norms(ys), 0
@@ -716,10 +687,22 @@ def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: b
         if found is not None:
             p, norm = found
             w = Witness(cx[p], cy[p], norm) if p < first else Witness(xs[p - first], ys[p - first], norm)
-            return _typed_witness(w, R.mode)
+            found = _typed_witness(w, R.mode)
+        yield found
+
+
+def _first_witness(rounds) -> Witness:
+    """The first witness that the ``_witness_rounds`` generator ``rounds`` has left to yield."""
+    for w in filter(None, rounds):
+        return w
     raise ClassificationInconsistency(
         "a nonzero commutator polynomial produced no violating sample; arithmetic is broken"
     )
+
+
+def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
+    """The witness of the first round of ``_witness_rounds`` that finds one."""
+    return _first_witness(_witness_rounds(R, seed, n_samples, orthogonal))
 
 
 # ---------------------------------------------------------------------------
@@ -752,21 +735,28 @@ def _r0_residual(R: CurvatureTensor, s):
     return Fraction(int(top), R.max_value) if R.mode.exact else float(top) / float(R.max_value)
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(m: int):
+    """``np.triu_indices(m, 1)``, the pairs i < j, built once per m; read-only (fits share them)."""
+    return read_only(*np.triu_indices(m, 1))
+
+
 def _sectional(R: CurvatureTensor):
     """``(sect, s)``: the stored sectional values R(e_i, e_j, e_j, e_i), i < j, and the first
-    that is not negligible at |R|, or None."""
-    ii, jj = (a[R.m :] for a in _half_table_index(R.m)[2:4])  # the pairs i < j
+    that is not negligible at |R| (the first nonzero when exact), or None."""
+    ii, jj = _upper_pairs(R.m)
     sect = R.values[ii, jj, jj, ii]
-    nonzero = np.flatnonzero(~negligible(sect, R.mode, R.max_abs()))
+    nonzero = np.flatnonzero(sect if R.mode.exact else ~negligible(sect, R.mode, R.max_abs()))
     return sect, (sect[nonzero[0]] if nonzero.size else None)
 
 
 def _r0_fit(R: CurvatureTensor):
     """R as c R0, c = s / R.denominator (s in float mode) for ``_sectional``'s s: ``(c, None,
     residual)`` when the residual, read off R in place, is negligible, else None.  The residual
-    is at least max|sect - s| / |R|, so a sectional value apart from s skips it.  R is not zero."""
+    is at least max|sect - s| / |R|, so a sectional value apart from s skips it; exact values
+    are compared with s directly, with no |R|.  R is not zero."""
     sect, s = _sectional(R)
-    if s is None or (~negligible(sect - s, R.mode, R.max_abs())).any():
+    if s is None or (sect != s if R.mode.exact else ~negligible(sect - s, R.mode, R.max_abs())).any():
         return None
     residual = _r0_residual(R, s)
     if not negligible(residual, R.mode):
@@ -829,17 +819,14 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     rational ``orthogonal``, an exact c R0 (``_r0_fit``), then, in even m
     with a rank-one J(e_0) (``_is_rank_one`` on its numerators, which the
     recovery takes as tested), an exact c R_Theta (``_rtheta_fit``) holds
-    before the Jacobi table is built; a commutator above
-    ``_float_threshold`` (nonzero in rational mode) at one of the
-    ``SCREEN_PAIRS`` pairs of ``_screen_pairs`` proves failure; for
-    float ``orthogonal``, a fit as c R0 or c R_Theta (``_fit``) proves that
-    commutation on orthogonal pairs holds.  Float keeps the screen before
-    its fit since a fit within tol |R| can coexist with a commutator above
-    tol |R|^2 (R0 plus 3e-10 of a random tensor at m=5).  Only when all of
-    these are silent is the commutator polynomial expanded and divided.
-    Every failure reports ``_search_witness``, so the witness does not
-    depend on which certificate decided.  Float mode decides
-    ``_binary_scaled(R)``.
+    before the Jacobi table is built.  A rational tensor then runs round 0
+    of ``_witness_rounds``, whose violator proves failure and is the
+    witness.  A float tensor runs the screen on ``_screen_pairs`` instead,
+    then, for ``orthogonal``, ``_fit``: a fit within tol |R| can coexist
+    with a commutator above tol |R|^2 (R0 plus 3e-10 of a random tensor at
+    m=5).  Only when all of these are silent is the commutator polynomial
+    expanded and divided; a failure there resumes the same search, so no
+    round runs twice.  Float mode decides ``_binary_scaled(R)``.
 
     Returns ``(verdict, fit)``: ``fit`` is the ``_fit`` tuple when a fit
     decided, else None, whether none ran or each raised
@@ -856,11 +843,16 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         if fit is not None:
             return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)
-    table = _jacobi_table(R)  # the screen's, and the search's after it
-    search = lambda: _scaled(_search_witness(R, seed, n_samples, orthogonal, table), e)  # noqa: E731
-    if _first_violation(R, *_screen_pairs(R.m, R.mode.exact, orthogonal), table) is not None:
+    table = _jacobi_table(R)  # the search's, and the float screen's before it
+    rounds = _witness_rounds(R, seed, n_samples, orthogonal, table)
+    search = lambda: _scaled(_first_witness(rounds), e)  # noqa: E731
+    if R.mode.exact:
+        witness = next(rounds)
+        if witness is not None:
+            return TsankovVerdict(False, witness, method), None
+    elif _first_violation(R, *_screen_pairs(R.m, False, orthogonal), table) is not None:
         return TsankovVerdict(False, search(), method), None
-    if orthogonal and not R.mode.exact:
+    elif orthogonal:
         with suppress(ClassificationInconsistency):
             c, cs, residual = _fit(R)
             return TsankovVerdict(True, None, method), (_scaled(c, e), cs, residual)
@@ -875,10 +867,10 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 0) -> TsankovVerdict:
     """Does J(x) commute with J(y) for ALL pairs?  Only the zero tensor passes.
 
-    Decided by the zero test and a seeded screen of pairs, else by
-    coefficient expansion of the commutator polynomial, in both modes;
-    failures carry a witness pair of maximal sampled commutator norm (the
-    pair need not be orthogonal).  ``seed`` and ``n_samples`` are checked
+    Decided by the zero test and round 0 of the witness search (a seeded
+    screen of pairs in float mode), else by coefficient expansion of the
+    commutator polynomial; failures carry a witness pair of maximal sampled
+    commutator norm (the pair need not be orthogonal).  ``seed`` and ``n_samples`` are checked
     first, as in ``tsankov_test``.
     """
     require_int(seed, 0, "seed")
@@ -892,9 +884,9 @@ def tsankov_test(
     """Does J(x) commute with J(y) whenever x is orthogonal to y?
 
     ``method="exact"`` runs ``_decide``'s ladder in both modes: a
-    reconstruction as c R0 or c R_Theta or a seeded screen of orthogonal
-    pairs decides when it can, else divisibility of the commutator
-    polynomial by the pairing form.  It is a true decision procedure in
+    reconstruction as c R0 or c R_Theta, or round 0 of the witness search
+    (a seeded screen in float mode), decides when it can, else divisibility
+    of the commutator polynomial by the pairing form.  It is a true decision procedure in
     rational mode; float mode compares at ``tol |R|^2`` and ``tol |R|``.
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
     violator.  Witnesses are exactly orthogonal in rational mode.  For both

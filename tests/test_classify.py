@@ -8,6 +8,8 @@ import pytest
 from actlab import (
     FLOAT,
     RATIONAL,
+    ClassificationInconsistency,
+    CurvatureTensor,
     DegenerateInput,
     NotRankOne,
     OssermanReport,
@@ -51,6 +53,16 @@ class TestClassify:
         res = classify(r0(4, 5))
         assert res.tag == "ConstantCurvature"
         assert res.c == 5 and res.residual == 0
+
+    def test_int64_min_entry_is_not_zero(self):
+        # one entry -2^63 once read as max |R| = 0, so classify answered Zero; its J(x) are all
+        # multiples of one matrix, so they commute, and no c R0 fits
+        v = np.zeros((3,) * 4, dtype=np.int64)
+        v[0, 1, 1, 0] = -(2**63)
+        R = CurvatureTensor(3, v, RATIONAL)
+        assert tsankov_test(R).holds
+        with pytest.raises(ClassificationInconsistency, match=r"reconstruction fails \(residual 1\)"):
+            classify(R)
 
     def test_complex_form_roundtrip(self, std4):
         res = classify(r_theta(std4, 2))

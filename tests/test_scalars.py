@@ -27,6 +27,7 @@ from actlab.scalars import (
     exact_cast,
     fraction_sqrt,
     integer_array,
+    integer_array_max,
     max_abs,
     orthonormalize_exact,
     require_int,
@@ -283,6 +284,15 @@ class TestMaxAbs:
         assert type(got) is int and got == 2**80
         self.same(max_abs(np.array([-1.5, 1.0], dtype=np.float32)), np.abs(np.array([-1.5, 1.0], dtype=np.float32)).max())
         self.same(max_abs([[-4, 2]]), np.abs(np.array([[-4, 2]])).max())
+
+    def test_int64_min_is_read_as_a_python_int(self):
+        # np.abs wraps -2^63 to itself, which read as 0 before; every smaller |min| keeps np.int64
+        for a in (np.array([-(2**63)]), np.array([5, -(2**63), 2**63 - 1]), np.full((2, 3), -(2**63))):
+            got = max_abs(a)
+            assert type(got) is int and got == 2**63
+        self.same(max_abs(np.array([-(2**63) + 1, 3])), np.int64(2**63 - 1))
+        nums, d, top = integer_array_max(np.array([0, -(2**63), 7]))
+        assert nums.dtype == object and nums.tolist() == [0, -(2**63), 7] and (d, top) == (1, 2**63)
 
 
 class TestIntegerArray:

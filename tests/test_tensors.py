@@ -593,6 +593,14 @@ class TestExactStorage:
         assert_reduced_exact(R, ref)
         assert R.values.dtype == np.int64 and R.denominator == 252
 
+    def test_int64_min_numerator_is_stored_as_a_python_int(self):
+        v = np.zeros((3,) * 4, dtype=np.int64)
+        v[0, 1, 1, 0] = -(2**63)
+        R = CurvatureTensor(3, v, RATIONAL)
+        assert (R.max_value, R.denominator, R.values.dtype) == (2**63, 1, np.dtype(object))
+        assert not R.is_zero() and R.max_abs() == 2**63
+        assert R.components[0, 1, 1, 0] == -(2**63) and type(R.values[0, 1, 1, 0]) is int
+
     def test_random_act_against_replayed_draws(self):
         m, k, seed = 4, 3, 9
         rng = np.random.default_rng(seed)

@@ -1466,8 +1466,9 @@ class TestRationalLadder:
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
 
     def test_rejects_and_rtheta_accepts_build_the_table_once(self, monkeypatch):
-        # a reject builds the table once; an exact c R_Theta accept, decided before it, never does
-        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
+        # an exact reject builds the table once and is decided by round 0 of the witness search,
+        # with no screen; an exact c R_Theta accept, decided before the table, never builds it
+        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation", "_basis_raws")
         cs = conjugate_structure(standard_complex_structure(8), random_signed_permutation(8, 2))
         cases = (
             (random_act(6, 2, 1), False, 1),
@@ -1477,8 +1478,14 @@ class TestRationalLadder:
         for R, holds, calls in cases:
             v = tsankov_test(R, "exact")
             assert v.holds is holds
-            assert counts == {"_jacobi_table": calls, "_first_violation": calls}
+            assert counts == {"_jacobi_table": calls, "_first_violation": 0, "_basis_raws": calls}
             counts.update(dict.fromkeys(counts, 0))
+
+    def test_float_rejects_keep_the_screen(self, monkeypatch):
+        # float mode screens first, and its witness search then starts at round 0
+        counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation", "_basis_raws", "commutator_poly")
+        assert not tsankov_test(random_act(6, 2, 1).to_float(), "exact").holds
+        assert counts == {"_jacobi_table": 1, "_first_violation": 1, "_basis_raws": 1, "commutator_poly": 0}
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_rtheta_decisions_match_the_expansion(self, m):
@@ -1517,11 +1524,11 @@ class TestRationalLadder:
 
     def test_even_rejects_skip_the_recovery(self, monkeypatch):
         # neither a random tensor nor a mix has a rank-one J(e_0), so no c R_Theta fit is tried
-        counts = count_calls(monkeypatch, "recover_complex_structure", "_first_violation")
+        counts = count_calls(monkeypatch, "recover_complex_structure", "_first_violation", "_basis_raws")
         for m in (4, 6, 8, 10):
             for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
                 assert not tsankov_test(R, "exact").holds
-        assert counts == {"recover_complex_structure": 0, "_first_violation": 12}
+        assert counts == {"recover_complex_structure": 0, "_first_violation": 0, "_basis_raws": 12}
 
     def test_even_rejects_skip_the_tested_recovery_too(self, monkeypatch):
         counts = count_calls(monkeypatch, "recover_complex_structure", "_complex_structure")
@@ -1593,6 +1600,78 @@ class TestRationalLadder:
         assert cs is None and 0 < residual <= FLOAT.tol
         assert classify(R).tag == "NotTsankov"
         assert not tsankov_test(R, "exact").holds
+
+
+    def test_exact_accepts_build_no_table_index(self):
+        # the fits read the pairs i < j off a cached np.triu_indices(m, 1), not the table index
+        tsankov._half_table_index.cache_clear()
+        c = Fraction(-7, 4)
+        cs = conjugate_structure(standard_complex_structure(18), random_signed_permutation(18, 3))
+        for R, tag in ((r0(18, c), "ConstantCurvature"), (r_theta(cs, c), "ComplexForm")):
+            res = classify(R)
+            assert (res.tag, res.c, res.residual) == (tag, c, 0)
+        assert tsankov._half_table_index.cache_info().currsize == 0
+
+
+def round0_tensors(m):
+    """Exact tensors at m: random ones, a generic and an identity Gauss form, and in even m the
+    mixes 3/5 R0 - 2/7 R_Theta of a permuted Theta and, for m <= 8, of a Cayley-rotated one."""
+    phi = np.random.default_rng(m).integers(-3, 4, size=(m, m))
+    out = [random_act(m, 1, seed=m), random_act(m, 3, seed=m + 1), from_form(phi + phi.T, RATIONAL)]
+    out.append(from_form(np.eye(m, dtype=np.int64), RATIONAL))
+    if m % 2 == 0:
+        cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, m))
+        out.append(combine([(Fraction(3, 5), r0(m, 1)), (Fraction(-2, 7), r_theta(cs, 1))]))
+        if m <= 8:
+            out += rtheta_near_misses(m)[1]
+    return out
+
+
+class TestExactRound0Decides:
+    """An exact reject is decided by round 0 of the witness search, with no screen: its violator is
+    the verdict and the witness, and an expansion reject resumes the search at round 1."""
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_witnesses_are_the_search_witnesses(self, m):
+        rejects = 0
+        for R in round0_tensors(m):
+            poly = commutator_poly(R)
+            holds = divisible_by_pairing(poly) is not None
+            for seed in (0, 3):
+                v, res = tsankov_test(R, seed=seed), classify(R, seed=seed)
+                assert v.holds == holds and (res.tag == "NotTsankov") == (not holds)
+                if holds:
+                    assert v.witness is None and res.witness is None
+                else:
+                    want = witness_key(_search_witness(R, seed, 200, True))
+                    assert witness_key(v.witness) == witness_key(res.witness) == want
+                    rejects += 1
+                full = full_commutation_test(R, seed=seed)
+                assert full.holds == poly.is_zero() and not full.holds
+                assert witness_key(full.witness) == witness_key(_search_witness(R, seed, 200, False))
+        assert rejects >= 6
+
+    @pytest.mark.parametrize("m", (4, 7))
+    def test_a_silent_round0_resumes_at_round1(self, monkeypatch, m):
+        counts = count_calls(monkeypatch, "_basis_raws", "_first_violation", "commutator_poly")
+        real = tsankov._witness_rounds
+
+        def silent_round0(*args):
+            rounds = real(*args)
+            next(rounds)  # round 0 runs, and its witness is dropped
+            yield None
+            yield from rounds
+
+        monkeypatch.setattr(tsankov, "_witness_rounds", silent_round0)
+        for R in (random_act(m, 3, seed=m), *round0_tensors(m)[3:]):
+            for decide, orthogonal in ((tsankov_test, True), (full_commutation_test, False)):
+                if orthogonal and divisible_by_pairing(commutator_poly(R)) is not None:
+                    continue
+                counts.update(dict.fromkeys(counts, 0))
+                v = decide(R, seed=1)
+                assert not v.holds
+                assert counts == {"_basis_raws": 1, "_first_violation": 0, "commutator_poly": 1}
+                assert witness_key(v.witness) == witness_key(_search_witness(R, 1, 200, orthogonal))
 
 
 class TestDrawArguments:
