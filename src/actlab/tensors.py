@@ -358,7 +358,10 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     R_Theta(x,y)z = <Th y, z> Th x - <Th x, z> Th y - 2 <Th x, y> Th z, so in
     components R[i][j][k][l] = c * (Th_kj Th_li - Th_ki Th_lj - 2 Th_ji Th_lk).
     Its Jacobi operator at unit x is the rank-one map 3c <., Th x> Th x.
-    Exact numerators come from the stored Th = T / t (``_r_theta_values``).
+    Exact numerators come from the stored Th = T / t: from m = 12 on, on
+    ``_r_theta_pattern`` when T has one nonzero a row (a signed permutation of
+    the standard one), else, as for a dense T or any float Th, whose signed
+    zeros a zero fill would lose, from ``_r_theta_blocks``.
     """
     values, den = _r_theta_values(cs, cs.mode.scalar(c))
     return CurvatureTensor(cs.m, values, cs.mode, den)
@@ -366,12 +369,42 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
 
 def _r_theta_values(cs: ComplexStructure, c):
     """``(numerators, denominator)`` of c R_Theta, c a scalar of ``cs.mode``, unreduced: exact
-    numerators over c's denominator times t^2, copied from ``_r_theta_blocks`` into one buffer."""
+    numerators over c's denominator times t^2, from ``_r_theta_pattern``, else ``_r_theta_blocks``."""
+    if (pattern := _r_theta_pattern(cs, c)) is not None:
+        positions, nums, den = pattern
+        values = np.zeros((cs.m,) * 4, nums.dtype)
+        values.reshape(-1)[positions] = nums
+        return values, den
     blocks, den, dtype = _r_theta_blocks(cs, c)
     values = np.empty((cs.m,) * 4, dtype)
     for rows, block in blocks:
         values[rows] = block
     return values, den
+
+
+def _r_theta_pattern(cs: ComplexStructure, c):
+    """``(positions, numerators, denominator)`` of ``_r_theta_values`` for an exact T with m
+    nonzeros and m^4 > ``SLICE_ENTRIES`` (m >= 12; in one block the blocked build costs fewer numpy
+    calls), else None: the flat positions its terms reach, each once, and their summed
+    numerators, in the dtype of ``_r_theta_blocks``.  Row i of t = Th^T holds one v_i, at column
+    pi(i), an involution with no fixed point, as T is invertible and skew.  The terms t1, t2, t3 of
+    ``_r_theta_blocks`` are v_i v_j c at (i, j, pi(j), pi(i)), -v_i v_j c at (i, j, pi(i), pi(j))
+    and -2 v_i v_k c at (i, pi(i), k, pi(k)), each flat position a part in i plus one in j (k),
+    and meet only where t1 + t2 = 0 at j = i and t3 at k = i, pi(i) adds to t1, t2 at j = pi(i)."""
+    m, th = cs.m, cs.values
+    if not cs.mode.exact or m**4 <= SLICE_ENTRIES or np.count_nonzero(th) != m:
+        return None
+    th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+    r, pi = np.nonzero(th.T)
+    head = r * m**3 + np.multiply.outer((1, m, m * m), pi)
+    tail = np.multiply.outer((m * m, m * m, m), r) + np.multiply.outer((m, 1, 1), pi)
+    vv = np.multiply.outer(th[pi, r], th[pi, r] * c.numerator)
+    nums = np.stack([vv, -vv, -2 * vv])
+    nums[0, r, pi] += nums[2, r, r]
+    nums[1, r, pi] += nums[2, r, pi]
+    keep = np.ones((3, m, m), dtype=bool)
+    keep[:, r, r] = keep[2, r, pi] = False
+    return (head[:, :, None] + tail[:, None, :])[keep], nums[keep], c.denominator * cs.denominator**2
 
 
 def _r_theta_blocks(cs: ComplexStructure, c):
@@ -380,7 +413,8 @@ def _r_theta_blocks(cs: ComplexStructure, c):
     (one row, m^3 entries, from m = 26 on).
     With t = Th^T and O[i,x,y,z] = t[i,x] t[y,z], one outer product per block, t1 = Th_kj Th_li,
     t2 = Th_ki Th_lj and t3 = Th_ji Th_lk are O[i,l,j,k], O[i,k,j,l] and O[i,j,k,l], and each
-    entry is ((t1 - t2) - 2 t3) c in that order: the formula's bits, signed zeros included."""
+    entry is ((t1 - t2) - 2 t3) c in that order: the formula's bits, signed zeros included, for
+    float Th and for the exact T, dense or with m < 12, that have no ``_r_theta_pattern``."""
     th, scale, den = cs.values, c, 1
     if cs.mode.exact:  # each bracket is at most 4 max|T|^2
         th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))

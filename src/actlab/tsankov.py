@@ -15,8 +15,9 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    entries in place (``_r0_fit``), proves that C vanishes on orthogonal
    pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
    it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
-   on its numerators rebuilt in blocks of a few rows and compared with
-   R's in place (``_rtheta_fit``), does the same;
+   with R's entries in place (``_rtheta_fit``), does the same: from m = 12
+   on, on the at most 3m^2 positions of ``_r_theta_pattern`` when Theta
+   has one nonzero a row, else on its numerators rebuilt in blocks;
 3. in rational mode, a nonzero commutator at a pair of round 0 of the
    seeded witness search (``_witness_rounds``), exactly orthogonal for
    ``tsankov_test``, proves failure and is the witness; in float mode, a
@@ -70,7 +71,8 @@ from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynom
 from .jacobi import _complex_structure, _is_rank_one, jacobi, recover_complex_structure
 from .scalars import SLICE_ENTRIES, ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int
 from .scalars import read_only, seeded_rng
-from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_blocks, combine, r_theta
+from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_blocks, _r_theta_pattern, combine
+from .tensors import r_theta
 
 __all__ = [
     "Witness",
@@ -600,10 +602,10 @@ def _basis_candidates(m: int):
 
 
 @lru_cache(maxsize=None)
-def _screen_pairs(m: int, exact: bool, orthogonal: bool):
-    """The screen's ``SCREEN_PAIRS`` pairs from ``SCREEN_SEED``, drawn by ``_sample_pairs`` once
-    per (m, exact, orthogonal), on which alone they depend; read-only (screens share them)."""
-    return read_only(*_sample_pairs(seeded_rng(SCREEN_SEED), m, SCREEN_PAIRS, exact, orthogonal))
+def _screen_pairs(m: int, orthogonal: bool):
+    """The float screen's ``SCREEN_PAIRS`` pairs from ``SCREEN_SEED``, drawn by ``_sample_pairs``
+    once per (m, orthogonal), on which alone they depend; read-only (screens share them)."""
+    return read_only(*_sample_pairs(seeded_rng(SCREEN_SEED), m, SCREEN_PAIRS, False, orthogonal))
 
 
 def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
@@ -716,6 +718,17 @@ def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
     return dev / R.max_abs() if R.mode.exact else float(dev) / float(R.max_abs())
 
 
+def _equal_in_place(R: CurvatureTensor, terms, g: int = 1, nonzero=None) -> bool:
+    """Whether g N equals ``want`` at each ``(index, want)`` of ``terms``, N = R's flat numerators
+    read in place up to the first mismatch, and N holds ``nonzero`` nonzero entries, if given."""
+    flat = R.values.reshape(-1)
+    for index, want in terms:
+        got = flat[index] if g == 1 else exact_cast(flat[index], g * R.max_value) * g
+        if not (got == want).all():
+            return False
+    return nonzero is None or np.count_nonzero(flat) == nonzero
+
+
 def _r0_residual(R: CurvatureTensor, s):
     """``_relative_residual(R, r0(R.m, c))``, c = s / R.denominator (s in float mode), read off R.
 
@@ -725,10 +738,9 @@ def _r0_residual(R: CurvatureTensor, s):
     gives 0 before |N| is taken.  R is not zero.
     """
     plus, minus = _r0_pattern(R.m)
+    if R.mode.exact and _equal_in_place(R, ((plus, s), (minus, -s)), nonzero=2 * plus.size):
+        return Fraction(0)  # s != 0, so R is c R0
     flat = R.values.reshape(-1)
-    on_pattern = R.mode.exact and (flat[plus] == s).all() and (flat[minus] == -s).all()
-    if on_pattern and np.count_nonzero(flat) == 2 * plus.size:  # s != 0, so R is c R0
-        return Fraction(0)
     dev = np.abs(flat)
     dev[plus], dev[minus] = np.abs(flat[plus] - s), np.abs(flat[minus] + s)
     top = dev.max()
@@ -769,7 +781,8 @@ def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
     ``tested``), checked on a rebuild: ``(c, Theta, residual)``, else
     ``ClassificationInconsistency``, which in odd m, where no Theta exists, reports why c R0
     failed.  As R is reduced, exact R = V / den iff den = g R.denominator and V = g N, compared
-    block by block (``_r_theta_blocks``); only a mismatch builds the rebuild for the residual."""
+    in place (``_equal_in_place``) on ``_r_theta_pattern`` with a count of R's nonzeros, else
+    (a dense Theta, or m < 12) block by block (``_r_theta_blocks``); only a mismatch rebuilds."""
     if R.m % 2:
         s = _sectional(R)[1]
         raise ClassificationInconsistency(
@@ -782,12 +795,14 @@ def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
         raise ClassificationInconsistency(
             f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
         ) from exc
-    blocks, den, _ = _r_theta_blocks(cs, c)
+    if (pattern := _r_theta_pattern(cs, c)) is not None:
+        positions, nums, den = pattern
+        terms, nonzero = [(positions, nums)], np.count_nonzero(nums)
+    else:  # flat spans of the blocks' rows
+        blocks, den, _ = _r_theta_blocks(cs, c)
+        terms, nonzero = ((slice(r.start * R.m**3, r.stop * R.m**3), b.reshape(-1)) for r, b in blocks), None
     g, rest = divmod(den, R.denominator)
-    same = R.mode.exact and not rest and all(
-        np.array_equal(block, R.values[rows] if g == 1 else exact_cast(R.values[rows], g * R.max_value) * g)
-        for rows, block in blocks
-    )
+    same = R.mode.exact and not rest and _equal_in_place(R, terms, g, nonzero)
     residual = Fraction(0) if same else _relative_residual(R, r_theta(cs, c))
     if not negligible(residual, R.mode):
         raise ClassificationInconsistency(
@@ -850,7 +865,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         witness = next(rounds)
         if witness is not None:
             return TsankovVerdict(False, witness, method), None
-    elif _first_violation(R, *_screen_pairs(R.m, False, orthogonal), table) is not None:
+    elif _first_violation(R, *_screen_pairs(R.m, orthogonal), table) is not None:
         return TsankovVerdict(False, search(), method), None
     elif orthogonal:
         with suppress(ClassificationInconsistency):

@@ -36,6 +36,7 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
+from actlab import tensors as tensors_module
 from actlab.errors import ClassificationInconsistency
 from actlab.scalars import SLICE_ENTRIES, exact_cast, float_array, max_abs
 from actlab.tensors import (
@@ -43,6 +44,7 @@ from actlab.tensors import (
     CurvatureTensor,
     _gauss_components,
     _r_theta_blocks,
+    _r_theta_pattern,
     _r_theta_values,
 )
 from actlab.tsankov import _r0_residual, _relative_residual, _rtheta_fit, _sectional
@@ -277,6 +279,71 @@ class TestRTheta:
                     _rtheta_fit(bad)
                 assert str(exc.value) == f"commutation holds but complex-form reconstruction fails (residual {want})"
                 assert want != 0
+
+    @staticmethod
+    def blocked_values(cs, c):
+        """The numerators of c R_Theta as the blocked build makes them, one row at a time."""
+        th, scale, den = cs.values, c, 1
+        if cs.mode.exact:
+            th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))
+            scale, den = c.numerator, c.denominator * cs.denominator**2
+        m, t = cs.m, th.T
+        values, o = np.empty((m,) * 4, t.dtype), np.empty((1, m, m, m), t.dtype)
+        for i in range(m):
+            np.multiply.outer(t[i : i + 1], t, out=o)
+            block = values[i : i + 1]
+            np.subtract(o.transpose((0, 2, 3, 1)), o.transpose((0, 2, 1, 3)), out=block)
+            o *= 2
+            block -= o
+            block *= scale
+        return values, den
+
+    @pytest.mark.parametrize("m", range(2, 19, 2))
+    def test_pattern_build_matches_the_blocked_build_bit_for_bit(self, monkeypatch, m):
+        # an exact Theta with one nonzero a row scatters its pattern into zeros from m = 12 on, where
+        # the blocked build takes more than one block; with that bound lowered, at every even m: the
+        # same values, dtype, element types and denominator as the blocked formula
+        standard = standard_complex_structure(m)
+        assert (_r_theta_pattern(standard, Fraction(1)) is None) == (m < 12)
+        monkeypatch.setattr(tensors_module, "SLICE_ENTRIES", 1)
+        for seed in (3, 4):
+            cs = conjugate_structure(standard, random_signed_permutation(m, seed))
+            assert _r_theta_pattern(cs, Fraction(1)) is not None
+            for c in (Fraction(-7, 4), Fraction(5, 3), Fraction(1), Fraction(2**70 + 1, 3)):
+                want, want_den = self.blocked_values(cs, c)
+                values, den = _r_theta_values(cs, c)
+                assert den == want_den and self.same_bits(values, want)
+                positions, nums, den = _r_theta_pattern(cs, c)
+                assert den == want_den and nums.dtype == want.dtype
+                assert np.unique(positions).size == positions.size == 3 * m * m - 4 * m
+                assert np.count_nonzero(nums) == np.count_nonzero(want) == nums.size
+                R, ref = r_theta(cs, c), CurvatureTensor(m, want, RATIONAL, want_den)
+                assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
+        assert _r_theta_values(cs, Fraction(2**70 + 1, 3))[0].dtype == object
+
+    @pytest.mark.parametrize("m", (12, 16))
+    @pytest.mark.parametrize("c", (Fraction(-7, 4), Fraction(2**70 + 1, 3)))
+    def test_pattern_fit_mismatch_raises_with_the_rebuild_residual(self, m, c):
+        # entries with j and k nonzero leave the recovered (c, Theta) as it was; a change on the
+        # pattern fails its compare, one off it the count of nonzeros, and a fraction there
+        # changes R's denominator: each raises the residual of the whole rebuild
+        cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, 3))
+        R = r_theta(cs, c)
+        positions = _r_theta_pattern(cs, c)[0]
+        quads = np.stack(np.unravel_index(positions, R.values.shape), axis=1)
+        inside = next(tuple(q) for q in quads.tolist() if q[1] and q[2])
+        outside = next(q for q in np.ndindex(R.values.shape) if q[1] and q[2] and not R.values[q])
+        for index, delta in ((inside, 1), (outside, -1), (outside, Fraction(1, 101))):
+            comps = R.components.copy()
+            comps[index] += delta
+            bad = CurvatureTensor(m, comps, RATIONAL)
+            assert (bad.denominator == R.denominator) == (type(delta) is int)
+            values, den = self.blocked_values(cs, c)
+            want = _relative_residual(bad, CurvatureTensor(m, values, RATIONAL, den))
+            with pytest.raises(ClassificationInconsistency) as exc:
+                _rtheta_fit(bad)
+            assert str(exc.value) == f"commutation holds but complex-form reconstruction fails (residual {want})"
+            assert want != 0
 
     def test_invalid_structure_rejected(self):
         with pytest.raises(InvalidComplexStructure):

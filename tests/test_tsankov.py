@@ -36,7 +36,7 @@ from actlab import (
     validate,
 )
 
-from actlab import tsankov
+from actlab import tensors as tensors_module, tsankov
 from actlab.tsankov import (
     Witness,
     _Contraction,
@@ -1323,15 +1323,15 @@ class TestTriage:
 
 
 class TestAcceptPathConstants:
-    @pytest.mark.parametrize("exact", (True, False))
     @pytest.mark.parametrize("orthogonal", (True, False))
-    def test_screen_pairs_are_one_fresh_draw(self, exact, orthogonal):
+    def test_screen_pairs_are_one_fresh_draw(self, orthogonal):
+        # only float tensors are screened, so the pairs are float draws
         for m in range(2, 17):
-            pairs = _screen_pairs(m, exact, orthogonal)
+            pairs = _screen_pairs(m, orthogonal)
             fresh = _sample_pairs(
-                np.random.default_rng(tsankov.SCREEN_SEED), m, tsankov.SCREEN_PAIRS, exact, orthogonal
+                np.random.default_rng(tsankov.SCREEN_SEED), m, tsankov.SCREEN_PAIRS, False, orthogonal
             )
-            assert _screen_pairs(m, exact, orthogonal) is pairs
+            assert _screen_pairs(m, orthogonal) is pairs
             for got, want in zip(pairs, fresh):
                 assert got.dtype == want.dtype and got.shape == want.shape == (tsankov.SCREEN_PAIRS, m)
                 assert got.tobytes() == want.tobytes()  # float bits, signed zeros included
@@ -1521,6 +1521,35 @@ class TestRationalLadder:
             res = classify(R)
             assert (res.tag, res.residual) == ("ComplexForm", 0)
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
+
+    @pytest.mark.parametrize("m", (4, 12, 16))
+    def test_only_dense_float_and_small_rtheta_take_the_blocks(self, monkeypatch, m):
+        # from m = 12 on, a Theta with one nonzero a row is built and fitted on its pattern; a Theta
+        # rotated in one plane or by a Cayley rotation has none, and float c R_Theta keeps the
+        # blocked formula's signed zeros
+        c, standard = Fraction(-7, 4), standard_complex_structure(m)
+        plane = np.eye(m, dtype=object) * Fraction(1)
+        plane[0, 0] = plane[2, 2] = Fraction(3, 5)
+        plane[0, 2], plane[2, 0] = Fraction(-4, 5), Fraction(4, 5)
+        exact = [(random_signed_permutation(m, 3), False), (plane, True), (cayley_rotation(m, 5), True)]
+        cases = [(conjugate_structure(standard, q), c, dense) for q, dense in exact]
+        floats = conjugate_structure(standard_complex_structure(m, FLOAT), random_signed_permutation(m, 3, FLOAT))
+        cases.append((floats, -1.75, False))
+        calls = []
+        for module in (tsankov, tensors_module):
+            real = module._r_theta_blocks
+            monkeypatch.setattr(module, "_r_theta_blocks", lambda *a, _real=real: calls.append(1) or _real(*a))
+        for cs, cv, dense in cases:
+            assert (np.count_nonzero(cs.values) > m) == dense
+            blocked = dense or m < 12 or not cs.mode.exact
+            R = r_theta(cs, cv)
+            assert bool(calls) == blocked
+            del calls[:]
+            assert tsankov_test(R, "exact").holds
+            res = classify(R)
+            assert (res.tag, res.c) == ("ComplexForm", cv) and not res.residual
+            assert bool(calls) == blocked
+            del calls[:]
 
     def test_even_rejects_skip_the_recovery(self, monkeypatch):
         # neither a random tensor nor a mix has a rank-one J(e_0), so no c R_Theta fit is tried
