@@ -15,9 +15,9 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    entries in place (``_r0_fit``), proves that C vanishes on orthogonal
    pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
    it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
-   with R's entries in place (``_rtheta_fit``), does the same: from m = 12
-   on, on the at most 3m^2 positions of ``_r_theta_pattern`` when Theta
-   has one nonzero a row, else on its numerators rebuilt in blocks;
+   with R's entries in place (``_rtheta_fit``), does the same: on the at
+   most 3m^2 positions of ``_r_theta_pattern`` when Theta has one nonzero
+   a row, at every m, else on its numerators rebuilt in blocks;
 3. in rational mode, a nonzero commutator at a pair of round 0 of the
    seeded witness search (``_witness_rounds``), exactly orthogonal for
    ``tsankov_test``, proves failure and is the witness; in float mode, a
@@ -782,7 +782,7 @@ def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
     ``ClassificationInconsistency``, which in odd m, where no Theta exists, reports why c R0
     failed.  As R is reduced, exact R = V / den iff den = g R.denominator and V = g N, compared
     in place (``_equal_in_place``) on ``_r_theta_pattern`` with a count of R's nonzeros, else
-    (a dense Theta, or m < 12) block by block (``_r_theta_blocks``); only a mismatch rebuilds."""
+    (a dense Theta) block by block (``_r_theta_blocks``); only a mismatch rebuilds."""
     if R.m % 2:
         s = _sectional(R)[1]
         raise ClassificationInconsistency(

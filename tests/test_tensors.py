@@ -1,5 +1,6 @@
 """Constructors, the symmetry validator, and the curvature operator action."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -36,7 +37,6 @@ from actlab import (
     standard_complex_structure,
     validate,
 )
-from actlab import tensors as tensors_module
 from actlab.errors import ClassificationInconsistency
 from actlab.scalars import SLICE_ENTRIES, exact_cast, float_array, max_abs
 from actlab.tensors import (
@@ -45,7 +45,7 @@ from actlab.tensors import (
     _gauss_components,
     _r_theta_blocks,
     _r_theta_pattern,
-    _r_theta_values,
+    _standard_pattern,
 )
 from actlab.tsankov import _r0_residual, _relative_residual, _rtheta_fit, _sectional
 
@@ -215,13 +215,11 @@ class TestRTheta:
         cases = [(exact, Fraction(-7, 4)), (exact, Fraction(2**70 + 1, 3)), (exact, Fraction(0))]
         cases += [(rotated, c) for c in (-1.7, 3.0, -0.0, 1e-310)]  # signed zeros and subnormals too
         for cs, c in cases:
-            values, den = _r_theta_values(cs, c)
             want, want_den = self.formula_values(cs, c)
-            assert den == want_den and self.same_bits(values, want)
             R = r_theta(cs, c)
             ref = CurvatureTensor(m, want, cs.mode, want_den)
             assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
-        assert _r_theta_values(exact, Fraction(2**70 + 1, 3))[0].dtype == object
+        assert r_theta(exact, Fraction(2**70 + 1, 3)).values.dtype == object
 
     @staticmethod
     def two_buffer_values(cs, c):
@@ -251,15 +249,18 @@ class TestRTheta:
         cases += [(rotated, c) for c in (-1.7, -0.0, -1e-310)]  # signed zeros and subnormals
         for cs, c in cases:
             want, want_den = self.two_buffer_values(cs, c)
-            values, den = _r_theta_values(cs, c)
-            assert den == want_den and self.same_bits(values, want)  # tobytes() for int64 and float64
+            R, ref = r_theta(cs, c), CurvatureTensor(m, want, cs.mode, want_den)
+            assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
             blocks, den, dtype = _r_theta_blocks(cs, c)
-            rows = [(r.start, r.stop, block.size) for r, block in blocks]
+            rows = []
+            for r, block in blocks:  # each block is compared before the next reuses its buffer
+                assert self.same_bits(block, want[r])  # tobytes() for int64 and float64
+                rows.append((r.start, r.stop, block.size))
             assert den == want_den and dtype == want.dtype
             assert [r[0] for r in rows] == [0] + [r[1] for r in rows[:-1]] and rows[-1][1] == m
             assert all(size <= max(SLICE_ENTRIES, m**3) for *_, size in rows)
-        assert _r_theta_values(exact, Fraction(2**70 + 1, 3))[0].dtype == object
-        assert np.signbit(_r_theta_values(rotated, -0.0)[0]).any()
+        assert r_theta(exact, Fraction(2**70 + 1, 3)).values.dtype == object
+        assert np.signbit(r_theta(rotated, -0.0).values).any()
 
     @pytest.mark.parametrize("m", (4, 10, 12, 14))
     def test_fit_mismatch_raises_with_the_rebuild_residual(self, m):
@@ -299,27 +300,41 @@ class TestRTheta:
         return values, den
 
     @pytest.mark.parametrize("m", range(2, 19, 2))
-    def test_pattern_build_matches_the_blocked_build_bit_for_bit(self, monkeypatch, m):
-        # an exact Theta with one nonzero a row scatters its pattern into zeros from m = 12 on, where
-        # the blocked build takes more than one block; with that bound lowered, at every even m: the
-        # same values, dtype, element types and denominator as the blocked formula
+    def test_pattern_build_matches_the_blocked_build_bit_for_bit(self, m):
+        # an exact Theta with one nonzero a row relabels the cached standard pattern at every m:
+        # the same values, dtype, element types and denominator as the blocked formula, for
+        # signed permutations and for a sign flip that keeps every index in place
         standard = standard_complex_structure(m)
-        assert (_r_theta_pattern(standard, Fraction(1)) is None) == (m < 12)
-        monkeypatch.setattr(tensors_module, "SLICE_ENTRIES", 1)
-        for seed in (3, 4):
-            cs = conjugate_structure(standard, random_signed_permutation(m, seed))
-            assert _r_theta_pattern(cs, Fraction(1)) is not None
+        flip = np.diag([Fraction((-1) ** (i % 3 == 1)) for i in range(m)])
+        qs = [random_signed_permutation(m, seed) for seed in (3, 4)] + [flip]
+        for cs in [conjugate_structure(standard, q) for q in qs]:
             for c in (Fraction(-7, 4), Fraction(5, 3), Fraction(1), Fraction(2**70 + 1, 3)):
                 want, want_den = self.blocked_values(cs, c)
-                values, den = _r_theta_values(cs, c)
-                assert den == want_den and self.same_bits(values, want)
                 positions, nums, den = _r_theta_pattern(cs, c)
                 assert den == want_den and nums.dtype == want.dtype
                 assert np.unique(positions).size == positions.size == 3 * m * m - 4 * m
                 assert np.count_nonzero(nums) == np.count_nonzero(want) == nums.size
+                values = np.zeros(m**4, nums.dtype)
+                values[positions] = nums
+                assert self.same_bits(values.reshape(want.shape), want)
                 R, ref = r_theta(cs, c), CurvatureTensor(m, want, RATIONAL, want_den)
                 assert R.denominator == ref.denominator and self.same_bits(R.values, ref.values)
-        assert _r_theta_values(cs, Fraction(2**70 + 1, 3))[0].dtype == object
+        assert r_theta(cs, Fraction(2**70 + 1, 3)).values.dtype == object
+        for cached in _standard_pattern(m):
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    @pytest.mark.parametrize("m", (20, 24))
+    def test_standard_pattern_fills_without_an_m4_array(self, m):
+        # the cache reads the blocks' nonzeros one reused block at a time
+        _standard_pattern.cache_clear()
+        tracemalloc.start()
+        try:
+            quads, values = _standard_pattern(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size == 3 * m * m - 4 * m and peak < m**4 * np.dtype(np.int64).itemsize / 2
 
     @pytest.mark.parametrize("m", (12, 16))
     @pytest.mark.parametrize("c", (Fraction(-7, 4), Fraction(2**70 + 1, 3)))

@@ -1522,11 +1522,11 @@ class TestRationalLadder:
             assert (res.tag, res.residual) == ("ComplexForm", 0)
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
 
-    @pytest.mark.parametrize("m", (4, 12, 16))
-    def test_only_dense_float_and_small_rtheta_take_the_blocks(self, monkeypatch, m):
-        # from m = 12 on, a Theta with one nonzero a row is built and fitted on its pattern; a Theta
-        # rotated in one plane or by a Cayley rotation has none, and float c R_Theta keeps the
-        # blocked formula's signed zeros
+    @pytest.mark.parametrize("m", (4, 8, 12))
+    def test_only_dense_or_float_rtheta_take_the_blocks(self, monkeypatch, m):
+        # at every m, a Theta with one nonzero a row is built and fitted on the relabelled standard
+        # pattern, whose one fill per m reads the blocks; a Theta rotated in one plane or by a
+        # Cayley rotation has none, and float c R_Theta keeps the blocked formula's signed zeros
         c, standard = Fraction(-7, 4), standard_complex_structure(m)
         plane = np.eye(m, dtype=object) * Fraction(1)
         plane[0, 0] = plane[2, 2] = Fraction(3, 5)
@@ -1535,13 +1535,14 @@ class TestRationalLadder:
         cases = [(conjugate_structure(standard, q), c, dense) for q, dense in exact]
         floats = conjugate_structure(standard_complex_structure(m, FLOAT), random_signed_permutation(m, 3, FLOAT))
         cases.append((floats, -1.75, False))
+        tensors_module._standard_pattern(m)
         calls = []
         for module in (tsankov, tensors_module):
             real = module._r_theta_blocks
             monkeypatch.setattr(module, "_r_theta_blocks", lambda *a, _real=real: calls.append(1) or _real(*a))
         for cs, cv, dense in cases:
             assert (np.count_nonzero(cs.values) > m) == dense
-            blocked = dense or m < 12 or not cs.mode.exact
+            blocked = dense or not cs.mode.exact
             R = r_theta(cs, cv)
             assert bool(calls) == blocked
             del calls[:]
