@@ -12,8 +12,8 @@ vanish on each other's kernel directions and become the same block ``A`` in
 complementary slots, with the polarized operator equal to ``A/2`` off the
 diagonal.
 
-``recover_complex_structure`` reads (c, Theta) off a tensor whose Jacobi
-operators have rank one, from one rank-one J(e) and the polarized operator;
+``recover_complex_structure`` probes for the first rank-one J(e_p), and
+``_recover`` reads (c, Theta) off it and the polarized operator, uncertified;
 exact tensors read both as slices of their integer numerators.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -105,11 +106,11 @@ def _rank_one_unit(n: np.ndarray, mode: ScalarMode) -> tuple:
     coordinate that is not ``negligible`` (at scale 1, as w is a unit
     vector) is positive, which canonicalizes the sign of w.  With k the
     index of the largest n[k,k] / s, w = n[:, k] / sqrt(s n[k,k]).  A float
-    matrix gives that quotient as W, over e = 1.  An integer matrix gives
-    integer W over e > 0 coprime to W, and w w^T == n / s is checked as
-    s W W^T == e^2 n.  The root is rational exactly when n / s is
-    (Th x)(Th x)^T for rational Th and unit rational x; DegenerateInput is
-    raised when it is not, when the trace is zero, or when the check fails.
+    matrix gives that quotient as W, over e = 1; an integer matrix gives
+    integer W over e > 0 coprime to W.  The caller has tested rank one.
+    The root is rational exactly when n / s is (Th x)(Th x)^T for rational
+    Th and unit rational x; DegenerateInput is raised when it is not, or
+    when the trace is zero.
     """
     s = int(np.trace(n)) if mode.exact else float(np.trace(n))
     if s == 0:
@@ -118,13 +119,9 @@ def _rank_one_unit(n: np.ndarray, mode: ScalarMode) -> tuple:
     k = int(np.argmax(np.diagonal(n) * sign))
     if mode.exact:
         root = fraction_sqrt(Fraction(int(n[k, k]), s))
-        if root is None or root == 0:
+        if root is None:
             raise DegenerateInput("the rank-one factor is irrational; no exact representation exists")
         w, e = integer_array(n[:, k].astype(object) * (sign * root.denominator), abs(s) * root.numerator)
-        bound = max(int(max_abs(w)) ** 2 * abs(s), int(max_abs(n)) * e * e)
-        wb, nb = exact_cast(w, bound), exact_cast(n, bound)
-        if np.any(np.outer(wb, wb) * s - nb * (e * e)):
-            raise DegenerateInput("matrix is not exactly rank one")
     else:
         w, e = n[:, k] / np.sqrt(s * n[k, k]), 1
     if w[np.flatnonzero(~negligible(w, mode))[0]] < 0:
@@ -143,33 +140,28 @@ def _is_rank_one(n: np.ndarray) -> bool:
     return not np.any(n * n[r, c] - np.outer(n[:, c], n[r, :]))
 
 
-def _recover(R: CurvatureTensor, tested: bool = False):
-    """(c, Theta numerators, their denominator) from the numerators V over d.
+def _binary_scaled(R: CurvatureTensor):
+    """``(2^-e R, e)``, e from ``frexp(max|R|)``, for a nonzero float tensor, else ``(R, 0)``.
+    Commutators and the recovery's s n[k,k] are quadratic in R, so they underflow to 0 or
+    overflow near the ends of the float range; 2^-e R has max|R| in [1/2, 1), exact in binary."""
+    e = 0 if R.mode.exact else frexp(float(R.max_abs()))[1]  # frexp(0.0) is (0.0, 0)
+    return (CurvatureTensor(R.m, np.ldexp(R.values, -e), R.mode) if e else R), e
 
-    J(e_p) is the slice V[b,p,p,a] over d.  At the first p where it has rank
-    one, J(e_p) = (s / d) w w^T by ``_rank_one_unit`` with w = W / e, so
-    c = s / 3d, and column q != p of Theta is (2d / s) J(e_p, e_q) w
-    = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e): one contraction for all
-    q, with integer entries at most 2 m max|V| max|W| in rational mode.
-    Float tensors are V over d = 1; their rank test is ``rank_with_mode``,
-    whose eigen-split makes the symmetry check that exact J(e_p) take here.
-    ``tested`` takes p = 0 without either test: the caller has found the
-    exact J(e_0) of rank one, and ``_rank_one_unit`` refuses it if it is
-    not symmetric, since s W W^T is.
+
+def _recover(R: CurvatureTensor, p: int):
+    """(c, Theta) from the numerators V over d, at a p whose J(e_p) the caller has tested.
+
+    J(e_p) is the slice V[b,p,p,a] over d, of rank one, so J(e_p) = (s / d) w w^T
+    by ``_rank_one_unit`` with w = W / e, c = s / 3d, and column q != p of
+    Theta is (2d / s) J(e_p, e_q) w = sum_b (V[b,p,q,a] + V[b,q,p,a]) W_b / (s e):
+    one contraction for all q, with integer entries at most 2 m max|V| max|W|
+    in rational mode; float tensors are V over d = 1.  A factor with no exact
+    representation, or columns that are no complex structure, is
+    ``ClassificationInconsistency``.
     """
     m, v, mode = R.m, R.values, R.mode
-    for p in range(m):
-        n = v[:, p, p, :].T
-        if tested:
-            break
-        if mode.exact:
-            require_selfadjoint(n, mode)
-        if (_is_rank_one(n) if mode.exact else rank_with_mode(n, mode) == 1):
-            break
-    else:
-        raise NotRankOne("no basis vector has a rank-one Jacobi operator")
     try:
-        s, w, e = _rank_one_unit(n, mode)
+        s, w, e = _rank_one_unit(v[:, p, p, :].T, mode)
     except DegenerateInput as exc:
         raise ClassificationInconsistency(
             f"rank-one factor of J(e_{p}) has no exact representation: {exc}"
@@ -181,7 +173,13 @@ def _recover(R: CurvatureTensor, tested: bool = False):
     cols[:, p] = w * s
     sign = 1 if s > 0 else -1
     c = Fraction(s, 3 * R.denominator) if mode.exact else s / 3
-    return c, cols * sign, abs(s) * e
+    theta, denominator = cols * sign, abs(s) * e
+    if not mode.exact:  # float structures take no denominator
+        theta, denominator = theta / denominator, 1
+    try:
+        return c, ComplexStructure(theta, mode, denominator)
+    except InvalidComplexStructure as exc:
+        raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
 
 
 def recover_complex_structure(R: CurvatureTensor):
@@ -194,28 +192,24 @@ def recover_complex_structure(R: CurvatureTensor):
     Theta is not determined (the tensor is even in Theta); it is fixed by
     making the first coordinate of w that is not ``negligible`` positive.
 
-    Exact tensors never leave their integer numerators V: J(e_p) is the
-    slice V[:, p, p, :], the rank-one test, the rational root and the sign
-    rule run on integers (``_rank_one_unit``), and every polarized column
-    is one contraction of V[:, p, :, :] + V[:, :, p, :] with the numerators
-    of w.  Float tensors take the same slices and contraction; only their
-    rank test (``rank_with_mode``) and the root in w differ.
+    The probe takes the first e_p whose J(e_p) has rank one, and ``_recover``
+    reads (c, Theta) there.  Exact J(e_p) is the slice V[:, p, p, :] of the
+    integer numerators, tested for symmetry and rank one on integers.  Float
+    tensors are probed and recovered as 2^-e R (``_binary_scaled``), so that
+    s n[k,k] stays in the float range, with ``rank_with_mode`` as the rank
+    test, and c comes back scaled by 2^e.
     """
-    return _complex_structure(R)
-
-
-def _complex_structure(R: CurvatureTensor, tested: bool = False):
-    """``recover_complex_structure(R)``, at p = 0 untested when ``tested`` (see ``_recover``)."""
     if R.m % 2:
         raise UnsupportedDimension("complex structures exist only in even dimensions")
-    c, theta, denominator = _recover(R, tested)
-    if not R.mode.exact:  # float structures take no denominator
-        theta, denominator = theta / denominator, 1
-    try:
-        cs = ComplexStructure(theta, R.mode, denominator)
-    except InvalidComplexStructure as exc:
-        raise ClassificationInconsistency(f"recovered structure is invalid: {exc}") from exc
-    return c, cs
+    R, e = _binary_scaled(R)
+    for p in range(R.m):
+        n = R.values[:, p, p, :].T
+        if R.mode.exact:
+            require_selfadjoint(n, R.mode)
+        if _is_rank_one(n) if R.mode.exact else rank_with_mode(n, R.mode) == 1:
+            c, cs = _recover(R, p)
+            return (ldexp(c, e) if e else c), cs
+    raise NotRankOne("no basis vector has a rank-one Jacobi operator")
 
 
 def _range_orthonormal(j: np.ndarray, r: int, mode: ScalarMode):

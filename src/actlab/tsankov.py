@@ -14,10 +14,12 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
 2. for rational ``tsankov_test``, an equality R = c R0, checked on R's
    entries in place (``_r0_fit``), proves that C vanishes on orthogonal
    pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
-   it has for every nonzero c R_Theta, an equality R = c R_Theta, checked
-   with R's entries in place (``_rtheta_fit``), does the same: on the at
-   most 3m^2 positions of ``_r_theta_pattern`` when Theta has one nonzero
-   a row, at every m, else on its numerators rebuilt in blocks;
+   it has for every nonzero c R_Theta, (c, Theta) is read off J(e_0)
+   (``jacobi._recover``), and an equality R = c R_Theta, checked with R's
+   entries in place (``_rtheta_fit``), does the same: on the at most 3m^2
+   positions of ``_r_theta_pattern`` when Theta has one nonzero a row, at
+   every m, else on its numerators rebuilt in blocks.  Each equality is
+   the whole certificate;
 3. in rational mode, a nonzero commutator at a pair of round 0 of the
    seeded witness search (``_witness_rounds``), exactly orthogonal for
    ``tsankov_test``, proves failure and is the witness; in float mode, a
@@ -63,16 +65,15 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import frexp
 
 import numpy as np
 
 from .errors import ClassificationInconsistency, DegenerateInput, InvalidPolynomial, NotRankOne
-from .jacobi import _complex_structure, _is_rank_one, jacobi, recover_complex_structure
+from .jacobi import _binary_scaled, _is_rank_one, _recover, jacobi, recover_complex_structure
 from .scalars import SLICE_ENTRIES, ScalarMode, exact_cast, exact_dtype, max_abs, negligible, require_int
 from .scalars import read_only, seeded_rng
 from .tensors import CurvatureTensor, _coerce_vector, _r0_pattern, _r_theta_blocks, _r_theta_pattern, combine
-from .tensors import r_theta
+from .tensors import r0, r_theta
 
 __all__ = [
     "Witness",
@@ -468,14 +469,6 @@ def _float_threshold(R: CurvatureTensor):
     return R.mode.tol * (scale * scale)
 
 
-def _binary_scaled(R: CurvatureTensor):
-    """``(2^-e R, e)``, e from ``frexp(max|R|)``, for a nonzero float tensor, else ``(R, 0)``.
-    Commutators are quadratic in R, so they underflow to 0 or overflow to inf - inf near the
-    ends of the float range; 2^-e R has max|R| in [1/2, 1), an exact scaling in binary."""
-    e = 0 if R.mode.exact else frexp(float(R.max_abs()))[1]  # frexp(0.0) is (0.0, 0)
-    return (CurvatureTensor(R.m, np.ldexp(R.values, -e), R.mode) if e else R), e
-
-
 def _scaled(v, e):
     """v 2^e in v's type, inf or 0.0 past the float range; a witness of 2^-e R as one of R."""
     if not e:
@@ -491,7 +484,7 @@ def _squared_norms(a):
 
     The int64 row sums are exact while m max|a|^2 < 2^62.  That holds for
     every sampled pair through m = 61, since entries are at most
-    2 m span^3 with span <= 130 (``_search_witness``'s widest); past that
+    2 m span^3 with span <= 130 (``_witness_rounds``' widest); past that
     bound the sums run on Python ints.
     """
     if a.dtype == np.int64:
@@ -702,11 +695,6 @@ def _first_witness(rounds) -> Witness:
     )
 
 
-def _search_witness(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool) -> Witness:
-    """The witness of the first round of ``_witness_rounds`` that finds one."""
-    return _first_witness(_witness_rounds(R, seed, n_samples, orthogonal))
-
-
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
@@ -730,21 +718,14 @@ def _equal_in_place(R: CurvatureTensor, terms, g: int = 1, nonzero=None) -> bool
 
 
 def _r0_residual(R: CurvatureTensor, s):
-    """``_relative_residual(R, r0(R.m, c))``, c = s / R.denominator (s in float mode), read off R.
-
-    R - c R0 is N off ``_r0_pattern``, N - s at (i, j, j, i) and N + s at
-    (i, j, i, j): the differences ``combine`` takes, so the value, its type
-    and its float bits are the rebuild's, with no rebuild.  An exact c R0
-    gives 0 before |N| is taken.  R is not zero.
-    """
+    """``_relative_residual(R, r0(R.m, c))``, c = s / R.denominator (s in float mode): 0 when
+    exact R is c R0, which N = s on ``_r0_pattern`` with no other nonzero decides in place,
+    else the rebuild's.  R is not zero."""
     plus, minus = _r0_pattern(R.m)
     if R.mode.exact and _equal_in_place(R, ((plus, s), (minus, -s)), nonzero=2 * plus.size):
         return Fraction(0)  # s != 0, so R is c R0
-    flat = R.values.reshape(-1)
-    dev = np.abs(flat)
-    dev[plus], dev[minus] = np.abs(flat[plus] - s), np.abs(flat[minus] + s)
-    top = dev.max()
-    return Fraction(int(top), R.max_value) if R.mode.exact else float(top) / float(R.max_value)
+    c = Fraction(int(s), R.denominator) if R.mode.exact else s
+    return _relative_residual(R, r0(R.m, c, R.mode))
 
 
 @lru_cache(maxsize=None)
@@ -764,7 +745,7 @@ def _sectional(R: CurvatureTensor):
 
 def _r0_fit(R: CurvatureTensor):
     """R as c R0, c = s / R.denominator (s in float mode) for ``_sectional``'s s: ``(c, None,
-    residual)`` when the residual, read off R in place, is negligible, else None.  The residual
+    residual)`` when the residual (``_r0_residual``) is negligible, else None.  The residual
     is at least max|sect - s| / |R|, so a sectional value apart from s skips it; exact values
     are compared with s directly, with no |R|.  R is not zero."""
     sect, s = _sectional(R)
@@ -776,25 +757,12 @@ def _r0_fit(R: CurvatureTensor):
     return (Fraction(int(s), R.denominator) if R.mode.exact else s), None, residual
 
 
-def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
-    """R as c R_Theta, (c, Theta) from ``recover_complex_structure`` (taking J(e_0) as
-    ``tested``), checked on a rebuild: ``(c, Theta, residual)``, else
-    ``ClassificationInconsistency``, which in odd m, where no Theta exists, reports why c R0
-    failed.  As R is reduced, exact R = V / den iff den = g R.denominator and V = g N, compared
-    in place (``_equal_in_place``) on ``_r_theta_pattern`` with a count of R's nonzeros, else
-    (a dense Theta) block by block (``_r_theta_blocks``); only a mismatch rebuilds."""
-    if R.m % 2:
-        s = _sectional(R)[1]
-        raise ClassificationInconsistency(
-            "commutation holds but constant-curvature reconstruction fails "
-            + ("(no nonzero sectional value)" if s is None else f"(residual {_r0_residual(R, s)})")
-        )
-    try:
-        c, cs = _complex_structure(R, True) if tested else recover_complex_structure(R)
-    except NotRankOne as exc:
-        raise ClassificationInconsistency(
-            f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
-        ) from exc
+def _rtheta_fit(R: CurvatureTensor, c, cs):
+    """Certify R = c R_Theta for Theta = ``cs``: ``(c, Theta, residual)``, else
+    ``ClassificationInconsistency``.  As R is reduced, exact R = V / den iff den = g R.denominator
+    and V = g N, compared in place (``_equal_in_place``) on ``_r_theta_pattern`` with a count of
+    R's nonzeros, else (a dense Theta) block by block (``_r_theta_blocks``); only a mismatch, or
+    a float R, rebuilds."""
     if (pattern := _r_theta_pattern(cs, c)) is not None:
         positions, nums, den = pattern
         terms, nonzero = [(positions, nums)], np.count_nonzero(nums)
@@ -812,11 +780,26 @@ def _rtheta_fit(R: CurvatureTensor, tested: bool = False):
 
 
 def _fit(R: CurvatureTensor):
-    """Fit R as c R0, else as c R_Theta: ``(c, Theta or None, residual)``, else
-    ``ClassificationInconsistency``.  A fit counts when its relative residual is negligible; in
-    rational mode that is equality, which proves that R commutes on orthogonal pairs, as c R0
-    and c R_Theta do."""
-    return _r0_fit(R) or _rtheta_fit(R)
+    """Fit R as c R0, else as c R_Theta with (c, Theta) from ``recover_complex_structure``:
+    ``(c, Theta or None, residual)``, else ``ClassificationInconsistency``, which in odd m, where
+    no Theta exists, reports why c R0 failed.  A fit counts when its relative residual is
+    negligible; in rational mode that is equality, which proves that R commutes on orthogonal
+    pairs, as c R0 and c R_Theta do."""
+    fit = _r0_fit(R)
+    if fit is not None:
+        return fit
+    if R.m % 2:
+        s = _sectional(R)[1]
+        raise ClassificationInconsistency(
+            "commutation holds but constant-curvature reconstruction fails "
+            + ("(no nonzero sectional value)" if s is None else f"(residual {_r0_residual(R, s)})")
+        )
+    try:
+        return _rtheta_fit(R, *recover_complex_structure(R))
+    except NotRankOne as exc:
+        raise ClassificationInconsistency(
+            f"commutation holds but neither c R0 nor c R_Theta fits: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -832,11 +815,12 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
 
     The certificates run cheapest first: the zero tensor holds; for
     rational ``orthogonal``, an exact c R0 (``_r0_fit``), then, in even m
-    with a rank-one J(e_0) (``_is_rank_one`` on its numerators, which the
-    recovery takes as tested), an exact c R_Theta (``_rtheta_fit``) holds
-    before the Jacobi table is built.  A rational tensor then runs round 0
-    of ``_witness_rounds``, whose violator proves failure and is the
-    witness.  A float tensor runs the screen on ``_screen_pairs`` instead,
+    with a rank-one J(e_0) (``_is_rank_one`` on its numerators), an exact
+    c R_Theta holds before the Jacobi table is built: ``_recover`` reads
+    (c, Theta) off that J(e_0) with no second test, and ``_rtheta_fit``
+    certifies R = c R_Theta, whatever produced (c, Theta).  A rational
+    tensor then runs round 0 of ``_witness_rounds``, whose violator proves
+    failure and is the witness.  A float tensor runs the screen on ``_screen_pairs`` instead,
     then, for ``orthogonal``, ``_fit``: a fit within tol |R| can coexist
     with a commutator above tol |R|^2 (R0 plus 3e-10 of a random tensor at
     m=5).  Only when all of these are silent is the commutator polynomial
@@ -854,7 +838,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         fit = _r0_fit(R)
         if fit is None and R.m % 2 == 0 and _is_rank_one(R.values[:, 0, 0, :]):
             with suppress(ClassificationInconsistency):
-                fit = _rtheta_fit(R, tested=True)
+                fit = _rtheta_fit(R, *_recover(R, 0))
         if fit is not None:
             return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)

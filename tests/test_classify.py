@@ -193,6 +193,19 @@ class TestRecover:
             assert w[np.abs(w) > 1e-9][0] > 0
 
 
+    @pytest.mark.parametrize("m", (4, 6))
+    def test_float_recovery_at_the_ends_of_the_float_range(self, m):
+        # the probe and the recovery run on 2^-e R, so s n[k,k] neither overflows to an all-zero
+        # w nor underflows to a NaN Theta; c comes back as it went in, and Theta as at c = 1
+        cs = standard_complex_structure(m, FLOAT)
+        if m == 6:
+            cs = conjugate_structure(cs, random_signed_permutation(m, 3, FLOAT))
+        want = recover_complex_structure(r_theta(cs, 1.0))[1].values
+        for c in (1e-200, 1e150, 1e160, 1e300):
+            got_c, got = recover_complex_structure(r_theta(cs, c))
+            assert got_c == c and got.values.tobytes() == want.tobytes()
+
+
 class TestOsserman:
     def test_r0(self):
         rep = osserman_check(r0(5, 2), n_samples=50, seed=1)
@@ -265,6 +278,19 @@ class TestStructureReport:
         assert not rep.tsankov_holds
         assert rep.two_eigenvalue_ok is None
 
+
+    def test_float_two_eigenvalue_check(self):
+        # a float rank below m - 1 runs the check on each sampled spectrum: zero and one repeated value
+        cs6 = conjugate_structure(standard_complex_structure(6, FLOAT), random_signed_permutation(6, 3, FLOAT))
+        for R in (r_theta(standard_complex_structure(4, FLOAT), 1.5), r_theta(cs6, -0.75)):
+            rep = structure_report(R, n_samples=20, seed=0)
+            assert rep.rank_histogram == {1: 20}
+            assert rep.tsankov_holds and rep.two_eigenvalue_ok is True
+        rep = structure_report(r0(5, 1, FLOAT), n_samples=20, seed=0)
+        assert rep.tsankov_holds and rep.two_eigenvalue_ok is None  # maximal rank
+        mix = combine([(1, r0(4, 1)), (1, r_theta(standard_complex_structure(4), 1))]).to_float()
+        rep = structure_report(mix, n_samples=20, seed=0)
+        assert not rep.tsankov_holds and rep.two_eigenvalue_ok is None
 
     def test_float_ranks_count_the_reported_spectrum(self):
         # J(x) = c1 (I - x x^T) + (1 - c1) (Theta x)(Theta x)^T for unit x: the

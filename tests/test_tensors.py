@@ -47,7 +47,7 @@ from actlab.tensors import (
     _r_theta_pattern,
     _standard_pattern,
 )
-from actlab.tsankov import _r0_residual, _relative_residual, _rtheta_fit, _sectional
+from actlab.tsankov import _fit, _r0_residual, _relative_residual, _sectional
 
 from conftest import cayley_rotation, r0_near_misses, random_fraction
 
@@ -277,7 +277,7 @@ class TestRTheta:
                 values, den = self.two_buffer_values(cs, Fraction(-7, 4))
                 want = _relative_residual(bad, CurvatureTensor(m, values, RATIONAL, den))
                 with pytest.raises(ClassificationInconsistency) as exc:
-                    _rtheta_fit(bad)
+                    _fit(bad)
                 assert str(exc.value) == f"commutation holds but complex-form reconstruction fails (residual {want})"
                 assert want != 0
 
@@ -356,7 +356,7 @@ class TestRTheta:
             values, den = self.blocked_values(cs, c)
             want = _relative_residual(bad, CurvatureTensor(m, values, RATIONAL, den))
             with pytest.raises(ClassificationInconsistency) as exc:
-                _rtheta_fit(bad)
+                _fit(bad)
             assert str(exc.value) == f"commutation holds but complex-form reconstruction fails (residual {want})"
             assert want != 0
 

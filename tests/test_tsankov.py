@@ -51,7 +51,6 @@ from actlab.tsankov import (
     _relative_residual,
     _sample_pairs,
     _screen_pairs,
-    _search_witness,
     _squared_norms,
     _violation_scan,
 )
@@ -67,6 +66,12 @@ from conftest import (
 )
 
 jacobi_module = import_module("actlab.jacobi")  # the package's ``jacobi`` is the function
+
+
+def search_witness(R, seed, n_samples, orthogonal):
+    """The witness of the first round of the seeded witness search that finds one."""
+    return tsankov._first_witness(tsankov._witness_rounds(R, seed, n_samples, orthogonal))
+
 _INT64_LIMIT = 2**62  # integer kernels stay in int64 below this bound
 _FLOAT64_LIMIT = 2**53  # and in exact float64 below this one
 
@@ -871,10 +876,10 @@ class TestHalfTableContraction:
         # one contraction per scan and slices of at most SLICE_ENTRIES / m^2
         # pairs; a whole-batch contraction at m=11 peaks at several MB
         R = combine([(Fraction(5, 7), random_act(11, 3, seed=5))])
-        _search_witness(R, 0, 200, True)  # fill the per-m caches first
+        search_witness(R, 0, 200, True)  # fill the per-m caches first
         tracemalloc.start()
         try:
-            _search_witness(R, 0, 200, True)
+            search_witness(R, 0, 200, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -965,7 +970,7 @@ class TestBasisCandidatesFromTheTable:
             for R in tensors:
                 for seed, orthogonal in ((0, True), (1, False)):
                     want = search_round0_reference(R, seed, 40, orthogonal)
-                    got = _search_witness(R, seed, 40, orthogonal)
+                    got = search_witness(R, seed, 40, orthogonal)
                     assert want is not None
                     if R.mode.exact:
                         assert witness_key(got) == witness_key(want)
@@ -983,7 +988,7 @@ class TestBasisCandidatesFromTheTable:
             xs = np.array([2 * cx[p], cx[p], cx[(p + 1) % len(cx)]])
             ys = np.array([cy[p], 3 * cy[p], cy[(p + 1) % len(cy)]])
             monkeypatch.setattr(tsankov, "_sample_pairs", lambda *args, **kwargs: (xs, ys))
-            got = _search_witness(R, 0, 3, True)
+            got = search_witness(R, 0, 3, True)
             want = search_round0_reference(R, 0, 3, True)
             assert witness_key(got) == witness_key(want)
             assert got.x.tolist() == cx[p].tolist() and got.commutator_norm == w.commutator_norm
@@ -994,15 +999,15 @@ class TestBasisCandidatesFromTheTable:
         # only the samples contract; the candidates are sums of table rows
         rows, jacobis = [], _Contraction.jacobis
         monkeypatch.setattr(_Contraction, "jacobis", lambda self, a: rows.append(len(a)) or jacobis(self, a))
-        _search_witness(random_act(7, 3, seed=2), 0, 50, True)
+        search_witness(random_act(7, 3, seed=2), 0, 50, True)
         assert sum(rows) == 2 * 50
 
     def test_witness_search_at_m32_keeps_slices_small(self):
         R = random_act(32, 3, seed=5)
-        _search_witness(R, 0, 200, True)  # fill the per-m caches first
+        search_witness(R, 0, 200, True)  # fill the per-m caches first
         tracemalloc.start()
         try:
-            _search_witness(R, 0, 200, True)
+            search_witness(R, 0, 200, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1513,6 +1518,21 @@ class TestRationalLadder:
         w = tsankov_test(R2).witness
         assert w.commutator_norm == Fraction(9988992, 17323)
 
+    def test_asymmetric_rank_one_j_e0_is_no_complex_structure(self):
+        # J(e_0) numerators u v^T, u = e1 + e2 and v = e1: rank one with trace 1, not symmetric.
+        # The recovery at p = 0 trusts the decision's rank-one test and tests nothing again; the
+        # columns it reads are no complex structure, so no fit holds, and the expansion decides
+        values = np.zeros((4,) * 4, dtype=np.int64)
+        values[1, 0, 0, 1] = values[1, 0, 0, 2] = 1  # J(e_0)[a, b] = V[b, 0, 0, a]
+        R = CurvatureTensor(4, values, RATIONAL)
+        assert R.values[:, 0, 0, :].T.tolist() == np.outer([0, 1, 1, 0], [0, 1, 0, 0]).tolist()
+        v = tsankov_test(R)
+        assert v.holds and v.witness is None
+        with pytest.raises(InvalidOperator, match="^operator is not symmetric$"):
+            classify(R)
+        with pytest.raises(ClassificationInconsistency):
+            jacobi_module._recover(R, 0)
+
     @pytest.mark.parametrize("m", (4, 8, 12))
     def test_rtheta_accepts_skip_the_table_and_the_screen(self, monkeypatch, m):
         counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation")
@@ -1561,11 +1581,11 @@ class TestRationalLadder:
         assert counts == {"recover_complex_structure": 0, "_first_violation": 0, "_basis_raws": 12}
 
     def test_even_rejects_skip_the_tested_recovery_too(self, monkeypatch):
-        counts = count_calls(monkeypatch, "recover_complex_structure", "_complex_structure")
+        counts = count_calls(monkeypatch, "recover_complex_structure", "_recover")
         for m in (4, 6, 8, 10):
             for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
                 assert not tsankov_test(R, "exact").holds
-        assert counts == {"recover_complex_structure": 0, "_complex_structure": 0}
+        assert counts == {"recover_complex_structure": 0, "_recover": 0}
 
     @pytest.mark.parametrize("m", (4, 8, 12))
     def test_rtheta_accepts_test_j_e0_once(self, monkeypatch, m):
@@ -1615,7 +1635,7 @@ class TestRationalLadder:
             for seed in range(15):
                 cs = conjugate_structure(standard_complex_structure(m), cayley_rotation(m, seed))
                 R = r_theta(cs, Fraction(-7, 4))
-                c, cs2, residual = tsankov._rtheta_fit(R)
+                c, cs2, residual = _fit(R)
                 assert (c, residual) == (Fraction(-7, 4), 0)
                 scaled += _r_theta_blocks(cs2, c)[1] != R.denominator
                 res = classify(R)
@@ -1673,12 +1693,12 @@ class TestExactRound0Decides:
                 if holds:
                     assert v.witness is None and res.witness is None
                 else:
-                    want = witness_key(_search_witness(R, seed, 200, True))
+                    want = witness_key(search_witness(R, seed, 200, True))
                     assert witness_key(v.witness) == witness_key(res.witness) == want
                     rejects += 1
                 full = full_commutation_test(R, seed=seed)
                 assert full.holds == poly.is_zero() and not full.holds
-                assert witness_key(full.witness) == witness_key(_search_witness(R, seed, 200, False))
+                assert witness_key(full.witness) == witness_key(search_witness(R, seed, 200, False))
         assert rejects >= 6
 
     @pytest.mark.parametrize("m", (4, 7))
@@ -1701,7 +1721,7 @@ class TestExactRound0Decides:
                 v = decide(R, seed=1)
                 assert not v.holds
                 assert counts == {"_basis_raws": 1, "_first_violation": 0, "commutator_poly": 1}
-                assert witness_key(v.witness) == witness_key(_search_witness(R, 1, 200, orthogonal))
+                assert witness_key(v.witness) == witness_key(search_witness(R, 1, 200, orthogonal))
 
 
 class TestDrawArguments:
