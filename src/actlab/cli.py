@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -177,15 +178,16 @@ def _cmd_report(args, tol):
     return 0
 
 
-def _seed(raw: str) -> int:
-    """A ``--seed`` value: a non-negative integer, else a usage error (exit 2)."""
+def _at_least(least: int, name: str, raw: str) -> int:
+    """An integer option ``name`` of at least ``least``, else a usage error (exit 2)."""
     try:
-        seed = int(raw)
+        value = int(raw)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {raw!r}")
-    return seed
+        value = least - 1
+    if value < least:
+        rule = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, validate, and classify algebraic curvature tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed, samples = partial(_at_least, 0, "seed"), partial(_at_least, 1, "samples")
 
     gen = sub.add_parser("gen", help="write a tensor file")
     gen.add_argument("--type", required=True, choices=["r0", "rtheta", "gauss", "random", "combo"])
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--c", default="1", help="curvature scale (combo: the r0 coefficient)")
     gen.add_argument("--c2", default="1", help="combo only: the rtheta coefficient")
     gen.add_argument("--k", type=int, default=3, help="random only: number of generators")
-    gen.add_argument("--seed", type=_seed, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--phi", help="gauss only: JSON file with the symmetric form")
     gen.add_argument("--diag", help="gauss only: comma-separated diagonal")
     gen.add_argument("--mode", choices=["rational", "float"], default="rational")
@@ -221,25 +224,25 @@ def build_parser() -> argparse.ArgumentParser:
     tsk = sub.add_parser("tsankov", help="decide commutation on orthogonal pairs")
     tsk.add_argument("file")
     tsk.add_argument("--method", choices=["exact", "sampled"], default="exact")
-    tsk.add_argument("--samples", type=int, default=200)
-    tsk.add_argument("--seed", type=_seed, default=0)
+    tsk.add_argument("--samples", type=samples, default=200)
+    tsk.add_argument("--seed", type=seed, default=0)
     tsk.set_defaults(func=_cmd_tsankov)
 
     cls = sub.add_parser("classify", help="run the full classification")
     cls.add_argument("file")
-    cls.add_argument("--seed", type=_seed, default=0)
+    cls.add_argument("--seed", type=seed, default=0)
     cls.set_defaults(func=_cmd_classify)
 
     oss = sub.add_parser("osserman", help="check spectrum constancy on the unit sphere")
     oss.add_argument("file")
-    oss.add_argument("--samples", type=int, default=200)
-    oss.add_argument("--seed", type=_seed, default=0)
+    oss.add_argument("--samples", type=partial(_at_least, 2, "samples"), default=200)
+    oss.add_argument("--seed", type=seed, default=0)
     oss.set_defaults(func=_cmd_osserman)
 
     rep = sub.add_parser("report", help="rank/spectrum diagnostics plus CSV")
     rep.add_argument("file")
-    rep.add_argument("--samples", type=int, default=50)
-    rep.add_argument("--seed", type=_seed, default=0)
+    rep.add_argument("--samples", type=samples, default=50)
+    rep.add_argument("--seed", type=seed, default=0)
     rep.set_defaults(func=_cmd_report)
     return parser
 

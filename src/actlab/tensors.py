@@ -232,31 +232,32 @@ def _antisymmetrised(o: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _r0_pattern(m: int):
-    """The flat positions of (i, j, j, i) and (i, j, i, j), i != j, where R0 is 1 and -1:
-    ``(plus, minus)``, built once per m and read-only (``r0`` and the c R0 fit share them)."""
+    """``(positions, units)``: the flat positions of (i, j, j, i) then (i, j, i, j), i != j, and
+    R0's int64 values 1 and -1 there, the form ``_r_theta_pattern`` gives; once per m, read-only."""
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    return read_only(((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j)
+    units = np.repeat(np.array([1, -1], dtype=np.int64), i.size)
+    return read_only(np.concatenate([((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j]), units)
 
 
 def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
     """The tensor c * R0 of constant sectional curvature c.
 
     Components: R[i][j][k][l] = c * (d_jk d_il - d_ik d_jl), so the only
-    nonzero entries are c at (i, j, j, i) and -c at (i, j, i, j), i != j,
-    scattered into zeros (``_r0_pattern``): c's numerator over its denominator
-    when exact, else the float products 1.0 c, -1.0 c and 0.0 c that the
-    Gauss tensor of the identity times c holds, signed zeros included.
+    nonzero entries are c at (i, j, j, i) and -c at (i, j, i, j), i != j:
+    ``_r0_pattern``'s units times c in zeros, c's numerator over its
+    denominator when exact, else the float products 1.0 c, -1.0 c and 0.0 c
+    of the Gauss tensor of the identity times c, signed zeros included.
     """
     _require_dimension(m, 2, "curvature tensors")
     c = mode.scalar(c)
-    plus, minus = _r0_pattern(m)
+    positions, units = _r0_pattern(m)
     if mode.exact:
-        n = c.numerator
-        comps = exact_cast(np.zeros(m**4, dtype=np.int64), max(abs(n), 1))
-        comps[plus], comps[minus] = n, -n
+        nums = exact_cast(units, abs(c.numerator)) * c.numerator
+        comps = np.zeros(m**4, nums.dtype)
+        comps[positions] = nums
         return CurvatureTensor(m, comps.reshape((m,) * 4), mode, c.denominator)
     comps = np.full(m**4, 0.0 * c)
-    comps[plus], comps[minus] = 1.0 * c, -1.0 * c
+    comps[positions] = units * c
     return CurvatureTensor(m, comps.reshape((m,) * 4), mode)
 
 
@@ -324,14 +325,13 @@ def standard_complex_structure(m: int, mode: ScalarMode = RATIONAL) -> ComplexSt
 
 
 def random_signed_permutation(m: int, seed: int, mode: ScalarMode = RATIONAL) -> np.ndarray:
-    """Seeded orthogonal matrix with entries in {0, +-1}."""
+    """Seeded orthogonal matrix with entries in {0, +-1}: int64 when exact, else float64."""
     _require_dimension(m, 0, "signed permutations")
     rng = seeded_rng(seed)
     perm = rng.permutation(m)
     signs = rng.integers(0, 2, size=m) * 2 - 1
-    q = zeros((m, m), mode)
-    for i in range(m):
-        q[int(perm[i]), i] = mode.scalar(int(signs[i]))
+    q = np.zeros((m, m), dtype=np.int64 if mode.exact else float)
+    q[perm, np.arange(m)] = signs
     return q
 
 

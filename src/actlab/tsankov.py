@@ -11,9 +11,11 @@ implemented on it:
 Each decision takes the cheapest certificate that settles it (``_decide``):
 
 1. the zero tensor holds;
-2. for rational ``tsankov_test``, an equality R = c R0, checked on R's
-   entries in place (``_r0_fit``), proves that C vanishes on orthogonal
-   pairs, as it does for c R0; in even m, when J(e_0) has rank one, as
+2. for rational ``tsankov_test``, an equality R = c R0, with c read off
+   R(e_0, e_1, e_1, e_0) and checked with R's entries in place on the
+   2m(m - 1) positions of ``_r0_pattern`` and a count of R's nonzeros
+   (``_r0_fit``), proves that C vanishes on orthogonal pairs, as it does
+   for c R0; in even m, when J(e_0) has rank one, as
    it has for every nonzero c R_Theta, (c, Theta) is read off J(e_0)
    (``jacobi._recover``), and an equality R = c R_Theta, checked with R's
    entries in place (``_rtheta_fit``), does the same: on the at most 3m^2
@@ -717,44 +719,24 @@ def _equal_in_place(R: CurvatureTensor, terms, g: int = 1, nonzero=None) -> bool
     return nonzero is None or np.count_nonzero(flat) == nonzero
 
 
-def _r0_residual(R: CurvatureTensor, s):
-    """``_relative_residual(R, r0(R.m, c))``, c = s / R.denominator (s in float mode): 0 when
-    exact R is c R0, which N = s on ``_r0_pattern`` with no other nonzero decides in place,
-    else the rebuild's.  R is not zero."""
-    plus, minus = _r0_pattern(R.m)
-    if R.mode.exact and _equal_in_place(R, ((plus, s), (minus, -s)), nonzero=2 * plus.size):
-        return Fraction(0)  # s != 0, so R is c R0
-    c = Fraction(int(s), R.denominator) if R.mode.exact else s
-    return _relative_residual(R, r0(R.m, c, R.mode))
-
-
-@lru_cache(maxsize=None)
-def _upper_pairs(m: int):
-    """``np.triu_indices(m, 1)``, the pairs i < j, built once per m; read-only (fits share them)."""
-    return read_only(*np.triu_indices(m, 1))
-
-
-def _sectional(R: CurvatureTensor):
-    """``(sect, s)``: the stored sectional values R(e_i, e_j, e_j, e_i), i < j, and the first
-    that is not negligible at |R| (the first nonzero when exact), or None."""
-    ii, jj = _upper_pairs(R.m)
-    sect = R.values[ii, jj, jj, ii]
-    nonzero = np.flatnonzero(sect if R.mode.exact else ~negligible(sect, R.mode, R.max_abs()))
-    return sect, (sect[nonzero[0]] if nonzero.size else None)
-
-
 def _r0_fit(R: CurvatureTensor):
-    """R as c R0, c = s / R.denominator (s in float mode) for ``_sectional``'s s: ``(c, None,
-    residual)`` when the residual (``_r0_residual``) is negligible, else None.  The residual
-    is at least max|sect - s| / |R|, so a sectional value apart from s skips it; exact values
-    are compared with s directly, with no |R|.  R is not zero."""
-    sect, s = _sectional(R)
-    if s is None or (sect != s if R.mode.exact else ~negligible(sect - s, R.mode, R.max_abs())).any():
+    """R as c R0 for s = R(e_0, e_1, e_1, e_0), c = s / R.denominator (s in float mode):
+    ``(c, None, residual)``, else None; a negligible s is none.  Exact R is c R0 iff N is s times
+    ``_r0_pattern``'s units on its positions and 0 elsewhere: one ``_equal_in_place`` call, as for
+    c R_Theta, with residual 0 and no rebuild.  A float R within tol |R| of those values there is
+    rebuilt, and fits when its residual is negligible; the residual is at least that deviation
+    over |R|, so the gate only skips rebuilds.  R is not zero."""
+    positions, units = _r0_pattern(R.m)
+    s = R.values[0, 1, 1, 0]
+    if negligible(s, R.mode, R.max_abs()):
         return None
-    residual = _r0_residual(R, s)
-    if not negligible(residual, R.mode):
+    if R.mode.exact:
+        fits = _equal_in_place(R, [(positions, exact_cast(units, abs(s)) * s)], nonzero=positions.size)
+        return (Fraction(int(s), R.denominator), None, Fraction(0)) if fits else None
+    if not negligible(R.values.reshape(-1)[positions] - units * s, R.mode, R.max_abs()).all():
         return None
-    return (Fraction(int(s), R.denominator) if R.mode.exact else s), None, residual
+    residual = _relative_residual(R, r0(R.m, s, R.mode))
+    return (s, None, residual) if negligible(residual, R.mode) else None
 
 
 def _rtheta_fit(R: CurvatureTensor, c, cs):
@@ -788,12 +770,15 @@ def _fit(R: CurvatureTensor):
     fit = _r0_fit(R)
     if fit is not None:
         return fit
-    if R.m % 2:
-        s = _sectional(R)[1]
-        raise ClassificationInconsistency(
-            "commutation holds but constant-curvature reconstruction fails "
-            + ("(no nonzero sectional value)" if s is None else f"(residual {_r0_residual(R, s)})")
-        )
+    if R.m % 2:  # the c R0 residual at the first sectional value, i < j, not negligible at |R|
+        ii, jj = np.triu_indices(R.m, 1)
+        sect = R.values[ii, jj, jj, ii]
+        sect = sect[~negligible(sect, R.mode, R.max_abs())]
+        reason = "no nonzero sectional value"
+        if sect.size:
+            c = Fraction(int(sect[0]), R.denominator) if R.mode.exact else sect[0]
+            reason = f"residual {_relative_residual(R, r0(R.m, c, R.mode))}"
+        raise ClassificationInconsistency(f"commutation holds but constant-curvature reconstruction fails ({reason})")
     try:
         return _rtheta_fit(R, *recover_complex_structure(R))
     except NotRankOne as exc:
@@ -814,11 +799,13 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     """The verdict on orthogonal (or all) pairs, and the fit behind an accept.
 
     The certificates run cheapest first: the zero tensor holds; for
-    rational ``orthogonal``, an exact c R0 (``_r0_fit``), then, in even m
-    with a rank-one J(e_0) (``_is_rank_one`` on its numerators), an exact
-    c R_Theta holds before the Jacobi table is built: ``_recover`` reads
-    (c, Theta) off that J(e_0) with no second test, and ``_rtheta_fit``
-    certifies R = c R_Theta, whatever produced (c, Theta).  A rational
+    rational ``orthogonal``, an exact c R0 (``_r0_fit``: one in-place
+    comparison on ``_r0_pattern``, c from R(e_0, e_1, e_1, e_0)), then, in
+    even m with a rank-one J(e_0) (``_is_rank_one`` on its numerators), an
+    exact c R_Theta holds before the Jacobi table is built: ``_recover``
+    reads (c, Theta) off that J(e_0) with no second test, and
+    ``_rtheta_fit`` certifies R = c R_Theta on its pattern or blocks,
+    whatever produced (c, Theta).  A rational
     tensor then runs round 0 of ``_witness_rounds``, whose violator proves
     failure and is the witness.  A float tensor runs the screen on ``_screen_pairs`` instead,
     then, for ``orthogonal``, ``_fit``: a fit within tol |R| can coexist

@@ -249,6 +249,24 @@ class TestCliCommands:
         assert main(["gen", "--type", "random", "--m", "3", "--seed", "-1", "-o", str(neg)]) == 2
         assert not neg.exists() and capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "command, least",
+        [(["tsankov"], 1), (["tsankov", "--method", "sampled"], 1), (["report"], 1), (["osserman"], 2)],
+    )
+    @pytest.mark.parametrize("below", [True, False])
+    def test_samples_below_their_least_are_usage_errors(self, tmp_path, capsys, command, least, below):
+        # a --samples below its least value used to reach the library and exit 1 with DegenerateInput
+        out = str(tmp_path / "t.json")
+        assert main(["gen", "--type", "random", "--m", "3", "-o", out]) == 0
+        capsys.readouterr()
+        raw = str(least - 1) if below else "abc"
+        assert main([command[0], out, *command[1:], "--samples", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"actlab {command[0]}: error: argument --samples: samples must be an integer >= {least}, got '{raw}'"
+        ]
+
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         main(["gen", "--type", "random", "--m", "3", "--seed", "5", "-o", out])

@@ -358,13 +358,15 @@ def test_rotated_rtheta_fit_skips_r0(monkeypatch):
     c = F(-7, 3)
     cs = conjugate_structure(standard_complex_structure(8), cayley_rotation(8, 4))
     R = r_theta(cs, c)
-    calls, real = [], tsankov._r0_residual  # the c R0 fit, checked in place
-    monkeypatch.setattr(tsankov, "_r0_residual", lambda *args: calls.append(args) or real(*args))
+    calls, real = [], tsankov.r0  # the c R0 rebuild, which no exact fit reaches
+    monkeypatch.setattr(tsankov, "r0", lambda *args: calls.append(args) or real(*args))
     res = classify(R)
     assert not calls
     assert (res.tag, res.c, res.residual) == ("ComplexForm", c, 0)
     th = res.theta.theta
     assert (th == cs.theta).all() or (th == -cs.theta).all()
-    # the c R0 fit still runs where it can hold
+    # the c R0 fit still runs where it can hold, and certifies in one in-place comparison
+    checks, equal = [], tsankov._equal_in_place
+    monkeypatch.setattr(tsankov, "_equal_in_place", lambda *args, **kw: checks.append(args) or equal(*args, **kw))
     res = classify(r0(8, c))
-    assert len(calls) == 1 and (res.tag, res.c, res.residual) == ("ConstantCurvature", c, 0)
+    assert not calls and len(checks) == 1 and (res.tag, res.c, res.residual) == ("ConstantCurvature", c, 0)

@@ -47,7 +47,7 @@ from actlab.tsankov import (
     _jacobi_table,
     _fit,
     _largest,
-    _r0_residual,
+    _r0_fit,
     _relative_residual,
     _sample_pairs,
     _screen_pairs,
@@ -55,6 +55,7 @@ from actlab.tsankov import (
     _violation_scan,
 )
 
+from actlab.scalars import negligible
 from actlab.tensors import _r_theta_blocks
 from conftest import (
     build_corpus,
@@ -1346,7 +1347,7 @@ class TestAcceptPathConstants:
 
     @staticmethod
     def rebuilt_residual(R, s):
-        """The residual of the rebuilt c R0 that ``_r0_residual`` reads off in place."""
+        """The residual of the rebuilt c R0, which the exact ``_r0_fit`` certifies in place."""
         c = Fraction(int(s), R.denominator) if R.mode.exact else s
         return _relative_residual(R, r0(R.m, c, R.mode))
 
@@ -1366,13 +1367,17 @@ class TestAcceptPathConstants:
         scaled = [
             CurvatureTensor(R.m, np.ldexp(R.to_float().values, k), FLOAT) for R in exact for k in (-60, -3, 0, 5, 60)
         ]
+        seen = set()
         for R in exact + scaled:
-            sect = self.sectional(R)
-            for s in {sect[np.flatnonzero(sect)[0]], sect[-1]}:  # the fit's pick, and the last plane's value
-                if s == 0:
-                    continue
-                got, want = _r0_residual(R, s), self.rebuilt_residual(R, s)
-                assert type(got) is type(want) and repr(got) == repr(want)
+            s = R.values[0, 1, 1, 0]  # the fit's pick
+            got, want = _r0_fit(R), self.rebuilt_residual(R, s)
+            seen.add((R.mode.exact, got is not None))
+            if not negligible(want, R.mode):
+                assert got is None
+                continue
+            c = Fraction(int(s), R.denominator) if R.mode.exact else s
+            assert got[:2] == (c, None) and type(got[2]) is type(want) and repr(got[2]) == repr(want)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_odd_m_error_reports_the_rebuild_residual(self):
         c = Fraction(2, 3)
@@ -1387,6 +1392,29 @@ class TestAcceptPathConstants:
             with pytest.raises(ClassificationInconsistency) as exc:
                 _fit(R)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("m", (3, 5))
+    def test_odd_m_error_without_a_sectional_value(self, m):
+        # not a curvature tensor: its one nonzero numerator, v[1, 0, 0, 2], leaves every sectional value 0
+        v = np.zeros((m,) * 4, dtype=np.int64)
+        v[1, 0, 0, 2] = 1
+        exact = CurvatureTensor(m, v, RATIONAL)
+        for R in (exact, exact.to_float()):
+            assert tsankov_test(R).holds
+            with pytest.raises(ClassificationInconsistency) as exc:
+                classify(R)
+            assert str(exc.value) == (
+                "commutation holds but constant-curvature reconstruction fails (no nonzero sectional value)"
+            )
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_zero_first_sectional_value_is_no_fit(self, m):
+        # R(e_0, e_1, e_1, e_0) = 0, the fit's pick, while every sectional value off e_0 is 1
+        exact = from_form(np.diag([0] + [1] * (m - 1)), RATIONAL)
+        for R in (exact, exact.to_float()):
+            assert R.values[0, 1, 1, 0] == 0 and R.values[1, 2, 2, 1] == 1
+            assert _r0_fit(R) is None
+            assert tsankov_test(R).holds == (divisible_by_pairing(commutator_poly(R)) is not None)
 
 
 def rtheta_near_misses(m):
