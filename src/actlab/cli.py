@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--c", default="1", help="curvature scale (combo: the r0 coefficient)")
     gen.add_argument("--c2", default="1", help="combo only: the rtheta coefficient")
-    gen.add_argument("--k", type=int, default=3, help="random only: number of generators")
+    gen.add_argument("--k", type=partial(_at_least, 1, "k"), default=3, help="random only: number of generators")
     gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--phi", help="gauss only: JSON file with the symmetric form")
     gen.add_argument("--diag", help="gauss only: comma-separated diagonal")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -88,10 +88,14 @@ class CurvatureTensor:
 
     The tensor owns its array: the array passed in is taken over, not
     copied, and ``values`` is a read-only view of it.  max|values| is
-    computed once, at construction (in the same pass that picks the exact
-    dtype), as ``max_value``; ``max_abs``, ``is_zero`` and the exact tier
-    bounds read it.  Treat instances as immutable: every operation returns
-    new values.
+    known from construction, as ``max_value``: this constructor computes it
+    in the pass that reduces the numerators and picks the exact dtype, and
+    ``_scattered``, the exact sparse constructor of ``r0`` and ``r_theta``,
+    knows it, the dtype and the reduced denominator from its pattern with
+    no pass.  ``max_abs``, ``is_zero`` and the exact tier bounds read it.
+    ``_nonzeros``, the count of nonzero entries, is set by ``_scattered``
+    and otherwise counted once, on first use.  Treat instances as
+    immutable: every operation returns new values.
     """
 
     m: int
@@ -112,6 +116,27 @@ class CurvatureTensor:
                 raise DegenerateInput(f"float tensor values must be finite, got max |R| = {self.max_value}")
         self.values = values.view()
         self.values.flags.writeable = False
+
+    @classmethod
+    def _scattered(cls, m, positions, units, c: Fraction, mode: ScalarMode, unit_max: int = 1):
+        """The exact tensor with numerators n ``units`` at the flat ``positions`` over d, c = n / d,
+        and zeros elsewhere.  The cached int64 ``units`` are nonzero, with content 1 and
+        max|units| = ``unit_max``, so n ``units`` over d is reduced, max|N| is ``unit_max`` |n|, its
+        dtype follows, and it holds ``positions.size`` nonzeros (none when c = 0): no m^4 pass."""
+        top = unit_max * abs(c.numerator)
+        nums = exact_cast(units, top) * c.numerator
+        values = np.zeros(m**4, nums.dtype)
+        values[positions] = nums
+        R = cls.__new__(cls)
+        R.m, R.mode, R.denominator, R.max_value = m, mode, c.denominator, top
+        R.values = values.reshape((m,) * 4)
+        R.values.flags.writeable = False
+        R._nonzeros = positions.size if top else 0
+        return R
+
+    @cached_property
+    def _nonzeros(self) -> int:
+        return int(np.count_nonzero(self.values))
 
     @property
     def components(self) -> np.ndarray:
@@ -233,7 +258,7 @@ def _antisymmetrised(o: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _r0_pattern(m: int):
     """``(positions, units)``: the flat positions of (i, j, j, i) then (i, j, i, j), i != j, and
-    R0's int64 values 1 and -1 there, the form ``_r_theta_pattern`` gives; once per m, read-only."""
+    R0's int64 values 1 and -1 there, the units ``CurvatureTensor._scattered`` takes; once per m, read-only."""
     i, j = np.nonzero(~np.eye(m, dtype=bool))
     units = np.repeat(np.array([1, -1], dtype=np.int64), i.size)
     return read_only(np.concatenate([((i * m + j) * m + j) * m + i, ((i * m + j) * m + i) * m + j]), units)
@@ -244,18 +269,17 @@ def r0(m: int, c, mode: ScalarMode = RATIONAL) -> CurvatureTensor:
 
     Components: R[i][j][k][l] = c * (d_jk d_il - d_ik d_jl), so the only
     nonzero entries are c at (i, j, j, i) and -c at (i, j, i, j), i != j:
-    ``_r0_pattern``'s units times c in zeros, c's numerator over its
-    denominator when exact, else the float products 1.0 c, -1.0 c and 0.0 c
-    of the Gauss tensor of the identity times c, signed zeros included.
+    exact, ``_r0_pattern``'s units scattered by ``CurvatureTensor._scattered``,
+    c's numerator times them over its denominator, reduced and sized with
+    no m^4 pass; float, the products 1.0 c and -1.0 c there and 0.0 c
+    elsewhere, those of the Gauss tensor of the identity times c, signed
+    zeros included.
     """
     _require_dimension(m, 2, "curvature tensors")
     c = mode.scalar(c)
     positions, units = _r0_pattern(m)
     if mode.exact:
-        nums = exact_cast(units, abs(c.numerator)) * c.numerator
-        comps = np.zeros(m**4, nums.dtype)
-        comps[positions] = nums
-        return CurvatureTensor(m, comps.reshape((m,) * 4), mode, c.denominator)
+        return CurvatureTensor._scattered(m, positions, units, c, mode)
     comps = np.full(m**4, 0.0 * c)
     comps[positions] = units * c
     return CurvatureTensor(m, comps.reshape((m,) * 4), mode)
@@ -358,21 +382,21 @@ def r_theta(cs: ComplexStructure, c) -> CurvatureTensor:
     R_Theta(x,y)z = <Th y, z> Th x - <Th x, z> Th y - 2 <Th x, y> Th z, so in
     components R[i][j][k][l] = c * (Th_kj Th_li - Th_ki Th_lj - 2 Th_ji Th_lk).
     Its Jacobi operator at unit x is the rank-one map 3c <., Th x> Th x.
-    Exact numerators come from the stored Th = T / t: ``_r_theta_pattern``
-    scattered into zeros when T has one nonzero a row, at every m, else, as
-    for any float Th, whose signed zeros a zero fill would lose, ``_r_theta_blocks``.
+    An exact Th with one nonzero a row, at every m, relabels the standard
+    pattern (``_pattern_positions``), and ``CurvatureTensor._scattered``
+    places ``_standard_units`` times c g0 there, reduced and sized with no
+    m^4 pass; any other Th, dense or float (whose signed zeros a zero fill
+    would lose), fills its blocks (``_r_theta_blocks``).
     """
     m, c = cs.m, cs.mode.scalar(c)
-    if (pattern := _r_theta_pattern(cs, c)) is not None:
-        positions, nums, den = pattern
-        values = np.zeros(m**4, nums.dtype)
-        values[positions] = nums
-    else:
-        blocks, den, dtype = _r_theta_blocks(cs, c)
-        values = np.empty((m,) * 4, dtype)
-        for rows, block in blocks:
-            values[rows] = block
-    return CurvatureTensor(m, values.reshape((m,) * 4), cs.mode, den)
+    if (positions := _pattern_positions(cs)) is not None:
+        units, g0, unit_max = _standard_units(m)
+        return CurvatureTensor._scattered(m, positions, units, c * g0, cs.mode, unit_max)
+    blocks, den, dtype = _r_theta_blocks(cs, c)
+    values = np.empty((m,) * 4, dtype)
+    for rows, block in blocks:
+        values[rows] = block
+    return CurvatureTensor(m, values, cs.mode, den)
 
 
 @lru_cache(maxsize=None)
@@ -388,21 +412,39 @@ def _standard_pattern(m: int):
     return read_only(np.stack(np.unravel_index(positions, (m,) * 4)), values)
 
 
-def _r_theta_pattern(cs: ComplexStructure, c):
-    """``(positions, numerators, denominator)`` of c R_Theta for an exact T with one nonzero a
-    row, else None: the flat positions of its nonzero entries and their numerators, in the dtype
-    of ``_r_theta_blocks``.  Such a T is t P Theta0 P^T, P the permutation sending 2k, 2k + 1 to
-    the row and column of T's k-th negative entry (T is skew, so each pair holds one), so c R_Theta
-    at P of each quadruple of ``_standard_pattern`` is c t^2 times R_Theta0 there."""
-    m, th, t = cs.m, cs.values, cs.denominator
+@lru_cache(maxsize=None)
+def _standard_units(m: int):
+    """``(units, g0, max|units|)``: ``_standard_pattern``'s values over their content g0, which is 3
+    at m = 2, where every value is +-3, and 1 from m = 4 on; once per m, read-only."""
+    values = _standard_pattern(m)[1]
+    g0 = int(np.gcd.reduce(values))
+    units = read_only(values // g0)[0]
+    return units, g0, int(max_abs(units))
+
+
+def _pattern_positions(cs: ComplexStructure):
+    """The flat positions of the nonzero entries of R_Theta, in ``_standard_pattern``'s order, for
+    an exact T with one nonzero a row, else None.  Such a T is reduced, so t = 1 and T is
+    P Theta0 P^T, P the permutation sending 2k, 2k + 1 to the row and column of T's k-th negative
+    entry (T is skew, so each pair holds one): R_Theta at P of each quadruple is R_Theta0 there."""
+    m, th = cs.m, cs.values
     if not cs.mode.exact or np.count_nonzero(th) != m:
         return None
     rows, cols = np.nonzero(th)
     negative = th[rows, cols] < 0
     perm = np.stack((rows[negative], cols[negative]), axis=1).reshape(-1)
-    quads, values = _standard_pattern(m)
-    nums = exact_cast(values, 4 * t * t * max(abs(c.numerator), 1)) * (c.numerator * t * t)
-    return np.ravel_multi_index(perm[quads], (m,) * 4), nums, c.denominator * t * t
+    return np.ravel_multi_index(perm[_standard_pattern(m)[0]], (m,) * 4)
+
+
+def _r_theta_pattern(cs: ComplexStructure, c):
+    """``(positions, numerators, denominator)`` of c R_Theta for an exact T with one nonzero a
+    row, else None: ``_pattern_positions``, and c's numerator times ``_standard_pattern``'s values
+    over c's denominator, in the dtype of ``_r_theta_blocks``; the fit's target, which is not
+    reduced at m = 2, where ``r_theta`` takes ``_standard_units`` instead."""
+    if (positions := _pattern_positions(cs)) is None:
+        return None
+    values = _standard_pattern(cs.m)[1]
+    return positions, exact_cast(values, 4 * max(abs(c.numerator), 1)) * c.numerator, c.denominator
 
 
 def _r_theta_blocks(cs: ComplexStructure, c):
@@ -412,7 +454,7 @@ def _r_theta_blocks(cs: ComplexStructure, c):
     With t = Th^T and O[i,x,y,z] = t[i,x] t[y,z], one outer product per block, t1 = Th_kj Th_li,
     t2 = Th_ki Th_lj and t3 = Th_ji Th_lk are O[i,l,j,k], O[i,k,j,l] and O[i,j,k,l], and each
     entry is ((t1 - t2) - 2 t3) c in that order: the formula's bits, signed zeros included, and
-    the one place they are computed (``_r_theta_pattern`` relabels those of ``_standard_pattern``)."""
+    the one place they are computed (``_pattern_positions`` relabels those of ``_standard_pattern``)."""
     th, scale, den = cs.values, c, 1
     if cs.mode.exact:  # each bracket is at most 4 max|T|^2
         th = exact_cast(th, 4 * int(max_abs(th)) ** 2 * max(abs(c.numerator), 1))

@@ -13,9 +13,9 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
 1. the zero tensor holds;
 2. for rational ``tsankov_test``, an equality R = c R0, with c read off
    R(e_0, e_1, e_1, e_0) and checked with R's entries in place on the
-   2m(m - 1) positions of ``_r0_pattern`` and a count of R's nonzeros
-   (``_r0_fit``), proves that C vanishes on orthogonal pairs, as it does
-   for c R0; in even m, when J(e_0) has rank one, as
+   2m(m - 1) positions of ``_r0_pattern`` and R's cached count of its
+   nonzeros (``_r0_fit``), proves that C vanishes on orthogonal pairs,
+   as it does for c R0; in even m, when J(e_0) has rank one, as
    it has for every nonzero c R_Theta, (c, Theta) is read off J(e_0)
    (``jacobi._recover``), and an equality R = c R_Theta, checked with R's
    entries in place (``_rtheta_fit``), does the same: on the at most 3m^2
@@ -710,29 +710,32 @@ def _relative_residual(R: CurvatureTensor, recon: CurvatureTensor):
 
 def _equal_in_place(R: CurvatureTensor, terms, g: int = 1, nonzero=None) -> bool:
     """Whether g N equals ``want`` at each ``(index, want)`` of ``terms``, N = R's flat numerators
-    read in place up to the first mismatch, and N holds ``nonzero`` nonzero entries, if given."""
+    read in place up to the first mismatch, and N holds ``nonzero`` nonzero entries, if given, by
+    R's count (``CurvatureTensor._nonzeros``), which a tensor built on its pattern already holds."""
     flat = R.values.reshape(-1)
     for index, want in terms:
         got = flat[index] if g == 1 else exact_cast(flat[index], g * R.max_value) * g
         if not (got == want).all():
             return False
-    return nonzero is None or np.count_nonzero(flat) == nonzero
+    return nonzero is None or R._nonzeros == nonzero
 
 
 def _r0_fit(R: CurvatureTensor):
     """R as c R0 for s = R(e_0, e_1, e_1, e_0), c = s / R.denominator (s in float mode):
-    ``(c, None, residual)``, else None; a negligible s is none.  Exact R is c R0 iff N is s times
-    ``_r0_pattern``'s units on its positions and 0 elsewhere: one ``_equal_in_place`` call, as for
-    c R_Theta, with residual 0 and no rebuild.  A float R within tol |R| of those values there is
-    rebuilt, and fits when its residual is negligible; the residual is at least that deviation
-    over |R|, so the gate only skips rebuilds.  R is not zero."""
+    ``(c, None, residual)``, else None; a negligible s is none, which when exact is s = 0, tested
+    with no |R|.  Exact R is c R0 iff N is s times ``_r0_pattern``'s units on its positions and 0
+    elsewhere: one ``_equal_in_place`` call, as for c R_Theta, with residual 0 and no rebuild.
+    A float R within tol |R| of those values there is rebuilt, and fits when its residual is
+    negligible; the residual is at least that deviation over |R|, so the gate only skips
+    rebuilds.  R is not zero."""
     positions, units = _r0_pattern(R.m)
     s = R.values[0, 1, 1, 0]
+    if R.mode.exact:
+        want = exact_cast(units, abs(s)) * s
+        fits = s != 0 and _equal_in_place(R, [(positions, want)], nonzero=positions.size)
+        return (Fraction(int(s), R.denominator), None, Fraction(0)) if fits else None
     if negligible(s, R.mode, R.max_abs()):
         return None
-    if R.mode.exact:
-        fits = _equal_in_place(R, [(positions, exact_cast(units, abs(s)) * s)], nonzero=positions.size)
-        return (Fraction(int(s), R.denominator), None, Fraction(0)) if fits else None
     if not negligible(R.values.reshape(-1)[positions] - units * s, R.mode, R.max_abs()).all():
         return None
     residual = _relative_residual(R, r0(R.m, s, R.mode))
@@ -742,12 +745,12 @@ def _r0_fit(R: CurvatureTensor):
 def _rtheta_fit(R: CurvatureTensor, c, cs):
     """Certify R = c R_Theta for Theta = ``cs``: ``(c, Theta, residual)``, else
     ``ClassificationInconsistency``.  As R is reduced, exact R = V / den iff den = g R.denominator
-    and V = g N, compared in place (``_equal_in_place``) on ``_r_theta_pattern`` with a count of
-    R's nonzeros, else (a dense Theta) block by block (``_r_theta_blocks``); only a mismatch, or
-    a float R, rebuilds."""
+    and V = g N, compared in place (``_equal_in_place``) on ``_r_theta_pattern`` with R's cached
+    count of nonzeros, else (a dense Theta) block by block (``_r_theta_blocks``); only a
+    mismatch, or a float R, rebuilds."""
     if (pattern := _r_theta_pattern(cs, c)) is not None:
         positions, nums, den = pattern
-        terms, nonzero = [(positions, nums)], np.count_nonzero(nums)
+        terms, nonzero = [(positions, nums)], nums.size if c else 0
     else:  # flat spans of the blocks' rows
         blocks, den, _ = _r_theta_blocks(cs, c)
         terms, nonzero = ((slice(r.start * R.m**3, r.stop * R.m**3), b.reshape(-1)) for r, b in blocks), None

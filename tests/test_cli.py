@@ -267,6 +267,18 @@ class TestCliCommands:
             f"actlab {command[0]}: error: argument --samples: samples must be an integer >= {least}, got '{raw}'"
         ]
 
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc"])
+    def test_k_below_one_is_a_usage_error(self, tmp_path, capsys, raw):
+        # --k 0 used to reach random_act and exit 1 with InvalidDimension
+        out = tmp_path / "k.json"
+        assert main(["gen", "--type", "random", "--m", "3", "--k", raw, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"actlab gen: error: argument --k: k must be an integer >= 1, got '{raw}'"
+        ]
+        assert main(["gen", "--type", "random", "--m", "3", "--k", "1", "-o", str(out)]) == 0
+
     def test_validate_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         main(["gen", "--type", "random", "--m", "3", "--seed", "5", "-o", out])

@@ -43,6 +43,7 @@ from actlab.tensors import (
     ComplexStructure,
     CurvatureTensor,
     _gauss_components,
+    _r0_pattern,
     _r_theta_blocks,
     _r_theta_pattern,
     _standard_pattern,
@@ -365,6 +366,50 @@ class TestRTheta:
             ComplexStructure(np.array([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], dtype=object))
         with pytest.raises(InvalidComplexStructure):
             standard_complex_structure(5)
+
+
+SCALES = (
+    0, 1, Fraction(-7, 4), Fraction(5, 3), 6, Fraction(3, 2), Fraction(2**70 + 1, 3), -(2**63),
+    Fraction(2**62 - 1, 9),
+)
+
+
+class TestScattered:
+    """``CurvatureTensor._scattered`` against the dense build it replaced in ``r0`` and ``r_theta``:
+    the numerators scattered into m^4 zeros and reduced, sized and counted by ``CurvatureTensor``."""
+
+    @staticmethod
+    def dense(m, positions, nums, den):
+        values = np.zeros(m**4, nums.dtype)
+        values[positions] = nums
+        return CurvatureTensor(m, values.reshape((m,) * 4), RATIONAL, den)
+
+    @staticmethod
+    def assert_same(R, ref):
+        assert (R.m, R.mode, R.denominator) == (ref.m, ref.mode, ref.denominator)
+        assert R.values.dtype == ref.values.dtype and R.values.shape == ref.values.shape
+        assert R.max_value == ref.max_value and type(R.max_value) is type(ref.max_value) is int
+        assert R._nonzeros == np.count_nonzero(ref.values)
+        assert R.values.ravel().tolist() == ref.values.ravel().tolist()
+        if R.values.dtype == object:
+            assert list(map(type, R.values.flat)) == list(map(type, ref.values.flat))
+        assert not R.values.flags.writeable
+
+    @pytest.mark.parametrize("m", range(2, 19))
+    def test_r0_matches_the_dense_build(self, m):
+        positions, units = _r0_pattern(m)
+        for c in map(Fraction, SCALES):
+            nums = exact_cast(units, abs(c.numerator)) * c.numerator
+            self.assert_same(r0(m, c), self.dense(m, positions, nums, c.denominator))
+
+    @pytest.mark.parametrize("m", range(2, 19, 2))
+    def test_permuted_r_theta_matches_the_dense_build(self, m):
+        # at m = 2 every standard value is +-3, so the dense build reduces what r_theta scales by 3
+        standard = standard_complex_structure(m)
+        for cs in (standard, conjugate_structure(standard, random_signed_permutation(m, 3))):
+            for c in map(Fraction, SCALES):
+                self.assert_same(r_theta(cs, c), self.dense(m, *_r_theta_pattern(cs, c)))
+        assert r_theta(standard, Fraction(5, 3)).denominator == (1 if m == 2 else 3)
 
 
 class TestR0Residual:

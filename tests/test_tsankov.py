@@ -36,7 +36,7 @@ from actlab import (
     validate,
 )
 
-from actlab import tensors as tensors_module, tsankov
+from actlab import scalars as scalars_module, tensors as tensors_module, tsankov
 from actlab.tsankov import (
     Witness,
     _Contraction,
@@ -1569,6 +1569,31 @@ class TestRationalLadder:
             res = classify(R)
             assert (res.tag, res.residual) == ("ComplexForm", 0)
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
+
+    def test_pattern_accepts_take_no_m4_pass(self, monkeypatch):
+        # exact r0 and a permuted r_theta are reduced, sized and counted from their pattern, so
+        # neither building nor deciding them sweeps the m^4 numerators; a tensor built from a raw
+        # array counts its nonzeros once, at the first fit that needs the count
+        m, seen = 16, []
+        cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, 3))
+
+        def spy(name, real):
+            return lambda a, *args, **kw: seen.append((name, np.size(a))) or real(a, *args, **kw)
+
+        monkeypatch.setattr(np, "count_nonzero", spy("count_nonzero", np.count_nonzero))
+        for module in (scalars_module, tensors_module):
+            monkeypatch.setattr(module, "integer_array_max", spy("integer_array_max", module.integer_array_max))
+        builds = ((lambda: r0(m, Fraction(-7, 4)), "ConstantCurvature"), (lambda: r_theta(cs, 5), "ComplexForm"))
+        for build, tag in builds:
+            R = build()
+            assert tsankov_test(R, "exact").holds and classify(R).tag == tag
+            assert all(size < m**4 for _, size in seen)
+            del seen[:]
+            R = CurvatureTensor(m, R.values.copy(), RATIONAL, R.denominator)
+            for _ in range(2):
+                assert tsankov_test(R, "exact").holds and classify(R).tag == tag
+            assert [s for s in seen if s[1] == m**4] == [("integer_array_max", m**4), ("count_nonzero", m**4)]
+            del seen[:]
 
     @pytest.mark.parametrize("m", (4, 8, 12))
     def test_only_dense_or_float_rtheta_take_the_blocks(self, monkeypatch, m):
