@@ -94,7 +94,10 @@ def classify(R: CurvatureTensor, seed: int = 0) -> Classification:
     """Decide Zero / ConstantCurvature / ComplexForm / NotTsankov.
 
     Steps: (i) zero test; (ii) the orthogonal-commutation decision of
-    ``tsankov_test(R, "exact")``, whose failure returns the witness; (iii)
+    ``tsankov_test(R, "exact")``, whose failure returns its witness: the
+    first violating pair when exact, in the order basis pairs (e_a, e_b),
+    (e_a, e_b + e_c), (e_a + e_b, e_a - e_b), then the seeded samples, and
+    the largest-norm pick of the float search in float mode; (iii)
     the fit that decides: c R0 with c from one sectional value, else
     (c, Theta) from ``recover_complex_structure``, each checked by its
     reconstruction residual.  The decision tries an exact fit before the

@@ -23,10 +23,10 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    every m, else on its numerators rebuilt in blocks.  Each equality is
    the whole certificate;
 3. in rational mode, a nonzero commutator at a pair of round 0 of the
-   seeded witness search (``_witness_rounds``), exactly orthogonal for
-   ``tsankov_test``, proves failure and is the witness; in float mode, a
-   commutator above ``tol |R|^2`` at one of a few seeded pairs, drawn once
-   per dimension (``_screen_pairs``), proves failure;
+   witness search (``_witness_rounds``), exactly orthogonal for
+   ``tsankov_test``, proves failure, and the first such pair is the
+   witness; in float mode, a commutator above ``tol |R|^2`` at one of a few
+   seeded pairs, drawn once per dimension (``_screen_pairs``), proves failure;
 4. for float ``tsankov_test``, a fit as c R0, then as c R_Theta
    (``_fit``), within ``tol |R|``, proves commutation.  Float mode fits
    only here, after the screen: a fit that close can coexist with a
@@ -39,11 +39,13 @@ Each decision takes the cheapest certificate that settles it (``_decide``):
    possible quotient is read off the coefficients, and multiplying it back
    by q decides (``divisible_by_pairing``).
 
-Every failure reports the seeded search's witness; a rational step 5
-failure resumes it at round 1, so no round runs twice.  Each rational
-certificate is exact, so the order changes no verdict and no witness: no
-commutator of an exact c R0 or c R_Theta is nonzero, and the search stops
-at its first round with a violator.
+Every failure reports the search's witness; a rational step 5 failure
+resumes it at round 1, so no round runs twice.  A rational witness is the
+first violator in one order: the basis candidates (``_basis_candidates``),
+then the seeded rounds in draw order; the search stops there.  A float
+witness is its round's largest violator.  Each rational certificate is
+exact, so the order changes no verdict and no witness: no commutator of an
+exact c R0 or c R_Theta is nonzero.
 
 No verdict rests on the classification theorem, which only predicts that
 the accepts left to step 5 are the c R_Theta whose Theta is irrational
@@ -384,8 +386,8 @@ class _Contraction:
 
     Everything that depends on the tensor and not on the rows is done once,
     here: the table s of ``_jacobi_table`` (``table`` when the caller has
-    it), ``scale`` (true commutators are C / scale; None in float mode)
-    and, for exact tensors, the tiers.  ``jacobis`` then contracts the
+    it) and, for exact tensors, the tiers; true exact commutators are C over
+    R.denominator^2.  ``jacobis`` then contracts the
     products x_i x_j, i <= j, shape (p, n), against s, shape (n, n), and
     mirrors the half J to the full one, so that J is exactly symmetric in
     both modes; ``sup_norms`` takes max|C| of each P = J(x) J(y), with
@@ -393,8 +395,8 @@ class _Contraction:
     symmetric.  Both take any rows of the batch.  ``sup_norms`` reduces
     axes 1 and 2 of P, so a batch axis may also come last, as in
     ``_basis_raws``' grid P[a, r, c, K], where K innermost keeps both
-    operands of P - P^T contiguous; ``integers`` then turns the exact raws
-    of the float64 tier into int64 once per batch.
+    operands of P - P^T contiguous.  Exact raws of the float64 tier stay
+    float64, integers below 2^53 that ``_witness`` reads with ``int``.
 
     Exact tiers rest on these bounds, over the whole batch.  With
     b(x) = |x|_1^2 max|V|, |x|_1 and max|V| raised to at least 1,
@@ -419,17 +421,14 @@ class _Contraction:
     """
 
     def __init__(self, R: CurvatureTensor, xs, ys, table=None):
-        self.exact = R.mode.exact
         self.full, _, self.ri, self.rj = _half_table_index(R.m)[:4]
-        if self.exact:
+        if R.mode.exact:
             xa, ya = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
             maxv = max(R.max_value, 1)
             bx, by = (max(int(np.abs(a).sum(axis=1).max(initial=0)), 1) ** 2 * maxv for a in (xa, ya))
             self.jdt, self.cdt = exact_dtype(max(bx, by, 2 * maxv)), exact_dtype(2 * R.m * bx * by)
-            self.scale = R.denominator**2
         else:
             self.jdt = self.cdt = np.dtype(np.float64)
-            self.scale = None
         self.s = (_jacobi_table(R) if table is None else table).astype(self.jdt, copy=False)
 
     def widen(self, half):
@@ -441,25 +440,21 @@ class _Contraction:
         a = np.asarray(a, dtype=self.jdt)
         return self.widen((a[:, self.ri] * a[:, self.rj]) @ self.s)[:, self.full]
 
-    def sup_norms(self, p, out=None):
+    @staticmethod
+    def sup_norms(p, out=None):
         """max|P - P^T| over axes 1 and 2 of P, the matrix axes of P[p, r, c, ...]: raw commutator
         norms on the P tier (into ``out`` when given).  C = P - P^T holds -c wherever it holds c,
         exactly in float64 too, so max C is max|C|."""
         return (p - p.swapaxes(1, 2)).max(axis=(1, 2), out=out)
 
-    def integers(self, raws):
-        """Raws as integers: exact raws of the float64 tier become int64, others stay as they are."""
-        return raws.astype(np.int64) if self.exact and self.cdt == np.float64 else raws
-
     def slice_raws(self, xa, ya):
-        """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``,
-        exact raws as integers."""
+        """``(start, raws)`` for the pairs in slices of at most ``SLICE_ENTRIES / m^2``."""
         m = len(self.full)
         step = max(1, SLICE_ENTRIES // (m * m))
         xa, ya = np.asarray(xa, dtype=self.jdt), np.asarray(ya, dtype=self.jdt)
         for start in range(0, len(xa), step):
             x, y = xa[start : start + step], ya[start : start + step]
-            yield start, self.integers(self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y))))
+            yield start, self.sup_norms(np.matmul(self.jacobis(x), self.jacobis(y)))
 
 
 def _float_threshold(R: CurvatureTensor):
@@ -496,49 +491,40 @@ def _squared_norms(a):
     return (a * a).sum(axis=1)
 
 
-def _largest(raws, nx, ny, scale):
-    """``(p, norm)`` for the pair with the largest nonzero raw / (nx ny), or None.
-
-    ``nx`` and ``ny`` hold each pair's |x|^2 and |y|^2, and ties go to the
-    earlier pair.  Exact norms raw / (scale nx ny) are compared by integer
-    cross-multiplication, and only the winner gets its ``Fraction``.  Float
-    norms (``scale`` None) are compared as computed, and BLAS may round a
-    pair differently at another place in its slice (gemv for one row), so
-    earliest-wins is exact for them only on integer-valued data.
-    """
-    if not len(raws):
-        return None
-    if scale is None:
-        # a zero raw has ratio 0, below every nonzero one, and NaN wins as it does among the nonzero
-        k = int(np.argmax(raws / (nx * ny)))
-        return None if not raws[k] else (k, _norm(raws[k], nx[k], ny[k], scale))
-    # the float ratio r rounds raw, nx, ny, their product and the quotient once
-    # each, so it is within a relative 5 eps of the exact ratio (first order), and
-    # r >= max r (1 - 2^-30) keeps every pair whose exact ratio ties or beats the
-    # largest, and no zero raw while one is nonzero; Python-int raws can pass the
-    # float range, so they keep every nonzero pair
-    if raws.dtype == object:
-        keep = np.flatnonzero(raws)
-    else:
-        r = raws / (nx.astype(float) * ny.astype(float))
-        best = r.max()
-        if not best:
-            return None
-        keep = np.flatnonzero(r >= best * (1 - 2**-30))
-    k = None
-    for i, raw, a, b in zip(keep.tolist(), raws[keep].tolist(), nx[keep].tolist(), ny[keep].tolist()):
-        if k is None or raw * den > top * a * b:
-            k, top, den = i, raw, a * b
-    return None if k is None else (k, _norm(raws[k], nx[k], ny[k], scale))
+def _witness(R: CurvatureTensor, x, y, raw, nx, ny) -> Witness:
+    """The witness (x, y) with raw commutator norm ``raw``, |x|^2 = nx and |y|^2 = ny, in
+    coordinate arrays of its own: Python ints and the norm raw / (d^2 nx ny), d = R.denominator,
+    as a ``Fraction`` when exact; float64 and raw / (nx ny) as a float in float mode."""
+    kind = object if R.mode.exact else float
+    norm = Fraction(int(raw), R.denominator**2 * int(nx) * int(ny)) if R.mode.exact else float(raw / (nx * ny))
+    return Witness(np.array(x, dtype=kind), np.array(y, dtype=kind), norm)
 
 
-def _norm(raw, nx, ny, scale):
-    """The commutator norm raw / (scale nx ny): a ``Fraction`` when exact, else a float."""
-    return float(raw / (nx * ny)) if scale is None else Fraction(int(raw), scale * int(nx) * int(ny))
+def _largest(R, xs, ys, chunks):
+    """``(p, witness)`` for the float pair with the largest nonzero raw / (|x|^2 |y|^2) among the
+    raws of ``chunks``, ``(start, raws)`` in pair order, or None; the earlier pair wins ties.  Norms
+    are compared as computed, and BLAS may round a pair differently at another place in its slice
+    (gemv for one row), so earliest-wins is exact only on integer-valued data."""
+    raws = np.concatenate([raws for _, raws in chunks])
+    nx, ny = _squared_norms(np.asarray(xs)), _squared_norms(np.asarray(ys))
+    # a zero raw has ratio 0, below every nonzero one, and NaN wins as it does among the nonzero
+    k = int(np.argmax(raws / (nx * ny)))
+    return None if not raws[k] else (k, _witness(R, xs[k], ys[k], raws[k], nx[k], ny[k]))
+
+
+def _first_hit(chunks, thr=None):
+    """``(p, raw)`` for the first pair whose raw is nonzero, or above ``thr`` when given, among
+    the raws of ``chunks``, ``(start, raws)`` in pair order, or None.  No chunk past the hit is
+    drawn, so a lazy ``chunks`` computes no raw past it."""
+    for start, raws in chunks:
+        hits = np.flatnonzero(raws if thr is None else raws > thr)
+        if hits.size:
+            return start + int(hits[0]), raws[hits[0]]
+    return None
 
 
 def _first_violation(R, xs, ys, table=None):
-    """``(p, raw, scale)`` for the first violating pair, or None.
+    """``(p, raw)`` for the first violating pair, or None.
 
     A violator's commutator is nonzero, or above ``_float_threshold`` in
     float mode.  One ``_Contraction`` (on ``table`` when the caller has it)
@@ -548,25 +534,35 @@ def _first_violation(R, xs, ys, table=None):
     first slice with a hit.  ``_decide``'s screen reads only whether it is None.
     """
     xa, ya = np.asarray(xs), np.asarray(ys)
-    contraction = _Contraction(R, xa, ya, table)
-    thr = _float_threshold(R)
-    for start, raws in contraction.slice_raws(xa, ya):
-        hits = np.flatnonzero(raws if thr is None else raws > thr)
-        if hits.size:
-            return start + int(hits[0]), raws[hits[0]], contraction.scale
-    return None
+    return _first_hit(_Contraction(R, xa, ya, table).slice_raws(xa, ya), _float_threshold(R))
 
 
-def _violation_scan(R, xs, ys):
-    """The first violating pair, ``(p, Witness(xs[p], ys[p], norm))``, or None: the
-    ``_first_violation``, and only that pair gets its |x|^2 |y|^2."""
-    found = _first_violation(R, xs, ys)
+def _violation_scan(R, xs, ys, chunks=None):
+    """``(p, witness)`` for the first violating pair, or None: the ``_first_violation``, or the
+    ``_first_hit`` of ``chunks`` when the caller has the raws; only that pair gets its norms."""
+    found = _first_violation(R, xs, ys) if chunks is None else _first_hit(chunks)
     if found is None:
         return None
-    p, raw, scale = found
-    xa, ya = np.asarray(xs), np.asarray(ys)
-    nx, ny = _squared_norms(xa[p : p + 1])[0], _squared_norms(ya[p : p + 1])[0]
-    return p, Witness(xs[p], ys[p], _norm(raw, nx, ny, scale))
+    p, raw = found
+    return p, _witness(R, xs[p], ys[p], raw, *_squared_norms(np.stack([xs[p], ys[p]])))
+
+
+def _unit_pair_raws(R: CurvatureTensor):
+    """``(p, raws)`` for the pairs (e_a, e_b) of ``_basis_candidates`` from p on, in their
+    order, read off R's numerators N with no Jacobi table: J(e_a)[r, c] is
+    N[max(r, c), a, a, min(r, c)], the table's row (a, a) mirrored.  C = P - P^T with
+    P = J(e_a) J(e_b) runs on ``exact_dtype(2 m max|N|^2)``: one row a against every b at
+    once below Python ints, and pair by pair on them, so that a scan that stops at its first
+    violator multiplies no big integers past it."""
+    m, d = R.m, np.arange(R.m)
+    J = R.values[np.maximum.outer(d, d), d[:, None, None], d[:, None, None], np.minimum.outer(d, d)]
+    tier = exact_dtype(2 * m * R.max_value**2) if R.mode.exact else np.dtype(np.float64)
+    J, step = J.astype(tier, copy=False), 1 if tier == object else m
+    for a in range(m):
+        for b in range(0, m, step):
+            if step == m or b != a:  # (e_a, e_a) is no candidate
+                raws = _Contraction.sup_norms(J[a] @ J[b : b + step])
+                yield a * (m - 1) + b - (b > a), raws if step == 1 else raws[d != a]
 
 
 @lru_cache(maxsize=None)
@@ -576,10 +572,10 @@ def _basis_candidates(m: int):
     The pairs, orthogonal by construction and each family in lexicographic
     order: (e_a, e_b), a != b; (e_a, e_b + e_c), b < c, a not in {b, c};
     (e_a + e_b, e_a - e_b), a < b.  ``_basis_raws`` evaluates J(e_a) against
-    Y_K for every half-table row K, in (a, K) order, then the last family;
-    the first two are its (a, K) with a not in K, diagonal K first.  Returns
-    ``(index, xs, ys, nx, ny)``: each candidate's place in that order, its x
-    and y rows, |x|^2 and |y|^2, all int64 and read-only (searches share them).
+    Y_K for every off-diagonal half-table row K, in (a, K) order, then the
+    last family; the second is its (a, K) with a not in K.  Returns
+    ``(index, xs, ys)``: the place in that order of each candidate past the
+    first, and every candidate's rows, all int64 and read-only (shared).
     """
     ri, rj = _half_table_index(m)[2:4]
     n = len(ri)
@@ -587,13 +583,13 @@ def _basis_candidates(m: int):
     first = np.argsort(k >= m, kind="stable")  # the pairs (e_a, e_b) first
     a, k = a[first], k[first]
     off = np.arange(m, n)  # the rows b < c, for (e_b + e_c, e_b - e_c)
-    index = np.concatenate([a * n + k, m * n + off - m])
-    xs, ys = np.zeros((2, len(index), m), dtype=np.int64)
-    p, q = np.arange(len(a)), np.arange(len(a), len(index))
+    index = np.concatenate([(a * (n - m) + k - m)[m * (m - 1) :], m * (n - m) + off - m])
+    xs, ys = np.zeros((2, len(a) + len(off), m), dtype=np.int64)
+    p, q = np.arange(len(a)), np.arange(len(a), len(xs))
     xs[p, a] = ys[p, ri[k]] = ys[p, rj[k]] = 1
     xs[q, ri[off]] = xs[q, rj[off]] = ys[q, ri[off]] = 1
     ys[q, rj[off]] = -1
-    return read_only(index, xs, ys, (xs * xs).sum(axis=1), (ys * ys).sum(axis=1))
+    return read_only(index, xs, ys)
 
 
 @lru_cache(maxsize=None)
@@ -604,88 +600,80 @@ def _screen_pairs(m: int, orthogonal: bool):
 
 
 def _basis_raws(R: CurvatureTensor, table) -> np.ndarray:
-    """The raw commutator norm of every ``_basis_candidates`` pair, in their order.
+    """The raw commutator norm of every ``_basis_candidates`` pair past (e_a, e_b), in their order.
 
     Write S_I for row I of the Jacobi table ``table``, mirrored to a full
     matrix.  The candidates' operators are sums of at most three such rows,
     J(e_a) = S_a, J(e_b + e_c) = (S_b + S_c) + S_bc and
     J(e_a +- e_b) = (S_a + S_b) +- S_ab, added in the order in which a
     contraction adds them, since their products x_i x_j are 0 and +-1.  So
-    with Y_K = S_b on the diagonal rows K = (b, b) and J(e_b + e_c) on the
-    others, the first two families are P = S_a Y_K, laid out with K
-    innermost: per slice, one GEMM of a block of S_a stacked by rows against
-    a block of Y_K with y[t, (c, K)] = Y_K[t, c], whose product is
-    P[a, r, c, K].  P - P^T then subtracts two operands whose inner axis K
-    is contiguous in both, and one reduction over (r, c) writes the raws of
-    the block into the (a, K) grid.  The grid computes the pairs with a in K
-    too, which no candidate reads.  The third family is one batched product
-    per slice, of its off-diagonal Y_K against J(e_b - e_c).  The tiers are
-    ``_Contraction``'s at |x|_1 = |y|_1 = 2, so every exact raw is the
-    integer a contraction of the pair gives, and each slice temporary holds
-    at most ``SLICE_ENTRIES`` entries.
+    with Y_K = J(e_b + e_c) on the off-diagonal rows K = (b, c), the family
+    (e_a, e_b + e_c) is P = S_a Y_K, laid out with K innermost: per slice,
+    one GEMM of a block of S_a stacked by rows against a block of Y_K with
+    y[t, (c, K)] = Y_K[t, c], whose product is P[a, r, c, K].  P - P^T then
+    subtracts two operands whose inner axis K is contiguous in both, and one
+    reduction over (r, c) writes the raws of the block into the (a, K) grid.
+    The grid computes the pairs with a in K too, which no candidate reads.
+    The last family is one batched product per slice, of Y_K against
+    J(e_b - e_c).  The tiers are ``_Contraction``'s at |x|_1 = |y|_1 = 2, so
+    every exact raw is the integer a contraction of the pair gives, and each
+    slice temporary holds at most ``SLICE_ENTRIES`` entries.
     """
     m = R.m
-    index, xs, ys = _basis_candidates(m)[:3]
+    index, xs, ys = _basis_candidates(m)
     k = _Contraction(R, xs[-1:], ys[-1:], table)  # (e_a + e_b, e_a - e_b): |x|_1 = |y|_1 = 2, the most
     s, full, ri, rj = k.s, k.full, k.ri, k.rj
     n = len(s)
     per = max(1, SLICE_ENTRIES // (m * m))  # pairs per slice
-    kb = min(n, per)
+    kb = min(n - m, per)
     ab = min(m, per // kb)
-    grid, last = np.empty((m, n), dtype=k.cdt), []
-    for k0 in range(0, n, kb):
+    grid, last = np.empty((m, n - m), dtype=k.cdt), []
+    for k0 in range(m, n, kb):  # the rows from m on are the pairs b < c
         k1 = min(n, k0 + kb)
-        mid = min(max(k0, m), k1)  # the rows from m on are the pairs b < c
-        both = s[ri[mid:k1]] + s[rj[mid:k1]]
-        half = k.widen(np.concatenate([s[k0:mid], both + s[mid:k1]]))
+        both = s[ri[k0:k1]] + s[rj[k0:k1]]
+        half = k.widen(both + s[k0:k1])
         y = half.T[full].reshape(m, -1)  # y[t, (c, K)] = Y_K[t, c]
         for a0 in range(0, m, ab):
             a1 = min(m, a0 + ab)
             x = k.widen(s[a0:a1])[:, full].reshape(-1, m)  # x[(a, r), t] = S_a[r, t]
-            k.sup_norms((x @ y).reshape(a1 - a0, m, m, k1 - k0), out=grid[a0:a1, k0:k1])
+            k.sup_norms((x @ y).reshape(a1 - a0, m, m, k1 - k0), out=grid[a0:a1, k0 - m : k1 - m])
         # (e_b + e_c, e_b - e_c): P = Y_K J(e_b - e_c), with J(e_b - e_c) = (S_b + S_c) - S_bc
-        last.append(k.sup_norms(np.matmul(half[mid - k0 :, full], k.widen(both - s[mid:k1])[:, full])))
-    return k.integers(np.concatenate([grid.reshape(-1), *last])[index])
-
-
-def _typed_witness(w: Witness, mode: ScalarMode) -> Witness:
-    """The witness with coordinate arrays of its own, whichever pair family won:
-    Python ints in an object array when exact, float64 when float."""
-    kind = object if mode.exact else float
-    return Witness(w.x.astype(kind), w.y.astype(kind), w.commutator_norm)
+        last.append(k.sup_norms(np.matmul(half[:, full], k.widen(both - s[k0:k1])[:, full])))
+    return np.concatenate([grid.reshape(-1), *last])[index]
 
 
 def _witness_rounds(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool, table=None):
     """The seeded witness search, one round at a time: yields each round's witness, or None.
 
-    Each of at most 64 rounds scans seeded random pairs over a wider span
-    than the last, and round 0 scans the deterministic basis-combination
-    pairs before them, reading their commutators off the Jacobi table
-    ``table`` (``_basis_raws``).  One ``_largest`` pick over the round's
-    raws gives the largest violator, the earliest on ties, so a candidate
-    beats a sample it ties.  Every nonzero commutator counts: in rational
-    mode it proves failure, and in float mode a certificate, which bounds
-    coefficients instead of sampled values, already did.  A degree-4
-    polynomial that is nonzero on the quadric cannot dodge random points
-    indefinitely.
+    Round 0 tries the ``_basis_candidates`` in their order, (e_a, e_b) off the numerators
+    (``_unit_pair_raws``), the rest off the Jacobi table ``table`` (``_basis_raws``), built
+    here when the caller has none.  Each of at most 64 rounds then scans seeded pairs over a
+    wider span than the last.  A rational witness is the first nonzero commutator in that
+    order, candidates then samples in draw order, and the search stops there: the table is
+    built only when the pairs (e_a, e_b) commute, the generator only when every candidate does.
+    A float round keeps its largest violator (``_largest``), a candidate beating the samples it
+    ties; a float certificate, which bounds coefficients, already proved failure.  A degree-4
+    polynomial that is nonzero on the quadric cannot dodge random points indefinitely.
     """
-    _, cx, cy, bx, by = _basis_candidates(R.m)
-    table = _jacobi_table(R) if table is None else table
-    rng = seeded_rng(seed)
+    m, exact = R.m, R.mode.exact
+    scan, (cx, cy) = (_violation_scan if exact else _largest), _basis_candidates(m)[1:]
+
+    def candidates():
+        nonlocal table
+        yield from _unit_pair_raws(R)
+        table = _jacobi_table(R) if table is None else table
+        yield m * (m - 1), _basis_raws(R, table)
+
+    found, rng = scan(R, cx, cy, candidates()), None
     for round_no in range(64):
-        xs, ys = _sample_pairs(rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal, span=4 + 2 * round_no)
-        contraction = _Contraction(R, xs, ys, table)
-        raws = np.concatenate([raws for _, raws in contraction.slice_raws(xs, ys)])
-        nx, ny, first = _squared_norms(xs), _squared_norms(ys), 0
-        if round_no == 0:
-            raws = np.concatenate([_basis_raws(R, table), raws])
-            nx, ny, first = np.concatenate([bx, nx]), np.concatenate([by, ny]), len(cx)
-        found = _largest(raws, nx, ny, contraction.scale)
-        if found is not None:
-            p, norm = found
-            w = Witness(cx[p], cy[p], norm) if p < first else Witness(xs[p - first], ys[p - first], norm)
-            found = _typed_witness(w, R.mode)
-        yield found
+        if found is None or not exact:
+            rng = rng or seeded_rng(seed)
+            xs, ys = _sample_pairs(rng, m, max(n_samples, 16), exact, orthogonal, span=4 + 2 * round_no)
+            sample = scan(R, xs, ys, _Contraction(R, xs, ys, table).slice_raws(xs, ys))
+            if found is None or (sample is not None and sample[1].commutator_norm > found[1].commutator_norm):
+                found = sample
+        yield None if found is None else found[1]
+        found = None
 
 
 def _first_witness(rounds) -> Witness:
@@ -808,9 +796,10 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
     exact c R_Theta holds before the Jacobi table is built: ``_recover``
     reads (c, Theta) off that J(e_0) with no second test, and
     ``_rtheta_fit`` certifies R = c R_Theta on its pattern or blocks,
-    whatever produced (c, Theta).  A rational
-    tensor then runs round 0 of ``_witness_rounds``, whose violator proves
-    failure and is the witness.  A float tensor runs the screen on ``_screen_pairs`` instead,
+    whatever produced (c, Theta).  A rational tensor then runs round 0 of
+    ``_witness_rounds``, whose first violator proves failure and is the
+    witness, with no Jacobi table while a pair (e_a, e_b) violates.  A float
+    tensor builds the table and runs the screen on ``_screen_pairs`` instead,
     then, for ``orthogonal``, ``_fit``: a fit within tol |R| can coexist
     with a commutator above tol |R|^2 (R0 plus 3e-10 of a random tensor at
     m=5).  Only when all of these are silent is the commutator polynomial
@@ -832,7 +821,7 @@ def _decide(R: CurvatureTensor, seed: int, n_samples: int, orthogonal: bool):
         if fit is not None:
             return TsankovVerdict(True, None, method), fit
     R, e = _binary_scaled(R)
-    table = _jacobi_table(R)  # the search's, and the float screen's before it
+    table = None if R.mode.exact else _jacobi_table(R)  # the float screen's, and its search's
     rounds = _witness_rounds(R, seed, n_samples, orthogonal, table)
     search = lambda: _scaled(_first_witness(rounds), e)  # noqa: E731
     if R.mode.exact:
@@ -858,9 +847,10 @@ def full_commutation_test(R: CurvatureTensor, n_samples: int = 200, seed: int = 
 
     Decided by the zero test and round 0 of the witness search (a seeded
     screen of pairs in float mode), else by coefficient expansion of the
-    commutator polynomial; failures carry a witness pair of maximal sampled
-    commutator norm (the pair need not be orthogonal).  ``seed`` and ``n_samples`` are checked
-    first, as in ``tsankov_test``.
+    commutator polynomial.  A failure carries the search's witness, which
+    need not be orthogonal: the first violator in rational mode, the largest
+    in float mode (``_witness_rounds``).  ``seed`` and ``n_samples`` are
+    checked first, as in ``tsankov_test``.
     """
     require_int(seed, 0, "seed")
     require_int(n_samples, 1, "n_samples")
@@ -877,8 +867,10 @@ def tsankov_test(
     (a seeded screen in float mode), decides when it can, else divisibility
     of the commutator polynomial by the pairing form.  It is a true decision procedure in
     rational mode; float mode compares at ``tol |R|^2`` and ``tol |R|``.
+    A failure carries the witness search's first violator in rational mode,
+    exactly orthogonal, and its largest in float mode (``_witness_rounds``).
     ``method="sampled"`` draws seeded orthogonal pairs and reports the first
-    violator.  Witnesses are exactly orthogonal in rational mode.  For both
+    violator.  For both
     methods, a ``seed`` that is not an integer >= 0, or an ``n_samples``
     that is not an integer >= 1, is ``DegenerateInput`` before any
     certificate runs, even where no draw would use it.
@@ -893,5 +885,5 @@ def tsankov_test(
     xs, ys = _sample_pairs(seeded_rng(seed), R.m, n_samples, R.mode.exact, orthogonal=True)
     R, e = _binary_scaled(R)
     found = _violation_scan(R, xs, ys)
-    witness = None if found is None else _typed_witness(_scaled(found[1], e), R.mode)
+    witness = None if found is None else _scaled(found[1], e)
     return TsankovVerdict(witness is None, witness, "Sampled")

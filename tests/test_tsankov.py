@@ -38,7 +38,6 @@ from actlab import (
 
 from actlab import scalars as scalars_module, tensors as tensors_module, tsankov
 from actlab.tsankov import (
-    Witness,
     _Contraction,
     _basis_candidates,
     _decide,
@@ -51,7 +50,7 @@ from actlab.tsankov import (
     _relative_residual,
     _sample_pairs,
     _screen_pairs,
-    _squared_norms,
+    _unit_pair_raws,
     _violation_scan,
 )
 
@@ -142,24 +141,17 @@ def divisibility_by_linear_system(coeffs, m):
 
 
 def commutators(k, xs, ys):
-    """C for the pairs (x_p, y_p) through the contraction k: P - P^T with P = J(x) J(y),
-    exact ones as integers, as ``_Contraction.sup_norms`` reduces them."""
+    """C for the pairs (x_p, y_p) through the contraction k: P - P^T with P = J(x) J(y), on
+    the P tier, as ``_Contraction.sup_norms`` reduces them (exact float64 ones are integers)."""
     p = np.matmul(k.jacobis(xs), k.jacobis(ys))
-    c = p - p.transpose(0, 2, 1)
-    return c.astype(np.int64) if k.exact and k.cdt == np.float64 else c
+    return p - p.transpose(0, 2, 1)
 
 
 def largest_scan(R, xs, ys):
-    """The witness search's pick over one batch, ``(p, Witness(xs[p], ys[p], norm))`` or
-    None: ``_largest`` over the raws of ``_Contraction.slice_raws``."""
+    """The float witness search's pick over one batch, ``(p, Witness(xs[p], ys[p], norm))``
+    or None: ``_largest`` over the raws of ``_Contraction.slice_raws``."""
     xa, ya = np.asarray(xs), np.asarray(ys)
-    k = _Contraction(R, xa, ya)
-    raws = np.concatenate([raws for _, raws in k.slice_raws(xa, ya)])
-    found = _largest(raws, _squared_norms(xa), _squared_norms(ya), k.scale)
-    if found is None:
-        return None
-    p, norm = found
-    return p, Witness(xs[p], ys[p], norm)
+    return _largest(R, xa, ya, _Contraction(R, xa, ya).slice_raws(xa, ya))
 
 
 SCANS = {"first": _violation_scan, "largest": largest_scan}
@@ -182,6 +174,45 @@ def basis_candidates_reference(m):
         for b in range(a + 1, m):
             pairs.append((e[a] + e[b], e[a] - e[b]))
     return np.array(pairs)
+
+
+def commutator_norm_reference(R, x, y):
+    """max|C(x, y)| / (<x,x> <y,y>) through ``commutator``, a ``Fraction`` (0 when C is)."""
+    return max(abs(t) for t in commutator(R, x, y).ravel()) / (int(x @ x) * int(y @ y))
+
+
+def first_candidate_reference(R):
+    """``(p, x, y, norm)`` for the first basis candidate, in ``basis_candidates_reference``
+    order, whose commutator is nonzero, or None: a plain loop through ``commutator``."""
+    for p, (x, y) in enumerate(basis_candidates_reference(R.m)):
+        if norm := commutator_norm_reference(R, x, y):
+            return p, x, y, norm
+    return None
+
+
+def first_violator_reference(R, seed, n_samples, orthogonal, candidate):
+    """Reference for the exact witness: ``candidate``, the ``first_candidate_reference`` of R,
+    else ``(None, x, y, norm)`` for the first seeded pair with a nonzero commutator, walking
+    the rounds' draws (``block_pairs_reference`` at span 4, 6, ...) in draw order."""
+    if candidate is not None:
+        return candidate
+    rng = np.random.default_rng(seed)
+    for round_no in range(64):
+        for x, y in block_pairs_reference(rng, R.m, max(n_samples, 16), True, orthogonal, span=4 + 2 * round_no):
+            if norm := commutator_norm_reference(R, x, y):
+                return None, x, y, norm
+    return None
+
+
+def assert_first_violator(R, w, want, orthogonal=True):
+    """An exact witness of R is the reference's first violator ``want``, with Python-int
+    coordinates, exactly orthogonal when asked, and a nonzero ``commutator``."""
+    _, x, y, norm = want
+    assert (w.x.tolist(), w.y.tolist(), w.commutator_norm) == (x.tolist(), y.tolist(), norm)
+    assert w.x.dtype == w.y.dtype == object and all(type(t) is int for t in [*w.x, *w.y])
+    assert type(w.commutator_norm) is Fraction
+    assert not orthogonal or np.dot(w.x, w.y) == 0
+    assert (commutator(R, w.x, w.y) != 0).any()
 
 
 def bigint_commutators(R, xs, ys):
@@ -231,6 +262,17 @@ def largest_reference(R, xs, ys):
         if raw and (best is None or raw * best[2] > best[1] * den):
             best = (p, raw, den)
     return best[0], Fraction(best[1], s2 * best[2])
+
+
+def first_reference(R, xs, ys):
+    """Reference for the exact first violator: ``(p, norm)`` for the first pair, in order, whose
+    commutator is nonzero, with its norm raw / (s^2 |x|^2 |y|^2), or None."""
+    cs, s2 = bigint_commutators(R, xs, ys)
+    for p, (c, x, y) in enumerate(zip(cs, xs, ys)):
+        raw = max(abs(e) for row in c for e in row)
+        if raw:
+            return p, Fraction(raw, s2 * sum(int(e) ** 2 for e in x) * sum(int(e) ** 2 for e in y))
+    return None
 
 
 def sample_pair_reference(rng, m, exact, orthogonal, span=4):
@@ -559,7 +601,7 @@ class TestFullCommutation:
 class TestWitnessSearchKernels:
     def test_basis_candidates_are_orthogonal(self):
         for m in range(2, 8):
-            _, xs, ys, _, _ = _basis_candidates(m)
+            _, xs, ys = _basis_candidates(m)
             assert len(xs) == m * (m - 1) + m * (m - 1) * (m - 2) // 2 + m * (m - 1) // 2
             assert all(np.dot(x, y) == 0 for x, y in zip(xs, ys))
 
@@ -567,20 +609,18 @@ class TestWitnessSearchKernels:
     def test_basis_candidates_match_the_loop(self, m):
         ref = basis_candidates_reference(m)
         out = _basis_candidates(m)
-        index, xs, ys, nx, ny = out
+        index, xs, ys = out
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in out)
         assert xs.tolist() == ref[:, 0].tolist() and ys.tolist() == ref[:, 1].tolist()
-        assert nx.tolist() == (ref[:, 0] ** 2).sum(axis=1).tolist()
-        assert ny.tolist() == (ref[:, 1] ** 2).sum(axis=1).tolist()
-        # _basis_raws lays out J(e_a) against Y_K at a n + K, K a half-table row,
-        # then the pairs (e_b + e_c, e_b - e_c) from m n on
+        # past the pairs (e_a, e_b), which _unit_pair_raws reads off the numerators, _basis_raws
+        # lays out J(e_a) against Y_K at a (n - m) + K - m, K an off-diagonal half-table row,
+        # then the pairs (e_b + e_c, e_b - e_c) from m (n - m) on
         n = m * (m + 1) // 2
-        row = {(b, b): b for b in range(m)}
-        row.update({pair: m + i for i, pair in enumerate(zip(*np.triu_indices(m, 1)))})
+        row = {pair: i for i, pair in enumerate(zip(*np.triu_indices(m, 1)))}
         want = []
-        for x, y in ref:
-            sx, sy = tuple(np.flatnonzero(x).tolist()), np.flatnonzero(y).tolist()
-            want.append(sx[0] * n + row[sy[0], sy[-1]] if len(sx) == 1 else m * n + row[sx] - m)
+        for x, y in ref[m * (m - 1) :]:
+            sx, sy = tuple(np.flatnonzero(x).tolist()), tuple(np.flatnonzero(y).tolist())
+            want.append(sx[0] * (n - m) + row[sy] if len(sx) == 1 else m * (n - m) + row[sx])
         assert index.tolist() == want
 
     def test_int64_kernel_near_the_bound_matches_bigint(self):
@@ -592,9 +632,9 @@ class TestWitnessSearchKernels:
             R = combine([(scale, base)])
             assert (int64_bound(R, xs, ys) < _INT64_LIMIT) == (dtype is np.int64)
             k = _Contraction(R, xs, ys)
-            c_batch, s2 = commutators(k, xs, ys), k.scale
-            ref, ref_s2 = bigint_commutators(R, xs, ys)
-            assert c_batch.dtype == dtype and s2 == ref_s2
+            c_batch = commutators(k, xs, ys)
+            ref, _ = bigint_commutators(R, xs, ys)
+            assert c_batch.dtype == dtype
             assert c_batch.tolist() == ref
             assert max(abs(e) for mat in ref for row in mat for e in row) > 2**50
 
@@ -739,10 +779,10 @@ class TestWitnessSearchKernels:
             assert (jacobi_bound(R, xs, ys) < _FLOAT64_LIMIT) == (jacobi_tier is np.float64)
             tiers.clear()
             k = _Contraction(R, xs, ys)
-            c_batch, s2 = commutators(k, xs, ys), k.scale
-            ref, ref_s2 = bigint_commutators(R, xs, ys)
+            c_batch = commutators(k, xs, ys)
+            ref, _ = bigint_commutators(R, xs, ys)
             assert tiers == [np.dtype(jacobi_tier), np.dtype(object)]
-            assert c_batch.dtype == object and s2 == ref_s2
+            assert c_batch.dtype == object
             assert c_batch.tolist() == ref
             assert max(abs(e) for mat in ref for row in mat for e in row) > 2**100
 
@@ -751,19 +791,19 @@ class TestWitnessSearchKernels:
         xs, ys = orthogonal_batch(6, 16, span=4 + 2 * 63, seed=4)
         assert int64_bound(R, xs, ys) >= _INT64_LIMIT
         k = _Contraction(R, xs, ys)
-        c_batch, s2 = commutators(k, xs, ys), k.scale
+        c_batch, s2 = commutators(k, xs, ys), R.denominator**2  # true commutators are C / s2
         assert c_batch.dtype == object
         assert c_batch.tolist() == bigint_commutators(R, xs, ys)[0]
-        # a copy of every pair follows the originals, so the largest norm is tied
-        best, w = largest_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys])
+        # a copy of every pair follows the originals; the first violator is an original
+        first, w = _violation_scan(R, xs + [x.copy() for x in xs], ys + [y.copy() for y in ys])
         assert np.dot(w.x, w.y) == 0
         assert (commutator(R, w.x, w.y) != 0).any()
         norms = [
             Fraction(int(np.abs(c_batch[p]).max()), s2 * int(np.dot(x, x)) * int(np.dot(y, y)))
             for p, (x, y) in enumerate(zip(xs, ys))
         ]
-        assert w.commutator_norm == max(norms)
-        assert best == norms.index(max(norms)) and w.x is xs[best]
+        assert first == next(p for p, norm in enumerate(norms) if norm) and w.x.tolist() == xs[first].tolist()
+        assert w.commutator_norm == norms[first]
 
     def test_sliced_scan_matches_one_slice(self, monkeypatch):
         # three pairs per slice, and a tied copy of every pair in a later slice
@@ -771,7 +811,7 @@ class TestWitnessSearchKernels:
         for R in (base, base.to_float()):
             xs, ys = _sample_pairs(np.random.default_rng(4), 6, 16, R.mode.exact, True)
             xs, ys = np.concatenate([xs, xs]), np.concatenate([ys, ys])
-            for pick in ("first", "largest"):
+            for pick in ("first", "largest") if not R.mode.exact else ("first",):  # only float picks the largest
                 whole = SCANS[pick](R, xs, ys)
                 with monkeypatch.context() as patch:
                     patch.setattr(tsankov, "SLICE_ENTRIES", 3 * 6 * 6)
@@ -791,8 +831,8 @@ class TestWitnessSearchKernels:
         for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
             R = combine([(scale, base)])
             k = _Contraction(R, xs, ys)
-            c, s2 = commutators(k, xs, ys), k.scale
-            assert s2 is None and c.dtype == float and c.shape == (len(xs), m, m)
+            c = commutators(k, xs, ys)
+            assert c.dtype == float and c.shape == (len(xs), m, m)
             size = float(R.max_abs()) ** 2
             for p, (x, y) in enumerate(zip(xs, ys)):
                 bound = 8 * m**5 * eps * size * float(x @ x) * float(y @ y)
@@ -830,13 +870,15 @@ class TestWitnessSearchKernels:
             xs, ys = np.concatenate([cx] * 2), np.concatenate([cy] * 2)
             fx, fy = xs.astype(float), ys.astype(float)
             for pick in ("first", "largest"):
-                p, w = SCANS[pick](base, xs, ys)
+                # the exact index and norm: the first violator's, or the exhaustive largest
+                p, norm = largest_reference(base, xs, ys) if pick == "largest" else _violation_scan(base, xs, ys)
+                norm = norm if pick == "largest" else norm.commutator_norm
                 assert p < len(cx)
                 for k in (-27, 0, 27):
                     R = combine([(2.0**k, base.to_float())])
                     q, v = SCANS[pick](R, fx, fy)
                     assert q == p == float_scan_reference(R, fx, fy, pick)[0]
-                    assert v.commutator_norm == float(w.commutator_norm) * 4.0**k
+                    assert v.commutator_norm == float(norm) * 4.0**k
 
 
 class TestHalfTableContraction:
@@ -905,21 +947,30 @@ class TestHalfTableContraction:
 
 
 def basis_contraction_raws(R):
-    """Reference for _basis_raws: the raw norm of every basis candidate through one
-    contraction of the candidates, and that contraction's P tier."""
+    """Reference for _unit_pair_raws and _basis_raws: the raw norm of every basis candidate
+    through one contraction of the candidates, and that contraction's P tier."""
     xs, ys = _basis_candidates(R.m)[1:3]
     k = _Contraction(R, xs, ys)
     return np.abs(commutators(k, xs, ys)).max(axis=(1, 2)), k.cdt
 
 
+def unit_pair_raws(R):
+    """The raws of the pairs (e_a, e_b) that _unit_pair_raws yields, in one array, checking
+    that its chunks follow each other."""
+    chunks = list(_unit_pair_raws(R))
+    assert [start for start, _ in chunks] == np.cumsum([0] + [len(r) for _, r in chunks[:-1]]).tolist()
+    return np.concatenate([raws for _, raws in chunks])
+
+
 def search_round0_reference(R, seed, n_samples, orthogonal):
-    """The first round of the witness search as one 'largest' scan of the basis
-    candidates followed by the seeded samples, or None."""
+    """The first round of the witness search as one scan of the basis candidates followed
+    by the seeded samples, or None: the first violator in rational mode, the largest in float."""
     cx, cy = _basis_candidates(R.m)[1:3]
     rng = np.random.default_rng(seed)
     xs, ys = tsankov._sample_pairs(rng, R.m, max(n_samples, 16), R.mode.exact, orthogonal)
-    found = largest_scan(R, np.concatenate([cx, xs]), np.concatenate([cy, ys]))
-    return None if found is None else tsankov._typed_witness(found[1], R.mode)
+    scan = _violation_scan if R.mode.exact else largest_scan
+    found = scan(R, np.concatenate([cx, xs]), np.concatenate([cy, ys]))
+    return None if found is None else found[1]
 
 
 def witness_key(w):
@@ -934,11 +985,13 @@ class TestBasisCandidatesFromTheTable:
         base = random_act(m, 3, seed=m)
         # 2^20 puts P on int64 and 2^40 / 3 on Python ints; 10^25 puts J there too
         tiers = set()
+        first = m * (m - 1)  # the pairs (e_a, e_b), read off the numerators
         for scale in (1, 2**20, Fraction(2**40, 3), *((10**25,) if m <= 8 else ())):
             R = combine([(scale, base)])
             ref, tier = basis_contraction_raws(R)
             got = _basis_raws(R, _jacobi_table(R))
-            assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
+            assert got.dtype == ref.dtype and got.tolist() == ref[first:].tolist()
+            assert [int(raw) for raw in unit_pair_raws(R)] == ref[:first].tolist()
             tiers.add(tier)
         assert tiers == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
         # float: rounded values, so the sums are compared bit for bit
@@ -950,7 +1003,7 @@ class TestBasisCandidatesFromTheTable:
             rotate(base.to_float(), q),
         ):
             ref, _ = basis_contraction_raws(R)
-            got = _basis_raws(R, _jacobi_table(R))
+            got = np.concatenate([unit_pair_raws(R), _basis_raws(R, _jacobi_table(R))])
             assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
         # slices of a few K and one a, and of every K and several a
         n = m * (m + 1) // 2
@@ -958,7 +1011,7 @@ class TestBasisCandidatesFromTheTable:
         ref, _ = basis_contraction_raws(R)
         for entries in (5 * m * m, 3 * n * m * m):
             monkeypatch.setattr(tsankov, "SLICE_ENTRIES", entries)
-            assert _basis_raws(R, _jacobi_table(R)).tolist() == ref.tolist()
+            assert _basis_raws(R, _jacobi_table(R)).tolist() == ref[first:].tolist()
 
     def test_search_matches_one_scan_of_the_first_round(self):
         for m in range(3, 13):
@@ -980,28 +1033,34 @@ class TestBasisCandidatesFromTheTable:
                         assert abs(got.commutator_norm - want.commutator_norm) <= 4e-16 * want.commutator_norm
 
     def test_a_candidate_beats_the_sample_it_ties(self, monkeypatch):
-        # the samples are scaled copies of the winning candidate, so their norms
-        # tie it exactly; the candidate comes first, with Python-int coordinates as a sample has
+        # the samples are scaled copies of the first violating candidate, so their norms
+        # tie it exactly; the candidate comes first, with Python-int coordinates as a sample has,
+        # and no sample is drawn
         for m in (3, 5, 8):
             R = random_act(m, 3, seed=m)
             cx, cy = _basis_candidates(m)[1:3]
-            p, w = largest_scan(R, cx, cy)
+            p, w = _violation_scan(R, cx, cy)
             xs = np.array([2 * cx[p], cx[p], cx[(p + 1) % len(cx)]])
             ys = np.array([cy[p], 3 * cy[p], cy[(p + 1) % len(cy)]])
-            monkeypatch.setattr(tsankov, "_sample_pairs", lambda *args, **kwargs: (xs, ys))
+            draws = []
+            monkeypatch.setattr(tsankov, "_sample_pairs", lambda *args, **kwargs: draws.append(1) or (xs, ys))
             got = search_witness(R, 0, 3, True)
-            want = search_round0_reference(R, 0, 3, True)
-            assert witness_key(got) == witness_key(want)
+            assert not draws
+            assert witness_key(got) == witness_key(search_round0_reference(R, 0, 3, True))
             assert got.x.tolist() == cx[p].tolist() and got.commutator_norm == w.commutator_norm
             assert got.x.dtype == object and all(type(t) is int for t in [*got.x, *got.y])
             monkeypatch.undo()
 
     def test_candidates_skip_the_contraction(self, monkeypatch):
-        # only the samples contract; the candidates are sums of table rows
+        # the candidates are J(e_a) off the numerators and sums of table rows; a reject whose
+        # first violator is a candidate contracts no pair
         rows, jacobis = [], _Contraction.jacobis
         monkeypatch.setattr(_Contraction, "jacobis", lambda self, a: rows.append(len(a)) or jacobis(self, a))
-        search_witness(random_act(7, 3, seed=2), 0, 50, True)
-        assert sum(rows) == 2 * 50
+        cs = conjugate_structure(standard_complex_structure(8), random_signed_permutation(8, 1))
+        mix = combine([(Fraction(5, 3), r0(8, 1)), (Fraction(-7, 4), r_theta(cs, 1))])
+        for R in (random_act(7, 3, seed=2), mix):
+            assert search_witness(R, 0, 50, True) is not None
+        assert rows == []
 
     def test_witness_search_at_m32_keeps_slices_small(self):
         R = random_act(32, 3, seed=5)
@@ -1015,42 +1074,24 @@ class TestBasisCandidatesFromTheTable:
         assert peak < 18e6
 
 
-class TestLargestPick:
-    def test_near_ties_below_float_resolution(self, monkeypatch):
-        # for c R0, C(x, y) = c^2 <x,y> (x y^T - y x^T); at x = e0, y = (N, N+1, 0)
-        # the norm is c^2 N (N+1) / (2 N (N+1) + 1), which rises with N by about
-        # 2^-62 relative near N = 2^20: float ratios tie, or at c = 253, where
-        # the int64 raw rounds, put a smaller pair above the largest one
-        monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 4 * 3 * 3)
-        ns = [2**20 + k for k in (3, 7, 1, 6, 0, 5, 2, 4)]
-        xs = [np.array([1, 0, 0])] * len(ns)
-        ys = [np.array([n, n + 1, 0]) for n in ns]
-        floats = [float(253**2 * n * (n + 1)) / float(2 * n * (n + 1) + 1) for n in ns]
-        assert max(floats) > floats[ns.index(max(ns))]
-        for c in (1, 5, 253, 2**20):
-            R = r0(3, c)
-            p, w = largest_scan(R, xs, ys)
-            assert (p, w.commutator_norm) == largest_reference(R, xs, ys)
-            assert ns[p] == max(ns)
-
-    def test_ties_across_slices_and_tiers_match_the_exhaustive_reference(self, monkeypatch):
-        # scaled copies (2x, y) and (x, 3y) tie their pair exactly; the copies
-        # of the winner sit in later slices, and a copy of another pair in an
-        # earlier one
+class TestFirstPick:
+    def test_first_violator_across_slices_and_tiers_matches_the_loop(self, monkeypatch):
+        # commuting pairs (x, x) fill the first two slices, and the first violator's scaled
+        # copies (2x, y) and (x, 3y), which tie its norm, follow it in later slices
         monkeypatch.setattr(tsankov, "SLICE_ENTRIES", 5 * 4 * 4)
         base = random_act(4, 3, seed=2)
         xs, ys = orthogonal_batch(4, 12, span=4, seed=6)
-        p, _ = largest_reference(base, xs, ys)
-        q = (p + 5) % len(xs)
-        xs = [xs[q], *xs, 2 * xs[p], xs[p]]
-        ys = [3 * ys[q], *ys, ys[p], 3 * ys[p]]
+        xs, ys = [*xs[:9], *xs], [*xs[:9], *ys]
+        p, _ = first_reference(base, xs, ys)
+        assert p == 9
+        xs, ys = [*xs, 2 * xs[p], xs[p]], [*ys, ys[p], 3 * ys[p]]
         bound, tiers = int64_bound(base, xs, ys), []
         for scale in (1, isqrt(_FLOAT64_LIMIT // bound) + 1, isqrt(_INT64_LIMIT // bound) + 1, 10**400):
             R = combine([(scale, base)])
             tiers.append(_Contraction(R, xs, ys).cdt)
-            got, w = largest_scan(R, xs, ys)
-            assert (got, w.commutator_norm) == largest_reference(R, xs, ys)
-            assert got == p + 1
+            got, w = _violation_scan(R, xs, ys)
+            assert (got, w.commutator_norm) == first_reference(R, xs, ys)
+            assert got == p and w.x.tolist() == xs[p].tolist()
         assert tiers == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object), np.dtype(object)]
 
 
@@ -1292,21 +1333,26 @@ class TestTriage:
         assert min(np.abs(th - want).max(), np.abs(th + want).max()) <= 1e-12
 
     def test_rejects_keep_the_search_witness(self, monkeypatch):
-        # the witnesses and norms the expansion path reported; exact coordinates are
-        # Python ints whether a basis candidate (seed 0) or a sample (seed 1) wins
+        # the first violator, which the expansion path reports too; exact coordinates are Python
+        # ints whether a basis candidate wins, as (e_0, e_1) does for the random tensors, or a
+        # sample, as for c R0 on all pairs, where every (orthogonal) candidate commutes
         refuse_expansion(monkeypatch)
         e = lambda *ones: [int(i in ones) for i in range(12)]  # noqa: E731
-        pinned = {
-            0: (e(11), e(2, 4), Fraction(4480)),
-            1: (
-                [4, -1, 1, -1, -1, -1, 1, -2, -3, 2, 4, 0],
-                [47, -218, 163, -53, -163, -108, 163, 59, 116, 161, -228, 110],
-                Fraction(1094068917, 250855),
+        pinned = (
+            (tsankov_test, random_act(12, 3, 0), "ExactDivisibility", e(0), e(1), Fraction(1977)),
+            (tsankov_test, random_act(12, 3, 1), "ExactDivisibility", e(0), e(1), Fraction(2351)),
+            (
+                full_commutation_test,
+                r0(12, Fraction(7, 3)),
+                "CoefficientExpansion",
+                [3, 1, 0, -2, -2, -4, -4, -4, -3, 3, 1, 4],
+                [0, 1, 4, 2, 1, 0, 1, 4, -2, 3, 2, -4],
+                Fraction(392, 909),
             ),
-        }
-        for seed, (x, y, norm) in pinned.items():
-            v = tsankov_test(random_act(12, 3, seed), "exact")
-            assert not v.holds and v.method == "ExactDivisibility"
+        )
+        for decide, R, method, x, y, norm in pinned:
+            v = decide(R)
+            assert not v.holds and v.method == method
             w = v.witness
             assert w.x.dtype == object and w.y.dtype == object
             assert all(type(t) is int for t in [*w.x, *w.y])
@@ -1314,18 +1360,15 @@ class TestTriage:
             assert type(w.commutator_norm) is Fraction
 
     def test_large_reject_keeps_the_search_witness(self, monkeypatch):
-        # m=20: round 0's 4,190 pairs contract on the float64 tier
+        # m=20: the first pair, (e_0, e_1), violates, read off the numerators
         refuse_expansion(monkeypatch)
         v = tsankov_test(random_act(20, 3, 0), "exact")
         assert not v.holds and v.method == "ExactDivisibility"
         w = v.witness
         assert all(type(t) is int for t in [*w.x, *w.y])
-        assert w.x.tolist() == [1, 3, -2, 3, 0, -3, -1, -4, 2, 4, -3, 4, 1, -2, 2, -2, 0, 2, -4, 3]
-        assert w.y.tolist() == [
-            -576, -232, -208, 176, -136, 640, 304, 536, 72, -128,
-            -312, 280, 376, -208, 480, -480, 136, -608, -144, 312,
-        ]
-        assert w.commutator_norm == Fraction(28847393, 3848)
+        assert w.x.tolist() == [1] + [0] * 19
+        assert w.y.tolist() == [0, 1] + [0] * 18
+        assert w.commutator_norm == Fraction(1878)
 
 
 class TestAcceptPathConstants:
@@ -1499,13 +1542,17 @@ class TestRationalLadder:
         assert counts == {"_jacobi_table": 0, "_first_violation": 0}
 
     def test_rejects_and_rtheta_accepts_build_the_table_once(self, monkeypatch):
-        # an exact reject builds the table once and is decided by round 0 of the witness search,
-        # with no screen; an exact c R_Theta accept, decided before the table, never builds it
+        # an exact reject is decided by round 0 of the witness search, with no screen: one that
+        # violates at a pair (e_a, e_b) never builds the table, and one whose pairs (e_a, e_b)
+        # commute builds it once, for the candidates and the samples; an exact c R_Theta accept,
+        # decided before the table, never does
         counts = count_calls(monkeypatch, "_jacobi_table", "_first_violation", "_basis_raws")
         cs = conjugate_structure(standard_complex_structure(8), random_signed_permutation(8, 2))
         cases = (
-            (random_act(6, 2, 1), False, 1),
-            (r0_near_misses(10)[2], False, 1),  # an off-pattern numerator
+            (random_act(6, 2, 1), False, 0),
+            (r0_near_misses(10)[2], False, 0),  # an off-pattern numerator
+            (rtheta_near_misses(8)[1][0], False, 1),  # a signed-permuted mix
+            (from_form(np.diag([0, 1, 1, 1, 1]), RATIONAL), False, 1),  # every candidate commutes: a sample
             (r_theta(cs, Fraction(7, 4)), True, 0),
         )
         for R, holds, calls in cases:
@@ -1544,7 +1591,7 @@ class TestRationalLadder:
         with pytest.raises(InvalidOperator):
             classify(R)
         w = tsankov_test(R2).witness
-        assert w.commutator_norm == Fraction(9988992, 17323)
+        assert (w.x.tolist(), w.y.tolist(), w.commutator_norm) == ([0, 1, 0, 0], [0, 0, 1, 0], Fraction(174))
 
     def test_asymmetric_rank_one_j_e0_is_no_complex_structure(self):
         # J(e_0) numerators u v^T, u = e1 + e2 and v = e1: rank one with trace 1, not symmetric.
@@ -1626,12 +1673,13 @@ class TestRationalLadder:
             del calls[:]
 
     def test_even_rejects_skip_the_recovery(self, monkeypatch):
-        # neither a random tensor nor a mix has a rank-one J(e_0), so no c R_Theta fit is tried
+        # neither a random tensor nor a mix has a rank-one J(e_0), so no c R_Theta fit is tried;
+        # only the signed-permuted mixes, with no violating pair (e_a, e_b), reach the table
         counts = count_calls(monkeypatch, "recover_complex_structure", "_first_violation", "_basis_raws")
         for m in (4, 6, 8, 10):
             for R in (random_act(m, 3, m), *rtheta_near_misses(m)[1]):
                 assert not tsankov_test(R, "exact").holds
-        assert counts == {"recover_complex_structure": 0, "_first_violation": 0, "_basis_raws": 12}
+        assert counts == {"recover_complex_structure": 0, "_first_violation": 0, "_basis_raws": 4}
 
     def test_even_rejects_skip_the_tested_recovery_too(self, monkeypatch):
         counts = count_calls(monkeypatch, "recover_complex_structure", "_recover")
@@ -1731,8 +1779,8 @@ def round0_tensors(m):
 
 
 class TestExactRound0Decides:
-    """An exact reject is decided by round 0 of the witness search, with no screen: its violator is
-    the verdict and the witness, and an expansion reject resumes the search at round 1."""
+    """An exact reject is decided by round 0 of the witness search, with no screen: its first
+    violator is the verdict and the witness, and an expansion reject resumes the search at round 1."""
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_witnesses_are_the_search_witnesses(self, m):
@@ -1740,23 +1788,26 @@ class TestExactRound0Decides:
         for R in round0_tensors(m):
             poly = commutator_poly(R)
             holds = divisible_by_pairing(poly) is not None
+            candidate = first_candidate_reference(R)
             for seed in (0, 3):
                 v, res = tsankov_test(R, seed=seed), classify(R, seed=seed)
                 assert v.holds == holds and (res.tag == "NotTsankov") == (not holds)
                 if holds:
                     assert v.witness is None and res.witness is None
                 else:
-                    want = witness_key(search_witness(R, seed, 200, True))
-                    assert witness_key(v.witness) == witness_key(res.witness) == want
+                    want = first_violator_reference(R, seed, 200, True, candidate)
+                    assert_first_violator(R, v.witness, want)
+                    assert witness_key(res.witness) == witness_key(v.witness)
                     rejects += 1
                 full = full_commutation_test(R, seed=seed)
                 assert full.holds == poly.is_zero() and not full.holds
-                assert witness_key(full.witness) == witness_key(search_witness(R, seed, 200, False))
+                assert_first_violator(R, full.witness, first_violator_reference(R, seed, 200, False, candidate), False)
         assert rejects >= 6
 
     @pytest.mark.parametrize("m", (4, 7))
     def test_a_silent_round0_resumes_at_round1(self, monkeypatch, m):
-        counts = count_calls(monkeypatch, "_basis_raws", "_first_violation", "commutator_poly")
+        names = ("_basis_raws", "_first_violation", "commutator_poly", "seeded_rng", "_sample_pairs")
+        counts = count_calls(monkeypatch, *names)
         real = tsankov._witness_rounds
 
         def silent_round0(*args):
@@ -1767,14 +1818,79 @@ class TestExactRound0Decides:
 
         monkeypatch.setattr(tsankov, "_witness_rounds", silent_round0)
         for R in (random_act(m, 3, seed=m), *round0_tensors(m)[3:]):
+            candidate = first_candidate_reference(R)
             for decide, orthogonal in ((tsankov_test, True), (full_commutation_test, False)):
                 if orthogonal and divisible_by_pairing(commutator_poly(R)) is not None:
                     continue
                 counts.update(dict.fromkeys(counts, 0))
                 v = decide(R, seed=1)
                 assert not v.holds
-                assert counts == {"_basis_raws": 1, "_first_violation": 0, "commutator_poly": 1}
+                # round 0 reads the table only past the pairs (e_a, e_b), and draws only when every
+                # candidate commutes; round 1 builds the generator, if round 0 has not, and draws
+                past = candidate is None or candidate[0] >= m * (m - 1)
+                assert counts == dict(zip(names, (int(past), 0, 1, 1, 1 + (candidate is None))))
                 assert witness_key(v.witness) == witness_key(search_witness(R, 1, 200, orthogonal))
+
+
+def oracle_tensors():
+    """Exact tensors for the first-violator oracle: random ones at m 3-12, Gauss tensors of a
+    generic form and, for m <= 8, of diag(0, 1, ..., 1), whose candidates all commute, in even m
+    the mixes 5/3 R0 - 7/4 R_Theta of a signed-permuted Theta and, for m <= 8, of a
+    Cayley-rotated one, and a big-scale reject."""
+    out = []
+    for m in range(3, 13):
+        phi = np.random.default_rng(m).integers(-3, 4, size=(m, m))
+        out += [random_act(m, 3, 100 + m), from_form(phi + phi.T, RATIONAL)]
+        out += [from_form(np.diag([0] + [1] * (m - 1)), RATIONAL)] if m <= 8 else []
+        rotations = (random_signed_permutation(m, 1), *((cayley_rotation(m, 3),) if m <= 8 else ()))
+        for q in rotations if m % 2 == 0 else ():
+            cs = conjugate_structure(standard_complex_structure(m), q)
+            out.append(combine([(Fraction(5, 3), r0(m, 1)), (Fraction(-7, 4), r_theta(cs, 1))]))
+    out.append(combine([(Fraction(10**400 + 1, 3), random_act(8, 3, 5))]))
+    return out
+
+
+class TestFirstViolator:
+    """An exact witness is the first violating pair: the basis candidates in their order, then the
+    seeded rounds in draw order, and the search stops there."""
+
+    def test_witnesses_are_the_plain_loop_first_violators(self):
+        rejects = 0
+        for R in oracle_tensors():
+            v, res, full = tsankov_test(R), classify(R), full_commutation_test(R)
+            holds = divisible_by_pairing(commutator_poly(R)) is not None
+            assert v.holds == holds and (res.tag == "NotTsankov") == (not holds) and not full.holds
+            candidate = first_candidate_reference(R)
+            if not holds:
+                assert_first_violator(R, v.witness, first_violator_reference(R, 0, 200, True, candidate))
+                assert witness_key(res.witness) == witness_key(v.witness)
+                rejects += 1
+            assert_first_violator(R, full.witness, first_violator_reference(R, 0, 200, False, candidate), False)
+        assert rejects >= 30
+
+    def test_a_first_pair_reject_builds_no_table_and_no_generator(self, monkeypatch):
+        counts = count_calls(monkeypatch, "_jacobi_table", "seeded_rng", "_basis_raws")
+        e = lambda i: [int(t == i) for t in range(11)]  # noqa: E731
+        for seed in range(5):
+            R = random_act(11, 3, seed)
+            for w in (tsankov_test(R).witness, full_commutation_test(R).witness, classify(R).witness):
+                assert (w.x.tolist(), w.y.tolist()) == (e(0), e(1))
+        assert counts == {"_jacobi_table": 0, "seeded_rng": 0, "_basis_raws": 0}
+
+    @pytest.mark.parametrize("m", (10, 12))
+    def test_a_permuted_mix_reads_the_table_once_and_draws_nothing(self, monkeypatch, m):
+        # no pair (e_a, e_b) violates, and for the permutation of seed 1 the first violator is
+        # candidate 95 at m=10 and 135 at m=12, of the family (e_a, e_b + e_c)
+        counts = count_calls(monkeypatch, "_jacobi_table", "seeded_rng", "_basis_raws")
+        cx, cy = _basis_candidates(m)[1:3]
+        for seed in range(3):
+            cs = conjugate_structure(standard_complex_structure(m), random_signed_permutation(m, seed))
+            R = combine([(Fraction(5, 3), r0(m, 1)), (Fraction(-7, 4), r_theta(cs, 1))])
+            counts.update(dict.fromkeys(counts, 0))
+            w = tsankov_test(R).witness
+            assert counts == {"_jacobi_table": 1, "seeded_rng": 0, "_basis_raws": 1}
+            p = next(p for p, (x, y) in enumerate(zip(cx, cy)) if (x.tolist(), y.tolist()) == (w.x.tolist(), w.y.tolist()))
+            assert p >= m * (m - 1) and (seed != 1 or p == {10: 95, 12: 135}[m])
 
 
 class TestDrawArguments:
